@@ -21,6 +21,7 @@ import random
 import sys
 from fractions import Fraction
 from importlib import resources
+from typing import NoReturn
 
 from .poly import Poly
 from .quaternion import format_rat, rat
@@ -37,6 +38,18 @@ def _load_data(name: str) -> dict:
         with resources.files("qhlab.data").joinpath(name).open("r", encoding="utf-8") as fh:
             _DATA_CACHE[name] = json.load(fh)
     return _DATA_CACHE[name]
+
+
+def _usage_error(message: str) -> NoReturn:
+    print(f"qhlab: {message}", file=sys.stderr)
+    raise SystemExit(2)
+
+
+def _rational(text: str, what: str) -> Fraction:
+    try:
+        return rat(text)
+    except (ValueError, ZeroDivisionError):
+        _usage_error(f"{what} is not a rational number: {text!r}")
 
 
 def _poly_json(p: Poly) -> dict:
@@ -61,7 +74,7 @@ def _suite(checks: list[tuple[str, bool, str]]) -> dict:
 def cmd_invariant_dims(ns) -> tuple[dict, int]:
     n = ns.n
     if not 2 <= n <= 5:
-        raise SystemExit(2)
+        _usage_error(f"--n must be between 2 and 5, got {n}")
     hor, ver = M.bracket_space_dims(n)
     checks = [
         (f"horizontal bracket space dim (n={n})", hor == 5, f"computed {hor}, expected 5"),
@@ -84,9 +97,7 @@ def cmd_invariant_dims(ns) -> tuple[dict, int]:
 
 
 def cmd_classify_bracket(ns) -> tuple[dict, int]:
-    params = tuple(rat(x) for x in ns.params)
-    if len(params) != 5:
-        raise SystemExit(2)
+    params = tuple(_rational(x, "bracket parameter") for x in ns.params)
     entry: dict = {"model": "bracket", "n": ns.n,
                    "extras": {"params": [format_rat(x) for x in params]}}
     checks = []
@@ -278,9 +289,13 @@ def _reproduce_maxmodel() -> list[tuple[str, bool, str]]:
 def cmd_reproduce(ns) -> tuple[dict, int]:
     which = ns.table
     n = ns.n
+    min_n = {"table4": 3, "prop12": 2}.get(which)
+    if min_n is not None and n < min_n:
+        _usage_error(f"reproduce {which} needs --n >= {min_n}, got {n}")
     betas = None
     if ns.beta:
-        betas = [rat(chunk.strip()) for chunk in ns.beta.split(",") if chunk.strip()]
+        betas = [_rational(chunk.strip(), "--beta value")
+                 for chunk in ns.beta.split(",") if chunk.strip()]
     if which == "table3":
         checks = _reproduce_table3()
     elif which == "table4":
@@ -301,19 +316,21 @@ def _parse_grid(text: str) -> list[tuple[Fraction, Fraction]]:
         chunk = chunk.strip()
         if not chunk:
             continue
-        a, b = chunk.split(",")
-        out.append((rat(a.strip()), rat(b.strip())))
-    if any(c1 <= 0 or c2 <= 0 for c1, c2 in out):
-        raise SystemExit(2)
+        point = chunk.split(",")
+        if len(point) != 2:
+            _usage_error(f"--grid point is not c1,c2: {chunk!r}")
+        c1, c2 = (_rational(x.strip(), "--grid value") for x in point)
+        if c1 <= 0 or c2 <= 0:
+            _usage_error(f"--grid point is not positive: {chunk!r}")
+        out.append((c1, c2))
     return out
 
 
 def cmd_model_report(ns) -> tuple[dict, int]:
     try:
         spec = M.ModelSpec.parse(ns.spec)
-    except (ValueError, KeyError) as exc:
-        print(f"invalid model spec: {exc}", file=sys.stderr)
-        raise SystemExit(2)
+    except (ValueError, KeyError, ZeroDivisionError) as exc:
+        _usage_error(f"invalid model spec: {exc}")
     grid = _parse_grid(ns.grid) if ns.grid else [(spec.c1, spec.c2)]
     model = M.build_model(spec)
     dims = M.dims(spec.n)

@@ -13,7 +13,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .lie import ColMat, Representation, common_kernel, sort_sign
-from .linalg import SparseVec, rref
+from .linalg import Echelon, SparseVec, invert, nullspace
 from .poly import Poly, proportionality
 from .models import HomogeneousModel, ambient_rep, isotropy_rep
 
@@ -402,25 +402,6 @@ class IsotypicPair:
     normalization: tuple[Fraction, Fraction]
 
 
-def _solve_in_plane(v: KForm, b1: KForm, b2: KForm) -> tuple[Fraction, Fraction]:
-    """Exact (x, y) with v = x b1 + y b2; raises when v leaves the plane."""
-    keys = sorted(set(b1.terms) | set(b2.terms) | set(v.terms))
-    rows = [[Fraction(b1.terms.get(S, 0)), Fraction(b2.terms.get(S, 0)),
-             Fraction(v.terms.get(S, 0))] for S in keys]
-    ech, piv = rref(rows)
-    if any(c == 2 for c in piv):
-        raise AssertionError("vector leaves the invariant plane")
-    x = y = Fraction(0)
-    for r, c in enumerate(piv):
-        if c == 0:
-            x = ech[r][2]
-        elif c == 1:
-            y = ech[r][2]
-    if not (v.add(b1.scale(-x)).add(b2.scale(-y)).is_zero()):
-        raise AssertionError("plane solve failed")
-    return x, y
-
-
 _ISOTYPIC_CACHE: dict[int, IsotypicPair] = {}
 
 
@@ -435,7 +416,6 @@ def isotypic_split(n: int) -> IsotypicPair:
         return _ISOTYPIC_CACHE[n]
     v1, v2 = invariant_five_forms(n)
     k, rho_k, _ = ambient_rep(n)
-    from .linalg import invert
     gram_inv = invert(_ambient_gram(rho_k))
 
     # Casimir scalar on 1-forms (the EH module)
@@ -449,8 +429,8 @@ def isotypic_split(n: int) -> IsotypicPair:
 
     c1v = _casimir_apply(v1, rho_k, gram_inv)
     c2v = _casimir_apply(v2, rho_k, gram_inv)
-    m11, m21 = _solve_in_plane(c1v, v1, v2)
-    m12, m22 = _solve_in_plane(c2v, v1, v2)
+    m11, m21 = plane_coordinates(c1v, v1, v2)
+    m12, m22 = plane_coordinates(c2v, v1, v2)
     tr = m11 + m22
     det = m11 * m22 - m12 * m21
     disc = tr * tr - 4 * det
@@ -517,37 +497,14 @@ class Calibration:
 
 
 def _split_domega(model: HomogeneousModel, pair: IsotypicPair):
-    """Raw coefficients (x, y) with dOmega = x theta_EH + y theta_KH, exact."""
+    """Raw coefficients (x, y) with dOmega = x theta_EH + y theta_KH, exact.
+
+    plane_coordinates raises when dOmega leaves the invariant 5-form plane,
+    which would contradict the two-line decomposition.
+    """
     _, _, _, omega = fundamental_forms(model)
     dom = ce_differential(model, omega)
-    keys = []
-    for s1 in pair.theta_eh.terms:
-        for s2 in pair.theta_kh.terms:
-            if s1 == s2:
-                continue
-            det = (pair.theta_eh.terms.get(s1, Fraction(0)) * pair.theta_kh.terms.get(s2, Fraction(0))
-                   - pair.theta_eh.terms.get(s2, Fraction(0)) * pair.theta_kh.terms.get(s1, Fraction(0)))
-            if det:
-                keys = [s1, s2, det]
-                break
-        if keys:
-            break
-    if not keys:
-        raise AssertionError("theta forms are not independent")
-    s1, s2, det = keys
-    a11 = pair.theta_eh.terms.get(s1, Fraction(0))
-    a21 = pair.theta_eh.terms.get(s2, Fraction(0))
-    a12 = pair.theta_kh.terms.get(s1, Fraction(0))
-    a22 = pair.theta_kh.terms.get(s2, Fraction(0))
-    b1 = dom.terms.get(s1, Fraction(0))
-    b2 = dom.terms.get(s2, Fraction(0))
-    x = (b1 * a22 - b2 * a12) * (1 / det)
-    y = (a11 * b2 - a21 * b1) * (1 / det)
-    residual = dom.add(pair.theta_eh.scale(x), -1).add(pair.theta_kh.scale(y), -1)
-    if not residual.is_zero():
-        raise AssertionError(
-            "dOmega leaves the invariant 5-form plane; the class computation "
-            "contradicts the two-line decomposition")
+    x, y = plane_coordinates(dom, pair.theta_eh, pair.theta_kh)
     return x, y, dom
 
 
@@ -625,17 +582,12 @@ def table4_row(kind: str, n: int) -> ClassReport:
 def solve_wedge_omega(target: KForm, omega: KForm) -> KForm | None:
     """One-form zeta with zeta ^ Omega = target, or None when unsolvable."""
     n4 = target.n4
-    cols = [wedge(KForm(n4, 1, {(x,): Fraction(1)}), omega) for x in range(n4)]
-    keys = sorted(set().union(*[c.terms.keys() for c in cols], target.terms.keys()))
-    rows = [[Fraction(cols[x].terms.get(S, 0)) for x in range(n4)]
-            + [Fraction(target.terms.get(S, 0))] for S in keys]
-    ech, piv = rref(rows)
-    sol = [Fraction(0)] * n4
-    for r, c in enumerate(piv):
-        if c == n4:
-            return None
-        sol[c] = ech[r][n4]
-    zeta = KForm(n4, 1, {(x,): v for x, v in enumerate(sol) if v})
+    span = Echelon(wedge(KForm(n4, 1, {(x,): Fraction(1)}), omega).terms
+                   for x in range(n4))
+    sol = span.coordinates(target.terms)
+    if sol is None:
+        return None
+    zeta = KForm(n4, 1, {(x,): v for x, v in sol.items()})
     check = wedge(zeta, omega).add(target, -1)
     return zeta if check.is_zero() else None
 
@@ -706,22 +658,10 @@ def first_order_tests(model: HomogeneousModel) -> FirstOrderReport:
     kh_identity = dom == torsion
     xi_solved = solve_wedge_omega(torsion.add(dom, -1), omega)
     ratio = None
-    if xi_solved is not None and not xi.is_zero():
-        lam = None
-        consistent = True
-        for S, v in xi_solved.terms.items():
-            w = xi.terms.get(S)
-            if not w:
-                consistent = False
-                break
-            cur = v / w
-            if lam is None:
-                lam = cur
-            elif lam != cur:
-                consistent = False
-                break
-        if consistent and set(xi.terms) == set(xi_solved.terms):
-            ratio = lam
+    if xi_solved is not None and not xi_solved.is_zero():
+        coords = Echelon([xi.terms]).coordinates(xi_solved.terms)
+        if coords is not None:
+            ratio = coords[0]
     return FirstOrderReport(model.name, model.n, metric[0], metric[-1],
                             d_omega_zero, zeta is not None, kh_identity,
                             xi_equal, xi_solved is not None, xi, xi_solved, ratio)
@@ -763,7 +703,6 @@ def pure_bidegree_basis(n: int) -> tuple[KForm, KForm]:
     if bds != [(1, 0, 4), (1, 2, 2)]:
         raise AssertionError(f"unexpected bi-degrees in the invariant plane: {bds}")
     # solve for combinations that are pure of each bi-degree
-    from .linalg import nullspace
     out = []
     for keep in bds:
         drop = [bd for bd in bds if bd != keep][0]
@@ -785,18 +724,15 @@ def pure_bidegree_basis(n: int) -> tuple[KForm, KForm]:
 
 
 def plane_coordinates(form: KForm, p1: KForm, p2: KForm):
-    """Exact (x, y) with form = x p1 + y p2; Poly-valued coefficients allowed."""
-    s1 = next(iter(p1.terms))
-    s2 = next(iter(p2.terms))
-    a11, a21 = p1.terms[s1], p1.terms.get(s2, Fraction(0))
-    a12, a22 = p2.terms.get(s1, Fraction(0)), p2.terms[s2]
-    det = a11 * a22 - a12 * a21
-    if not det:
+    """Exact (x, y) with form = x p1 + y p2 for a rational plane basis (p1, p2);
+    the form may have Poly-valued coefficients."""
+    plane = Echelon([p1.terms, p2.terms])
+    if plane.rank != 2:
         raise AssertionError("degenerate plane basis")
-    b1 = form.terms.get(s1, 0)
-    b2 = form.terms.get(s2, 0)
-    x = (b1 * a22 - b2 * a12) * (Fraction(1) / det)
-    y = (a11 * b2 - a21 * b1) * (Fraction(1) / det)
+    coords = plane.coordinates(form.terms)
+    if coords is None:
+        raise AssertionError("form leaves the invariant plane")
+    x, y = coords.get(0, Fraction(0)), coords.get(1, Fraction(0))
     if not form.add(p1.scale(x), -1).add(p2.scale(y), -1).is_zero():
         raise AssertionError("form leaves the invariant plane")
     return x, y

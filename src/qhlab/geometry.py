@@ -14,7 +14,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .lie import BilinearMap, ColMat, op_apply
-from .linalg import SparseVec
+from .linalg import SparseVec, connected_components
 
 R4 = dict[tuple[int, int, int, int], Fraction]
 
@@ -253,38 +253,18 @@ class RiemannClass:
 
 
 def _block_partition(cur: CurvatureData, groups: list[list[int]]) -> list[list[int]]:
-    """Merge the given index groups along curvature and Ricci support."""
-    parent = list(range(len(groups)))
-    where = {}
+    """Merge the given index groups along curvature support.
+
+    (Ricci is a contraction of R4, so its support adds no link.)  The groups
+    that no curvature entry touches make up one flat (Euclidean) de Rham
+    factor.  Blocks come ordered by their smallest index.
+    """
+    where = {idx: gi for gi, grp in enumerate(groups) for idx in grp}
+    roots = connected_components([where[i] for i in key] for key in cur.r4)
+    blocks: dict = {}
     for gi, grp in enumerate(groups):
-        for idx in grp:
-            where[idx] = gi
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-
-    for (i, j, k, l), v in cur.r4.items():
-        gs = {where[i], where[j], where[k], where[l]}
-        gs = sorted(gs)
-        for other in gs[1:]:
-            union(gs[0], other)
-    dm = cur.data.dim
-    for i in range(dm):
-        for j in range(dm):
-            if i != j and cur.ricci[i][j]:
-                union(where[i], where[j])
-    blocks: dict[int, list[int]] = {}
-    for gi, grp in enumerate(groups):
-        blocks.setdefault(find(gi), []).extend(grp)
-    return [sorted(v) for _, v in sorted(blocks.items())]
+        blocks.setdefault(roots.get(gi, "flat"), []).extend(grp)
+    return sorted(sorted(b) for b in blocks.values())
 
 
 def classify(cur: CurvatureData, groups: list[list[int]] | None = None) -> RiemannClass:

@@ -80,45 +80,6 @@ def sort_sign(seq) -> tuple[tuple, int] | None:
     return tuple(sorted(items)), sign
 
 
-class SpanBasis:
-    """Incremental echelon basis for rank / membership over sparse vectors."""
-
-    def __init__(self):
-        self.pivots: dict[int, SparseVec] = {}
-
-    def reduce(self, v: SparseVec) -> SparseVec:
-        v = dict(v)
-        while v:
-            lead = min(v)
-            row = self.pivots.get(lead)
-            if row is None:
-                return v
-            v = sv_add_scaled(v, row, -v[lead] / row[lead])
-        return v
-
-    def add(self, v: SparseVec) -> bool:
-        """Insert v; returns True when it enlarged the span."""
-        red = self.reduce(v)
-        if not red:
-            return False
-        self.pivots[min(red)] = red
-        return True
-
-    def contains(self, v: SparseVec) -> bool:
-        return not self.reduce(v)
-
-    @property
-    def rank(self) -> int:
-        return len(self.pivots)
-
-
-def sparse_rank(vectors) -> int:
-    basis = SpanBasis()
-    for v in vectors:
-        basis.add(v)
-    return basis.rank
-
-
 # --------------------------------------------------------------------------
 # Lie algebras and bilinear maps
 # --------------------------------------------------------------------------

@@ -1,13 +1,15 @@
 """Exact linear algebra over the rationals.
 
-Two layers:
+One elimination engine, :class:`Echelon`: the sparse, incremental, fully
+reduced row echelon form of the span of the vectors inserted so far.  Vectors
+are dicts {key: scalar} whose keys only need an order (column ints, form
+index tuples).  Inserted vectors are Fraction-valued; vectors reduced against
+the echelon or written in its span may carry Poly entries.
 
-* dense rows of Fractions, eliminated fraction-free (Bareiss) after clearing
-  denominators -- used for small systems (Jacobi families, curvature solves,
-  dual bases);
-* sparse dict-vectors with a component-splitting nullspace -- used for the
-  large equivariance / invariance kernels, where constraint rows touch only
-  a handful of unknowns each.
+Front-ends over it: ``rref`` / ``nullspace`` / ``invert`` on dense lists of
+Fractions, and ``sparse_nullspace`` for the large equivariance / invariance
+kernels, whose constraint rows touch only a handful of unknowns each and are
+split into connected components first.
 
 Every public routine returns exact results; callers are expected to verify
 kernels post hoc (A.v == 0) where correctness matters.
@@ -20,142 +22,6 @@ from math import gcd
 
 SparseVec = dict[int, Fraction]
 
-_DENSE_COMPONENT_LIMIT = 48
-
-
-# --------------------------------------------------------------------------
-# dense exact elimination
-# --------------------------------------------------------------------------
-
-def clear_denominators(row: list[Fraction]) -> list[int]:
-    lcm = 1
-    for x in row:
-        d = Fraction(x).denominator
-        lcm = lcm // gcd(lcm, d) * d
-    return [int(Fraction(x) * lcm) for x in row]
-
-
-def bareiss_echelon(rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:
-    """Fraction-free row echelon form of an integer matrix.
-
-    Returns (echelon_rows, pivot_cols); input is consumed (copies are cheap
-    at the sizes this is used for).
-    """
-    m = [list(r) for r in rows]
-    if not m:
-        return [], []
-    ncols = len(m[0])
-    piv_cols: list[int] = []
-    r = 0
-    prev = 1
-    for c in range(ncols):
-        sel = None
-        for i in range(r, len(m)):
-            if m[i][c]:
-                if sel is None or abs(m[i][c]) < abs(m[sel][c]):
-                    sel = i
-        if sel is None:
-            continue
-        m[r], m[sel] = m[sel], m[r]
-        piv = m[r][c]
-        for i in range(r + 1, len(m)):
-            if not any(m[i][c:]):
-                continue
-            fi = m[i][c]
-            for j in range(c, ncols):
-                m[i][j] = (m[i][j] * piv - fi * m[r][j]) // prev
-        prev = piv
-        piv_cols.append(c)
-        r += 1
-        if r == len(m):
-            break
-    return m[:r], piv_cols
-
-
-def rank(rows: list[list[Fraction]]) -> int:
-    ints = [clear_denominators(r) for r in rows]
-    _, piv = bareiss_echelon(ints)
-    return len(piv)
-
-
-def nullspace(rows: list[list[Fraction]], ncols: int | None = None) -> list[list[Fraction]]:
-    """Exact kernel basis, one vector per free column (echelonized)."""
-    if ncols is None:
-        if not rows:
-            raise ValueError("ncols required for empty row list")
-        ncols = len(rows[0])
-    if not rows:
-        return [[Fraction(1) if i == j else Fraction(0) for i in range(ncols)]
-                for j in range(ncols)]
-    ints = [clear_denominators(r) for r in rows]
-    ech, piv_cols = bareiss_echelon(ints)
-    piv_set = set(piv_cols)
-    free_cols = [c for c in range(ncols) if c not in piv_set]
-    basis = []
-    for f in free_cols:
-        v = [Fraction(0)] * ncols
-        v[f] = Fraction(1)
-        # back-substitute pivot variables from the bottom up
-        for r in range(len(ech) - 1, -1, -1):
-            c = piv_cols[r]
-            s = Fraction(0)
-            for j in range(c + 1, ncols):
-                if ech[r][j] and v[j]:
-                    s += ech[r][j] * v[j]
-            v[c] = -s / ech[r][c]
-        basis.append(v)
-    return basis
-
-
-def rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form over Fraction (Gauss-Jordan)."""
-    m = [[Fraction(x) for x in r] for r in rows]
-    if not m:
-        return [], []
-    ncols = len(m[0])
-    piv_cols: list[int] = []
-    r = 0
-    for c in range(ncols):
-        sel = next((i for i in range(r, len(m)) if m[i][c]), None)
-        if sel is None:
-            continue
-        m[r], m[sel] = m[sel], m[r]
-        inv = Fraction(1) / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        piv_cols.append(c)
-        r += 1
-        if r == len(m):
-            break
-    return m[:r], piv_cols
-
-
-def solve(a_rows: list[list[Fraction]], b: list[Fraction]) -> list[Fraction] | None:
-    """One exact solution of A x = b, or None when inconsistent."""
-    aug = [list(map(Fraction, row)) + [Fraction(bi)] for row, bi in zip(a_rows, b)]
-    ncols = len(a_rows[0])
-    ech, piv = rref(aug)
-    x = [Fraction(0)] * ncols
-    for r, c in enumerate(piv):
-        if c == ncols:
-            return None
-        x[c] = ech[r][ncols]
-    return x
-
-
-def invert(a_rows: list[list[Fraction]]) -> list[list[Fraction]]:
-    n = len(a_rows)
-    aug = [[Fraction(a_rows[i][j]) for j in range(n)]
-           + [Fraction(1) if j == i else Fraction(0) for j in range(n)]
-           for i in range(n)]
-    ech, piv = rref(aug)
-    if piv != list(range(n)):
-        raise ValueError("matrix not invertible")
-    return [row[n:] for row in ech]
-
 
 # --------------------------------------------------------------------------
 # sparse vectors
@@ -163,22 +29,21 @@ def invert(a_rows: list[list[Fraction]]) -> list[list[Fraction]]:
 
 def sv_add_scaled(a: SparseVec, b: SparseVec, s) -> SparseVec:
     """a + s*b as a new sparse vector."""
-    if not s:
-        return dict(a)
     out = dict(a)
-    for k, v in b.items():
-        t = out.get(k, 0) + s * v
-        if t:
-            out[k] = t
-        else:
-            out.pop(k, None)
+    _accumulate(out, b, s)
     return out
 
 
-def sv_scale(a: SparseVec, s) -> SparseVec:
+def _accumulate(acc: dict, b: dict, s) -> None:
+    """acc += s*b in place, dropping the entries that cancel."""
     if not s:
-        return {}
-    return {k: v * s for k, v in a.items()}
+        return
+    for k, v in b.items():
+        t = acc.get(k, 0) + s * v
+        if t:
+            acc[k] = t
+        else:
+            acc.pop(k, None)
 
 
 def sv_primitive(a: SparseVec) -> SparseVec:
@@ -198,9 +63,12 @@ def sv_primitive(a: SparseVec) -> SparseVec:
     return {k: Fraction(v, sign * g) for k, v in ints.items()}
 
 
-def _union_find_components(rows: list[SparseVec]) -> dict[int, list[SparseVec]]:
-    """Group rows by the connected component of the columns they touch."""
-    parent: dict[int, int] = {}
+def connected_components(links) -> dict:
+    """Map every key of ``links`` to the smallest key of its component.
+
+    Each link is an iterable of keys and connects all of them.
+    """
+    parent: dict = {}
 
     def find(x):
         root = x
@@ -210,101 +78,153 @@ def _union_find_components(rows: list[SparseVec]) -> dict[int, list[SparseVec]]:
             parent[x], x = root, parent[x]
         return root
 
-    def union(x, y):
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[max(rx, ry)] = min(rx, ry)
-
-    for row in rows:
-        cols = list(row)
-        for c in cols:
-            parent.setdefault(c, c)
-        for c in cols[1:]:
-            union(cols[0], c)
-    groups: dict[int, list[SparseVec]] = {}
-    for row in rows:
-        root = find(next(iter(row)))
-        groups.setdefault(root, []).append(row)
-    return groups
+    for link in links:
+        keys = list(link)
+        for k in keys:
+            parent.setdefault(k, k)
+        for k in keys[1:]:
+            a, b = find(keys[0]), find(k)
+            if a != b:
+                parent[max(a, b)] = min(a, b)
+    return {k: find(k) for k in parent}
 
 
-def _component_nullspace_dense(rows: list[SparseVec], cols: list[int]) -> list[SparseVec]:
-    local = {c: i for i, c in enumerate(cols)}
-    dense = [[Fraction(0)] * len(cols) for _ in rows]
-    for r, row in enumerate(rows):
-        for c, v in row.items():
-            dense[r][local[c]] = v
-    return [{cols[i]: v for i, v in enumerate(vec) if v}
-            for vec in nullspace(dense, len(cols))]
+# --------------------------------------------------------------------------
+# the elimination engine
+# --------------------------------------------------------------------------
+
+class Echelon:
+    """Fully reduced row echelon form of the span of the inserted vectors.
+
+    Each row is keyed by its pivot, the smallest key of the row; it is 1
+    there and 0 at every other pivot.  Whatever the insertion order, the
+    rows are therefore the unique RREF of the span, and ``kernel`` gives the
+    kernel basis that back-substitution from that RREF gives.
+    """
+
+    def __init__(self, vectors=()):
+        self.rows: dict = {}       # pivot -> row
+        self.inserted: list = []   # the vectors as given (not copied), in order
+        self._touching: dict = {}  # key -> pivots whose row has a nonzero there
+        self._tagged: Echelon | None = None
+        for v in vectors:
+            self.add(v)
+
+    @property
+    def rank(self) -> int:
+        return len(self.rows)
+
+    def reduce(self, v: dict) -> dict:
+        """The remainder of v against the rows; empty exactly on the span."""
+        out = dict(v)
+        for p, s in [(p, out[p]) for p in v if p in self.rows]:
+            _accumulate(out, self.rows[p], -s)  # rows vanish at other pivots: one pass
+        return out
+
+    def add(self, v: dict) -> bool:
+        """Insert v; True when it enlarged the span."""
+        self.inserted.append(v)
+        self._tagged = None
+        red = self.reduce(v)
+        if not red:
+            return False
+        pivot = min(red)
+        inv = Fraction(1) / red[pivot]
+        row = {k: x * inv for k, x in red.items()}
+        for q in list(self._touching.get(pivot, ())):  # clear the new pivot column
+            other = self.rows[q]
+            _accumulate(other, row, -other[pivot])
+            for k in row:
+                if k in other:
+                    self._touching.setdefault(k, set()).add(q)
+                else:
+                    self._touching[k].discard(q)
+        self.rows[pivot] = row
+        for k in row:
+            self._touching.setdefault(k, set()).add(pivot)
+        return True
+
+    def coordinates(self, v: dict) -> dict | None:
+        """{insertion index: x} with v = sum of x * inserted vector, or None
+        when v is off the span.  Unique when the inserted vectors are
+        independent; vectors that did not enlarge the span get no weight.
+
+        Read off the echelon of the inserted vectors each extended by a unit
+        tag, [B | I]: reducing (v, 0) leaves (0, -x).  Tags sort after every
+        key, later ones first, so a dependent vector's tag is a pivot.
+        """
+        if self._tagged is None:
+            self._tagged = Echelon({**{(0, k): x for k, x in b.items()}, (1, -i): Fraction(1)}
+                                   for i, b in enumerate(self.inserted))
+        red = self._tagged.reduce({(0, k): x for k, x in v.items()})
+        if any(side == 0 for side, _ in red):
+            return None
+        return {-i: -x for (_, i), x in red.items()}
+
+    def kernel(self, columns) -> list[SparseVec]:
+        """Basis of {x : row . x = 0 for every row} on the given columns: one
+        vector per free column f, 1 at f and minus the rows' entries at f."""
+        return [{f: Fraction(1), **{p: -self.rows[p][f] for p in self._touching.get(f, ())}}
+                for f in columns if f not in self.rows]
 
 
-def _component_nullspace_sparse(rows: list[SparseVec], cols: list[int]) -> list[SparseVec]:
-    """Sparse Gauss-Jordan; pivot rows kept fully reduced for easy extraction."""
-    pivots: dict[int, SparseVec] = {}
-    usage: dict[int, set[int]] = {}  # col -> pivot cols whose row touches col
+# --------------------------------------------------------------------------
+# front-ends
+# --------------------------------------------------------------------------
 
-    def register(pc: int, row: SparseVec):
-        pivots[pc] = row
-        for c in row:
-            usage.setdefault(c, set()).add(pc)
+def _sparse(row) -> SparseVec:
+    return {j: Fraction(x) for j, x in enumerate(row) if x}
 
-    def unregister(pc: int, row: SparseVec):
-        for c in row:
-            usage.get(c, set()).discard(pc)
 
-    for row in sorted(rows, key=lambda r: (len(r), min(r))):
-        row = dict(row)
-        while True:
-            hit = None
-            for c in row:
-                if c in pivots:
-                    hit = c
-                    break
-            if hit is None:
-                break
-            row = sv_add_scaled(row, pivots[hit], -row[hit])
-        if not row:
-            continue
-        pc = min(row)
-        inv = Fraction(1) / row[pc]
-        row = {c: v * inv for c, v in row.items()}
-        for opc in list(usage.get(pc, ())):
-            prow = pivots[opc]
-            unregister(opc, prow)
-            prow = sv_add_scaled(prow, row, -prow[pc])
-            register(opc, prow)
-        register(pc, row)
+def _dense(vec: SparseVec, ncols: int) -> list[Fraction]:
+    return [vec.get(j, Fraction(0)) for j in range(ncols)]
 
-    piv_set = set(pivots)
-    basis = []
-    for f in cols:
-        if f in piv_set:
-            continue
-        v: SparseVec = {f: Fraction(1)}
-        for pc in usage.get(f, ()):
-            v[pc] = -pivots[pc][f]
-        basis.append(v)
-    return basis
+
+def rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form over Fraction: (nonzero rows, pivot columns)."""
+    if not rows:
+        return [], []
+    ech = Echelon(_sparse(r) for r in rows)
+    piv = sorted(ech.rows)
+    return [_dense(ech.rows[p], len(rows[0])) for p in piv], piv
+
+
+def nullspace(rows: list[list[Fraction]], ncols: int | None = None) -> list[list[Fraction]]:
+    """Exact kernel basis, one vector per free column (echelonized)."""
+    if ncols is None:
+        if not rows:
+            raise ValueError("ncols required for empty row list")
+        ncols = len(rows[0])
+    ech = Echelon(_sparse(r) for r in rows)
+    return [_dense(v, ncols) for v in ech.kernel(range(ncols))]
+
+
+def invert(a_rows: list[list[Fraction]]) -> list[list[Fraction]]:
+    """Inverse of a square matrix; row j is the combination of rows giving e_j."""
+    n = len(a_rows)
+    ech = Echelon(_sparse(r) for r in a_rows)
+    if ech.rank != n:
+        raise ValueError("matrix not invertible")
+    return [_dense(ech.coordinates({j: Fraction(1)}), n) for j in range(n)]
 
 
 def sparse_nullspace(rows: list[SparseVec], ncols: int) -> list[SparseVec]:
     """Exact kernel basis of the sparse homogeneous system rows . x = 0.
 
     The column-interaction graph is split into connected components, each
-    solved independently (dense below a size threshold, sparse Gauss-Jordan
-    above it).  Columns untouched by any row contribute unit kernel vectors.
+    eliminated on its own, sparsest rows first.  Columns untouched by any row
+    contribute unit kernel vectors.
     """
     rows = [r for r in rows if r]
-    touched: set[int] = set()
-    for r in rows:
-        touched.update(r)
-    basis: list[SparseVec] = [{c: Fraction(1)} for c in range(ncols) if c not in touched]
-    for _, comp_rows in sorted(_union_find_components(rows).items()):
+    roots = connected_components(rows)
+    basis: list[SparseVec] = [{c: Fraction(1)} for c in range(ncols) if c not in roots]
+    components: dict[int, list[SparseVec]] = {}
+    for row in rows:
+        components.setdefault(roots[next(iter(row))], []).append(row)
+    for _, comp_rows in sorted(components.items()):
         cols = sorted({c for row in comp_rows for c in row})
-        if len(cols) <= _DENSE_COMPONENT_LIMIT:
-            basis.extend(_component_nullspace_dense(comp_rows, cols))
-        else:
-            basis.extend(_component_nullspace_sparse(comp_rows, cols))
+        ech = Echelon(sorted(comp_rows, key=lambda r: (len(r), min(r))))
+        basis.extend(ech.kernel(cols))
     basis = [sv_primitive(v) for v in basis]
     basis.sort(key=lambda v: min(v))
     return basis

@@ -18,13 +18,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from .lie import (BilinearMap, ColMat, LieAlgebra, Representation, SpanBasis,
+from .lie import (BilinearMap, ColMat, LieAlgebra, Representation,
                   equivariant_hom, is_equivariant, op_apply, op_compose,
                   op_is_zero, op_sub, semidirect)
-from .linalg import SparseVec, invert, sv_add_scaled
+from .linalg import Echelon, SparseVec, sv_add_scaled
 from .poly import Poly
-from .quaternion import (IM_UNITS, UNITS, QMatrix, Quaternion, rat, sp_basis,
-                         sp_coordinates)
+from .quaternion import (IM_UNITS, UNITS, QMatrix, Quaternion, format_rat, rat,
+                         sp_basis, sp_coordinates)
 
 HORIZONTAL_NAMES = ("Theta", "Psi1", "Psi2", "Upsilon1", "Upsilon2")
 VERTICAL_NAMES = ("ThetaV", "Psi1V", "Upsilon1V", "Xi")
@@ -492,12 +492,12 @@ class ModelSpec:
     def to_string(self) -> str:
         parts = [self.kind]
         if self.beta is not None:
-            parts.append(f"beta={_fmt(self.beta)}")
+            parts.append(f"beta={format_rat(self.beta)}")
         if self.c is not None:
-            parts.append(f"c={_fmt(self.c)}")
+            parts.append(f"c={format_rat(self.c)}")
         parts.append(f"n={self.n}")
-        parts.append(f"c1={_fmt(self.c1)}")
-        parts.append(f"c2={_fmt(self.c2)}")
+        parts.append(f"c1={format_rat(self.c1)}")
+        parts.append(f"c2={format_rat(self.c2)}")
         return ":".join(parts)
 
     @staticmethod
@@ -518,10 +518,6 @@ class ModelSpec:
             else:
                 raise ValueError(f"unknown spec field {key!r}")
         return ModelSpec(**kwargs)
-
-
-def _fmt(x: Fraction) -> str:
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
 @dataclass
@@ -573,9 +569,7 @@ def verify_model(model: HomogeneousModel) -> None:
             for r, v in col.items():
                 if G[r] * v + G[c] * A.get(r, {}).get(c, 0) != 0:
                     raise AssertionError("metric is not Hermitian for the triple")
-    triple_span = SpanBasis()
-    for A in (I, J, K):
-        triple_span.add(_flatten_op(A, dm))
+    triple_span = Echelon(_flatten_op(A, dm) for A in (I, J, K))
     for g in range(model.rho.algebra.dim):
         mat = model.rho.mats[g]
         for c, col in mat.items():
@@ -584,7 +578,7 @@ def verify_model(model: HomogeneousModel) -> None:
                     raise AssertionError("metric is not isotropy invariant")
         for A in (I, J, K):
             comm = op_sub(op_compose(mat, A), op_compose(A, mat))
-            if not triple_span.contains(_flatten_op(comm, dm)):
+            if triple_span.reduce(_flatten_op(comm, dm)):
                 raise AssertionError("triple span is not isotropy invariant")
     if not model.g.verified:
         raise AssertionError("ambient algebra not Jacobi-verified")
@@ -738,29 +732,13 @@ def _build_reductive_model(spec: ModelSpec) -> HomogeneousModel:
     if len(cols) != dg:
         raise AssertionError("basis count mismatch")
 
-    p_mat = [[Fraction(0)] * dg for _ in range(dg)]
-    for c, vec in enumerate(cols):
-        for r, v in vec.items():
-            p_mat[r][c] = v
-    p_inv = invert(p_mat)
-
-    def to_new(vec: SparseVec) -> SparseVec:
-        out: SparseVec = {}
-        for r, v in vec.items():
-            for i in range(dg):
-                x = p_inv[i][r]
-                if x:
-                    t = out.get(i, 0) + x * v
-                    if t:
-                        out[i] = t
-                    else:
-                        out.pop(i, None)
-        return out
-
+    new_basis = Echelon(cols)
+    if new_basis.rank != dg:
+        raise AssertionError("the new basis vectors are dependent")
     new_brackets: dict[tuple[int, int], SparseVec] = {}
     for i in range(dg):
         for j in range(i + 1, dg):
-            img = to_new(g_old.bracket(cols[i], cols[j]))
+            img = new_basis.coordinates(g_old.bracket(cols[i], cols[j]))
             if img:
                 new_brackets[(i, j)] = img
     g_new = LieAlgebra(dg, new_brackets)

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .quaternion import format_rat
+
 VARS = ("alpha", "beta1", "beta2", "gamma1", "gamma2", "c1", "c2")
 NVARS = len(VARS)
 _VAR_INDEX = {name: i for i, name in enumerate(VARS)}
@@ -197,13 +199,13 @@ class Poly:
                 elif e > 1:
                     factors.append(f"{VARS[i]}^{e}")
             if not factors:
-                body = _fmt(c)
+                body = format_rat(c)
             elif c == 1:
                 body = "*".join(factors)
             elif c == -1:
                 body = "-" + "*".join(factors)
             else:
-                body = _fmt(c) + "*" + "*".join(factors)
+                body = format_rat(c) + "*" + "*".join(factors)
             parts.append(body)
         out = parts[0]
         for p in parts[1:]:
@@ -235,10 +237,6 @@ class Poly:
                     term = term * Fraction(factor)
             total = total + term
         return total
-
-
-def _fmt(c: Fraction) -> str:
-    return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
 
 
 def proportionality(p: Poly, q: Poly) -> Fraction | None:

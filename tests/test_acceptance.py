@@ -341,8 +341,7 @@ def test_criterion_09_h30_stated_signature():
     """The beta=0 row's curvature signature agrees with the embedded reference.
 
     Curved blocks are compared exactly by size and by the sign of their
-    constant sectional curvature; flat blocks only by total dimension, since
-    a flat de Rham factor may come back as several flat blocks.
+    constant sectional curvature, the flat part by its total dimension.
     """
     from qhlab.cli import _load_data, _prop12_expected
     stated = _load_data("expected_riemannian.json")["curvature_signatures"]["H3^0"]["blocks"]
@@ -361,6 +360,25 @@ def test_criterion_09_h30_stated_signature():
                      f"computed curved {computed_curved} + {computed_flat} flat, "
                      f"stated {stated_curved} + {stated_flat} flat"), \
         "H3^0 differs from expected_riemannian.json or from K = -4/c1"
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_criterion_09_h50_stated_blocks(n):
+    """H5^0 has exactly the reference's blocks: one per de Rham factor.
+
+    The reference is stated at n = 3; at other n the flat factor takes the
+    rest of the 4n dimensions.
+    """
+    from qhlab.cli import _load_data
+    stated = _load_data("expected_riemannian.json")["curvature_signatures"]["H5^0"]["blocks"]
+    curved = [(size, kind) for size, kind in stated if kind != "flat"]
+    expected = sorted(curved + [(4 * n - sum(size for size, _ in curved), "flat")])
+    cls = G.classify(G.curvature(G.GroupData.from_model(
+        _model("H5", n, 1, 2, beta=0))), G.model_groups(n))
+    computed = sorted((b["size"], "flat" if b["flat"] else _curved_kind(b))
+                      for b in cls.product_blocks)
+    assert _announce(f"9c (H5^0 block list at n={n})", computed == expected,
+                     f"computed {computed}, stated {expected}"), computed
 
 
 def test_criterion_09_h30_computed_signature():

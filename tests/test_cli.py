@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -37,6 +41,28 @@ def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as err:
         main(["model-report", "--spec", "NOPE:n=3"])
     assert err.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify-bracket", "1", "2", "x", "0", "0"],
+    ["classify-bracket", "1", "2", "1/0", "0", "0"],
+    ["model-report", "--spec", "H4", "--grid", "a,b"],
+    ["model-report", "--spec", "H4", "--grid", "0,1"],
+    ["reproduce", "prop12", "--n", "2", "--beta", "zz"],
+    ["reproduce", "prop12", "--n", "1"],
+    ["reproduce", "table4", "--n", "2"],
+    ["invariant-dims", "--n", "9"],
+])
+def test_bad_input_exits_2_with_one_line_message(argv):
+    import qhlab
+    src = str(Path(qhlab.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-m", "qhlab.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+    assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("qhlab: ")
 
 
 def test_json_report_schema_and_determinism(capsys):

@@ -100,7 +100,7 @@ def test_h50_product_signature():
     cls = classify(cur, model_groups(3))
     sphere = next(b for b in cls.product_blocks if b["size"] == 3)
     assert sphere["constant_sectional"] > 0
-    # the flat complement does not merge (nothing curvature-links R to H^{n-1})
+    # R and H^{n-1} are not curvature-linked to the sphere: one flat factor
     assert sum(b["size"] for b in cls.product_blocks if b["flat"]) == 9
 
 

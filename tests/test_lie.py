@@ -3,9 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from qhlab.lie import (BilinearMap, LieAlgebra, Representation, SpanBasis,
+from qhlab.lie import (BilinearMap, LieAlgebra, Representation,
                        casimir, equivariant_hom, invariant_vectors,
                        is_equivariant, semidirect, sort_sign, trivial_rep)
+from qhlab.linalg import Echelon
 from qhlab.models import (ambient_rep, bracket_from_params,
                           horizontal_brackets, isotropy_rep,
                           vertical_brackets)
@@ -95,24 +96,20 @@ def test_named_brackets_span_the_equivariant_spaces():
     h, rho, order = isotropy_rep(3)
     lam2 = rho.exterior_power(2)
     hor = equivariant_hom(lam2, rho, order=order)
-    basis = SpanBasis()
-    for v in hor:
-        basis.add(v)
+    basis = Echelon(hor)
     hz = horizontal_brackets(3)
     flat = [b.flatten() for b in hz.values()]
-    span = SpanBasis()
+    span = Echelon()
     for v in flat:
-        assert basis.contains(v)  # each named bracket is equivariant
+        assert not basis.reduce(v)  # each named bracket is equivariant
         assert span.add(v)        # and they are linearly independent
     assert span.rank == 5
     vert = equivariant_hom(lam2, h.adjoint(), order=order)
-    vbasis = SpanBasis()
-    for v in vert:
-        vbasis.add(v)
-    vspan = SpanBasis()
+    vbasis = Echelon(vert)
+    vspan = Echelon()
     for b in vertical_brackets(3).values():
         v = b.flatten()
-        assert vbasis.contains(v)
+        assert not vbasis.reduce(v)
         assert vspan.add(v)
     assert vspan.rank == 4
 
@@ -193,11 +190,7 @@ def test_common_kernel_order_independence():
     lam2 = rho.exterior_power(2)
     a = equivariant_hom(lam2, rho, order=order)
     b = equivariant_hom(lam2, rho, order=None)
-    sa, sb = SpanBasis(), SpanBasis()
-    for v in a:
-        sa.add(v)
-    for v in b:
-        sb.add(v)
+    sa, sb = Echelon(a), Echelon(b)
     assert sa.rank == sb.rank == 5
     for v in a:
-        assert sb.contains(v)
+        assert not sb.reduce(v)

@@ -1,8 +1,12 @@
 import random
 from fractions import Fraction
 
-from qhlab.linalg import (invert, nullspace, rank, rref, solve,
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qhlab.linalg import (Echelon, connected_components, invert, nullspace, rref,
                           sparse_nullspace, sv_add_scaled, sv_primitive)
+from qhlab.poly import Poly
 
 rng = random.Random(555)
 
@@ -12,6 +16,56 @@ def rand_matrix(rows, cols, density=1.0):
              if rng.random() < density else Fraction(0)
              for _ in range(cols)] for _ in range(rows)]
 
+
+def sparse(row):
+    return {j: x for j, x in enumerate(row) if x}
+
+
+def rank(rows):
+    return Echelon(sparse(r) for r in rows).rank
+
+
+# --------------------------------------------------------------------------
+# independent reference: textbook dense Gauss-Jordan
+# --------------------------------------------------------------------------
+
+def reference_rref(rows, ncols):
+    """Dense Gauss-Jordan over Fraction: (nonzero RREF rows, pivot columns)."""
+    m = [[Fraction(x) for x in r] for r in rows]
+    piv = []
+    for c in range(ncols):
+        r = len(piv)
+        sel = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if sel is None:
+            continue
+        m[r], m[sel] = m[sel], m[r]
+        m[r] = [x / m[r][c] for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        piv.append(c)
+    return m[:len(piv)], piv
+
+
+def reference_kernel(rows, ncols):
+    """One kernel vector per free column f: 1 at f, minus the RREF column at the pivots."""
+    ech, piv = reference_rref(rows, ncols)
+    basis = []
+    for f in range(ncols):
+        if f in piv:
+            continue
+        v = [Fraction(0)] * ncols
+        v[f] = Fraction(1)
+        for row, c in zip(ech, piv):
+            v[c] = -row[f]
+        basis.append(v)
+    return basis
+
+
+# --------------------------------------------------------------------------
+# examples
+# --------------------------------------------------------------------------
 
 def test_nullspace_examples():
     ident = [[Fraction(i == j) for j in range(3)] for i in range(3)]
@@ -46,7 +100,9 @@ def test_solve_and_invert():
             continue
         x_true = [Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(n)]
         b = [sum(a[i][j] * x_true[j] for j in range(n)) for i in range(n)]
-        assert solve(a, b) == x_true
+        columns = Echelon(sparse([a[i][j] for i in range(n)]) for j in range(n))
+        x = columns.coordinates(sparse(b))
+        assert [x.get(j, 0) for j in range(n)] == x_true
         inv = invert(a)
         prod = [[sum(a[i][t] * inv[t][j] for t in range(n)) for j in range(n)]
                 for i in range(n)]
@@ -54,8 +110,8 @@ def test_solve_and_invert():
 
 
 def test_solve_inconsistent():
-    assert solve([[Fraction(1), Fraction(1)], [Fraction(1), Fraction(1)]],
-                 [Fraction(0), Fraction(1)]) is None
+    columns = Echelon([{0: Fraction(1), 1: Fraction(1)}, {0: Fraction(1), 1: Fraction(1)}])
+    assert columns.coordinates({1: Fraction(1)}) is None
 
 
 def test_rref_idempotent():
@@ -63,26 +119,24 @@ def test_rref_idempotent():
     ech, piv = rref(a)
     again, piv2 = rref(ech)
     assert ech == again and piv == piv2
+    assert (ech, piv) == reference_rref(a, 6)
 
 
 def test_sparse_matches_dense():
     for _ in range(40):
         m, n = rng.randint(1, 10), rng.randint(1, 10)
         a = rand_matrix(m, n, density=0.3)
-        dense_kern = nullspace(a, n)
-        rows = [{j: x for j, x in enumerate(row) if x} for row in a]
+        dense_kern = reference_kernel(a, n)
+        rows = [sparse(row) for row in a]
         sparse_kern = sparse_nullspace([r for r in rows if r], n)
         assert len(sparse_kern) == len(dense_kern)
         for v in sparse_kern:
             for row in a:
                 assert sum(row[j] * x for j, x in v.items()) == 0
-        # spans agree: each dense vector reduces to zero against the sparse set
-        from qhlab.lie import SpanBasis
-        basis = SpanBasis()
-        for v in sparse_kern:
-            basis.add(v)
+        # spans agree: each reference vector reduces to zero against the sparse set
+        basis = Echelon(sparse_kern)
         for v in dense_kern:
-            assert basis.contains({j: x for j, x in enumerate(v) if x})
+            assert not basis.reduce(sparse(v))
 
 
 def test_sparse_components_split():
@@ -94,9 +148,91 @@ def test_sparse_components_split():
     assert {4} in supports
 
 
+def test_connected_components_roots_are_smallest_keys():
+    roots = connected_components([(5, 3), (7,), (3, 9), (8, 7)])
+    assert roots == {3: 3, 5: 3, 9: 3, 7: 7, 8: 7}
+
+
 def test_sv_primitive_canonical():
     v = {3: Fraction(-2, 6), 7: Fraction(4, 6)}
     p = sv_primitive(v)
     assert p == {3: Fraction(1), 7: Fraction(-2)}
     w = sv_add_scaled({1: Fraction(1)}, {1: Fraction(-1), 2: Fraction(1)}, Fraction(1))
     assert w == {2: Fraction(1)}
+
+
+# --------------------------------------------------------------------------
+# properties of the engine against the reference
+# --------------------------------------------------------------------------
+
+entry = st.one_of(st.just(Fraction(0)),
+                  st.builds(Fraction, st.integers(-5, 5), st.integers(1, 4)))
+
+
+@st.composite
+def matrices(draw, max_rows=6, max_cols=7):
+    m = draw(st.integers(1, max_rows))
+    n = draw(st.integers(1, max_cols))
+    return draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=m, max_size=m)), n
+
+
+@given(matrices())
+@settings(max_examples=80, deadline=None)
+def test_kernel_is_the_reference_rref_kernel(mat):
+    a, n = mat
+    ref = reference_kernel(a, n)
+    assert nullspace(a, n) == ref
+    kern = sparse_nullspace([sparse(r) for r in a], n)
+    for v in kern:
+        for row in a:
+            assert sum(row[j] * x for j, x in v.items()) == 0
+    assert kern == sorted((sv_primitive(sparse(v)) for v in ref), key=min)
+    assert rref(a) == reference_rref(a, n)
+
+
+@given(matrices())
+@settings(max_examples=80, deadline=None)
+def test_rank_plus_nullity(mat):
+    a, n = mat
+    ech = Echelon(sparse(r) for r in a)
+    assert ech.rank + len(ech.kernel(range(n))) == n
+    assert ech.rank == len(reference_rref(a, n)[1])
+
+
+@given(matrices(), st.lists(entry, min_size=6, max_size=6), st.lists(entry, min_size=7, max_size=7))
+@settings(max_examples=80, deadline=None)
+def test_coordinates_round_trip_and_none_off_the_span(mat, weights, probe):
+    a, n = mat
+    ech = Echelon(sparse(r) for r in a)
+    v: dict = {}
+    for w, row in zip(weights, a):
+        v = sv_add_scaled(v, sparse(row), w)
+    x = ech.coordinates(v)
+    rebuilt: dict = {}
+    for i, s in x.items():
+        rebuilt = sv_add_scaled(rebuilt, sparse(a[i]), s)
+    assert rebuilt == v
+    if ech.rank == len(a):  # independent rows: the combination is unique
+        assert x == {i: w for i, w in enumerate(weights[:len(a)]) if w}
+    off = sparse(probe[:n])
+    in_span = len(reference_rref(a + [probe[:n]], n)[1]) == ech.rank
+    assert (ech.coordinates(off) is None) == (not in_span)
+
+
+@given(st.lists(entry, min_size=8, max_size=8), st.lists(entry, min_size=8, max_size=8),
+       st.integers(-4, 4), st.integers(-4, 4), st.integers(-4, 4))
+@settings(max_examples=60, deadline=None)
+def test_poly_target_in_a_rational_plane(p1, p2, a, b, c):
+    plane = Echelon([sparse(p1), sparse(p2)])
+    if plane.rank != 2:
+        return
+    x = Poly.var("c1") * a + Poly.const(b)
+    y = Poly.var("c2") * c - Poly.var("c1") * Poly.var("c2")
+    target = {k: x * p1[k] + y * p2[k] for k in range(8) if x * p1[k] + y * p2[k]}
+    coords = plane.coordinates(target)
+    assert coords.get(0, Poly()) == x and coords.get(1, Poly()) == y
+    off = next(k for k in range(8) if plane.reduce({k: Fraction(1)}))
+    target[off] = target.get(off, Poly()) + Poly.var("c1")
+    if not target[off]:
+        del target[off]
+    assert plane.coordinates(target) is None
