@@ -8,7 +8,8 @@ classify-bracket family membership and normal form of a bracket tuple
 reproduce        regenerate table3 | table4 | prop12 | maxmodel and diff
 model-report     full dossier for one model spec
 
-Exit codes: 0 success / exact match, 1 verification mismatch, 2 usage error.
+Exit codes: 0 success / exact match, 1 verification mismatch, 2 usage error,
+3 internal check failed (an exact certificate of the computation did not hold).
 """
 
 from __future__ import annotations
@@ -501,7 +502,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     ns = build_parser().parse_args(argv)
-    report, code = ns.func(ns)
+    try:
+        report, code = ns.func(ns)
+    except AssertionError as exc:  # a failed certificate is not a paper mismatch
+        print("qhlab: internal check failed: " + " ".join(str(exc).split()), file=sys.stderr)
+        return 3
     text = {"text": render_text, "json": render_json, "csv": render_csv}[ns.format](report)
     if ns.out:
         with open(ns.out, "w", encoding="utf-8") as fh:

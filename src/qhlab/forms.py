@@ -10,10 +10,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
 
-from .lie import ColMat, Representation, common_kernel, sort_sign
-from .linalg import Echelon, SparseVec, invert, nullspace
+from .lie import (ColMat, casimir, common_kernel, derivation, derivation_op,
+                  op_is_skew, sort_sign, trace_form)
+from .linalg import Echelon, SparseVec, accumulate, nullspace
 from .poly import Poly, proportionality
 from .models import HomogeneousModel, ambient_rep, isotropy_rep
 
@@ -28,16 +30,11 @@ class KForm:
         self.k = k
         self.terms = {S: c for S, c in (terms or {}).items() if c}
 
-    def add(self, other: "KForm", s=1) -> "KForm":
+    def add(self, other: "KForm", s=None) -> "KForm":
         if (self.n4, self.k) != (other.n4, other.k):
             raise ValueError("degree/dimension mismatch")
         out = dict(self.terms)
-        for S, c in other.terms.items():
-            t = out.get(S, 0) + s * c
-            if t:
-                out[S] = t
-            else:
-                out.pop(S, None)
+        accumulate(out, other.terms, s)
         return KForm(self.n4, self.k, out)
 
     def scale(self, s) -> "KForm":
@@ -57,16 +54,6 @@ class KForm:
         more = "..." if len(self.terms) > 6 else ""
         return f"KForm(k={self.k}, {inner}{more})"
 
-    def substitute(self, point: dict) -> "KForm":
-        out = {}
-        for S, c in self.terms.items():
-            v = c.substitute(point) if hasattr(c, "substitute") else c
-            if hasattr(v, "is_constant") and v.is_constant():
-                v = v.constant_value()
-            if v:
-                out[S] = v
-        return KForm(self.n4, self.k, out)
-
 
 def merge_sign(S: tuple, T: tuple) -> tuple[tuple, int] | None:
     """Sorted concatenation and permutation sign; None when indices repeat."""
@@ -80,16 +67,11 @@ def wedge(a: KForm, b: KForm) -> KForm:
         return KForm(a.n4, a.k + b.k)
     out: dict = {}
     for S, u in a.terms.items():
+        img = {}
         for T, v in b.terms.items():
-            ms = merge_sign(S, T)
-            if ms is None:
-                continue
-            key, sign = ms
-            t = out.get(key, 0) + (u * v if sign > 0 else -(u * v))
-            if t:
-                out[key] = t
-            else:
-                out.pop(key, None)
+            if ms := merge_sign(S, T):
+                img[ms[0]] = v if ms[1] > 0 else -v
+        accumulate(out, img, u)
     return KForm(a.n4, a.k + b.k, out)
 
 
@@ -97,67 +79,26 @@ def interior_vector(form: KForm, vec: SparseVec) -> KForm:
     """Contraction with a vector in the first slot."""
     out: dict = {}
     for S, c in form.terms.items():
-        for pos, s in enumerate(S):
-            x = vec.get(s)
-            if not x:
-                continue
-            rest = S[:pos] + S[pos + 1:]
-            sign = -1 if pos % 2 else 1
-            t = out.get(rest, 0) + sign * x * c
-            if t:
-                out[rest] = t
-            else:
-                out.pop(rest, None)
+        accumulate(out, {S[:pos] + S[pos + 1:]: -x if pos % 2 else x
+                         for pos, s in enumerate(S) if (x := vec.get(s))}, c)
     return KForm(form.n4, form.k - 1, out)
 
 
 def pullback_all_slots(form: KForm, op: ColMat) -> KForm:
-    """(A* alpha)(X_1..X_k) = alpha(A X_1, ..., A X_k)."""
-    out = KForm(form.n4, form.k)
+    """(A* alpha)(X_1..X_k) = alpha(A X_1, ..., A X_k): e_S goes to the wedge
+    of the images of its slots."""
+    out: dict = {}
     for S, c in form.terms.items():
-        partial = [((), Fraction(1))]
+        img = KForm(form.n4, 0, {(): Fraction(1)})
         for s in S:
-            col = op.get(s, {})
-            nxt = []
-            for seq, coef in partial:
-                for r, v in col.items():
-                    nxt.append((seq + (r,), coef * v))
-            partial = nxt
-            if not partial:
-                break
-        acc: dict = {}
-        for seq, coef in partial:
-            ss = sort_sign(seq)
-            if ss is None:
-                continue
-            key, sign = ss
-            t = acc.get(key, 0) + (coef if sign > 0 else -coef)
-            if t:
-                acc[key] = t
-            else:
-                acc.pop(key, None)
-        out = out.add(KForm(form.n4, form.k, {k2: c * v for k2, v in acc.items()}))
-    return out
+            img = wedge(img, KForm(form.n4, 1, {(r,): v for r, v in op.get(s, {}).items()}))
+        accumulate(out, img.terms, c)
+    return KForm(form.n4, form.k, out)
 
 
 def endo_derivation(form: KForm, op: ColMat) -> KForm:
     """Slotwise extension sum_t alpha(..., A X_t, ...)."""
-    out: dict = {}
-    for S, c in form.terms.items():
-        for pos, s in enumerate(S):
-            for r, v in op.get(s, {}).items():
-                seq = list(S)
-                seq[pos] = r
-                ss = sort_sign(seq)
-                if ss is None:
-                    continue
-                key, sign = ss
-                t = out.get(key, 0) + (c * v if sign > 0 else -(c * v))
-                if t:
-                    out[key] = t
-                else:
-                    out.pop(key, None)
-    return KForm(form.n4, form.k, out)
+    return KForm(form.n4, form.k, derivation(form.terms, op))
 
 
 def dual_action(form: KForm, op: ColMat) -> KForm:
@@ -172,16 +113,11 @@ def dual_action(form: KForm, op: ColMat) -> KForm:
 def one_form_differentials(model: HomogeneousModel) -> list[KForm]:
     """d(e^s) = -sum_{i<j} c_{ij}^s e^i ^ e^j from the m-part of the bracket."""
     dm = model.dim_m
-    d1 = [KForm(dm, 2) for _ in range(dm)]
-    acc: list[dict] = [{} for _ in range(dm)]
+    terms: list[dict] = [{} for _ in range(dm)]
     for (i, j), col in model.bracket_m.coeffs.items():
         for s, c in col.items():
-            t = acc[s].get((i, j), 0) - c
-            if t:
-                acc[s][(i, j)] = t
-            else:
-                acc[s].pop((i, j), None)
-    return [KForm(dm, 2, a) for a in acc]
+            terms[s][(i, j)] = -c
+    return [KForm(dm, 2, t) for t in terms]
 
 
 def ce_differential(model: HomogeneousModel, form: KForm,
@@ -211,16 +147,10 @@ def fundamental_forms(model: HomogeneousModel) -> tuple[KForm, KForm, KForm, KFo
     G = model.metric
     omegas = []
     for A in model.triple:
-        terms: dict = {}
-        for j, col in A.items():
-            for i, v in col.items():
-                if i < j:
-                    terms[(i, j)] = G[i] * v
-        om = KForm(dm, 2, terms)
-        for (i, j), c in om.terms.items():
-            if G[j] * A.get(i, {}).get(j, 0) != -c:
-                raise AssertionError("omega_A is not antisymmetric")
-        omegas.append(om)
+        if not op_is_skew(A, G):
+            raise AssertionError("omega_A is not antisymmetric")
+        omegas.append(KForm(dm, 2, {(i, j): G[i] * v for j, col in A.items()
+                                    for i, v in col.items() if i < j}))
     omega = KForm(dm, 4)
     for om in omegas:
         omega = omega.add(wedge(om, om))
@@ -249,7 +179,7 @@ def hodge_star(form: KForm, metric: list[Fraction]) -> KForm:
     vol_scale = _sqrt_fraction(det)
     full = tuple(range(n4))
     out: dict = {}
-    for S, c in form.terms.items():
+    for S, c in form.terms.items():  # the complements of distinct S are distinct
         comp = tuple(i for i in full if i not in S)
         ms = merge_sign(S, comp)
         if ms is None:
@@ -258,11 +188,7 @@ def hodge_star(form: KForm, metric: list[Fraction]) -> KForm:
         scale = vol_scale * Fraction(sign)
         for i in S:
             scale /= metric[i]
-        t = out.get(comp, 0) + scale * c
-        if t:
-            out[comp] = t
-        else:
-            out.pop(comp, None)
+        out[comp] = scale * c
     return KForm(n4, n4 - form.k, out)
 
 
@@ -296,19 +222,14 @@ def contract_pair(gamma: KForm, omega: KForm, metric: list[Fraction]) -> KForm:
         raise ValueError("expected a 3-form against a 2-form")
     out: dict = {}
     for S, c in gamma.terms.items():
+        img = {}
         for pos in range(3):
-            x = S[pos]
             rest = S[:pos] + S[pos + 1:]
-            sign = -1 if pos % 2 else 1  # gamma(x, a, b) with (a, b) = rest
             w = omega.terms.get(rest)
-            if not w:
-                continue
-            val = sign * c * w / (metric[rest[0]] * metric[rest[1]])
-            t = out.get((x,), 0) + val
-            if t:
-                out[(x,)] = t
-            else:
-                out.pop((x,), None)
+            if w:  # gamma(x, a, b) with x = S[pos], (a, b) = rest
+                w = w / (metric[rest[0]] * metric[rest[1]])
+                img[(S[pos],)] = -w if pos % 2 else w
+        accumulate(out, img, c)
     return KForm(gamma.n4, 1, out)
 
 
@@ -316,43 +237,23 @@ def contract_pair(gamma: KForm, omega: KForm, metric: list[Fraction]) -> KForm:
 # invariant 5-forms and the isotypic split
 # --------------------------------------------------------------------------
 
-def _lam_k_dual_op(rho: Representation, k: int, g: int,
-                   basis: list[tuple], index: dict) -> ColMat:
-    """Matrix of generator g on Lambda^k of the dual module."""
-    mat: ColMat = {}
-    rho_g = rho.mats[g]
-    for t, S in enumerate(basis):
-        col: SparseVec = {}
-        for pos, s in enumerate(S):
-            for r, v in rho_g.get(s, {}).items():
-                seq = list(S)
-                seq[pos] = r
-                ss = sort_sign(seq)
-                if ss is None:
-                    continue
-                key, sign = ss
-                val = -v * sign  # dual action
-                cur = col.get(index[key], 0) + val
-                if cur:
-                    col[index[key]] = cur
-                else:
-                    col.pop(index[key], None)
-        if col:
-            mat[t] = col
-    return mat
+@cache
+def invariant_five_forms(n: int) -> tuple[KForm, ...]:
+    """Exact basis of the h-invariant 5-forms on m (dimension 2 for n >= 3).
 
-
-def invariant_five_forms(n: int) -> list[KForm]:
-    """Exact basis of the h-invariant 5-forms on m (dimension 2 for n >= 3)."""
+    The kernel of the derivations on Lambda^5 is that of the dual action (its
+    negative); each generator's operator is built inside the solver, one at a
+    time.
+    """
     if n < 3:
         raise ValueError("the 5-form analysis requires n >= 3")
     h, rho, order = isotropy_rep(n)
     dm = 4 * n
     basis = list(combinations(range(dm), 5))
     index = {S: t for t, S in enumerate(basis)}
-    makers = [(lambda g=g: _lam_k_dual_op(rho, 5, g, basis, index)) for g in order]
+    makers = [(lambda g=g: derivation_op(rho.mats[g], index)) for g in order]
     kernel = common_kernel(makers, len(basis))
-    forms = [KForm(dm, 5, {basis[t]: v for t, v in vec.items()}) for vec in kernel]
+    forms = tuple(KForm(dm, 5, {basis[t]: v for t, v in vec.items()}) for vec in kernel)
     for g in range(h.dim):
         for f in forms:
             if not dual_action(f, rho.mats[g]).is_zero():
@@ -360,39 +261,7 @@ def invariant_five_forms(n: int) -> list[KForm]:
     return forms
 
 
-def _ambient_gram(rho_k: Representation) -> list[list[Fraction]]:
-    mats = rho_k.mats
-    nk = len(mats)
-    gram = [[Fraction(0)] * nk for _ in range(nk)]
-    for i in range(nk):
-        for j in range(i, nk):
-            acc = Fraction(0)
-            for c, col in mats[j].items():
-                for m, v in col.items():
-                    w = mats[i].get(m, {}).get(c)
-                    if w:
-                        acc += v * w
-            gram[i][j] = gram[j][i] = acc
-    return gram
-
-
-def _casimir_apply(form: KForm, rho_k: Representation,
-                   gram_inv: list[list[Fraction]]) -> KForm:
-    nk = rho_k.algebra.dim
-    w = [dual_action(form, rho_k.mats[j]) for j in range(nk)]
-    out = KForm(form.n4, form.k)
-    for i in range(nk):
-        u = KForm(form.n4, form.k)
-        for j in range(nk):
-            s = gram_inv[i][j]
-            if s:
-                u = u.add(w[j], s)
-        if not u.is_zero():
-            out = out.add(dual_action(u, rho_k.mats[i]))
-    return out
-
-
-@dataclass
+@dataclass(frozen=True)
 class IsotypicPair:
     n: int
     theta_eh: KForm
@@ -400,11 +269,10 @@ class IsotypicPair:
     casimir_eigs: tuple[Fraction, Fraction]  # (EH, KH)
     lambda_one_form: Fraction                # Casimir scalar on Lambda^1 m*
     normalization: tuple[Fraction, Fraction]
+    plane: tuple[KForm, KForm]               # the invariant_five_forms basis split here
 
 
-_ISOTYPIC_CACHE: dict[int, IsotypicPair] = {}
-
-
+@cache
 def isotypic_split(n: int) -> IsotypicPair:
     """Split the 2d invariant 5-form space into the theta_EH / theta_KH lines.
 
@@ -412,23 +280,23 @@ def isotypic_split(n: int) -> IsotypicPair:
     whose eigenvalue matches the Casimir scalar on 1-forms is labelled EH.
     Normalization is fixed downstream by the H4 calibration.
     """
-    if n in _ISOTYPIC_CACHE:
-        return _ISOTYPIC_CACHE[n]
     v1, v2 = invariant_five_forms(n)
-    k, rho_k, _ = ambient_rep(n)
-    gram_inv = invert(_ambient_gram(rho_k))
+    _, rho_k, _ = ambient_rep(n)
+    cas = casimir(rho_k, trace_form(rho_k))
+
+    def cas_form(form: KForm) -> KForm:
+        return KForm(form.n4, form.k, cas(form.terms))
 
     # Casimir scalar on 1-forms (the EH module)
     e0 = KForm(4 * n, 1, {(0,): Fraction(1)})
-    ce0 = _casimir_apply(e0, rho_k, gram_inv)
-    lam1 = ce0.terms.get((0,), Fraction(0))
+    lam1 = cas_form(e0).terms.get((0,), Fraction(0))
     for idx in range(4 * n):
         e = KForm(4 * n, 1, {(idx,): Fraction(1)})
-        if not _casimir_apply(e, rho_k, gram_inv).add(e, -lam1).is_zero():
+        if not cas_form(e).add(e, -lam1).is_zero():
             raise AssertionError("Casimir is not scalar on 1-forms")
 
-    c1v = _casimir_apply(v1, rho_k, gram_inv)
-    c2v = _casimir_apply(v2, rho_k, gram_inv)
+    c1v = cas_form(v1)
+    c2v = cas_form(v2)
     m11, m21 = plane_coordinates(c1v, v1, v2)
     m12, m22 = plane_coordinates(c2v, v1, v2)
     tr = m11 + m22
@@ -447,7 +315,7 @@ def isotypic_split(n: int) -> IsotypicPair:
         # (m - lam) (x, y)^T = 0 with matrix rows (m11-lam, m12), (m21, m22-lam)
         x, y = (-b, a) if (a or b) else (Fraction(1), Fraction(0))
         vec = v1.scale(x).add(v2.scale(y))
-        if _casimir_apply(vec, rho_k, gram_inv).add(vec, -lam).is_zero():
+        if cas_form(vec).add(vec, -lam).is_zero():
             return vec
         raise AssertionError("eigenvector reconstruction failed")
 
@@ -459,10 +327,8 @@ def isotypic_split(n: int) -> IsotypicPair:
         eigs = (eig2, eig1)
     else:
         raise AssertionError("no Casimir eigenvalue matches the 1-form scalar")
-    pair = IsotypicPair(n, theta_eh, theta_kh, eigs, lam1,
-                        (Fraction(1), Fraction(1)))
-    _ISOTYPIC_CACHE[n] = pair
-    return pair
+    return IsotypicPair(n, theta_eh, theta_kh, eigs, lam1,
+                        (Fraction(1), Fraction(1)), (v1, v2))
 
 
 # --------------------------------------------------------------------------
@@ -474,10 +340,8 @@ def isotypic_split(n: int) -> IsotypicPair:
 _H4_F_EH = Poly.parse("c1*c2 - 2*c2^2")
 _H4_F_KH = Poly.parse("c1*c2 + 5*c2^2")
 
-_CALIBRATION: dict[int, "Calibration"] = {}
 
-
-@dataclass
+@dataclass(frozen=True)
 class Calibration:
     """Theta scales pinned on the H4 row, plus the targets actually used.
 
@@ -508,10 +372,9 @@ def _split_domega(model: HomogeneousModel, pair: IsotypicPair):
     return x, y, dom
 
 
+@cache
 def _calibration_scales(n: int) -> Calibration:
     """Theta scales fixed once per n so the H4 row matches exactly."""
-    if n in _CALIBRATION:
-        return _CALIBRATION[n]
     from .models import symbolic_model
     pair = isotypic_split(n)
     x, y, _ = _split_domega(symbolic_model("H4", n), pair)
@@ -528,8 +391,7 @@ def _calibration_scales(n: int) -> Calibration:
     if s_kh is None:
         target_eh = _poly_primitive(y)
         s_kh = proportionality(y, target_eh)
-    _CALIBRATION[n] = Calibration(s_eh, s_kh, target_kh, target_eh, kh_ok, eh_ok)
-    return _CALIBRATION[n]
+    return Calibration(s_eh, s_kh, target_kh, target_eh, kh_ok, eh_ok)
 
 
 @dataclass
@@ -677,20 +539,17 @@ def _bidegree(S: tuple) -> tuple[int, int, int]:
             sum(1 for i in S if i >= 4))
 
 
-_PURE_CACHE: dict[int, tuple[KForm, KForm]] = {}
-
-
+@cache
 def pure_bidegree_basis(n: int) -> tuple[KForm, KForm]:
     """Invariant 5-forms of pure block bi-degree (1,0,4) and (1,2,2).
 
     The invariant plane is spanned by one form of each bi-degree; a change
     of metric parameters scales these two lines by c1^(1/2) c2^2 and
     c1^(3/2) c2, so every metric-adapted line is rational in (c1, c2) when
-    written in this basis.
+    written in this basis.  The plane is the one isotypic_split has split,
+    so that a report solves and enters invariant_five_forms once.
     """
-    if n in _PURE_CACHE:
-        return _PURE_CACHE[n]
-    v1, v2 = invariant_five_forms(n)
+    v1, v2 = isotypic_split(n).plane
     rows = []
     for v in (v1, v2):
         parts: dict[tuple, KForm] = {}
@@ -719,8 +578,7 @@ def pure_bidegree_basis(n: int) -> tuple[KForm, KForm]:
         if form.is_zero() or any(_bidegree(S) != keep for S in form.terms):
             raise AssertionError("pure bi-degree extraction failed")
         out.append(form)
-    _PURE_CACHE[n] = (out[0], out[1])
-    return _PURE_CACHE[n]
+    return out[0], out[1]
 
 
 def plane_coordinates(form: KForm, p1: KForm, p2: KForm):

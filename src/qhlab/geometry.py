@@ -13,8 +13,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .lie import BilinearMap, ColMat, op_apply
-from .linalg import SparseVec, connected_components
+from .lie import BilinearMap, ColMat, op_apply, op_is_skew, op_transpose
+from .linalg import SparseVec, accumulate, connected_components, sv_add_scaled
 
 R4 = dict[tuple[int, int, int, int], Fraction]
 
@@ -64,19 +64,10 @@ def nomizu(data: GroupData) -> list[ColMat]:
                 col[j] = vec
         lam.append(col)
     for i in range(dm):
+        if not op_is_skew(lam[i], G):
+            raise AssertionError("Nomizu operator is not metric-skew")
         for j in range(dm):
-            cij = lam[i].get(j, {})
-            for k, v in cij.items():
-                if G[k] * v + G[j] * lam[i].get(k, {}).get(j, 0) != 0:
-                    raise AssertionError("Nomizu operator is not metric-skew")
-            diff = dict(cij)
-            for k, v in lam[j].get(i, {}).items():
-                t = diff.get(k, 0) - v
-                if t:
-                    diff[k] = t
-                else:
-                    diff.pop(k, None)
-            if diff != b.pair(i, j):
+            if sv_add_scaled(lam[i].get(j, {}), lam[j].get(i, {}), -1) != b.pair(i, j):
                 raise AssertionError("Nomizu operator fails torsion-freeness")
     return lam
 
@@ -119,32 +110,17 @@ def curvature(data: GroupData, with_nabla: bool = True) -> CurvatureData:
     lam = nomizu(data)
     r_ops: dict[tuple[int, int], ColMat] = {}
     for i, j in combinations(range(dm), 2):
+        # the operators and coefficients of -L([x,y]_m) - rho([x,y]_h)
+        terms = [(lam[t], -s) for t, s in data.bracket_m.pair(i, j).items()]
+        if data.bracket_h is not None and data.h_mats is not None:
+            terms += [(data.h_mats[t], -s) for t, s in data.bracket_h.pair(i, j).items()]
         op: ColMat = {}
         for c in range(dm):
             base = {c: Fraction(1)}
             vec = op_apply(lam[i], op_apply(lam[j], base))
-            for k, v in op_apply(lam[j], op_apply(lam[i], base)).items():
-                t = vec.get(k, 0) - v
-                if t:
-                    vec[k] = t
-                else:
-                    vec.pop(k, None)
-            bm = data.bracket_m.pair(i, j)
-            for t_idx, s in bm.items():
-                for k, v in lam[t_idx].get(c, {}).items():
-                    t = vec.get(k, 0) - s * v
-                    if t:
-                        vec[k] = t
-                    else:
-                        vec.pop(k, None)
-            if data.bracket_h is not None and data.h_mats is not None:
-                for hidx, s in data.bracket_h.pair(i, j).items():
-                    for k, v in data.h_mats[hidx].get(c, {}).items():
-                        t = vec.get(k, 0) - s * v
-                        if t:
-                            vec[k] = t
-                        else:
-                            vec.pop(k, None)
+            accumulate(vec, op_apply(lam[j], op_apply(lam[i], base)), -1)
+            for mat, s in terms:
+                accumulate(vec, mat.get(c, {}), s)
             if vec:
                 op[c] = vec
         r_ops[(i, j)] = op
@@ -187,12 +163,7 @@ def curvature(data: GroupData, with_nabla: bool = True) -> CurvatureData:
     schouten = [[(ricci[i][j] - (scalar / (2 * (d - 1))) * (G[i] if i == j else 0))
                  / (d - 2) for j in range(d)] for i in range(d)]
     weyl = dict(r4)
-    for key, v in _kn_product(schouten, G, dm).items():
-        t = weyl.get(key, 0) - v
-        if t:
-            weyl[key] = t
-        else:
-            weyl.pop(key, None)
+    accumulate(weyl, _kn_product(schouten, G, dm), -1)
     # Weyl is totally trace-free; this pins the decomposition coefficients
     for j in range(dm):
         for k in range(dm):
@@ -209,32 +180,20 @@ def curvature(data: GroupData, with_nabla: bool = True) -> CurvatureData:
         # (nabla_m R)(y1..y4) = -sum_t R(.., L(e_m) y_t, ..); distributing each
         # nonzero R4 entry needs L(e_m) row-major: source slot s feeds targets a
         # with coefficient L_m[a][s].
-        from .lie import op_transpose
         rows_t = [op_transpose(lam[m]) for m in range(dm)]
-        for (i, j, k, l), v in r4.items():
-            idx = (i, j, k, l)
+        feeds = {s: [(m, a, c) for m in range(dm) for a, c in rows_t[m].get(s, {}).items()]
+                 for s in range(dm)}
+        for idx, v in r4.items():
             for slot in range(4):
-                for m in range(dm):
-                    for a, c in rows_t[m].get(idx[slot], {}).items():
-                        key = (m,) + idx[:slot] + (a,) + idx[slot + 1:]
-                        t = nabla.get(key, 0) - v * c
-                        if t:
-                            nabla[key] = t
-                        else:
-                            nabla.pop(key, None)
+                head, tail = idx[:slot], idx[slot + 1:]
+                accumulate(nabla, {(m,) + head + (a,) + tail: c
+                                   for m, a, c in feeds[idx[slot]]}, -v)
     return CurvatureData(data, lam, r4, ricci, scalar, weyl, nabla)
 
 
 def nabla_g_is_zero(data: GroupData, lam: list[ColMat]) -> bool:
     """Self-test: the invariant-tensor derivative of the metric vanishes."""
-    dm, G = data.dim, data.metric
-    for m in range(dm):
-        for y in range(dm):
-            col = lam[m].get(y, {})
-            for z, v in col.items():
-                if G[z] * v + G[y] * lam[m].get(z, {}).get(y, 0) != 0:
-                    return False
-    return True
+    return all(op_is_skew(op, data.metric) for op in lam)
 
 
 def sectional(cur: CurvatureData, i: int, j: int) -> Fraction:

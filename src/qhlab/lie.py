@@ -2,17 +2,20 @@
 equivariant/invariant solvers.
 
 Sparse conventions: a vector is a dict {index: scalar}; an operator is
-column-major, op[col] = {row: scalar}.  Scalars are Fractions or Polys --
-all routines are written against the common arithmetic surface of the two.
+column-major, op[col] = {row: scalar}; a form (an element of an exterior
+power) is a dict {sorted index tuple: scalar}.  Scalars are Fractions or
+Polys -- all routines are written against the common arithmetic surface of
+the two.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
 from itertools import combinations
 
-from .linalg import (SparseVec, invert, sparse_nullspace, sv_add_scaled,
-                     sv_primitive)
+from .linalg import (SparseVec, accumulate, invert, sparse_nullspace,
+                     sv_add_scaled, sv_primitive)
 
 # --------------------------------------------------------------------------
 # sparse operator helpers
@@ -25,14 +28,8 @@ def op_apply(op: ColMat, v: SparseVec) -> SparseVec:
     out: SparseVec = {}
     for c, s in v.items():
         col = op.get(c)
-        if not col or not s:
-            continue
-        for r, x in col.items():
-            t = out.get(r, 0) + s * x
-            if t:
-                out[r] = t
-            else:
-                out.pop(r, None)
+        if col:
+            accumulate(out, col, s)
     return out
 
 
@@ -67,6 +64,12 @@ def op_is_zero(op: ColMat) -> bool:
     return all(not col for col in op.values())
 
 
+def op_is_skew(op: ColMat, metric) -> bool:
+    """True when op is skew for the diagonal metric: G_r op_rc + G_c op_cr = 0."""
+    return all(metric[r] * v + metric[c] * op.get(r, {}).get(c, 0) == 0
+               for c, col in op.items() for r, v in col.items())
+
+
 def sort_sign(seq) -> tuple[tuple, int] | None:
     """(sorted tuple, permutation sign), or None when entries repeat."""
     items = list(seq)
@@ -81,82 +84,50 @@ def sort_sign(seq) -> tuple[tuple, int] | None:
 
 
 # --------------------------------------------------------------------------
-# Lie algebras and bilinear maps
+# the exterior derivation
 # --------------------------------------------------------------------------
 
-class LieAlgebra:
-    """Structure constants c_{ij}^k stored for i < j; antisymmetry implicit."""
+def derivation(form: dict, op: ColMat) -> dict:
+    """Slotwise extension of op to forms: e_S -> sum_t e_S with slot t
+    replaced by op(e_{S_t}), re-sorted with its sign.
 
-    def __init__(self, dim: int, brackets: dict[tuple[int, int], SparseVec],
-                 verified: bool = False):
-        self.dim = dim
-        self.brackets = {ij: dict(v) for ij, v in brackets.items() if v}
-        self.verified = verified
-
-    def bracket_basis(self, i: int, j: int) -> SparseVec:
-        if i == j:
-            return {}
-        if i < j:
-            return self.brackets.get((i, j), {})
-        return {k: -v for k, v in self.brackets.get((j, i), {}).items()}
-
-    def bracket(self, x: SparseVec, y: SparseVec) -> SparseVec:
-        out: SparseVec = {}
-        for i, xi in x.items():
-            for j, yj in y.items():
-                if i == j:
-                    continue
-                s = xi * yj
-                for k, c in self.bracket_basis(i, j).items():
-                    t = out.get(k, 0) + s * c
-                    if t:
-                        out[k] = t
-                    else:
-                        out.pop(k, None)
-        return out
-
-    def adjoint(self) -> "Representation":
-        mats = []
-        for g in range(self.dim):
-            col: ColMat = {}
-            for a in range(self.dim):
-                img = self.bracket_basis(g, a)
-                if img:
-                    col[a] = dict(img)
-            mats.append(col)
-        return Representation(self, self.dim, mats)
-
-    def jacobiator(self) -> dict[tuple[int, int, int], SparseVec]:
-        return jacobiator_of(self.bracket, self.dim)
-
-    def verify_jacobi(self) -> bool:
-        ok = not self.jacobiator()
-        self.verified = ok
-        return ok
-
-
-def jacobiator_of(bracket, dim: int) -> dict[tuple[int, int, int], SparseVec]:
-    """Cyclic sums [[x,y],z] + [[y,z],x] + [[z,x],y] on basis triples.
-
-    Returns only the nonzero components; empty dict means Jacobi holds.
+    This is the action of op on every exterior power (and, negated, the
+    action on forms over the dual).
     """
-    out = {}
-    basis = [{i: Fraction(1)} for i in range(dim)]
-    pair_cache: dict[tuple[int, int], SparseVec] = {}
-
-    def pb(i, j):
-        if (i, j) not in pair_cache:
-            pair_cache[(i, j)] = bracket(basis[i], basis[j])
-        return pair_cache[(i, j)]
-
-    for i, j, k in combinations(range(dim), 3):
-        total = bracket(pb(i, j), basis[k])
-        total = sv_add_scaled(total, bracket(pb(j, k), basis[i]), 1)
-        total = sv_add_scaled(total, bracket(pb(k, i), basis[j]), 1)
-        if total:
-            out[(i, j, k)] = total
+    out: dict = {}
+    for S, c in form.items():
+        for pos, x in enumerate(S):
+            col = op.get(x)
+            if not col:
+                continue
+            rest = S[:pos] + S[pos + 1:]
+            img = {}
+            for r, v in col.items():
+                q = bisect_left(rest, r)
+                if q == len(rest) or rest[q] != r:  # moving r from pos to q
+                    img[rest[:q] + (r,) + rest[q:]] = -v if (pos - q) % 2 else v
+            accumulate(out, img, c)
     return out
 
+
+def derivation_op(op: ColMat, index: dict[tuple, int]) -> ColMat:
+    """Matrix of ``derivation(., op)`` on the span of the sorted index tuples
+    S of index (which it must preserve), column index[S] for S.
+
+    Sharing one index between the operators of a family also shares their
+    column numbers, which keeps a family of large operators small.
+    """
+    mat: ColMat = {}
+    for S, t in index.items():
+        img = derivation({S: 1}, op)
+        if img:
+            mat[t] = {index[T]: v for T, v in img.items()}
+    return mat
+
+
+# --------------------------------------------------------------------------
+# bilinear maps and Lie algebras
+# --------------------------------------------------------------------------
 
 class BilinearMap:
     """Antisymmetric bilinear map m x m -> target, coefficients for i < j."""
@@ -182,15 +153,8 @@ class BilinearMap:
         out: SparseVec = {}
         for i, xi in x.items():
             for j, yj in y.items():
-                if i == j:
-                    continue
-                s = xi * yj
-                for k, c in self.pair(i, j).items():
-                    t = out.get(k, 0) + s * c
-                    if t:
-                        out[k] = t
-                    else:
-                        out.pop(k, None)
+                if i != j:
+                    accumulate(out, self.pair(i, j), xi * yj)
         return out
 
     def scale(self, s) -> "BilinearMap":
@@ -201,26 +165,11 @@ class BilinearMap:
     def add(self, other: "BilinearMap") -> "BilinearMap":
         out = {ij: dict(v) for ij, v in self.coeffs.items()}
         for ij, col in other.coeffs.items():
-            out[ij] = sv_add_scaled(out.get(ij, {}), col, 1)
+            accumulate(out.setdefault(ij, {}), col)
         return BilinearMap(self.dim_in, self.dim_out, out)
 
     def is_zero(self) -> bool:
         return not self.coeffs
-
-    def substitute(self, point: dict) -> "BilinearMap":
-        """Substitute Poly coefficients (keeps Fractions untouched)."""
-        out = {}
-        for ij, col in self.coeffs.items():
-            newcol = {}
-            for k, v in col.items():
-                nv = v.substitute(point) if hasattr(v, "substitute") else v
-                if hasattr(nv, "is_constant") and nv.is_constant():
-                    nv = nv.constant_value()
-                if nv:
-                    newcol[k] = nv
-            if newcol:
-                out[ij] = newcol
-        return BilinearMap(self.dim_in, self.dim_out, out)
 
     def flatten(self) -> SparseVec:
         """Vector in the hom space Lambda^2(m)* x target used by the solvers."""
@@ -233,19 +182,60 @@ class BilinearMap:
                 out[base + k] = v
         return out
 
-    @staticmethod
-    def unflatten(vec: SparseVec, dim_in: int, dim_out: int) -> "BilinearMap":
-        pairs = list(combinations(range(dim_in), 2))
-        coeffs: dict[tuple[int, int], SparseVec] = {}
-        for flat, v in vec.items():
-            t, k = divmod(flat, dim_out)
-            coeffs.setdefault(pairs[t], {})[k] = v
-        return BilinearMap(dim_in, dim_out, coeffs)
-
     def jacobiator(self) -> dict[tuple[int, int, int], SparseVec]:
+        """Cyclic sums [[x,y],z] + [[y,z],x] + [[z,x],y] on basis triples.
+
+        Returns only the nonzero components; empty dict means Jacobi holds.
+        """
         if self.dim_in != self.dim_out:
             raise ValueError("jacobiator needs an endomorphic bracket")
-        return jacobiator_of(self.apply, self.dim_in)
+        out = {}
+        one, minus_one = Fraction(1), Fraction(-1)
+        for i, j, k in combinations(range(self.dim_in), 3):
+            total = self.apply(self.pair(i, j), {k: one})
+            accumulate(total, self.apply(self.pair(j, k), {i: one}))
+            accumulate(total, self.apply(self.pair(i, k), {j: minus_one}))  # [[k,i],j]
+            if total:
+                out[(i, j, k)] = total
+        return out
+
+
+class LieAlgebra:
+    """Structure constants c_{ij}^k, kept as the bracket ``structure`` (a
+    BilinearMap g x g -> g); ``brackets`` holds them for i < j."""
+
+    def __init__(self, dim: int, brackets: dict[tuple[int, int], SparseVec],
+                 verified: bool = False):
+        self.dim = dim
+        self.structure = BilinearMap(dim, dim, brackets)
+        self.verified = verified
+
+    @property
+    def brackets(self) -> dict[tuple[int, int], SparseVec]:
+        return self.structure.coeffs
+
+    def adjoint(self) -> "Representation":
+        mats = [{a: dict(img) for a in range(self.dim)
+                 if (img := self.structure.pair(g, a))} for g in range(self.dim)]
+        return Representation(self, self.dim, mats)
+
+    def verify_jacobi(self) -> bool:
+        ok = not self.structure.jacobiator()
+        self.verified = ok
+        return ok
+
+    def subalgebra(self, gens: list[int]) -> "LieAlgebra":
+        """The span of the basis elements gens, renumbered in their order;
+        raises when it is not closed under the bracket."""
+        pos = {g: i for i, g in enumerate(gens)}
+        brackets: dict[tuple[int, int], SparseVec] = {}
+        for a, b in combinations(range(len(gens)), 2):
+            img = self.structure.pair(gens[a], gens[b])
+            if any(k not in pos for k in img):
+                raise AssertionError(f"generators {gens} do not span a subalgebra")
+            if img:
+                brackets[(a, b)] = {pos[k]: v for k, v in img.items()}
+        return LieAlgebra(len(gens), brackets, verified=self.verified)
 
 
 # --------------------------------------------------------------------------
@@ -266,22 +256,15 @@ class Representation:
             self.verify_homomorphism()
 
     def verify_homomorphism(self):
-        for i in range(self.algebra.dim):
-            for j in range(i + 1, self.algebra.dim):
-                lhs: ColMat = {}
-                for k, c in self.algebra.bracket_basis(i, j).items():
-                    for col, vec in self.mats[k].items():
-                        acc = lhs.setdefault(col, {})
-                        for r, x in vec.items():
-                            t = acc.get(r, 0) + c * x
-                            if t:
-                                acc[r] = t
-                            else:
-                                acc.pop(r, None)
-                rhs = op_sub(op_compose(self.mats[i], self.mats[j]),
-                             op_compose(self.mats[j], self.mats[i]))
-                if not op_is_zero(op_sub(lhs, rhs)):
-                    raise ValueError(f"not a representation at pair ({i},{j})")
+        for i, j in combinations(range(self.algebra.dim), 2):
+            lhs: ColMat = {}
+            for k, c in self.algebra.structure.pair(i, j).items():
+                for col, vec in self.mats[k].items():
+                    accumulate(lhs.setdefault(col, {}), vec, c)
+            rhs = op_sub(op_compose(self.mats[i], self.mats[j]),
+                         op_compose(self.mats[j], self.mats[i]))
+            if not op_is_zero(op_sub(lhs, rhs)):
+                raise ValueError(f"not a representation at pair ({i},{j})")
         return True
 
     def dual(self) -> "Representation":
@@ -294,34 +277,9 @@ class Representation:
         return Representation(self.algebra, self.dim, mats)
 
     def exterior_power(self, k: int) -> "Representation":
-        basis = list(combinations(range(self.dim), k))
-        index = {S: t for t, S in enumerate(basis)}
-        mats = []
-        for g in range(self.algebra.dim):
-            mat: ColMat = {}
-            rho = self.mats[g]
-            for t, S in enumerate(basis):
-                col: SparseVec = {}
-                for pos, s in enumerate(S):
-                    target = rho.get(s)
-                    if not target:
-                        continue
-                    for r, c in target.items():
-                        seq = list(S)
-                        seq[pos] = r
-                        ss = sort_sign(seq)
-                        if ss is None:
-                            continue
-                        key = index[ss[0]]
-                        v = col.get(key, 0) + c * ss[1]
-                        if v:
-                            col[key] = v
-                        else:
-                            col.pop(key, None)
-                if col:
-                    mat[t] = col
-            mats.append(mat)
-        return Representation(self.algebra, len(basis), mats)
+        index = {S: t for t, S in enumerate(combinations(range(self.dim), k))}
+        return Representation(self.algebra, len(index),
+                              [derivation_op(m, index) for m in self.mats])
 
 
 def trivial_rep(algebra: LieAlgebra, dim: int) -> Representation:
@@ -335,23 +293,55 @@ def hom_constraint_op(repA: Representation, repB: Representation, g: int) -> Col
     matB = repB.mats[g]
     op: ColMat = {}
     for a in range(repA.dim):
-        arow = rowsA.get(a, {})
+        minus_row = [(a2 * dimB, -c) for a2, c in rowsA.get(a, {}).items()]
         for b in range(dimB):
-            col: SparseVec = {}
-            target = matB.get(b)
-            if target:
-                for r, c in target.items():
-                    col[a * dimB + r] = c
-            for a2, c in arow.items():
-                key = a2 * dimB + b
-                v = col.get(key, 0) - c
-                if v:
-                    col[key] = v
-                else:
-                    col.pop(key, None)
+            col = {a * dimB + r: c for r, c in matB.get(b, {}).items()}
+            if minus_row:
+                accumulate(col, {base + b: c for base, c in minus_row})
             if col:
                 op[a * dimB + b] = col
     return op
+
+
+def trace_form(rep: Representation) -> list[list[Fraction]]:
+    """Gram matrix tr(rho(e_i) rho(e_j)) of the trace form of rep."""
+    mats = rep.mats
+    gram = [[Fraction(0)] * len(mats) for _ in mats]
+    for i in range(len(mats)):
+        for j in range(i, len(mats)):
+            gram[i][j] = gram[j][i] = sum(
+                (op_apply(mats[i], col).get(c, 0) for c, col in mats[j].items()),
+                Fraction(0))
+    return gram
+
+
+def casimir(rep: Representation, gram: list[list[Fraction]]):
+    """The Casimir element sum_ij (gram^-1)_ij rho(e_i) rho(e_j) of rep, for
+    the ad-invariant form with Gram matrix gram, as a map on forms (through
+    ``derivation``).
+
+    It is certified on the module itself, where it must commute with the
+    action; an AssertionError otherwise (e.g. a form that is not invariant).
+    """
+    inv = invert(gram)
+    mats = rep.mats
+
+    def apply(form: dict) -> dict:
+        w = [derivation(form, m) for m in mats]
+        out: dict = {}
+        for i, m in enumerate(mats):
+            u: dict = {}
+            for j, wj in enumerate(w):
+                accumulate(u, wj, inv[i][j])
+            accumulate(out, derivation(u, m))
+        return out
+
+    on_module = {c: {r: x for (r,), x in apply({(c,): Fraction(1)}).items()}
+                 for c in range(rep.dim)}
+    for m in mats:
+        if not op_is_zero(op_sub(op_compose(on_module, m), op_compose(m, on_module))):
+            raise AssertionError("casimir does not commute with the action")
+    return apply
 
 
 # --------------------------------------------------------------------------
@@ -385,7 +375,7 @@ def common_kernel(op_makers, dim: int) -> list[SparseVec]:
                 for x in xs:
                     vec: SparseVec = {}
                     for i, s in x.items():
-                        vec = sv_add_scaled(vec, K[i], s)
+                        accumulate(vec, K[i], s)
                     newK.append(sv_primitive(vec))
                 K = newK
         if not K:
@@ -426,43 +416,6 @@ def equivariant_hom(repA: Representation, repB: Representation,
             if op_apply(op, T):
                 raise AssertionError("equivariant_hom produced a non-equivariant map")
     return K
-
-
-def casimir(rep: Representation, gram: list[list[Fraction]]) -> ColMat:
-    """Sum rho(e_i) rho(e^i) for the gram-dual basis; commutes with the image.
-
-    The form must be nondegenerate and ad-invariant on the algebra; both are
-    the caller's responsibility (checked downstream via the commutation
-    assertion here).
-    """
-    inv = invert(gram)
-    n = rep.algebra.dim
-    C: ColMat = {}
-    for c in range(rep.dim):
-        base = {c: Fraction(1)}
-        acc: SparseVec = {}
-        for j in range(n):
-            w = op_apply(rep.mats[j], base)
-            if not w:
-                continue
-            for i in range(n):
-                s = inv[i][j]
-                if not s:
-                    continue
-                out = op_apply(rep.mats[i], w)
-                for r, x in out.items():
-                    t = acc.get(r, 0) + s * x
-                    if t:
-                        acc[r] = t
-                    else:
-                        acc.pop(r, None)
-        if acc:
-            C[c] = acc
-    for g in range(n):
-        if not op_is_zero(op_sub(op_compose(C, rep.mats[g]),
-                                 op_compose(rep.mats[g], C))):
-            raise AssertionError("casimir does not commute with the action")
-    return C
 
 
 # --------------------------------------------------------------------------
@@ -518,13 +471,7 @@ def semidirect(h: LieAlgebra, rho: Representation,
         brackets.setdefault((dh + i, dh + j), {}).update(
             {dh + k: v for k, v in col.items()})
     for (i, j), col in b_h.coeffs.items():
-        acc = brackets.setdefault((dh + i, dh + j), {})
-        for k, v in col.items():
-            t = acc.get(k, 0) + v
-            if t:
-                acc[k] = t
-            else:
-                acc.pop(k, None)
+        accumulate(brackets.setdefault((dh + i, dh + j), {}), col)
     g_alg = LieAlgebra(dh + dm, brackets)
     if check and not g_alg.verify_jacobi():
         raise ValueError("assembled algebra fails the Jacobi identity")

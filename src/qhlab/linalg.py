@@ -30,16 +30,22 @@ SparseVec = dict[int, Fraction]
 def sv_add_scaled(a: SparseVec, b: SparseVec, s) -> SparseVec:
     """a + s*b as a new sparse vector."""
     out = dict(a)
-    _accumulate(out, b, s)
+    accumulate(out, b, s)
     return out
 
 
-def _accumulate(acc: dict, b: dict, s) -> None:
-    """acc += s*b in place, dropping the entries that cancel."""
-    if not s:
+def accumulate(acc: dict, b: dict, s=None) -> None:
+    """acc += b, or acc += s*b when s is given, in place, dropping the
+    entries that cancel.
+
+    The one "add, drop if zero" loop: every sparse sum in the package (dicts
+    keyed by ints, index tuples or monomials, with Fraction or Poly values)
+    goes through here, one call per accumulated vector.
+    """
+    if s is not None and not s:
         return
     for k, v in b.items():
-        t = acc.get(k, 0) + s * v
+        t = acc.get(k, 0) + (v if s is None else s * v)
         if t:
             acc[k] = t
         else:
@@ -118,7 +124,7 @@ class Echelon:
         """The remainder of v against the rows; empty exactly on the span."""
         out = dict(v)
         for p, s in [(p, out[p]) for p in v if p in self.rows]:
-            _accumulate(out, self.rows[p], -s)  # rows vanish at other pivots: one pass
+            accumulate(out, self.rows[p], -s)  # rows vanish at other pivots: one pass
         return out
 
     def add(self, v: dict) -> bool:
@@ -133,7 +139,7 @@ class Echelon:
         row = {k: x * inv for k, x in red.items()}
         for q in list(self._touching.get(pivot, ())):  # clear the new pivot column
             other = self.rows[q]
-            _accumulate(other, row, -other[pivot])
+            accumulate(other, row, -other[pivot])
             for k in row:
                 if k in other:
                     self._touching.setdefault(k, set()).add(q)

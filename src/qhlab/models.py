@@ -18,10 +18,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
+
 from .lie import (BilinearMap, ColMat, LieAlgebra, Representation,
                   equivariant_hom, is_equivariant, op_apply, op_compose,
-                  op_is_zero, op_sub, semidirect)
-from .linalg import Echelon, SparseVec, sv_add_scaled
+                  op_is_skew, op_is_zero, op_sub, semidirect)
+from .linalg import Echelon, SparseVec, accumulate
 from .poly import Poly
 from .quaternion import (IM_UNITS, UNITS, QMatrix, Quaternion, format_rat, rat,
                          sp_basis, sp_coordinates)
@@ -83,88 +85,60 @@ def _sp_block_brackets(p: int, q: int, offset: int) -> dict[tuple[int, int], Spa
     return out
 
 
-def isotropy_rep(n: int) -> tuple[LieAlgebra, Representation, list[int]]:
-    """The algebra h = sp(1) + sp(n-1), its action on m, and a solver order.
+def _sp_pair_rep(n: int, m: int) -> tuple[LieAlgebra, Representation, list[int]]:
+    """sp(1) + sp(m) acting on H^n, its last m slots carrying sp(m).
 
-    The order lists torus-like generators first (the diagonal sp(1) element
-    A_i and the diagonal i E_ss of sp(n-1)); their constraint operators
-    decompose into tiny blocks, which keeps the exact kernel engine fast.
+    sp(1) acts by q -> -q a on every slot and, for m = n - 1, also by
+    q -> a q on slot 0, so that there it acts on R + Im(H) by conjugation
+    v -> a v - v a; sp(m) acts by q -> Y q.  The solver order lists
+    torus-like generators first (A_i and the diagonal i E_ss of sp(m)); their
+    constraint operators decompose into tiny blocks, which keeps the exact
+    kernel engine fast.
     """
-    if n < 2:
-        raise ValueError("n >= 2 required")
-    dh = 3 + (n - 1) * (2 * n - 1)
+    off = n - m
+    dim = 3 + m * (2 * m + 1)
     brackets = dict(_SP1_BRACKETS)
-    brackets.update(_sp_block_brackets(n - 1, 0, 3))
-    h = LieAlgebra(dh, brackets)
-    if not h.verify_jacobi():
-        raise AssertionError("isotropy algebra fails Jacobi")
-
+    brackets.update(_sp_block_brackets(m, 0, 3))
+    alg = LieAlgebra(dim, brackets)
+    if not alg.verify_jacobi():
+        raise AssertionError(f"sp(1) + sp({m}) fails Jacobi")
     mats: list[ColMat] = []
-    for a in IM_UNITS:  # A_a, the diagonal sp(1)
+    for a in IM_UNITS:
         col: ColMat = {}
-        for u, unit in enumerate(UNITS):
-            img = a * unit - unit * a if u else Quaternion()
-            vec = _quat_to_slot(0, img)
-            if vec:
-                col[u] = vec
-        for p in range(1, n):
+        for p in range(n):
             for u, unit in enumerate(UNITS):
-                vec = _quat_to_slot(p, -(unit * a))
-                if vec:
+                img = a * unit - unit * a if p < off else -(unit * a)
+                if vec := _quat_to_slot(p, img):
                     col[4 * p + u] = vec
         mats.append(col)
-    spb = sp_basis(n - 1, 0)
-    for Y in spb:
+    for Y in sp_basis(m, 0):
         col = {}
-        for p in range(1, n):
+        for p in range(off, n):
             for u, unit in enumerate(UNITS):
                 img: SparseVec = {}
-                for t in range(1, n):
-                    e = Y.entries[t - 1][p - 1]
+                for t in range(off, n):
+                    e = Y.entries[t - off][p - off]
                     if not e.is_zero():
-                        img = sv_add_scaled(img, _quat_to_slot(t, e * unit), 1)
+                        accumulate(img, _quat_to_slot(t, e * unit))
                 if img:
                     col[4 * p + u] = img
         mats.append(col)
-    rho = Representation(h, 4 * n, mats, check=True)
-    torus = [0] + [3 + 3 * s for s in range(n - 1)]
-    order = torus + [g for g in range(dh) if g not in torus]
-    return h, rho, order
+    rho = Representation(alg, 4 * n, mats, check=True)
+    torus = [0] + [3 + 3 * s for s in range(m)]
+    order = torus + [g for g in range(dim) if g not in torus]
+    return alg, rho, order
+
+
+def isotropy_rep(n: int) -> tuple[LieAlgebra, Representation, list[int]]:
+    """The algebra h = sp(1) + sp(n-1), its action on m, and a solver order."""
+    if n < 2:
+        raise ValueError("n >= 2 required")
+    return _sp_pair_rep(n, n - 1)
 
 
 def ambient_rep(n: int) -> tuple[LieAlgebra, Representation, list[int]]:
     """k = sp(1) + sp(n) acting on H^n: q -> -q a and q -> X q."""
-    dk = 3 + n * (2 * n + 1)
-    brackets = dict(_SP1_BRACKETS)
-    brackets.update(_sp_block_brackets(n, 0, 3))
-    k = LieAlgebra(dk, brackets)
-    if not k.verify_jacobi():
-        raise AssertionError("ambient algebra fails Jacobi")
-    mats: list[ColMat] = []
-    for a in IM_UNITS:  # S_a
-        col: ColMat = {}
-        for p in range(n):
-            for u, unit in enumerate(UNITS):
-                vec = _quat_to_slot(p, -(unit * a))
-                if vec:
-                    col[4 * p + u] = vec
-        mats.append(col)
-    for Y in sp_basis(n, 0):
-        col = {}
-        for p in range(n):
-            for u, unit in enumerate(UNITS):
-                img: SparseVec = {}
-                for t in range(n):
-                    e = Y.entries[t][p]
-                    if not e.is_zero():
-                        img = sv_add_scaled(img, _quat_to_slot(t, e * unit), 1)
-                if img:
-                    col[4 * p + u] = img
-        mats.append(col)
-    rho = Representation(k, 4 * n, mats, check=True)
-    torus = [0] + [3 + 3 * s for s in range(n)]
-    order = torus + [g for g in range(dk) if g not in torus]
-    return k, rho, order
+    return _sp_pair_rep(n, n)
 
 
 def _mixed_mult(n: int, a: Quaternion, sign0: int, sign_h: int) -> ColMat:
@@ -319,10 +293,8 @@ def bracket_from_params(n: int, alpha, beta1, beta2, gamma1, gamma2) -> Bilinear
 # Jacobi families and normal forms
 # --------------------------------------------------------------------------
 
-JACOBI_EQUATIONS = None  # computed lazily, cached
-
-
-def jacobi_equations() -> list[Poly]:
+@cache
+def jacobi_equations() -> tuple[Poly, ...]:
     """Canonical generators of the Jacobi obstruction (n fixed at 3).
 
     Cyclic-Jacobi components of B(alpha..gamma2) are collected, the span of
@@ -330,9 +302,6 @@ def jacobi_equations() -> list[Poly]:
     and the reduced generators are returned monic.  The zero set is the
     union of the four parameter families.
     """
-    global JACOBI_EQUATIONS
-    if JACOBI_EQUATIONS is not None:
-        return JACOBI_EQUATIONS
     b = bracket_from_params(3, *(Poly.var(v) for v in PARAM_NAMES))
     seen: dict = {}
     for comp in b.jacobiator().values():
@@ -351,8 +320,7 @@ def jacobi_equations() -> list[Poly]:
     ech, _ = rref(rows)
     eqs = [Poly({monos[i]: c for i, c in enumerate(row) if c}).monic()
            for row in ech]
-    JACOBI_EQUATIONS = sorted(eqs, key=lambda p: sorted(p.terms))
-    return JACOBI_EQUATIONS
+    return tuple(sorted(eqs, key=lambda p: sorted(p.terms)))
 
 
 _FAMILY_CONDITIONS = {
@@ -444,15 +412,17 @@ TABLE3_PARAMS = {
 }
 
 
-def table3_tuple(name: str, beta: Fraction | None = None) -> tuple:
+def table3_tuple(name: str, beta=None) -> tuple:
+    """Parameters of a table-3 normal form; beta is a rational or a Poly."""
     if name in ("H1+", "H1-", "H2", "H4"):
         return tuple(Fraction(x) for x in TABLE3_PARAMS[name])
     if beta is None:
         raise ValueError(f"{name} needs a beta parameter")
+    beta = beta if isinstance(beta, Poly) else Fraction(beta)
     if name == "H3":
-        return (Fraction(0), Fraction(2), Fraction(beta), Fraction(0), Fraction(0))
+        return (Fraction(0), Fraction(2), beta, Fraction(0), Fraction(0))
     if name == "H5":
-        return (Fraction(0), Fraction(0), Fraction(beta), Fraction(1), Fraction(0))
+        return (Fraction(0), Fraction(0), beta, Fraction(1), Fraction(0))
     raise ValueError(f"unknown normal-form name {name}")
 
 
@@ -460,8 +430,8 @@ def table3_tuple(name: str, beta: Fraction | None = None) -> tuple:
 # model specs and construction
 # --------------------------------------------------------------------------
 
-MODEL_KINDS = ("H1+", "H1-", "H2", "H3", "H4", "H5", "QHP", "QHH",
-               "FlatMax", "MaxCurved", "TwistedTheta")
+H_KINDS = ("H1+", "H1-", "H2", "H3", "H4", "H5")
+MODEL_KINDS = H_KINDS + ("QHP", "QHH", "FlatMax", "MaxCurved", "TwistedTheta")
 
 
 @dataclass(frozen=True)
@@ -542,9 +512,6 @@ class HomogeneousModel:
     def dim_m(self) -> int:
         return len(self.m_indices)
 
-    def metric_value(self, i: int):
-        return self.metric[i]
-
     def with_metric(self, c1, c2) -> "HomogeneousModel":
         clone = HomogeneousModel(self.name, self.spec, self.n, self.g, self.h_alg,
                                  self.rho, self.h_indices, self.m_indices,
@@ -564,18 +531,12 @@ def verify_model(model: HomogeneousModel) -> None:
     if not op_is_zero(op_sub(op_compose(I, J), K)):
         raise AssertionError("I J != K")
     G = model.metric
-    for A in (I, J, K):
-        for c, col in A.items():
-            for r, v in col.items():
-                if G[r] * v + G[c] * A.get(r, {}).get(c, 0) != 0:
-                    raise AssertionError("metric is not Hermitian for the triple")
+    if not all(op_is_skew(A, G) for A in (I, J, K)):
+        raise AssertionError("metric is not Hermitian for the triple")
     triple_span = Echelon(_flatten_op(A, dm) for A in (I, J, K))
-    for g in range(model.rho.algebra.dim):
-        mat = model.rho.mats[g]
-        for c, col in mat.items():
-            for r, v in col.items():
-                if G[r] * v + G[c] * mat.get(r, {}).get(c, 0) != 0:
-                    raise AssertionError("metric is not isotropy invariant")
+    for mat in model.rho.mats:
+        if not op_is_skew(mat, G):
+            raise AssertionError("metric is not isotropy invariant")
         for A in (I, J, K):
             comm = op_sub(op_compose(mat, A), op_compose(A, mat))
             if triple_span.reduce(_flatten_op(comm, dm)):
@@ -592,45 +553,36 @@ def _restrict_rep(rep: Representation, sub: LieAlgebra, gens: list[int]) -> Repr
     return Representation(sub, rep.dim, [rep.mats[g] for g in gens], check=True)
 
 
+def _assemble(spec: ModelSpec, h: LieAlgebra, rho: Representation,
+              b_m: BilinearMap | None, b_h: BilinearMap | None,
+              triple: tuple[ColMat, ColMat, ColMat], metric: list,
+              extras: dict | None = None) -> HomogeneousModel:
+    """The verified model g = h + m, m = rho's module, with [m,m] = b_m + b_h."""
+    dh, dm = h.dim, rho.dim
+    b_m = b_m or BilinearMap.zero(dm, dm)
+    b_h = b_h or BilinearMap.zero(dm, dh)
+    g = semidirect(h, rho, b_m, b_h)
+    model = HomogeneousModel(spec.kind, spec, spec.n, g, h, rho, list(range(dh)),
+                             list(range(dh, dh + dm)), b_m, b_h, triple, metric,
+                             extras or {})
+    verify_model(model)
+    return model
+
+
 def build_model(spec: ModelSpec) -> HomogeneousModel:
     n = spec.n
-    if spec.kind in ("H1+", "H1-", "H2", "H3", "H4", "H5"):
+    metric = metric_diag(n, spec.c1, spec.c2)
+    if spec.kind in H_KINDS:
         h, rho, _ = isotropy_rep(n)
         params = table3_tuple(spec.kind, spec.beta)
-        b = bracket_from_params(n, *params)
-        g = semidirect(h, rho, b, None)
-        dh = h.dim
-        model = HomogeneousModel(
-            spec.kind, spec, n, g, h, rho,
-            list(range(dh)), list(range(dh, dh + 4 * n)),
-            b, BilinearMap.zero(4 * n, h.dim),
-            quaternionic_triple(n), metric_diag(n, spec.c1, spec.c2),
-            extras={"params": params})
-        verify_model(model)
-        return model
+        return _assemble(spec, h, rho, bracket_from_params(n, *params), None,
+                         quaternionic_triple(n), metric, {"params": params})
     if spec.kind in ("QHP", "QHH"):
         return _build_reductive_model(spec)
-    if spec.kind == "FlatMax":
+    if spec.kind in ("FlatMax", "MaxCurved"):
         k, rho_k, _ = ambient_rep(n)
-        g = semidirect(k, rho_k, None, None)
-        model = HomogeneousModel(
-            "FlatMax", spec, n, g, k, rho_k,
-            list(range(k.dim)), list(range(k.dim, k.dim + 4 * n)),
-            BilinearMap.zero(4 * n, 4 * n), BilinearMap.zero(4 * n, k.dim),
-            ambient_triple(n), metric_diag(n, spec.c1, spec.c2))
-        verify_model(model)
-        return model
-    if spec.kind == "MaxCurved":
-        k, rho_k, _ = ambient_rep(n)
-        b_k = maximal_vertical_bracket(n, 2 * spec.c, spec.c)
-        g = semidirect(k, rho_k, None, b_k)
-        model = HomogeneousModel(
-            "MaxCurved", spec, n, g, k, rho_k,
-            list(range(k.dim)), list(range(k.dim, k.dim + 4 * n)),
-            BilinearMap.zero(4 * n, 4 * n), b_k,
-            ambient_triple(n), metric_diag(n, spec.c1, spec.c2))
-        verify_model(model)
-        return model
+        b_k = maximal_vertical_bracket(n, 2 * spec.c, spec.c) if spec.c is not None else None
+        return _assemble(spec, k, rho_k, None, b_k, ambient_triple(n), metric)
     if spec.kind == "TwistedTheta":
         return _build_twisted_model(spec)
     raise ValueError(f"unhandled kind {spec.kind}")
@@ -655,12 +607,10 @@ def maximal_vertical_bracket(n: int, c_theta, c_xi) -> BilinearMap:
                     if p == q:
                         th = (UNITS[u].conj() * UNITS[v]).im()
                         for t, comp in enumerate((th.b, th.c, th.d)):
-                            if comp:
-                                col[t] = -c_theta * comp
+                            col[t] = -c_theta * comp
                     xi = xi_operator(p, u, q, v, n)
                     for t, comp in enumerate(sp_coordinates(xi, n, 0)):
-                        if comp:
-                            col[3 + t] = col.get(3 + t, 0) + c_xi * comp
+                        col[3 + t] = c_xi * comp
                     col = {k2: v2 for k2, v2 in col.items() if v2}
                     if col:
                         coeffs[(4 * p + u, 4 * q + v)] = col
@@ -699,8 +649,7 @@ def _build_reductive_model(spec: ModelSpec) -> HomogeneousModel:
     cols: list[SparseVec] = []
     for a in range(1, 4):  # A_a = a_H + a E_11
         vec = {a: Fraction(1)}
-        e11 = QMatrix.from_entry(n, n, 0, 0, UNITS[a])
-        vec = sv_add_scaled(vec, sp_index(e11), 1)
+        accumulate(vec, sp_index(QMatrix.from_entry(n, n, 0, 0, UNITS[a])))
         cols.append(vec)
     lower: list[SparseVec] = []
     for s in range(1, n):
@@ -718,8 +667,7 @@ def _build_reductive_model(spec: ModelSpec) -> HomogeneousModel:
     cols.append({0: Fraction(1)})  # m_0 = real quaternion unit
     for a in range(1, 4):  # anti-diagonal Im(H)
         vec = {a: Fraction(1)}
-        e11 = QMatrix.from_entry(n, n, 0, 0, UNITS[a])
-        vec = sv_add_scaled(vec, sp_index(e11), -1)
+        accumulate(vec, sp_index(QMatrix.from_entry(n, n, 0, 0, UNITS[a])), -1)
         cols.append(vec)
     first_row_sign = -1 if spec.kind == "QHP" else 1  # -eta_0 eta_t
     for t in range(1, n):
@@ -738,7 +686,7 @@ def _build_reductive_model(spec: ModelSpec) -> HomogeneousModel:
     new_brackets: dict[tuple[int, int], SparseVec] = {}
     for i in range(dg):
         for j in range(i + 1, dg):
-            img = new_basis.coordinates(g_old.bracket(cols[i], cols[j]))
+            img = new_basis.coordinates(g_old.structure.apply(cols[i], cols[j]))
             if img:
                 new_brackets[(i, j)] = img
     g_new = LieAlgebra(dg, new_brackets)
@@ -766,20 +714,12 @@ def split_reductive(g: LieAlgebra, h_idx: list[int], m_idx: list[int]):
     dh, dm = len(h_idx), len(m_idx)
     pos_h = {v: i for i, v in enumerate(h_idx)}
     pos_m = {v: i for i, v in enumerate(m_idx)}
-    hb: dict[tuple[int, int], SparseVec] = {}
-    for a in range(dh):
-        for b in range(a + 1, dh):
-            img = g.bracket_basis(h_idx[a], h_idx[b])
-            if any(k not in pos_h for k in img):
-                raise AssertionError("h is not a subalgebra")
-            if img:
-                hb[(a, b)] = {pos_h[k]: v for k, v in img.items()}
-    h_sub = LieAlgebra(dh, hb, verified=True)
+    h_sub = g.subalgebra(h_idx)
     mats: list[ColMat] = []
     for a in range(dh):
         col: ColMat = {}
         for b in range(dm):
-            img = g.bracket_basis(h_idx[a], m_idx[b])
+            img = g.structure.pair(h_idx[a], m_idx[b])
             if any(k not in pos_m for k in img):
                 raise AssertionError("complement is not rho-invariant")
             if img:
@@ -790,7 +730,7 @@ def split_reductive(g: LieAlgebra, h_idx: list[int], m_idx: list[int]):
     bh: dict[tuple[int, int], SparseVec] = {}
     for a in range(dm):
         for b in range(a + 1, dm):
-            img = g.bracket_basis(m_idx[a], m_idx[b])
+            img = g.structure.pair(m_idx[a], m_idx[b])
             mpart = {pos_m[k]: v for k, v in img.items() if k in pos_m}
             hpart = {pos_h[k]: v for k, v in img.items() if k in pos_h}
             if len(mpart) + len(hpart) != len(img):
@@ -841,16 +781,7 @@ def centralizer_subalgebra(n: int):
     """Z_h(I) = so(2) + sp(n-1): the A_i axis plus the sp(n-1) block."""
     h, rho, _ = isotropy_rep(n)
     gens = [0] + list(range(3, h.dim))
-    pos = {g: i for i, g in enumerate(gens)}
-    sub_br: dict[tuple[int, int], SparseVec] = {}
-    for a in range(len(gens)):
-        for b in range(a + 1, len(gens)):
-            img = h.bracket_basis(gens[a], gens[b])
-            if any(k not in pos for k in img):
-                raise AssertionError("centralizer candidate is not a subalgebra")
-            if img:
-                sub_br[(a, b)] = {pos[k]: v for k, v in img.items()}
-    z = LieAlgebra(len(gens), sub_br, verified=True)
+    z = h.subalgebra(gens)
     rho_z = _restrict_rep(rho, z, gens)
     return z, rho_z, h, rho, gens
 
@@ -870,15 +801,9 @@ def _build_twisted_model(spec: ModelSpec) -> HomogeneousModel:
     if chosen is None:
         raise AssertionError("no twisted variant passed the symmetry protocol")
     variant, b = chosen
-    g = semidirect(z, rho_z, b, None)
-    model = HomogeneousModel(
-        "TwistedTheta", spec, n, g, z, rho_z,
-        list(range(z.dim)), list(range(z.dim, z.dim + 4 * n)),
-        b, BilinearMap.zero(4 * n, z.dim),
-        quaternionic_triple(n), metric_diag(n, spec.c1, spec.c2),
-        extras={"twist_variant": variant, "centralizer_gens": gens})
-    verify_model(model)
-    return model
+    return _assemble(spec, z, rho_z, b, None, quaternionic_triple(n),
+                     metric_diag(n, spec.c1, spec.c2),
+                     {"twist_variant": variant, "centralizer_gens": gens})
 
 
 # --------------------------------------------------------------------------
@@ -907,17 +832,8 @@ def rotated_triple(triple: tuple[ColMat, ColMat, ColMat],
     for a in range(3):
         acc: ColMat = {}
         for b in range(3):
-            s = rot[b][a]
-            if not s:
-                continue
             for c, col in triple[b].items():
-                cur = acc.setdefault(c, {})
-                for r, v in col.items():
-                    t = cur.get(r, 0) + s * v
-                    if t:
-                        cur[r] = t
-                    else:
-                        cur.pop(r, None)
+                accumulate(acc.setdefault(c, {}), col, rot[b][a])
         out.append({c: col for c, col in acc.items() if col})
     return tuple(out)
 
@@ -929,31 +845,18 @@ def symbolic_model(kind: str, n: int) -> HomogeneousModel:
     requires rational points and is not available on these models.
     """
     c1, c2 = Poly.var("c1"), Poly.var("c2")
-    if kind in ("H1+", "H1-", "H2", "H4"):
-        params = table3_tuple(kind)
-    elif kind == "H3":
-        params = (Fraction(0), Fraction(2), Poly.var("beta2"), Fraction(0), Fraction(0))
-    elif kind == "H5":
-        params = (Fraction(0), Fraction(0), Poly.var("beta2"), Fraction(1), Fraction(0))
-    elif kind in ("QHP", "QHH"):
-        base = build_model(ModelSpec(kind, n))
-        model = base.with_metric(c1, c2)
+    if kind in ("QHP", "QHH"):
+        model = build_model(ModelSpec(kind, n)).with_metric(c1, c2)
         model.extras["symbolic"] = True
         return model
-    else:
+    if kind not in H_KINDS:
         raise ValueError(f"no symbolic construction for {kind}")
+    spec = ModelSpec(kind, n, beta=Fraction(0) if kind in ("H3", "H5") else None)
+    params = table3_tuple(kind, Poly.var("beta2") if spec.beta is not None else None)
     h, rho, _ = isotropy_rep(n)
-    b = bracket_from_params(n, *params)
-    g = semidirect(h, rho, b, None)
-    dh = h.dim
-    model = HomogeneousModel(
-        kind, ModelSpec(kind if kind not in ("H3", "H5") else kind, n,
-                        beta=Fraction(0) if kind in ("H3", "H5") else None),
-        n, g, h, rho, list(range(dh)), list(range(dh, dh + 4 * n)),
-        b, BilinearMap.zero(4 * n, h.dim), quaternionic_triple(n),
-        metric_diag(n, c1, c2), extras={"symbolic": True, "params": params})
-    verify_model(model)
-    return model
+    return _assemble(spec, h, rho, bracket_from_params(n, *params), None,
+                     quaternionic_triple(n), metric_diag(n, c1, c2),
+                     {"symbolic": True, "params": params})
 
 
 def bracket_space_dims(n: int) -> tuple[int, int]:
@@ -978,11 +881,9 @@ def inadmissible_hom_dim(n: int, which: str) -> int:
         gens = [3 + 3 * s for s in range(n)]
     else:
         raise ValueError("which must be 'sp1' or 'spn'")
-    sub = LieAlgebra(len(gens), {}, verified=True)  # tori are abelian
-    for a in range(len(gens)):
-        for b in range(a + 1, len(gens)):
-            if k.bracket_basis(gens[a], gens[b]):
-                raise AssertionError("torus generators do not commute")
+    sub = k.subalgebra(gens)
+    if sub.brackets:
+        raise AssertionError("torus generators do not commute")
     rho_sub = _restrict_rep(rho_k, sub, gens)
     lam2 = rho_sub.exterior_power(2)
     return len(equivariant_hom(lam2, rho_sub))

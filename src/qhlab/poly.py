@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .linalg import accumulate
 from .quaternion import format_rat
 
 VARS = ("alpha", "beta1", "beta2", "gamma1", "gamma2", "c1", "c2")
@@ -52,14 +53,8 @@ class Poly:
     # -- ring operations -------------------------------------------------
 
     def __add__(self, other) -> "Poly":
-        other = Poly.coerce(other)
         out = dict(self.terms)
-        for m, c in other.terms.items():
-            s = out.get(m, Fraction(0)) + c
-            if s:
-                out[m] = s
-            else:
-                out.pop(m, None)
+        accumulate(out, Poly.coerce(other).terms)
         return Poly(out)
 
     __radd__ = __add__
@@ -82,13 +77,8 @@ class Poly:
         other = Poly.coerce(other)
         out: dict[tuple[int, ...], Fraction] = {}
         for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = tuple(a + b for a, b in zip(m1, m2))
-                s = out.get(m, Fraction(0)) + c1 * c2
-                if s:
-                    out[m] = s
-                else:
-                    out.pop(m, None)
+            accumulate(out, {tuple(a + b for a, b in zip(m1, m2)): c2
+                             for m2, c2 in other.terms.items()}, c1)
         return Poly(out)
 
     __rmul__ = __mul__

@@ -65,6 +65,20 @@ def test_bad_input_exits_2_with_one_line_message(argv):
     assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("qhlab: ")
 
 
+def test_internal_check_failure_exits_3(monkeypatch, capsys):
+    from qhlab import models
+
+    def failing_check(model):
+        raise AssertionError("metric is not Hermitian for the triple")
+
+    monkeypatch.setattr(models, "verify_model", failing_check)
+    code = main(["model-report", "--spec", "H4:n=2"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err == "qhlab: internal check failed: metric is not Hermitian for the triple\n"
+
+
 def test_json_report_schema_and_determinism(capsys):
     code, out1 = run(["--format", "json", "classify-bracket", "0", "0", "5", "3", "0"],
                      capsys)

@@ -169,6 +169,23 @@ def test_isotypic_split_labels():
     assert not p1.is_zero() and not p2.is_zero()
 
 
+def test_five_form_plane_is_solved_once_per_n(monkeypatch):
+    import qhlab.forms as forms
+    for cached in (invariant_five_forms, isotypic_split, pure_bidegree_basis):
+        cached.cache_clear()
+    solves = []
+    solve = forms.common_kernel
+
+    def counting(op_makers, dim):
+        solves.append(dim)
+        return solve(op_makers, dim)
+
+    monkeypatch.setattr(forms, "common_kernel", counting)
+    isotypic_split(3)
+    pure_bidegree_basis(3)
+    assert solves == [792]  # one Lambda^5 kernel solve, C(12, 5) columns
+
+
 def test_omega_frame_independence():
     model = _model("H3", 3, 2, 1, beta=2)
     _, _, _, omega = fundamental_forms(model)

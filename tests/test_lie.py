@@ -2,10 +2,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from qhlab.forms import KForm, wedge
 from qhlab.lie import (BilinearMap, LieAlgebra, Representation,
-                       casimir, equivariant_hom, invariant_vectors,
-                       is_equivariant, semidirect, sort_sign, trivial_rep)
+                       casimir, derivation, equivariant_hom, invariant_vectors,
+                       is_equivariant, semidirect, sort_sign, trace_form,
+                       trivial_rep)
 from qhlab.linalg import Echelon
 from qhlab.models import (ambient_rep, bracket_from_params,
                           horizontal_brackets, isotropy_rep,
@@ -20,6 +24,38 @@ def test_sort_sign():
     assert sort_sign((1, 2, 3)) == ((1, 2, 3), 1)
     assert sort_sign((3, 1, 2)) == ((1, 2, 3), 1)
     assert sort_sign((1, 1)) is None
+
+
+DIM = 6
+_coef = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+_ops = st.dictionaries(st.integers(0, DIM - 1),
+                       st.dictionaries(st.integers(0, DIM - 1), _coef, max_size=3),
+                       max_size=DIM)
+
+
+def _form_terms(k):
+    keys = st.lists(st.integers(0, DIM - 1), min_size=k, max_size=k,
+                    unique=True).map(lambda idx: tuple(sorted(idx)))
+    return st.dictionaries(keys, _coef, max_size=4)
+
+
+@given(op=_ops, ka=st.integers(1, 3), kb=st.integers(1, 2), data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_derivation_is_leibniz_over_wedge(op, ka, kb, data):
+    a = KForm(DIM, ka, data.draw(_form_terms(ka)))
+    b = KForm(DIM, kb, data.draw(_form_terms(kb)))
+
+    def D(form):
+        return KForm(form.n4, form.k, derivation(form.terms, op))
+
+    assert D(wedge(a, b)) == wedge(D(a), b).add(wedge(a, D(b)))
+
+
+def test_exterior_power_is_a_representation():
+    _, rho, _ = isotropy_rep(2)
+    lam3 = rho.exterior_power(3)
+    assert lam3.dim == 56
+    Representation(lam3.algebra, lam3.dim, lam3.mats, check=True)
 
 
 def test_jacobiator_abelian():
@@ -122,6 +158,11 @@ def test_equivariance_checker():
     assert not is_equivariant(broken, rho, rho.mats)
 
 
+def _on_module(cas, dim):
+    """The Casimir's matrix on the module itself, i.e. on 1-forms."""
+    return {c: {r: x for (r,), x in cas({(c,): Fraction(1)}).items()} for c in range(dim)}
+
+
 def test_casimir_sp1_adjoint_scalar():
     # adjoint representation of sp(1) with its trace form
     basis = sp_basis(1, 0)
@@ -134,7 +175,7 @@ def test_casimir_sp1_adjoint_scalar():
     ad = alg.adjoint()
     gram = [[real_trace_pairing(basis[i], basis[j]) for j in range(3)]
             for i in range(3)]
-    c = casimir(ad, gram)
+    c = _on_module(casimir(ad, gram), 3)
     diag = c[0][0]
     for col in range(3):
         assert c.get(col, {}) == {col: diag}
@@ -142,17 +183,7 @@ def test_casimir_sp1_adjoint_scalar():
 
 def test_casimir_ambient_on_m_is_scalar():
     k, rho_k, _ = ambient_rep(3)
-    gram = [[Fraction(0)] * k.dim for _ in range(k.dim)]
-    for i in range(k.dim):
-        for j in range(i, k.dim):
-            acc = Fraction(0)
-            for ccol, col in rho_k.mats[j].items():
-                for r, v in col.items():
-                    w = rho_k.mats[i].get(r, {}).get(ccol)
-                    if w:
-                        acc += v * w
-            gram[i][j] = gram[j][i] = acc
-    c = casimir(rho_k, gram)  # commutation asserted inside
+    c = _on_module(casimir(rho_k, trace_form(rho_k)), 12)  # commutation asserted inside
     diag = c[0][0]
     assert diag != 0
     for col in range(12):
