@@ -250,9 +250,9 @@ def _reproduce_prop12(n: int, betas: list[Fraction] | None = None) -> list[tuple
     points = _GRID + [p for p in _SPECIAL if p not in _GRID]
     for kind, beta in cases:
         bad = []
+        skeleton = M.build_model(M.ModelSpec(kind, n, beta=beta))
         for c1, c2 in points:
-            model = M.build_model(M.ModelSpec(kind, n, c1=c1, c2=c2, beta=beta))
-            cur = G.curvature(G.GroupData.from_model(model))
+            cur = G.curvature(G.GroupData.from_model(skeleton.with_metric(c1, c2)))
             cls = G.classify(cur, G.model_groups(n))
             want = _prop12_expected(kind, beta, c1, c2)
             got = (cls.einstein is not None, cls.conformally_flat, cls.locally_symmetric)
@@ -379,10 +379,11 @@ def cmd_model_report(ns) -> tuple[dict, int]:
             })
         entry["riemannian"] = riem
     if spec.n >= 3 and spec.kind in ("H1+", "H1-", "H2", "H3", "H4", "H5", "QHP", "QHH"):
-        row = F.table4_row(spec.kind, spec.n)
+        symbolic = M.symbolic_model(spec.kind, spec.n)
+        row = F.eh_coefficients(symbolic)
         entry["f_EH"] = _poly_json(row.f_eh)
         entry["f_KH"] = _poly_json(row.f_kh)
-        loci = F.genuine_loci(M.symbolic_model(spec.kind, spec.n))
+        loci = F.genuine_loci(symbolic)
         entry["genuine_EH_locus"] = _poly_json(loci.p_eh)
         entry["genuine_KH_locus"] = _poly_json(loci.p_kh)
         cps = []

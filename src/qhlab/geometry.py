@@ -83,25 +83,22 @@ class CurvatureData:
     nabla_r: dict[tuple[int, int, int, int, int], Fraction]
 
 
-def _kn_product(a_diag_or_mat, b_diag_or_mat, dm: int) -> R4:
-    """Kulkarni-Nomizu-type product with the sign making g*g the constant
-    curvature template: (a*b)_{ijkl} = a_il b_jk + a_jk b_il - a_ik b_jl - a_jl b_ik."""
-    def ent(m, i, j):
-        if isinstance(m, list) and isinstance(m[0], list):
-            return m[i][j]
-        return m[i] if i == j else Fraction(0)
+def _kn_product(a: dict[tuple[int, int], Fraction], b: list[Fraction]) -> R4:
+    """Kulkarni-Nomizu-type product of a symmetric a, given by its nonzero
+    entries {(x, y): a_xy} (both orders), and a diagonal b, with the sign
+    making g*g the constant curvature template:
 
+        (a*b)_{ijkl} = a_il b_jk + a_jk b_il - a_ik b_jl - a_jl b_ik.
+
+    As b is diagonal, a_xy b_t lands only on (x,t,t,y), (t,x,y,t) (plus) and
+    (x,t,y,t), (t,x,t,y) (minus), so the cost is nnz(a) * len(b).
+    """
     out: R4 = {}
-    for i in range(dm):
-        for j in range(dm):
-            for k in range(dm):
-                for l in range(dm):
-                    v = (ent(a_diag_or_mat, i, l) * ent(b_diag_or_mat, j, k)
-                         + ent(a_diag_or_mat, j, k) * ent(b_diag_or_mat, i, l)
-                         - ent(a_diag_or_mat, i, k) * ent(b_diag_or_mat, j, l)
-                         - ent(a_diag_or_mat, j, l) * ent(b_diag_or_mat, i, k))
-                    if v:
-                        out[(i, j, k, l)] = v
+    for (x, y), v in a.items():
+        accumulate(out, {(x, t, t, y): bt for t, bt in enumerate(b)}, v)
+        accumulate(out, {(t, x, y, t): bt for t, bt in enumerate(b)}, v)
+        accumulate(out, {(x, t, y, t): bt for t, bt in enumerate(b)}, -v)
+        accumulate(out, {(t, x, t, y): bt for t, bt in enumerate(b)}, -v)
     return out
 
 
@@ -159,11 +156,14 @@ def curvature(data: GroupData, with_nabla: bool = True) -> CurvatureData:
                 raise AssertionError("Ricci tensor not symmetric")
     scalar = sum((ricci[j][j] / G[j] for j in range(dm)), Fraction(0))
 
-    d = dm
-    schouten = [[(ricci[i][j] - (scalar / (2 * (d - 1))) * (G[i] if i == j else 0))
-                 / (d - 2) for j in range(d)] for i in range(d)]
+    shift = scalar / (2 * (dm - 1))
+    schouten = {}
+    for i in range(dm):
+        for j in range(dm):
+            if v := (ricci[i][j] - (shift * G[i] if i == j else 0)) / (dm - 2):
+                schouten[(i, j)] = v
     weyl = dict(r4)
-    accumulate(weyl, _kn_product(schouten, G, dm), -1)
+    accumulate(weyl, _kn_product(schouten, G), -1)
     # Weyl is totally trace-free; this pins the decomposition coefficients
     for j in range(dm):
         for k in range(dm):
@@ -241,28 +241,30 @@ def classify(cur: CurvatureData, groups: list[list[int]] | None = None) -> Riema
             break
     conf_flat = not cur.weyl
     loc_sym = not cur.nabla_r
+    # R4 = (k/2) g*g on the index tuples accepted by inside; both sides
+    # vanish off the union of their supports
+    template = _kn_product({(i, i): g for i, g in enumerate(G)}, G)
+    support = set(cur.r4) | set(template)
+
+    def constant(k: Fraction, inside=lambda key: True) -> bool:
+        return all(cur.r4.get(key, 0) == (k / 2) * template.get(key, 0)
+                   for key in support if inside(key))
+
     k0 = sectional(cur, 0, 1)
-    const_k: Fraction | None = k0
-    template = _kn_product(G, G, dm)
-    for key in set(cur.r4) | set(template):
-        if cur.r4.get(key, 0) != (k0 / 2) * template.get(key, 0):
-            const_k = None
-            break
+    const_k = k0 if constant(k0) else None
     ricci_flat = all(not cur.ricci[i][j] for i in range(dm) for j in range(dm))
 
     if groups is None:
         groups = [[i] for i in range(dm)]
     blocks = []
     for block in _block_partition(cur, groups):
-        flat = all(not cur.r4.get((i, j, k, l), 0)
-                   for i in block for j in block for k in block for l in block)
+        inside = set(block).issuperset
+        flat = not any(inside(key) for key in cur.r4)
         entry = {"indices": block, "size": len(block), "flat": flat,
                  "constant_sectional": None}
         if not flat and len(block) >= 2:
             kb = sectional(cur, block[0], block[1])
-            ok = all(cur.r4.get((i, j, k, l), 0) == (kb / 2) * template.get((i, j, k, l), 0)
-                     for i in block for j in block for k in block for l in block)
-            entry["constant_sectional"] = kb if ok else None
+            entry["constant_sectional"] = kb if constant(kb, inside) else None
         blocks.append(entry)
     return RiemannClass(einstein, conf_flat, loc_sym, const_k, ricci_flat, blocks)
 

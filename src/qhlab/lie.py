@@ -403,17 +403,21 @@ def equivariant_hom(repA: Representation, repB: Representation,
     """Exact basis of {T : rho_B(g) T = T rho_A(g) for all g}, flat-indexed.
 
     The result is re-verified after the solve by direct application of the
-    defining identity, independently of the elimination path.
+    defining identity to each T as an operator, independently of the
+    elimination path and without rebuilding the constraint operators.
     """
     if repA.algebra is not repB.algebra:
         raise ValueError("representations of different algebras")
     gens = order if order is not None else list(range(repA.algebra.dim))
+    dimB = repB.dim
     makers = [(lambda g=g: hom_constraint_op(repA, repB, g)) for g in gens]
-    K = common_kernel(makers, repA.dim * repB.dim)
-    for g in range(repA.algebra.dim):
-        op = hom_constraint_op(repA, repB, g)
-        for T in K:
-            if op_apply(op, T):
+    K = common_kernel(makers, repA.dim * dimB)
+    for T in K:
+        op_T: ColMat = {}
+        for t, v in T.items():
+            op_T.setdefault(t // dimB, {})[t % dimB] = v
+        for a, b in zip(repA.mats, repB.mats):
+            if not op_is_zero(op_sub(op_compose(b, op_T), op_compose(op_T, a))):
                 raise AssertionError("equivariant_hom produced a non-equivariant map")
     return K
 

@@ -85,7 +85,8 @@ def _sp_block_brackets(p: int, q: int, offset: int) -> dict[tuple[int, int], Spa
     return out
 
 
-def _sp_pair_rep(n: int, m: int) -> tuple[LieAlgebra, Representation, list[int]]:
+@cache
+def _sp_pair_rep(n: int, m: int) -> tuple[LieAlgebra, Representation, tuple[int, ...]]:
     """sp(1) + sp(m) acting on H^n, its last m slots carrying sp(m).
 
     sp(1) acts by q -> -q a on every slot and, for m = n - 1, also by
@@ -94,6 +95,9 @@ def _sp_pair_rep(n: int, m: int) -> tuple[LieAlgebra, Representation, list[int]]
     torus-like generators first (A_i and the diagonal i E_ss of sp(m)); their
     constraint operators decompose into tiny blocks, which keeps the exact
     kernel engine fast.
+
+    Built and Jacobi-checked once per (n, m): every caller shares the
+    returned algebra and matrices and must not modify them.
     """
     off = n - m
     dim = 3 + m * (2 * m + 1)
@@ -125,18 +129,18 @@ def _sp_pair_rep(n: int, m: int) -> tuple[LieAlgebra, Representation, list[int]]
         mats.append(col)
     rho = Representation(alg, 4 * n, mats, check=True)
     torus = [0] + [3 + 3 * s for s in range(m)]
-    order = torus + [g for g in range(dim) if g not in torus]
+    order = tuple(torus + [g for g in range(dim) if g not in torus])
     return alg, rho, order
 
 
-def isotropy_rep(n: int) -> tuple[LieAlgebra, Representation, list[int]]:
+def isotropy_rep(n: int) -> tuple[LieAlgebra, Representation, tuple[int, ...]]:
     """The algebra h = sp(1) + sp(n-1), its action on m, and a solver order."""
     if n < 2:
         raise ValueError("n >= 2 required")
     return _sp_pair_rep(n, n - 1)
 
 
-def ambient_rep(n: int) -> tuple[LieAlgebra, Representation, list[int]]:
+def ambient_rep(n: int) -> tuple[LieAlgebra, Representation, tuple[int, ...]]:
     """k = sp(1) + sp(n) acting on H^n: q -> -q a and q -> X q."""
     return _sp_pair_rep(n, n)
 
@@ -513,15 +517,19 @@ class HomogeneousModel:
         return len(self.m_indices)
 
     def with_metric(self, c1, c2) -> "HomogeneousModel":
+        """The same verified skeleton with the metric g_{c1,c2} (rational or
+        Poly), which is certified Hermitian and isotropy invariant."""
         clone = HomogeneousModel(self.name, self.spec, self.n, self.g, self.h_alg,
                                  self.rho, self.h_indices, self.m_indices,
                                  self.bracket_m, self.bracket_h, self.triple,
                                  metric_diag(self.n, c1, c2), dict(self.extras))
+        verify_metric(clone)
         return clone
 
 
 def verify_model(model: HomogeneousModel) -> None:
-    """Exact checks of the structural invariants; raises on any failure."""
+    """Exact checks of the metric-free structural invariants (triple algebra,
+    isotropy invariance of the triple span, Jacobi); raises on any failure."""
     dm = model.dim_m
     I, J, K = model.triple
     minus_id: ColMat = {c: {c: Fraction(-1)} for c in range(dm)}
@@ -530,19 +538,24 @@ def verify_model(model: HomogeneousModel) -> None:
             raise AssertionError("triple element does not square to -Id")
     if not op_is_zero(op_sub(op_compose(I, J), K)):
         raise AssertionError("I J != K")
-    G = model.metric
-    if not all(op_is_skew(A, G) for A in (I, J, K)):
-        raise AssertionError("metric is not Hermitian for the triple")
     triple_span = Echelon(_flatten_op(A, dm) for A in (I, J, K))
     for mat in model.rho.mats:
-        if not op_is_skew(mat, G):
-            raise AssertionError("metric is not isotropy invariant")
         for A in (I, J, K):
             comm = op_sub(op_compose(mat, A), op_compose(A, mat))
             if triple_span.reduce(_flatten_op(comm, dm)):
                 raise AssertionError("triple span is not isotropy invariant")
     if not model.g.verified:
         raise AssertionError("ambient algebra not Jacobi-verified")
+
+
+def verify_metric(model: HomogeneousModel) -> None:
+    """Exact checks that the model's metric is Hermitian for the triple and
+    isotropy invariant; raises on any failure."""
+    G = model.metric
+    if not all(op_is_skew(A, G) for A in model.triple):
+        raise AssertionError("metric is not Hermitian for the triple")
+    if not all(op_is_skew(mat, G) for mat in model.rho.mats):
+        raise AssertionError("metric is not isotropy invariant")
 
 
 def _flatten_op(op: ColMat, dim: int) -> SparseVec:
@@ -566,6 +579,7 @@ def _assemble(spec: ModelSpec, h: LieAlgebra, rho: Representation,
                              list(range(dh, dh + dm)), b_m, b_h, triple, metric,
                              extras or {})
     verify_model(model)
+    verify_metric(model)
     return model
 
 
@@ -706,6 +720,7 @@ def _build_reductive_model(spec: ModelSpec) -> HomogeneousModel:
         spec.kind, spec, n, g_new, h_sub, rho, h_idx, m_idx, b_m, b_h,
         quaternionic_triple(n), metric_diag(n, spec.c1, spec.c2))
     verify_model(model)
+    verify_metric(model)
     return model
 
 

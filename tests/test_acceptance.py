@@ -284,26 +284,17 @@ def test_criterion_07_companion_fixed_basis_divergence():
 
 
 def test_criterion_08_riemannian_classification():
-    from qhlab.cli import _GRID, _SPECIAL, _prop12_expected
+    # the `reproduce prop12 --n 3` sweep: 12 models (H1+-, H2, H4 and
+    # H3/H5 at beta = -1, 0, 1, 2) over the grid and the special points, each
+    # compared with the embedded table through _prop12_expected
+    from qhlab.cli import _GRID, _SPECIAL, _reproduce_prop12
     t0 = time.monotonic()
-    cases = [("H1+", None), ("H1-", None), ("H2", None), ("H4", None)]
-    cases += [("H3", F(b)) for b in (-1, 0, 1, 2)]
-    cases += [("H5", F(b)) for b in (-1, 0, 1, 2)]
     points = _GRID + [p for p in _SPECIAL if p not in _GRID]
-    failures = []
-    for kind, beta in cases:
-        for c1, c2 in points:
-            model = _model(kind, 3, c1, c2, beta)
-            cls = G.classify(G.curvature(G.GroupData.from_model(model)),
-                             G.model_groups(3))
-            want = _prop12_expected(kind, beta, c1, c2)
-            got = (cls.einstein is not None, cls.conformally_flat,
-                   cls.locally_symmetric)
-            if got != want:
-                failures.append(f"{kind}^{beta} at ({c1},{c2}): {got} != {want}")
-    ok = not failures
+    checks = _reproduce_prop12(3)
+    failures = [f"{name}: {detail}" for name, ok, detail in checks if not ok]
+    ok = len(checks) == 12 and not failures
     assert _announce("8 (Einstein/CF/symmetric loci over grid + special points)",
-                     ok, f"{len(cases)} models x {len(points)} points in "
+                     ok, f"{len(checks)} models x {len(points)} points in "
                          f"{time.monotonic() - t0:.1f}s"), failures
 
 

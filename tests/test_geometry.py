@@ -1,10 +1,14 @@
 import random
 from fractions import Fraction
 
-from qhlab.geometry import (GroupData, classify, curvature,
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qhlab.geometry import (GroupData, _kn_product, classify, curvature,
                             hyperbolic_group_data, model_groups,
                             nabla_g_is_zero, nomizu, sectional)
-from qhlab.models import ModelSpec, build_model, horizontal_brackets
+from qhlab.models import H_KINDS, ModelSpec, build_model, horizontal_brackets
 
 rng = random.Random(77)
 
@@ -161,3 +165,68 @@ def test_divergence_free_at_einstein_point():
             key = (i, j, k)
             div[key] = div.get(key, 0) + v / cur.data.metric[m]
     assert all(not x for x in div.values())
+
+
+def _kn_dense(a, b):
+    """Textbook Kulkarni-Nomizu-type product of two dense symmetric matrices:
+    (a*b)_{ijkl} = a_il b_jk + a_jk b_il - a_ik b_jl - a_jl b_ik."""
+    dm = len(a)
+    out = {}
+    for i in range(dm):
+        for j in range(dm):
+            for k in range(dm):
+                for l in range(dm):
+                    v = (a[i][l] * b[j][k] + a[j][k] * b[i][l]
+                         - a[i][k] * b[j][l] - a[j][l] * b[i][k])
+                    if v:
+                        out[(i, j, k, l)] = v
+    return out
+
+
+_entry = st.fractions(min_value=-4, max_value=4, max_denominator=4)
+
+
+@st.composite
+def _symmetric_and_diagonal(draw):
+    dm = draw(st.integers(1, 8))
+    diagonal_only = draw(st.booleans())
+    a = [[Fraction(0)] * dm for _ in range(dm)]
+    for i in range(dm):
+        for j in range(i if diagonal_only else 0, i + 1):
+            a[i][j] = a[j][i] = draw(_entry)
+    b = [draw(st.fractions(min_value=Fraction(1, 4), max_value=4, max_denominator=4))
+         for _ in range(dm)]
+    return a, b
+
+
+@given(_symmetric_and_diagonal())
+@settings(max_examples=60, deadline=None)
+def test_sparse_kn_product_matches_the_dense_formula(ab):
+    a, b = ab
+    dm = len(b)
+    sparse_a = {(i, j): a[i][j] for i in range(dm) for j in range(dm) if a[i][j]}
+    diag_b = [[b[i] if i == j else Fraction(0) for j in range(dm)] for i in range(dm)]
+    assert _kn_product(sparse_a, b) == _kn_dense(a, diag_b)
+
+
+def test_with_metric_equals_a_fresh_build():
+    # the metric-free skeleton swept by with_metric gives exactly the
+    # curvature and classification of a model built at that point
+    for kind in H_KINDS:
+        beta = F(1, 2) if kind in ("H3", "H5") else None
+        skeleton = _model(kind, 2, beta=beta)
+        for c1, c2 in ((F(2), F(1)), (F(1, 2), F(3)), (F(1), F(1))):
+            fresh = curvature(GroupData.from_model(_model(kind, 2, c1, c2, beta)))
+            swept = curvature(GroupData.from_model(skeleton.with_metric(c1, c2)))
+            for field in ("r4", "ricci", "scalar", "weyl", "nabla_r"):
+                assert getattr(swept, field) == getattr(fresh, field), (kind, field)
+            assert classify(swept, model_groups(2)) == classify(fresh, model_groups(2))
+
+
+def test_with_metric_certifies_the_metric():
+    # sp(2) of the maximal model mixes the two slots, so only c1 = c2 is
+    # isotropy invariant there
+    flat = _model("FlatMax", 2)
+    assert flat.with_metric(F(3), F(3)).metric == [F(3)] * 8
+    with pytest.raises(AssertionError, match="metric is not isotropy invariant"):
+        flat.with_metric(F(1), F(2))

@@ -225,3 +225,26 @@ def test_common_kernel_order_independence():
     assert sa.rank == sb.rank == 5
     for v in a:
         assert not sb.reduce(v)
+
+
+def test_equivariant_hom_builds_each_constraint_operator_once(monkeypatch):
+    import qhlab.lie as lie
+    calls = []
+    real = lie.hom_constraint_op
+
+    def counting(repA, repB, g):
+        calls.append(g)
+        return real(repA, repB, g)
+
+    monkeypatch.setattr(lie, "hom_constraint_op", counting)
+    h, rho, _ = isotropy_rep(2)
+    assert len(equivariant_hom(rho.exterior_power(2), rho)) == 5
+    assert sorted(calls) == list(range(h.dim))
+
+
+def test_equivariant_hom_certificate_rejects_a_wrong_kernel(monkeypatch):
+    import qhlab.lie as lie
+    _, rho, _ = isotropy_rep(2)
+    monkeypatch.setattr(lie, "common_kernel", lambda makers, dim: [{1: Fraction(1)}])
+    with pytest.raises(AssertionError, match="non-equivariant"):
+        equivariant_hom(rho.exterior_power(2), rho)

@@ -4,10 +4,10 @@ from fractions import Fraction
 import pytest
 
 from qhlab.lie import is_equivariant, op_compose, op_is_zero, op_sub
-from qhlab.models import (ModelSpec, ambient_triple, apply_scaling,
-                          build_model, dims, horizontal_brackets, in_families,
-                          isotropy_rep, jacobi_equations,
-                          maxmodel_jacobi_holds, normalize,
+from qhlab.models import (MODEL_KINDS, ModelSpec, ambient_rep, ambient_triple,
+                          apply_scaling, bracket_space_dims, build_model, dims,
+                          horizontal_brackets, in_families, isotropy_rep,
+                          jacobi_equations, maxmodel_jacobi_holds, normalize,
                           quaternionic_triple, rotated_triple, symbolic_model,
                           twisted_theta, vertical_brackets,
                           violated_equations, xi_operator)
@@ -299,3 +299,33 @@ def test_symbolic_model_builds():
     assert m.g.verified
     val = m.metric[0]
     assert hasattr(val, "terms")  # symbolic scalar
+
+
+def _cached_state(n):
+    # a deep copy of everything the shared sp(1) + sp(m) caches hand out
+    import copy
+    return [(alg.verified, copy.deepcopy(alg.brackets), copy.deepcopy(rho.mats), order)
+            for alg, rho, order in (isotropy_rep(n), ambient_rep(n))]
+
+
+def test_sp_pair_reps_are_built_once_and_shared():
+    for n in (2, 3):
+        assert isotropy_rep(n) is isotropy_rep(n)
+        assert ambient_rep(n) is ambient_rep(n)
+        assert isinstance(isotropy_rep(n)[2], tuple)
+        assert isinstance(ambient_rep(n)[2], tuple)
+
+
+def test_model_builders_leave_the_shared_caches_unchanged():
+    before = _cached_state(2)
+    for kind in MODEL_KINDS:
+        beta = Fraction(1, 2) if kind in ("H3", "H5") else None
+        c = Fraction(1) if kind == "MaxCurved" else None
+        model = build_model(ModelSpec(kind, 2, beta=beta, c=c))
+        model.with_metric(Fraction(1), Fraction(1))
+    symbolic_model("H5", 2)
+    bracket_space_dims(2)
+    assert maxmodel_jacobi_holds(2, Fraction(-3), Fraction(-3, 2))
+    assert not maxmodel_jacobi_holds(2, Fraction(5, 2), Fraction(7, 4))
+    assert not maxmodel_jacobi_holds(2, Fraction(0), Fraction(1, 3))
+    assert _cached_state(2) == before
