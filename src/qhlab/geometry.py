@@ -13,8 +13,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .lie import BilinearMap, ColMat, op_apply, op_is_skew, op_transpose
-from .linalg import SparseVec, accumulate, connected_components, sv_add_scaled
+from .lie import BilinearMap, ColMat, derivation, op_apply, op_is_skew, op_transpose
+from .linalg import accumulate, connected_components, sv_add_scaled
 
 R4 = dict[tuple[int, int, int, int], Fraction]
 
@@ -44,25 +44,22 @@ def nomizu(data: GroupData) -> list[ColMat]:
 
     Defined by 2 g(L(x)y, z) = g([x,y],z) - g([y,z],x) + g([z,x],y); the
     returned operators are checked to be g-skew and torsion-free.
+
+    Only the nonzero bracket entries contribute: b = [e_p, e_q]_r, read in
+    both orders (p, q, b) and (q, p, -b), enters exactly three Koszul terms,
+    L(p)q on e_r, L(r)p on e_q and L(q)r on e_p.
     """
     dm, G, b = data.dim, data.metric, data.bracket_m
     if any(gx <= 0 for gx in G):
         raise ValueError("metric must be positive definite")
-    lam: list[ColMat] = []
-    for i in range(dm):
-        col: ColMat = {}
-        for j in range(dm):
-            vec: SparseVec = {}
-            bij = b.pair(i, j)
-            for k in range(dm):
-                num = G[k] * bij.get(k, 0)
-                num -= G[i] * b.pair(j, k).get(i, 0)
-                num += G[j] * b.pair(k, i).get(j, 0)
-                if num:
-                    vec[k] = num / (2 * G[k])
-            if vec:
-                col[j] = vec
-        lam.append(col)
+    lam: list[ColMat] = [{} for _ in range(dm)]
+    for (p0, q0), vec in b.coeffs.items():
+        for r, c in vec.items():
+            for p, q, half in ((p0, q0, c / 2), (q0, p0, -c / 2)):
+                accumulate(lam[p].setdefault(q, {}), {r: half})
+                accumulate(lam[r].setdefault(p, {}), {q: -half * G[r] / G[q]})
+                accumulate(lam[q].setdefault(r, {}), {p: half * G[r] / G[p]})
+    lam = [{c: col for c, col in op.items() if col} for op in lam]
     for i in range(dm):
         if not op_is_skew(lam[i], G):
             raise AssertionError("Nomizu operator is not metric-skew")
@@ -102,7 +99,7 @@ def _kn_product(a: dict[tuple[int, int], Fraction], b: list[Fraction]) -> R4:
     return out
 
 
-def curvature(data: GroupData, with_nabla: bool = True) -> CurvatureData:
+def curvature(data: GroupData) -> CurvatureData:
     dm, G = data.dim, data.metric
     lam = nomizu(data)
     r_ops: dict[tuple[int, int], ColMat] = {}
@@ -175,25 +172,42 @@ def curvature(data: GroupData, with_nabla: bool = True) -> CurvatureData:
             if s != 0:
                 raise AssertionError("Weyl tensor is not trace-free")
 
+    # nabla R as a symmetric form on Lambda^2 m.  With R[P][Q] = R4(i,j,k,l)
+    # for P = (i,j), Q = (k,l), i < j, k < l, and A_m the derivation L(e_m)
+    # induces on Lambda^2 m, (nabla_m R)(y1..y4) = -sum_t R(.., L(e_m) y_t, ..)
+    # reads (nabla_m R)[P][Q] = -(B[P][Q] + B[Q][P]) with B = A_m^T R.  As R is
+    # symmetric, column Q of B is A_m^T (the derivation of L(e_m)^T) applied
+    # to row Q of R.
+    rows: dict[tuple[int, int], dict[tuple[int, int], Fraction]] = {}
+    for (i, j, k, l), v in r4.items():
+        if i < j and k < l:
+            rows.setdefault((i, j), {})[(k, l)] = v
     nabla: dict[tuple[int, int, int, int, int], Fraction] = {}
-    if with_nabla:
-        # (nabla_m R)(y1..y4) = -sum_t R(.., L(e_m) y_t, ..); distributing each
-        # nonzero R4 entry needs L(e_m) row-major: source slot s feeds targets a
-        # with coefficient L_m[a][s].
-        rows_t = [op_transpose(lam[m]) for m in range(dm)]
-        feeds = {s: [(m, a, c) for m in range(dm) for a, c in rows_t[m].get(s, {}).items()]
-                 for s in range(dm)}
-        for idx, v in r4.items():
-            for slot in range(4):
-                head, tail = idx[:slot], idx[slot + 1:]
-                accumulate(nabla, {(m,) + head + (a,) + tail: c
-                                   for m, a, c in feeds[idx[slot]]}, -v)
+    for m in range(dm):
+        lam_t = op_transpose(lam[m])
+        bmat = {(p, q): v for q, row in rows.items()
+                for p, v in derivation(row, lam_t).items()}
+        for (P, Q), v in bmat.items():
+            u = bmat.get((Q, P))
+            if u is not None:
+                if P > Q:
+                    continue  # written with (Q, P)
+                v += u  # on the diagonal u is v
+            if not v:
+                continue
+            (i, j), (k, l), w = P, Q, -v
+            for a, b, c, d, t in ((i, j, k, l, w), (j, i, k, l, v),
+                                  (i, j, l, k, v), (j, i, l, k, w)):
+                nabla[(m, a, b, c, d)] = nabla[(m, c, d, a, b)] = t
+    # second Bianchi identity: the cyclic sum over the first three slots
+    # vanishes; it is alternating in them, so one sorted triple m < i < j per
+    # value pair k < l that the support reaches is checked
+    for (m, i, j), (k, l) in {(tuple(sorted(key[:3])), key[3:]) for key in nabla
+                              if key[3] < key[4] and len(set(key[:3])) == 3}:
+        if (nabla.get((m, i, j, k, l), 0) + nabla.get((i, j, m, k, l), 0)
+                + nabla.get((j, m, i, k, l), 0)):
+            raise AssertionError("nabla R fails the second Bianchi identity")
     return CurvatureData(data, lam, r4, ricci, scalar, weyl, nabla)
-
-
-def nabla_g_is_zero(data: GroupData, lam: list[ColMat]) -> bool:
-    """Self-test: the invariant-tensor derivative of the metric vanishes."""
-    return all(op_is_skew(op, data.metric) for op in lam)
 
 
 def sectional(cur: CurvatureData, i: int, j: int) -> Fraction:
@@ -272,12 +286,3 @@ def classify(cur: CurvatureData, groups: list[list[int]] | None = None) -> Riema
 def model_groups(n: int) -> list[list[int]]:
     """The fixed basis split R / Im(H) / H^{n-1} used for product detection."""
     return [[0], [1, 2, 3], list(range(4, 4 * n))]
-
-
-def hyperbolic_group_data(dim: int, eta: Fraction, g0: Fraction,
-                          gn: Fraction) -> GroupData:
-    """R acting on an abelian R^{dim-1} by the scalar eta, with product metric."""
-    coeffs = {(0, a): {a: Fraction(eta)} for a in range(1, dim)}
-    b = BilinearMap(dim, dim, coeffs)
-    metric = [g0] + [gn] * (dim - 1)
-    return GroupData(dim, b, None, None, metric)

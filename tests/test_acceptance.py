@@ -17,6 +17,7 @@ import pytest
 from qhlab import forms as FO
 from qhlab import geometry as G
 from qhlab import models as M
+from qhlab.lie import op_is_skew
 from qhlab.poly import Poly, proportionality
 from qhlab.quaternion import Quaternion
 
@@ -398,8 +399,9 @@ def test_criterion_10_structural_self_tests():
         dom = FO.ce_differential(model, omega, d1)
         ok = ok and FO.ce_differential(model, dom, d1).is_zero()
         data = G.GroupData.from_model(model)
-        cur = G.curvature(data, with_nabla=False)  # symmetry asserts inside
-        ok = ok and G.nabla_g_is_zero(data, cur.lam)
+        cur = G.curvature(data)  # symmetry asserts inside
+        # nabla g = 0: every Nomizu operator is metric-skew
+        ok = ok and all(op_is_skew(op, data.metric) for op in cur.lam)
     model = _model("H3", 3, 2, 1, beta=2)
     _, _, _, omega = FO.fundamental_forms(model)
     rotations = 0
