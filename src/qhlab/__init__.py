@@ -7,13 +7,12 @@ from .forms import (ClassReport, FirstOrderReport, GenuineLoci, IsotypicPair,
                     table4_row)
 from .geometry import GroupData, RiemannClass, classify, curvature, nomizu
 from .lie import (BilinearMap, LieAlgebra, Representation, equivariant_hom,
-                  invariant_vectors, semidirect)
+                  semidirect)
 from .models import (HomogeneousModel, ModelSpec, NormalForm, build_model,
                      dims, in_families, jacobi_equations, normalize,
                      symbolic_model)
 from .poly import Poly, proportionality
-from .quaternion import (QMatrix, Quaternion, hermitian_metric, rat, realify,
-                         sp_basis)
+from .quaternion import QMatrix, Quaternion, rat, sp_basis
 
 __all__ = [
     "BilinearMap", "ClassReport", "FirstOrderReport", "GenuineLoci",
@@ -21,10 +20,9 @@ __all__ = [
     "ModelSpec", "NormalForm", "Poly", "QMatrix", "Quaternion",
     "Representation", "RiemannClass", "build_model", "classify", "curvature",
     "dims", "eh_coefficients", "equivariant_hom", "first_order_tests",
-    "fundamental_forms", "genuine_loci", "hermitian_metric", "in_families",
-    "invariant_vectors", "isotypic_split", "jacobi_equations", "nomizu",
-    "normalize", "proportionality", "rat", "realify", "semidirect",
-    "sp_basis", "symbolic_model", "table4_row",
+    "fundamental_forms", "genuine_loci", "in_families", "isotypic_split",
+    "jacobi_equations", "nomizu", "normalize", "proportionality", "rat",
+    "semidirect", "sp_basis", "symbolic_model", "table4_row",
 ]
 
 __version__ = "0.1.0"

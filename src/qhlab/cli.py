@@ -184,7 +184,7 @@ def _reproduce_table4(n: int) -> list[tuple[str, bool, str]]:
     checks.append((f"theta calibration on H4 matches nominal targets (n={n})",
                    cal.kh_matches_nominal and cal.eh_matches_nominal,
                    f"targets used: f_KH ~ {cal.target_kh}, f_EH ~ {cal.target_eh}"))
-    for kind in ("H1+", "H1-", "H2", "H3", "H4", "H5", "QHP", "QHH"):
+    for kind in M.H_KINDS + ("QHP", "QHH"):
         row = F.table4_row(kind, n)
         exp_eh = Poly.parse(data["rows"][kind]["f_EH"])
         exp_kh = Poly.parse(data["rows"][kind]["f_KH"])
@@ -354,12 +354,11 @@ def cmd_model_report(ns) -> tuple[dict, int]:
     else:
         checks.append(("model dimension = d_n", model.g.dim == dims["d"],
                        f"dim g = {model.g.dim}, d_n = {dims['d']}"))
-    if spec.kind in M.TABLE3_PARAMS:
+    if spec.kind in M.H_KINDS:
         params = M.table3_tuple(spec.kind, spec.beta)
         entry["family"] = sorted(M.in_families(params))
         entry["canonical"] = {"name": spec.kind,
                               "tuple": [format_rat(x) for x in params]}
-    if spec.kind in ("H1+", "H1-", "H2", "H3", "H4", "H5"):
         riem = []
         for c1, c2 in grid:
             cur = G.curvature(G.GroupData.from_model(model.with_metric(c1, c2)))
@@ -378,7 +377,7 @@ def cmd_model_report(ns) -> tuple[dict, int]:
                            for b in cls.product_blocks],
             })
         entry["riemannian"] = riem
-    if spec.n >= 3 and spec.kind in ("H1+", "H1-", "H2", "H3", "H4", "H5", "QHP", "QHH"):
+    if spec.n >= 3 and spec.kind in M.H_KINDS + ("QHP", "QHH"):
         symbolic = M.symbolic_model(spec.kind, spec.n)
         row = F.eh_coefficients(symbolic)
         entry["f_EH"] = _poly_json(row.f_eh)

@@ -15,7 +15,7 @@ from itertools import combinations
 
 from .lie import (ColMat, casimir, common_kernel, derivation, derivation_op,
                   op_is_skew, sort_sign, trace_form)
-from .linalg import Echelon, SparseVec, accumulate, nullspace
+from .linalg import Echelon, accumulate, nullspace
 from .poly import Poly, proportionality
 from .models import HomogeneousModel, ambient_rep, isotropy_rep
 
@@ -75,15 +75,6 @@ def wedge(a: KForm, b: KForm) -> KForm:
     return KForm(a.n4, a.k + b.k, out)
 
 
-def interior_vector(form: KForm, vec: SparseVec) -> KForm:
-    """Contraction with a vector in the first slot."""
-    out: dict = {}
-    for S, c in form.terms.items():
-        accumulate(out, {S[:pos] + S[pos + 1:]: -x if pos % 2 else x
-                         for pos, s in enumerate(S) if (x := vec.get(s))}, c)
-    return KForm(form.n4, form.k - 1, out)
-
-
 def pullback_all_slots(form: KForm, op: ColMat) -> KForm:
     """(A* alpha)(X_1..X_k) = alpha(A X_1, ..., A X_k): e_S goes to the wedge
     of the images of its slots."""
@@ -112,7 +103,7 @@ def dual_action(form: KForm, op: ColMat) -> KForm:
 
 def one_form_differentials(model: HomogeneousModel) -> list[KForm]:
     """d(e^s) = -sum_{i<j} c_{ij}^s e^i ^ e^j from the m-part of the bracket."""
-    dm = model.dim_m
+    dm = model.rho.dim
     terms: list[dict] = [{} for _ in range(dm)]
     for (i, j), col in model.bracket_m.coeffs.items():
         for s, c in col.items():
@@ -130,7 +121,7 @@ def ce_differential(model: HomogeneousModel, form: KForm,
     """
     if d1 is None:
         d1 = one_form_differentials(model)
-    dm = model.dim_m
+    dm = model.rho.dim
     out = KForm(dm, form.k + 1)
     for S, c in form.terms.items():
         for pos in range(len(S)):
@@ -143,7 +134,7 @@ def ce_differential(model: HomogeneousModel, form: KForm,
 
 def fundamental_forms(model: HomogeneousModel) -> tuple[KForm, KForm, KForm, KForm]:
     """(omega_I, omega_J, omega_K, Omega) for the model's triple and metric."""
-    dm = model.dim_m
+    dm = model.rho.dim
     G = model.metric
     omegas = []
     for A in model.triple:
@@ -190,22 +181,6 @@ def hodge_star(form: KForm, metric: list[Fraction]) -> KForm:
             scale /= metric[i]
         out[comp] = scale * c
     return KForm(n4, n4 - form.k, out)
-
-
-def form_inner(a: KForm, b: KForm, metric: list[Fraction]):
-    """<.,.>_g with orthonormal-frame normalization on the diagonal metric."""
-    if a.k != b.k or a.n4 != b.n4:
-        raise ValueError("mismatched forms")
-    total = Fraction(0)
-    for S, c in a.terms.items():
-        d = b.terms.get(S)
-        if not d:
-            continue
-        scale = Fraction(1)
-        for i in S:
-            scale /= metric[i]
-        total += scale * c * d
-    return total
 
 
 def codifferential(model: HomogeneousModel, form: KForm,
@@ -263,12 +238,10 @@ def invariant_five_forms(n: int) -> tuple[KForm, ...]:
 
 @dataclass(frozen=True)
 class IsotypicPair:
-    n: int
     theta_eh: KForm
     theta_kh: KForm
     casimir_eigs: tuple[Fraction, Fraction]  # (EH, KH)
     lambda_one_form: Fraction                # Casimir scalar on Lambda^1 m*
-    normalization: tuple[Fraction, Fraction]
     plane: tuple[KForm, KForm]               # the invariant_five_forms basis split here
 
 
@@ -327,8 +300,7 @@ def isotypic_split(n: int) -> IsotypicPair:
         eigs = (eig2, eig1)
     else:
         raise AssertionError("no Casimir eigenvalue matches the 1-form scalar")
-    return IsotypicPair(n, theta_eh, theta_kh, eigs, lam1,
-                        (Fraction(1), Fraction(1)), (v1, v2))
+    return IsotypicPair(theta_eh, theta_kh, eigs, lam1, (v1, v2))
 
 
 # --------------------------------------------------------------------------
@@ -398,24 +370,8 @@ def _calibration_scales(n: int) -> Calibration:
 class ClassReport:
     """Class coefficients of a model: dOmega = f_KH theta_EH + f_EH theta_KH."""
 
-    model: str
-    n: int
     f_eh: Poly
     f_kh: Poly
-
-    def class_at(self, c1, c2, beta=None) -> str:
-        point = {"c1": Fraction(c1), "c2": Fraction(c2)}
-        if beta is not None:
-            point["beta2"] = Fraction(beta)
-        feh = self.f_eh.eval(point)
-        fkh = self.f_kh.eval(point)
-        if feh == 0 and fkh == 0:
-            return "QK"
-        if feh == 0:
-            return "EH"
-        if fkh == 0:
-            return "KH"
-        return "KEH"
 
 
 def eh_coefficients(model: HomogeneousModel) -> ClassReport:
@@ -429,7 +385,7 @@ def eh_coefficients(model: HomogeneousModel) -> ClassReport:
     x, y, _ = _split_domega(model, pair)
     f_kh = Poly.coerce(x) * (1 / cal.s_eh)
     f_eh = Poly.coerce(y) * (1 / cal.s_kh)
-    return ClassReport(model.name, model.n, f_eh, f_kh)
+    return ClassReport(f_eh, f_kh)
 
 
 def table4_row(kind: str, n: int) -> ClassReport:
@@ -456,18 +412,12 @@ def solve_wedge_omega(target: KForm, omega: KForm) -> KForm | None:
 
 @dataclass
 class FirstOrderReport:
-    model: str
-    n: int
-    c1: Fraction
-    c2: Fraction
     d_omega_zero: bool            # QK condition
     lcqk: bool                    # dOmega = zeta ^ Omega solvable
     kh_identity: bool             # dOmega = (1/3) sum i_A(delta Omega) ^ omega_A
     xi_equal: bool                # xi_I = xi_J = xi_K
     qkt_identity: bool            # dOmega = T - xi ^ Omega solvable
-    xi_formula: KForm
-    xi_solved: KForm | None
-    xi_ratio: Fraction | None     # xi_solved = ratio * xi_formula when parallel
+    xi_ratio: Fraction | None     # solved xi = ratio * formula xi when parallel
 
     def satisfied_class(self) -> str:
         if self.d_omega_zero:
@@ -502,7 +452,7 @@ def first_order_tests(model: HomogeneousModel) -> FirstOrderReport:
     for A, omA in zip(model.triple, (omI, omJ, omK)):
         a_star = pullback_all_slots(delta_om, A)
         pair_forms.append(contract_pair(a_star, omA, metric))
-    xi = KForm(model.dim_m, 1)
+    xi = KForm(model.rho.dim, 1)
     for p in pair_forms:
         xi = xi.add(p)
     xi = xi.scale(Fraction(-1, 6 * (2 * n + 1)))
@@ -510,7 +460,7 @@ def first_order_tests(model: HomogeneousModel) -> FirstOrderReport:
             for p in pair_forms]
     xi_equal = xi_a[0] == xi_a[1] == xi_a[2]
 
-    torsion = KForm(model.dim_m, 5)
+    torsion = KForm(model.rho.dim, 5)
     for A, omA in zip(model.triple, (omI, omJ, omK)):
         torsion = torsion.add(wedge(endo_derivation(delta_om, A), omA))
     torsion = torsion.scale(Fraction(1, 3))
@@ -524,9 +474,8 @@ def first_order_tests(model: HomogeneousModel) -> FirstOrderReport:
         coords = Echelon([xi.terms]).coordinates(xi_solved.terms)
         if coords is not None:
             ratio = coords[0]
-    return FirstOrderReport(model.name, model.n, metric[0], metric[-1],
-                            d_omega_zero, zeta is not None, kh_identity,
-                            xi_equal, xi_solved is not None, xi, xi_solved, ratio)
+    return FirstOrderReport(d_omega_zero, zeta is not None, kh_identity,
+                            xi_equal, xi_solved is not None, ratio)
 
 
 # --------------------------------------------------------------------------
@@ -605,8 +554,6 @@ class GenuineLoci:
     torsion sits in the KH module, both = 0 at QK points.
     """
 
-    model: str
-    n: int
     p_eh: Poly
     p_kh: Poly
 
@@ -631,7 +578,7 @@ def genuine_loci(model: HomogeneousModel) -> GenuineLoci:
     if not (ex and ey):
         raise AssertionError("theta_EH is unexpectedly pure in this basis")
     p_kh = Poly.coerce(x * (ky * ex * wy) - y * (kx * ey * wx))
-    return GenuineLoci(model.name, n, _poly_primitive(p_eh), _poly_primitive(p_kh))
+    return GenuineLoci(_poly_primitive(p_eh), _poly_primitive(p_kh))
 
 
 def _poly_primitive(p: Poly) -> Poly:

@@ -35,7 +35,7 @@ class GroupData:
 
     @staticmethod
     def from_model(model) -> "GroupData":
-        return GroupData(model.dim_m, model.bracket_m, model.bracket_h,
+        return GroupData(model.rho.dim, model.bracket_m, model.bracket_h,
                          model.rho.mats, list(model.metric))
 
 
@@ -101,6 +101,9 @@ def _kn_product(a: dict[tuple[int, int], Fraction], b: list[Fraction]) -> R4:
 
 def curvature(data: GroupData) -> CurvatureData:
     dm, G = data.dim, data.metric
+    if dm < 3:
+        raise ValueError(f"curvature needs dim m >= 3, got {dm}: "
+                         "the Weyl split divides by dim m - 2")
     lam = nomizu(data)
     r_ops: dict[tuple[int, int], ColMat] = {}
     for i, j in combinations(range(dm), 2):

@@ -168,20 +168,6 @@ class BilinearMap:
             accumulate(out.setdefault(ij, {}), col)
         return BilinearMap(self.dim_in, self.dim_out, out)
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def flatten(self) -> SparseVec:
-        """Vector in the hom space Lambda^2(m)* x target used by the solvers."""
-        pairs = list(combinations(range(self.dim_in), 2))
-        pidx = {p: t for t, p in enumerate(pairs)}
-        out: SparseVec = {}
-        for ij, col in self.coeffs.items():
-            base = pidx[ij] * self.dim_out
-            for k, v in col.items():
-                out[base + k] = v
-        return out
-
     def jacobiator(self) -> dict[tuple[int, int, int], SparseVec]:
         """Cyclic sums [[x,y],z] + [[y,z],x] + [[z,x],y] on basis triples.
 
@@ -267,23 +253,10 @@ class Representation:
                 raise ValueError(f"not a representation at pair ({i},{j})")
         return True
 
-    def dual(self) -> "Representation":
-        """Contragredient action, rho*(g) = -rho(g)^T."""
-        mats = []
-        for g in range(self.algebra.dim):
-            rows = op_transpose(self.mats[g])
-            mats.append({c: {r: -x for r, x in col.items()}
-                         for c, col in rows.items()})
-        return Representation(self.algebra, self.dim, mats)
-
     def exterior_power(self, k: int) -> "Representation":
         index = {S: t for t, S in enumerate(combinations(range(self.dim), k))}
         return Representation(self.algebra, len(index),
                               [derivation_op(m, index) for m in self.mats])
-
-
-def trivial_rep(algebra: LieAlgebra, dim: int) -> Representation:
-    return Representation(algebra, dim, [{} for _ in range(algebra.dim)])
 
 
 def hom_constraint_op(repA: Representation, repB: Representation, g: int) -> ColMat:
@@ -351,14 +324,14 @@ def casimir(rep: Representation, gram: list[list[Fraction]]):
 def common_kernel(op_makers, dim: int) -> list[SparseVec]:
     """Exact basis of the common kernel of a family of sparse operators.
 
-    op_makers yields column-major operators (callables, so large operators
-    can be materialized one at a time and freed).  The running kernel basis
+    op_makers yields callables returning column-major operators, so large
+    operators can be materialized one at a time and freed.  The running kernel basis
     is intersected with each operator's kernel; ordering structured
     (torus-like) operators first keeps every elimination small.
     """
     K: list[SparseVec] | None = None
     for make in op_makers:
-        op = make() if callable(make) else make
+        op = make()
         if K is None:
             rows = op_transpose(op)
             row_list = [rows[r] for r in sorted(rows)]
@@ -383,18 +356,6 @@ def common_kernel(op_makers, dim: int) -> list[SparseVec]:
     if K is None:
         raise ValueError("no operators supplied")
     K.sort(key=lambda v: min(v))
-    return K
-
-
-def invariant_vectors(rep: Representation, order: list[int] | None = None) -> list[SparseVec]:
-    """Exact basis of the joint kernel of all rho(e_g)."""
-    gens = order if order is not None else list(range(rep.algebra.dim))
-    makers = [(lambda g=g: rep.mats[g]) for g in gens]
-    K = common_kernel(makers, rep.dim)
-    for g in range(rep.algebra.dim):
-        for v in K:
-            if op_apply(rep.mats[g], v):
-                raise AssertionError("invariant_vectors produced a non-invariant vector")
     return K
 
 
@@ -447,8 +408,7 @@ def is_equivariant(b: BilinearMap, rho: Representation,
 
 def semidirect(h: LieAlgebra, rho: Representation,
                b_m: BilinearMap | None = None,
-               b_h: BilinearMap | None = None,
-               check: bool = True) -> LieAlgebra:
+               b_h: BilinearMap | None = None) -> LieAlgebra:
     """Lie algebra h + m with [h,m] = rho(h)m and [m,m] = b_m + b_h.
 
     Raises when the candidate brackets are not equivariant or the assembled
@@ -459,12 +419,10 @@ def semidirect(h: LieAlgebra, rho: Representation,
         b_m = BilinearMap.zero(dm, dm)
     if b_h is None:
         b_h = BilinearMap.zero(dm, dh)
-    if check:
-        if not is_equivariant(b_m, rho, rho.mats):
-            raise ValueError("m-valued bracket is not equivariant")
-        ad = h.adjoint()
-        if not is_equivariant(b_h, rho, ad.mats):
-            raise ValueError("h-valued bracket is not equivariant")
+    if not is_equivariant(b_m, rho, rho.mats):
+        raise ValueError("m-valued bracket is not equivariant")
+    if not is_equivariant(b_h, rho, h.adjoint().mats):
+        raise ValueError("h-valued bracket is not equivariant")
     brackets: dict[tuple[int, int], SparseVec] = {}
     for (i, j), col in h.brackets.items():
         brackets[(i, j)] = dict(col)
@@ -477,6 +435,6 @@ def semidirect(h: LieAlgebra, rho: Representation,
     for (i, j), col in b_h.coeffs.items():
         accumulate(brackets.setdefault((dh + i, dh + j), {}), col)
     g_alg = LieAlgebra(dh + dm, brackets)
-    if check and not g_alg.verify_jacobi():
+    if not g_alg.verify_jacobi():
         raise ValueError("assembled algebra fails the Jacobi identity")
     return g_alg

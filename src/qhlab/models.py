@@ -16,7 +16,7 @@ matching the normal-form labels.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cache
 
@@ -29,8 +29,6 @@ from .quaternion import (IM_UNITS, UNITS, QMatrix, Quaternion, format_rat, rat,
                          sp_basis, sp_coordinates)
 
 HORIZONTAL_NAMES = ("Theta", "Psi1", "Psi2", "Upsilon1", "Upsilon2")
-VERTICAL_NAMES = ("ThetaV", "Psi1V", "Upsilon1V", "Xi")
-FAMILY_NAMES = ("F1", "F2", "F3", "F4")
 PARAM_NAMES = ("alpha", "beta1", "beta2", "gamma1", "gamma2")
 
 
@@ -250,39 +248,6 @@ def xi_operator(q1_slot: int, q1_unit: int, q2_slot: int, q2_unit: int,
     return QMatrix(ent)
 
 
-def vertical_brackets(n: int) -> dict[str, BilinearMap]:
-    """Basis ThetaV, Psi1V, Upsilon1V (sp(1)-valued) and Xi (sp(n-1)-valued)."""
-    dm = 4 * n
-    dh = 3 + (n - 1) * (2 * n - 1)
-    hz = horizontal_brackets(n)
-
-    def to_sp1(b: BilinearMap) -> BilinearMap:
-        # horizontal values lie in Im(H) = indices 1..3; reindex onto A_i..A_k
-        coeffs = {}
-        for ij, col in b.coeffs.items():
-            coeffs[ij] = {idx - 1: val for idx, val in col.items()}
-        return BilinearMap(dm, dh, coeffs)
-
-    xi: dict[tuple[int, int], SparseVec] = {}
-    for p in range(1, n):
-        for u in range(4):
-            for q in range(p, n):
-                for v in range(4):
-                    if q == p and v <= u:
-                        continue
-                    mat = xi_operator(p - 1, u, q - 1, v, n - 1)
-                    coords = sp_coordinates(mat, n - 1, 0)
-                    col = {3 + t: c for t, c in enumerate(coords) if c}
-                    if col:
-                        xi[(4 * p + u, 4 * q + v)] = col
-    return {
-        "ThetaV": to_sp1(hz["Theta"]),
-        "Psi1V": to_sp1(hz["Psi1"]),
-        "Upsilon1V": to_sp1(hz["Upsilon1"]),
-        "Xi": BilinearMap(dm, dh, xi),
-    }
-
-
 def bracket_from_params(n: int, alpha, beta1, beta2, gamma1, gamma2) -> BilinearMap:
     """B = alpha*Theta + beta1*Psi1 + beta2*Psi2 + gamma1*Upsilon1 + gamma2*Upsilon2."""
     hz = horizontal_brackets(n)
@@ -444,7 +409,7 @@ class ModelSpec:
     n: int
     c1: Fraction = Fraction(1)
     c2: Fraction = Fraction(1)
-    beta: Fraction | None = None
+    beta: Fraction | Poly | None = None  # a Poly beta2 gives the symbolic bracket
     c: Fraction | None = None  # MaxCurved bracket scale
 
     def __post_init__(self):
@@ -498,31 +463,19 @@ class ModelSpec:
 class HomogeneousModel:
     """A reductive pair with chosen complement, brackets, triple and metric."""
 
-    name: str
-    spec: ModelSpec
     n: int
     g: LieAlgebra
-    h_alg: LieAlgebra
     rho: Representation
-    h_indices: list[int]
-    m_indices: list[int]
     bracket_m: BilinearMap
     bracket_h: BilinearMap
     triple: tuple[ColMat, ColMat, ColMat]
     metric: list
     extras: dict = field(default_factory=dict)
 
-    @property
-    def dim_m(self) -> int:
-        return len(self.m_indices)
-
     def with_metric(self, c1, c2) -> "HomogeneousModel":
         """The same verified skeleton with the metric g_{c1,c2} (rational or
         Poly), which is certified Hermitian and isotropy invariant."""
-        clone = HomogeneousModel(self.name, self.spec, self.n, self.g, self.h_alg,
-                                 self.rho, self.h_indices, self.m_indices,
-                                 self.bracket_m, self.bracket_h, self.triple,
-                                 metric_diag(self.n, c1, c2), dict(self.extras))
+        clone = replace(self, metric=metric_diag(self.n, c1, c2))
         verify_metric(clone)
         return clone
 
@@ -530,7 +483,7 @@ class HomogeneousModel:
 def verify_model(model: HomogeneousModel) -> None:
     """Exact checks of the metric-free structural invariants (triple algebra,
     isotropy invariance of the triple span, Jacobi); raises on any failure."""
-    dm = model.dim_m
+    dm = model.rho.dim
     I, J, K = model.triple
     minus_id: ColMat = {c: {c: Fraction(-1)} for c in range(dm)}
     for A in (I, J, K):
@@ -566,37 +519,39 @@ def _restrict_rep(rep: Representation, sub: LieAlgebra, gens: list[int]) -> Repr
     return Representation(sub, rep.dim, [rep.mats[g] for g in gens], check=True)
 
 
-def _assemble(spec: ModelSpec, h: LieAlgebra, rho: Representation,
-              b_m: BilinearMap | None, b_h: BilinearMap | None,
-              triple: tuple[ColMat, ColMat, ColMat], metric: list,
-              extras: dict | None = None) -> HomogeneousModel:
-    """The verified model g = h + m, m = rho's module, with [m,m] = b_m + b_h."""
-    dh, dm = h.dim, rho.dim
-    b_m = b_m or BilinearMap.zero(dm, dm)
-    b_h = b_h or BilinearMap.zero(dm, dh)
-    g = semidirect(h, rho, b_m, b_h)
-    model = HomogeneousModel(spec.kind, spec, spec.n, g, h, rho, list(range(dh)),
-                             list(range(dh, dh + dm)), b_m, b_h, triple, metric,
-                             extras or {})
+def _verified(model: HomogeneousModel) -> HomogeneousModel:
     verify_model(model)
     verify_metric(model)
     return model
 
 
+def _assemble(spec: ModelSpec, h: LieAlgebra, rho: Representation,
+              b_m: BilinearMap | None, b_h: BilinearMap | None,
+              triple: tuple[ColMat, ColMat, ColMat],
+              extras: dict | None = None) -> HomogeneousModel:
+    """The verified model g = h + m, m = rho's module, with [m,m] = b_m + b_h,
+    and the spec's metric."""
+    dh, dm = h.dim, rho.dim
+    b_m = b_m or BilinearMap.zero(dm, dm)
+    b_h = b_h or BilinearMap.zero(dm, dh)
+    return _verified(HomogeneousModel(
+        spec.n, semidirect(h, rho, b_m, b_h), rho, b_m, b_h, triple,
+        metric_diag(spec.n, spec.c1, spec.c2), extras or {}))
+
+
 def build_model(spec: ModelSpec) -> HomogeneousModel:
+    """The verified model of spec; a Poly beta gives the symbolic H3/H5 bracket."""
     n = spec.n
-    metric = metric_diag(n, spec.c1, spec.c2)
     if spec.kind in H_KINDS:
         h, rho, _ = isotropy_rep(n)
-        params = table3_tuple(spec.kind, spec.beta)
-        return _assemble(spec, h, rho, bracket_from_params(n, *params), None,
-                         quaternionic_triple(n), metric, {"params": params})
+        b_m = bracket_from_params(n, *table3_tuple(spec.kind, spec.beta))
+        return _assemble(spec, h, rho, b_m, None, quaternionic_triple(n))
     if spec.kind in ("QHP", "QHH"):
         return _build_reductive_model(spec)
     if spec.kind in ("FlatMax", "MaxCurved"):
         k, rho_k, _ = ambient_rep(n)
         b_k = maximal_vertical_bracket(n, 2 * spec.c, spec.c) if spec.c is not None else None
-        return _assemble(spec, k, rho_k, None, b_k, ambient_triple(n), metric)
+        return _assemble(spec, k, rho_k, None, b_k, ambient_triple(n))
     if spec.kind == "TwistedTheta":
         return _build_twisted_model(spec)
     raise ValueError(f"unhandled kind {spec.kind}")
@@ -707,21 +662,15 @@ def _build_reductive_model(spec: ModelSpec) -> HomogeneousModel:
     if not g_new.verify_jacobi():
         raise AssertionError("conjugated algebra fails Jacobi")
 
-    h_idx = list(range(dh))
-    m_idx = list(range(dh, dg))
-    h_sub, rho, b_m, b_h = split_reductive(g_new, h_idx, m_idx)
+    h_sub, rho, b_m, b_h = split_reductive(g_new, list(range(dh)), list(range(dh, dg)))
     h_std, rho_std, _ = isotropy_rep(n)
     if h_sub.brackets != h_std.brackets:
         raise AssertionError("isotropy structure constants do not match the standard ones")
     for g1, g2 in zip(rho.mats, rho_std.mats):
         if not op_is_zero(op_sub(g1, g2)):
             raise AssertionError("isotropy action on m is not the standard one")
-    model = HomogeneousModel(
-        spec.kind, spec, n, g_new, h_sub, rho, h_idx, m_idx, b_m, b_h,
-        quaternionic_triple(n), metric_diag(n, spec.c1, spec.c2))
-    verify_model(model)
-    verify_metric(model)
-    return model
+    return _verified(HomogeneousModel(n, g_new, rho, b_m, b_h, quaternionic_triple(n),
+                                      metric_diag(n, spec.c1, spec.c2)))
 
 
 def split_reductive(g: LieAlgebra, h_idx: list[int], m_idx: list[int]):
@@ -761,97 +710,31 @@ def split_reductive(g: LieAlgebra, h_idx: list[int], m_idx: list[int]):
 # twisted model
 # --------------------------------------------------------------------------
 
-def twisted_theta(n: int, variant: str) -> BilinearMap:
-    """Theta twisted by the complex structure I.
-
-    variant 'output': (x, y) -> I(Theta(x, y));
-    variant 'conjugate': (x, y) -> I(Theta(I x, I y)) (= I Theta I^{-1} up to
-    the bilinear sign, since I^{-1} = -I).
-    """
-    I, _, _ = quaternionic_triple(n)
+def twisted_theta(n: int) -> BilinearMap:
+    """Theta twisted by the complex structure I: (x, y) -> I(Theta(x, y))."""
+    I = quaternionic_triple(n)[0]
     theta = horizontal_brackets(n)["Theta"]
-    coeffs: dict[tuple[int, int], SparseVec] = {}
-    if variant == "output":
-        for ij, col in theta.coeffs.items():
-            img = op_apply(I, col)
-            if img:
-                coeffs[ij] = img
-        return BilinearMap(4 * n, 4 * n, coeffs)
-    if variant != "conjugate":
-        raise ValueError("variant must be 'output' or 'conjugate'")
-    dm = 4 * n
-    out = BilinearMap.zero(dm, dm)
-    basis = [{i: Fraction(1)} for i in range(dm)]
-    coeffs = {}
-    for i in range(dm):
-        for j in range(i + 1, dm):
-            val = theta.apply(op_apply(I, basis[i]), op_apply(I, basis[j]))
-            img = op_apply(I, val)
-            if img:
-                coeffs[(i, j)] = img
-    return BilinearMap(dm, dm, coeffs)
+    return BilinearMap(4 * n, 4 * n, {ij: op_apply(I, col) for ij, col in theta.coeffs.items()})
 
 
-def centralizer_subalgebra(n: int):
-    """Z_h(I) = so(2) + sp(n-1): the A_i axis plus the sp(n-1) block."""
+def _build_twisted_model(spec: ModelSpec) -> HomogeneousModel:
+    """The twisted bracket over the centralizer Z_h(I) = so(2) + sp(n-1) (the
+    A_i axis plus the sp(n-1) block): it must be Z-equivariant and must not be
+    equivariant under all of h."""
+    n = spec.n
     h, rho, _ = isotropy_rep(n)
     gens = [0] + list(range(3, h.dim))
     z = h.subalgebra(gens)
     rho_z = _restrict_rep(rho, z, gens)
-    return z, rho_z, h, rho, gens
-
-
-def _build_twisted_model(spec: ModelSpec) -> HomogeneousModel:
-    n = spec.n
-    z, rho_z, h, rho, gens = centralizer_subalgebra(n)
-    chosen = None
-    for variant in ("output", "conjugate"):
-        b = twisted_theta(n, variant)
-        if not is_equivariant(b, rho_z, rho_z.mats):
-            continue  # must be Z-equivariant
-        if is_equivariant(b, rho, rho.mats):
-            continue  # must NOT be equivariant under all of h
-        chosen = (variant, b)
-        break
-    if chosen is None:
-        raise AssertionError("no twisted variant passed the symmetry protocol")
-    variant, b = chosen
-    return _assemble(spec, z, rho_z, b, None, quaternionic_triple(n),
-                     metric_diag(n, spec.c1, spec.c2),
-                     {"twist_variant": variant, "centralizer_gens": gens})
+    b = twisted_theta(n)
+    if not is_equivariant(b, rho_z, rho_z.mats) or is_equivariant(b, rho, rho.mats):
+        raise AssertionError("the twisted bracket fails the symmetry protocol")
+    return _assemble(spec, z, rho_z, b, None, quaternionic_triple(n), {"twist_variant": "output"})
 
 
 # --------------------------------------------------------------------------
 # solvers specialised to the isotropy setting
 # --------------------------------------------------------------------------
-
-def rotation_matrix(q: Quaternion) -> list[list[Fraction]]:
-    """Exact SO(3) matrix of v -> q v conj(q)/|q|^2 on (i, j, k) coordinates."""
-    nsq = q.norm_sq()
-    if not nsq:
-        raise ValueError("rotation quaternion must be nonzero")
-    cols = [(q * u * q.conj()) * (1 / nsq) for u in IM_UNITS]
-    return [[col.components()[1 + r] for col in cols] for r in range(3)]
-
-
-def rotated_triple(triple: tuple[ColMat, ColMat, ColMat],
-                   q: Quaternion) -> tuple[ColMat, ColMat, ColMat]:
-    """The triple rotated by an exact SO(3) element (unit-quaternion image).
-
-    A rotation mixes (I, J, K) linearly and preserves the quaternion
-    relations; Omega must be invariant under every such change of adapted
-    frame.
-    """
-    rot = rotation_matrix(q)
-    out = []
-    for a in range(3):
-        acc: ColMat = {}
-        for b in range(3):
-            for c, col in triple[b].items():
-                accumulate(acc.setdefault(c, {}), col, rot[b][a])
-        out.append({c: col for c, col in acc.items() if col})
-    return tuple(out)
-
 
 def symbolic_model(kind: str, n: int) -> HomogeneousModel:
     """Model with symbolic metric (c1, c2) and, for H3/H5, symbolic beta2.
@@ -859,19 +742,8 @@ def symbolic_model(kind: str, n: int) -> HomogeneousModel:
     Used by the class-coefficient computation; Hodge-dependent geometry
     requires rational points and is not available on these models.
     """
-    c1, c2 = Poly.var("c1"), Poly.var("c2")
-    if kind in ("QHP", "QHH"):
-        model = build_model(ModelSpec(kind, n)).with_metric(c1, c2)
-        model.extras["symbolic"] = True
-        return model
-    if kind not in H_KINDS:
-        raise ValueError(f"no symbolic construction for {kind}")
-    spec = ModelSpec(kind, n, beta=Fraction(0) if kind in ("H3", "H5") else None)
-    params = table3_tuple(kind, Poly.var("beta2") if spec.beta is not None else None)
-    h, rho, _ = isotropy_rep(n)
-    return _assemble(spec, h, rho, bracket_from_params(n, *params), None,
-                     quaternionic_triple(n), metric_diag(n, c1, c2),
-                     {"symbolic": True, "params": params})
+    beta = Poly.var("beta2") if kind in ("H3", "H5") else None
+    return build_model(ModelSpec(kind, n, beta=beta)).with_metric(Poly.var("c1"), Poly.var("c2"))
 
 
 def bracket_space_dims(n: int) -> tuple[int, int]:

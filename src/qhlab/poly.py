@@ -2,8 +2,9 @@
 
 The variable set is fixed: (alpha, beta1, beta2, gamma1, gamma2, c1, c2).
 Monomials are exponent tuples; the canonical order is graded lexicographic.
-Polynomials interoperate with int / Fraction scalars, so code downstream can
-be written once for both rational and symbolic coefficients.
+Polynomials interoperate with int / Fraction scalars (on either side of + and
+*, on the right of -), so code downstream can be written once for both
+rational and symbolic coefficients.
 """
 
 from __future__ import annotations
@@ -65,9 +66,6 @@ class Poly:
     def __sub__(self, other) -> "Poly":
         return self + (-Poly.coerce(other))
 
-    def __rsub__(self, other) -> "Poly":
-        return Poly.coerce(other) + (-self)
-
     def __mul__(self, other) -> "Poly":
         if isinstance(other, (int, Fraction)):
             s = Fraction(other)
@@ -102,17 +100,6 @@ class Poly:
 
     def __bool__(self) -> bool:
         return bool(self.terms)
-
-    def is_constant(self) -> bool:
-        return all(m == _ZERO_MONO for m in self.terms)
-
-    def constant_value(self) -> Fraction:
-        if not self.is_constant():
-            raise ValueError("not a constant polynomial")
-        return self.terms.get(_ZERO_MONO, Fraction(0))
-
-    def degree(self) -> int:
-        return max((sum(m) for m in self.terms), default=0)
 
     def leading(self) -> tuple[tuple[int, ...], Fraction]:
         if not self.terms:
@@ -154,21 +141,6 @@ class Poly:
                         raise ValueError(f"unassigned variable {VARS[i]}")
                     prod *= vals[i] ** e
             total += prod
-        return total
-
-    def substitute(self, point: dict[str, "Poly | Fraction | int"]) -> "Poly":
-        """Partial substitution; unassigned variables stay symbolic."""
-        subs = {_VAR_INDEX[name]: Poly.coerce(v) for name, v in point.items()}
-        total = Poly()
-        for m, c in self.terms.items():
-            prod = Poly.const(c)
-            rest = list(m)
-            for i, e in enumerate(m):
-                if e and i in subs:
-                    rest[i] = 0
-                    prod = prod * subs[i] ** e
-            prod = prod * Poly({tuple(rest): Fraction(1)})
-            total = total + prod
         return total
 
     # -- printing ----------------------------------------------------------

@@ -10,10 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
-
-Rat = Fraction
-
+from typing import Iterable
 
 def rat(p, q=1) -> Fraction:
     """Exact rational, accepting ints, Fractions or 'p/q' strings."""
@@ -76,14 +73,8 @@ class Quaternion:
     def conj(self) -> "Quaternion":
         return Quaternion(self.a, -self.b, -self.c, -self.d)
 
-    def re(self) -> Fraction:
-        return self.a
-
     def im(self) -> "Quaternion":
         return Quaternion(Fraction(0), self.b, self.c, self.d)
-
-    def norm_sq(self) -> Fraction:
-        return self.a * self.a + self.b * self.b + self.c * self.c + self.d * self.d
 
     def is_zero(self) -> bool:
         return not (self.a or self.b or self.c or self.d)
@@ -108,20 +99,6 @@ UNITS = (Q_ONE, Q_I, Q_J, Q_K)
 IM_UNITS = (Q_I, Q_J, Q_K)
 
 
-def hermitian_metric(q1: Sequence[Quaternion], q2: Sequence[Quaternion]) -> Fraction:
-    """Real part of the Hermitian pairing, g(q1, q2) = sum_t Re(q1_t * conj(q2_t)).
-
-    Symmetric, positive definite and R-bilinear on column vectors of equal
-    length.
-    """
-    if len(q1) != len(q2):
-        raise ValueError(f"length mismatch: {len(q1)} vs {len(q2)}")
-    total = Fraction(0)
-    for x, y in zip(q1, q2):
-        total += x.a * y.a + x.b * y.b + x.c * y.c + x.d * y.d
-    return total
-
-
 class QMatrix:
     """Dense quaternionic matrix with exact entries (immutable)."""
 
@@ -142,43 +119,19 @@ class QMatrix:
         raise AttributeError("QMatrix is immutable")
 
     @staticmethod
-    def zero(rows: int, cols: int) -> "QMatrix":
-        return QMatrix([[Q_ZERO] * cols for _ in range(rows)])
-
-    @staticmethod
-    def identity(n: int) -> "QMatrix":
-        return QMatrix([[Q_ONE if i == j else Q_ZERO for j in range(n)]
-                        for i in range(n)])
-
-    @staticmethod
     def from_entry(rows: int, cols: int, r: int, c: int, q: Quaternion) -> "QMatrix":
         ent = [[Q_ZERO] * cols for _ in range(rows)]
         ent[r][c] = q
         return QMatrix(ent)
 
-    def __getitem__(self, rc: tuple[int, int]) -> Quaternion:
-        return self.entries[rc[0]][rc[1]]
-
     def _check_shape(self, other: "QMatrix"):
         if self.rows != other.rows or self.cols != other.cols:
             raise ValueError("shape mismatch")
-
-    def __add__(self, other: "QMatrix") -> "QMatrix":
-        self._check_shape(other)
-        return QMatrix([[a + b for a, b in zip(ra, rb)]
-                        for ra, rb in zip(self.entries, other.entries)])
 
     def __sub__(self, other: "QMatrix") -> "QMatrix":
         self._check_shape(other)
         return QMatrix([[a - b for a, b in zip(ra, rb)]
                         for ra, rb in zip(self.entries, other.entries)])
-
-    def __neg__(self) -> "QMatrix":
-        return QMatrix([[-a for a in row] for row in self.entries])
-
-    def scale(self, s) -> "QMatrix":
-        s = Fraction(s)
-        return QMatrix([[a * s for a in row] for row in self.entries])
 
     def __matmul__(self, other: "QMatrix") -> "QMatrix":
         if self.cols != other.rows:
@@ -200,47 +153,12 @@ class QMatrix:
             out.append(row)
         return QMatrix(out)
 
-    def dagger(self) -> "QMatrix":
-        """Conjugate transpose."""
-        return QMatrix([[self.entries[r][c].conj() for r in range(self.rows)]
-                        for c in range(self.cols)])
-
     def commutator(self, other: "QMatrix") -> "QMatrix":
         return self @ other - other @ self
-
-    def apply(self, vec: Sequence[Quaternion]) -> tuple[Quaternion, ...]:
-        if len(vec) != self.cols:
-            raise ValueError("vector length mismatch")
-        out = []
-        for i in range(self.rows):
-            acc = Q_ZERO
-            for t, v in enumerate(vec):
-                a = self.entries[i][t]
-                if not a.is_zero() and not v.is_zero():
-                    acc = acc + a * v
-            out.append(acc)
-        return tuple(out)
-
-    def is_zero(self) -> bool:
-        return all(a.is_zero() for row in self.entries for a in row)
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, QMatrix) and self.rows == other.rows
-                and self.cols == other.cols and self.entries == other.entries)
-
-    def __hash__(self):
-        return hash(self.entries)
 
     def __repr__(self) -> str:
         return "QMatrix(" + "; ".join(
             ", ".join(repr(e) for e in row) for row in self.entries) + ")"
-
-
-def eta_matrix(p: int, q: int) -> QMatrix:
-    """Signature matrix diag(I_p, -I_q)."""
-    n = p + q
-    return QMatrix([[ (Q_ONE if i < p else -Q_ONE) if i == j else Q_ZERO
-                      for j in range(n)] for i in range(n)])
 
 
 def sp_basis(p: int, q: int) -> list[QMatrix]:
@@ -268,11 +186,6 @@ def sp_basis(p: int, q: int) -> list[QMatrix]:
     return basis
 
 
-def in_sp(m: QMatrix, p: int, q: int) -> bool:
-    eta = eta_matrix(p, q)
-    return (m.dagger() @ eta + eta @ m).is_zero()
-
-
 def sp_coordinates(m: QMatrix, p: int, q: int) -> list[Fraction]:
     """Coordinates of m in the sp_basis(p, q) layout (m must lie in sp(p,q))."""
     n = p + q
@@ -292,51 +205,3 @@ def sp_coordinates(m: QMatrix, p: int, q: int) -> list[Fraction]:
             if m.entries[t][s] != expect:
                 raise ValueError("matrix not in sp(p,q): lower block mismatch")
     return coords
-
-
-# --- realification -----------------------------------------------------------
-
-def _left_mult_block(q: Quaternion) -> list[list[Fraction]]:
-    # columns are q*1, q*i, q*j, q*k in the basis (1, i, j, k)
-    cols = [(q * u).components() for u in UNITS]
-    return [[cols[c][r] for c in range(4)] for r in range(4)]
-
-
-def realify(m: QMatrix) -> list[list[Fraction]]:
-    """Real 4r x 4c matrix of the left-multiplication action.
-
-    H^cols is identified with R^{4 cols} via the basis (1, i, j, k) per slot;
-    realify(A @ B) == realify(A) . realify(B).
-    """
-    R, C = m.rows, m.cols
-    out = [[Fraction(0)] * (4 * C) for _ in range(4 * R)]
-    for r in range(R):
-        for c in range(C):
-            q = m.entries[r][c]
-            if q.is_zero():
-                continue
-            block = _left_mult_block(q)
-            for a in range(4):
-                row = out[4 * r + a]
-                for b in range(4):
-                    v = block[a][b]
-                    if v:
-                        row[4 * c + b] += v
-    return out
-
-
-def real_trace_pairing(x: QMatrix, y: QMatrix) -> Fraction:
-    """tr(realify(x) . realify(y)) computed without materialising the blocks."""
-    if x.cols != y.rows or y.cols != x.rows:
-        raise ValueError("shape mismatch")
-    total = Fraction(0)
-    for r in range(x.rows):
-        for t in range(x.cols):
-            a = x.entries[r][t]
-            if a.is_zero():
-                continue
-            b = y.entries[t][r]
-            if b.is_zero():
-                continue
-            total += 4 * (a * b).a
-    return total

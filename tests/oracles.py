@@ -1,0 +1,91 @@
+"""Reference implementations and helpers shared by several test modules.
+
+None of them is part of the library: the library never calls them, so they
+live with the tests that check qhlab against them.
+"""
+
+from fractions import Fraction
+from itertools import combinations
+
+from qhlab.lie import BilinearMap, common_kernel, op_apply
+from qhlab.linalg import accumulate
+from qhlab.models import horizontal_brackets, xi_operator
+from qhlab.poly import VARS, Poly
+from qhlab.quaternion import IM_UNITS, sp_coordinates
+
+
+def class_at(row, c1, c2) -> str:
+    """The fixed-basis class of a class-coefficient row at a rational metric:
+    QK where both coefficients vanish, EH where f_EH does, KH where f_KH does."""
+    point = {"c1": Fraction(c1), "c2": Fraction(c2)}
+    feh, fkh = row.f_eh.eval(point), row.f_kh.eval(point)
+    if feh == 0 and fkh == 0:
+        return "QK"
+    if feh == 0:
+        return "EH"
+    if fkh == 0:
+        return "KH"
+    return "KEH"
+
+
+def hermitian_metric(q1, q2) -> Fraction:
+    """Real part of the Hermitian pairing, g(q1, q2) = sum_t Re(q1_t conj(q2_t))."""
+    if len(q1) != len(q2):
+        raise ValueError(f"length mismatch: {len(q1)} vs {len(q2)}")
+    return sum((x.a * y.a + x.b * y.b + x.c * y.c + x.d * y.d for x, y in zip(q1, q2)),
+               Fraction(0))
+
+
+def substitute(p: Poly, point: dict) -> Poly:
+    """Partial substitution of rationals or Polys; unassigned variables stay."""
+    total = Poly()
+    for mono, c in p.terms.items():
+        term = Poly({tuple(0 if VARS[i] in point else e for i, e in enumerate(mono)): c})
+        for name, value in point.items():
+            term = term * Poly.coerce(value) ** mono[VARS.index(name)]
+        total = total + term
+    return total
+
+
+def vertical_brackets(n):
+    """ThetaV, Psi1V, Upsilon1V (the horizontal Theta, Psi1, Upsilon1 with
+    their Im(H) values read in sp(1)) and Xi (sp(n-1)-valued)."""
+    dm, dh = 4 * n, 3 + (n - 1) * (2 * n - 1)
+    hz = horizontal_brackets(n)
+    out = {name + "V": BilinearMap(dm, dh, {ij: {k - 1: v for k, v in col.items()}
+                                            for ij, col in hz[name].coeffs.items()})
+           for name in ("Theta", "Psi1", "Upsilon1")}
+    xi = {}
+    for (p, u), (q, v) in combinations([(p, u) for p in range(1, n) for u in range(4)], 2):
+        coords = sp_coordinates(xi_operator(p - 1, u, q - 1, v, n - 1), n - 1, 0)
+        xi[(4 * p + u, 4 * q + v)] = {3 + t: c for t, c in enumerate(coords) if c}
+    out["Xi"] = BilinearMap(dm, dh, xi)
+    return out
+
+
+def rotated_triple(triple, q):
+    """The triple rotated by the exact SO(3) element v -> q v conj(q) / |q|^2.
+
+    A rotation mixes (I, J, K) linearly and keeps the quaternion relations;
+    Omega must be invariant under every such change of adapted frame.
+    """
+    nsq = sum(x * x for x in q.components())
+    rot = [[(q * u * q.conj()).components()[1 + r] / nsq for u in IM_UNITS]
+           for r in range(3)]
+    out = []
+    for a in range(3):
+        acc = {}
+        for b in range(3):
+            for c, col in triple[b].items():
+                accumulate(acc.setdefault(c, {}), col, rot[b][a])
+        out.append({c: col for c, col in acc.items() if col})
+    return tuple(out)
+
+
+def invariant_vectors(rep, order=None):
+    """Exact basis of the joint kernel of all rho(e_g), each vector certified
+    by applying every rho(e_g) to it."""
+    gens = order if order is not None else range(rep.algebra.dim)
+    kernel = common_kernel([(lambda g=g: rep.mats[g]) for g in gens], rep.dim)
+    assert all(not op_apply(mat, v) for mat in rep.mats for v in kernel)
+    return kernel

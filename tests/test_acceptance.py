@@ -21,6 +21,8 @@ from qhlab.lie import op_is_skew
 from qhlab.poly import Poly, proportionality
 from qhlab.quaternion import Quaternion
 
+from oracles import class_at, rotated_triple, substitute
+
 F = Fraction
 
 
@@ -159,7 +161,7 @@ def _reference_linearity_breaks():
     breaks = []
     for col in ("f_EH", "f_KH"):
         ref = {kind: Poly.parse(data[kind][col]) for kind in ("H1+", "H1-", "H2", "H3")}
-        h3 = ref["H3"].substitute({"beta2": 1})
+        h3 = substitute(ref["H3"], {"beta2": 1})
         for relation, lhs, rhs in (
                 ("H1+ - H2 = H3|beta2=1", ref["H1+"] - ref["H2"], h3),
                 ("H1+ + H1- = 2*H3|beta2=1", ref["H1+"] + ref["H1-"], h3 * 2)):
@@ -222,14 +224,13 @@ def test_criterion_06_analysis_computed_relationships():
         assert row.f_eh == Poly.parse(data[kind]["f_EH"])
         assert row.f_kh == Poly.parse(data[kind]["f_KH"])
     row = FO.table4_row("H5", 3)
-    mirror = Poly.parse(data["H5"]["f_EH"]).substitute(
-        {"beta2": Poly.var("beta2") * -1}) * -1
+    mirror = substitute(Poly.parse(data["H5"]["f_EH"]), {"beta2": Poly.var("beta2") * -1}) * -1
     assert row.f_eh == mirror
     # QHH admits no reduction in either account
     row = FO.table4_row("QHH", 3)
     for c1 in (1, 2, 3):
         for c2 in (1, 2, 3):
-            assert row.class_at(c1, c2) == "KEH"
+            assert class_at(row, c1, c2) == "KEH"
     _announce("6-analysis (exact relationships to the reference rows)", True, "")
 
 
@@ -277,7 +278,7 @@ def test_criterion_07_companion_fixed_basis_divergence():
     adapted first-order class stays generic; the identity tests and the
     fixed-basis table agree exactly on the conformal line."""
     row = FO.table4_row("H4", 3)
-    assert row.class_at(2, 1) == "EH"
+    assert class_at(row, 2, 1) == "EH"
     rpt = FO.first_order_tests(_model("H4", 3, 2, 1))
     assert rpt.satisfied_class() == "KEH" and not rpt.lcqk
     _announce("7-companion (fixed-basis vs adapted-class divergence recorded)",
@@ -411,7 +412,7 @@ def test_criterion_10_structural_self_tests():
         if q.is_zero():
             continue
         clone = model.with_metric(F(2), F(1))
-        clone.triple = M.rotated_triple(model.triple, q)
+        clone.triple = rotated_triple(model.triple, q)
         _, _, _, omega_rot = FO.fundamental_forms(clone)
         ok = ok and omega_rot == omega
         rotations += 1

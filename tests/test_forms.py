@@ -1,20 +1,23 @@
+import copy
 import random
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
+from qhlab.cli import main
 from qhlab.forms import (KForm, ce_differential, codifferential,
                          contract_pair, endo_derivation, first_order_tests,
-                         form_inner, fundamental_forms, genuine_loci,
-                         hodge_star, interior_vector, invariant_five_forms,
-                         isotypic_split, one_form_differentials,
-                         pullback_all_slots, pure_bidegree_basis, table4_row,
-                         wedge, _calibration_scales, _split_domega)
-from qhlab.models import (ModelSpec, build_model, rotated_triple,
-                          symbolic_model)
+                         fundamental_forms, genuine_loci, hodge_star,
+                         invariant_five_forms, isotypic_split,
+                         one_form_differentials, pullback_all_slots,
+                         pure_bidegree_basis, table4_row, wedge,
+                         _calibration_scales, _split_domega)
+from qhlab.models import ModelSpec, build_model, symbolic_model
 from qhlab.poly import Poly
 from qhlab.quaternion import Quaternion
+
+from oracles import class_at, rotated_triple
 
 rng = random.Random(2024)
 
@@ -24,6 +27,18 @@ F = Fraction
 def _model(kind, n=3, c1=1, c2=1, beta=None):
     return build_model(ModelSpec(kind, n, c1=F(c1), c2=F(c2),
                                  beta=None if beta is None else F(beta)))
+
+
+def _form_inner(a, b, metric):
+    """<a, b>_g in an orthonormal frame of the diagonal metric."""
+    total = Fraction(0)
+    for S, c in a.terms.items():
+        if d := b.terms.get(S):
+            scale = Fraction(1)
+            for i in S:
+                scale /= metric[i]
+            total += scale * c * d
+    return total
 
 
 def rand_form(n4, k, nterms=5):
@@ -42,22 +57,6 @@ def test_wedge_basics():
     assert wedge(dy, dx).terms == {(0, 1): F(-1)}
     a, b = rand_form(6, 2), rand_form(6, 2)
     assert wedge(a, b).terms == wedge(b, a).terms  # even degrees commute
-
-
-def test_interior_antiderivation():
-    for _ in range(25):
-        a = rand_form(8, 2)
-        b = rand_form(8, 3)
-        x = {i: F(rng.randint(-3, 3)) for i in rng.sample(range(8), 3)}
-        lhs = interior_vector(wedge(a, b), x)
-        rhs = wedge(interior_vector(a, x), b).add(
-            wedge(a, interior_vector(b, x)), 1)  # (-1)^|a| = +1 for 2-forms
-        assert lhs == rhs
-        a1 = rand_form(8, 1)
-        lhs = interior_vector(wedge(a1, b), x)
-        rhs = wedge(interior_vector(a1, x), b).add(
-            wedge(a1, interior_vector(b, x)), -1)
-        assert lhs == rhs
 
 
 def test_omega_squared_against_pair_expansion():
@@ -136,7 +135,7 @@ def test_hodge_star_identities():
             sign = (-1) ** (k * (12 - k))
             assert ss == a.scale(sign)
             b = rand_form(12, k)
-            assert wedge(a, hodge_star(b, metric)) == vol.scale(form_inner(a, b, metric))
+            assert wedge(a, hodge_star(b, metric)) == vol.scale(_form_inner(a, b, metric))
 
 
 def test_codifferential_flat_and_adjointness():
@@ -149,8 +148,8 @@ def test_codifferential_flat_and_adjointness():
         d1 = one_form_differentials(model)
         _, _, _, om = fundamental_forms(model)
         dom = ce_differential(model, om, d1)
-        lhs = form_inner(dom, dom, model.metric)
-        rhs = form_inner(om, codifferential(model, dom, d1), model.metric)
+        lhs = _form_inner(dom, dom, model.metric)
+        rhs = _form_inner(om, codifferential(model, dom, d1), model.metric)
         assert lhs == rhs
 
 
@@ -184,6 +183,22 @@ def test_five_form_plane_is_solved_once_per_n(monkeypatch):
     isotypic_split(3)
     pure_bidegree_basis(3)
     assert solves == [792]  # one Lambda^5 kernel solve, C(12, 5) columns
+
+
+def _five_form_state(n):
+    # a deep copy of every KForm the shared five-form caches hand out
+    pair = isotypic_split(n)
+    forms = (*invariant_five_forms(n), pair.theta_eh, pair.theta_kh, *pair.plane,
+             *pure_bidegree_basis(n))
+    return [(f.n4, f.k, copy.deepcopy(f.terms)) for f in forms], pair.casimir_eigs
+
+
+def test_model_report_leaves_the_cached_five_forms_unchanged(capsys):
+    before = _five_form_state(3)
+    argv = ["--format", "json", "model-report", "--spec", "H3:beta=1:n=3", "--grid", "1,2"]
+    assert main(argv) == 0
+    assert '"class_points"' in capsys.readouterr().out
+    assert _five_form_state(3) == before
 
 
 def test_omega_frame_independence():
@@ -238,10 +253,10 @@ def test_table4_rows_regression_n3():
 
 def test_qk_point_is_h1_minus():
     row = table4_row("H1-", 3)
-    assert row.class_at(2, 1) == "QK"
-    assert row.class_at(1, 1) == "KEH"
+    assert class_at(row, 2, 1) == "QK"
+    assert class_at(row, 1, 1) == "KEH"
     row_plus = table4_row("H1+", 3)
-    assert row_plus.class_at(2, 1) != "QK"
+    assert class_at(row_plus, 2, 1) != "QK"
     # direct differential confirmation
     rpt = first_order_tests(_model("H1-", 3, 2, 1))
     assert rpt.d_omega_zero
@@ -335,11 +350,11 @@ def test_fixed_basis_and_adapted_class_diverge_off_conformal():
     # adapted first-order class there is still generic torsion: the two
     # notions agree only where the metric blocks coincide
     row = table4_row("H4", 3)
-    assert row.class_at(2, 1) == "EH"
+    assert class_at(row, 2, 1) == "EH"
     rpt = first_order_tests(_model("H4", 3, 2, 1))
     assert not rpt.lcqk and rpt.satisfied_class() == "KEH"
     # and at the conformal point both notions agree
-    assert row.class_at(1, 1) == "KEH"
+    assert class_at(row, 1, 1) == "KEH"
     rpt2 = first_order_tests(_model("H4", 3, 1, 1))
     assert rpt2.satisfied_class() == "KEH"
 

@@ -41,6 +41,13 @@ def test_hyperbolic_lemma():
         assert cls.conformally_flat and cls.einstein is not None
 
 
+def test_curvature_rejects_a_two_dimensional_algebra():
+    # R x| R, [e0, e1] = e1: the Weyl split divides by dim m - 2
+    data = GroupData(2, BilinearMap(2, 2, {(0, 1): {1: F(1)}}), None, None, [F(1), F(1)])
+    with pytest.raises(ValueError, match="dim m >= 3"):
+        curvature(data)
+
+
 def test_flat_model_is_flat():
     model = _model("FlatMax", 2)
     data = GroupData.from_model(model)

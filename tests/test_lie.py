@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -7,16 +8,35 @@ from hypothesis import strategies as st
 
 from qhlab.forms import KForm, wedge
 from qhlab.lie import (BilinearMap, LieAlgebra, Representation,
-                       casimir, derivation, equivariant_hom, invariant_vectors,
-                       is_equivariant, semidirect, sort_sign, trace_form,
-                       trivial_rep)
+                       casimir, derivation, equivariant_hom, is_equivariant,
+                       op_transpose, semidirect, sort_sign, trace_form)
 from qhlab.linalg import Echelon
 from qhlab.models import (ambient_rep, bracket_from_params,
-                          horizontal_brackets, isotropy_rep,
-                          vertical_brackets)
-from qhlab.quaternion import real_trace_pairing, sp_basis, sp_coordinates
+                          horizontal_brackets, isotropy_rep)
+from qhlab.quaternion import sp_basis, sp_coordinates
+
+from oracles import invariant_vectors, vertical_brackets
 
 rng = random.Random(31)
+
+
+def _dual(rep):
+    """The contragredient action rho*(g) = -rho(g)^T."""
+    return Representation(rep.algebra, rep.dim,
+                          [{c: {r: -x for r, x in col.items()}
+                            for c, col in op_transpose(mat).items()} for mat in rep.mats])
+
+
+def _flatten(b):
+    """b as a vector of Hom(Lambda^2 m, target), flat-indexed as by equivariant_hom."""
+    pidx = {p: t for t, p in enumerate(combinations(range(b.dim_in), 2))}
+    return {pidx[ij] * b.dim_out + k: v for ij, col in b.coeffs.items() for k, v in col.items()}
+
+
+def _real_trace_pairing(x, y):
+    """tr of the product of the real 4r x 4r matrices of x and y: 4 Re tr(x y)."""
+    return sum((4 * (x.entries[r][t] * y.entries[t][r]).a
+                for r in range(x.rows) for t in range(x.cols)), Fraction(0))
 
 
 def test_sort_sign():
@@ -94,18 +114,18 @@ def test_representation_rejects_non_homomorphism():
 
 def test_invariant_vectors_trivial_rep():
     alg = LieAlgebra(3, {})
-    rep = trivial_rep(alg, 4)
+    rep = Representation(alg, 4, [{} for _ in range(alg.dim)])
     assert len(invariant_vectors(rep)) == 4
 
 
 def test_invariant_five_and_four_forms_dimensions():
     h, rho, order = isotropy_rep(3)
-    lam5 = rho.dual().exterior_power(5)
+    lam5 = _dual(rho).exterior_power(5)
     vecs5 = invariant_vectors(lam5, order)
     assert len(vecs5) == 2
     # Lambda^4 m* splits as e^0 ^ Lambda^3(Im + H) + Lambda^4(Im + H); each
     # graded part carries two trivial modules, so the full count is 4
-    lam4 = rho.dual().exterior_power(4)
+    lam4 = _dual(rho).exterior_power(4)
     vecs4 = invariant_vectors(lam4, order)
     assert len(vecs4) == 4
     with_e0 = [v for v in vecs4
@@ -116,7 +136,6 @@ def test_invariant_five_and_four_forms_dimensions():
 
 
 def _support(vec):
-    from itertools import combinations
     basis = list(combinations(range(12), 4))
     return [basis[t] for t in vec]
 
@@ -134,7 +153,7 @@ def test_named_brackets_span_the_equivariant_spaces():
     hor = equivariant_hom(lam2, rho, order=order)
     basis = Echelon(hor)
     hz = horizontal_brackets(3)
-    flat = [b.flatten() for b in hz.values()]
+    flat = [_flatten(b) for b in hz.values()]
     span = Echelon()
     for v in flat:
         assert not basis.reduce(v)  # each named bracket is equivariant
@@ -144,7 +163,7 @@ def test_named_brackets_span_the_equivariant_spaces():
     vbasis = Echelon(vert)
     vspan = Echelon()
     for b in vertical_brackets(3).values():
-        v = b.flatten()
+        v = _flatten(b)
         assert not vbasis.reduce(v)
         assert vspan.add(v)
     assert vspan.rank == 4
@@ -173,7 +192,7 @@ def test_casimir_sp1_adjoint_scalar():
             brackets[(i, j)] = {k: c for k, c in enumerate(coords) if c}
     alg = LieAlgebra(3, brackets)
     ad = alg.adjoint()
-    gram = [[real_trace_pairing(basis[i], basis[j]) for j in range(3)]
+    gram = [[_real_trace_pairing(basis[i], basis[j]) for j in range(3)]
             for i in range(3)]
     c = _on_module(casimir(ad, gram), 3)
     diag = c[0][0]

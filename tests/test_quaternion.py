@@ -4,9 +4,9 @@ from fractions import Fraction
 import pytest
 
 from qhlab.quaternion import (IM_UNITS, Q_I, Q_J, Q_K, Q_ONE, QMatrix,
-                              Quaternion, eta_matrix, hermitian_metric, in_sp,
-                              rat, real_trace_pairing, realify, sp_basis,
-                              sp_coordinates)
+                              Quaternion, rat, sp_basis, sp_coordinates)
+
+from oracles import hermitian_metric
 
 rng = random.Random(1214)
 
@@ -14,6 +14,25 @@ rng = random.Random(1214)
 def rand_q():
     return Quaternion.of(*(Fraction(rng.randint(-8, 8), rng.randint(1, 5))
                            for _ in range(4)))
+
+
+def _dagger(m):
+    """Conjugate transpose."""
+    return QMatrix([[m.entries[r][c].conj() for r in range(m.rows)]
+                    for c in range(m.cols)])
+
+
+def _eta(p, q):
+    """Signature matrix diag(I_p, -I_q)."""
+    n = p + q
+    return QMatrix([[(Q_ONE if i < p else -Q_ONE) if i == j else Quaternion()
+                     for j in range(n)] for i in range(n)])
+
+
+def _sp_defect(x, eta):
+    """The entries of X^dagger eta + eta X, which vanish exactly on sp(p,q)."""
+    return [[a + b for a, b in zip(ra, rb)]
+            for ra, rb in zip((_dagger(x) @ eta).entries, (eta @ x).entries)]
 
 
 def test_hamilton_table():
@@ -41,7 +60,7 @@ def test_conjugation_antihomomorphism():
         a, b = rand_q(), rand_q()
         assert (a * b).conj() == b.conj() * a.conj()
         assert (a.conj() * a).im().is_zero()
-        assert a.norm_sq() == (a * a.conj()).a
+        assert sum(x * x for x in a.components()) == (a * a.conj()).a
 
 
 def test_hermitian_metric_examples():
@@ -79,18 +98,19 @@ def test_sp_basis_counts():
 @pytest.mark.parametrize("p,q", [(2, 0), (1, 1), (1, 2)])
 def test_sp_basis_defining_equation_and_closure(p, q):
     basis = sp_basis(p, q)
+    eta, n = _eta(p, q), p + q
     for m in basis:
-        assert in_sp(m, p, q)
+        assert all(x.is_zero() for row in _sp_defect(m, eta) for x in row)
     # closure: every pairwise commutator must expand exactly in the basis
     for i in range(len(basis)):
         for j in range(i + 1, len(basis)):
             comm = basis[i].commutator(basis[j])
             coords = sp_coordinates(comm, p, q)
-            rebuilt = QMatrix.zero(p + q, p + q)
-            for c, mat in zip(coords, basis):
-                if c:
-                    rebuilt = rebuilt + mat.scale(c)
-            assert rebuilt == comm
+            rebuilt = tuple(
+                tuple(sum((mat.entries[r][s] * c for c, mat in zip(coords, basis) if c),
+                          Quaternion()) for s in range(n))
+                for r in range(n))
+            assert rebuilt == comm.entries
 
 
 def test_sp_rank_matches_dimension():
@@ -98,7 +118,7 @@ def test_sp_rank_matches_dimension():
     from qhlab.linalg import nullspace
     for p, q in ((1, 2), (3, 0)):
         n = p + q
-        eta = eta_matrix(p, q)
+        eta = _eta(p, q)
         # unknowns: the 4 n^2 real coordinates of X in X^dagger eta + eta X = 0
         unknowns = []
         for a in range(n):
@@ -111,39 +131,10 @@ def test_sp_rank_matches_dimension():
                 for comp in range(4):
                     row = []
                     for x in unknowns:
-                        img = x.dagger() @ eta + eta @ x
-                        row.append(img.entries[r][c].components()[comp])
+                        row.append(_sp_defect(x, eta)[r][c].components()[comp])
                     eqrows.append(row)
         kern = nullspace(eqrows, len(unknowns))
         assert len(kern) == n * (2 * n + 1)
-
-
-def test_realify_homomorphism_random():
-    def matmul(a, b):
-        return [[sum(a[i][t] * b[t][j] for t in range(len(b)))
-                 for j in range(len(b[0]))] for i in range(len(a))]
-
-    for _ in range(200):
-        a = QMatrix([[rand_q() for _ in range(2)] for _ in range(2)])
-        b = QMatrix([[rand_q() for _ in range(2)] for _ in range(2)])
-        assert realify(a @ b) == matmul(realify(a), realify(b))
-
-
-def test_realify_complex_structure():
-    ri = realify(QMatrix([[Q_I]]))
-    sq = [[sum(ri[i][t] * ri[t][j] for t in range(4)) for j in range(4)]
-          for i in range(4)]
-    assert sq == [[-1 if i == j else 0 for j in range(4)] for i in range(4)]
-    assert realify(QMatrix.identity(2)) == [
-        [1 if i == j else 0 for j in range(8)] for i in range(8)]
-
-
-def test_realify_trace_orthogonality():
-    ri = realify(QMatrix([[Q_I]]))
-    rj = realify(QMatrix([[Q_J]]))
-    assert sum(sum(ri[i][t] * rj[t][i] for t in range(4)) for i in range(4)) == 0
-    assert real_trace_pairing(QMatrix([[Q_I]]), QMatrix([[Q_J]])) == 0
-    assert real_trace_pairing(QMatrix([[Q_I]]), QMatrix([[Q_I]])) == -4
 
 
 def test_rat_parsing():
