@@ -2,9 +2,8 @@
 quaternion-Hermitian homogeneous spaces."""
 
 from .forms import (ClassReport, FirstOrderReport, GenuineLoci, IsotypicPair,
-                    KForm, eh_coefficients, first_order_tests,
-                    fundamental_forms, genuine_loci, isotypic_split,
-                    table4_row)
+                    eh_coefficients, first_order_tests, fundamental_forms,
+                    genuine_loci, isotypic_split, table4_row)
 from .geometry import GroupData, RiemannClass, classify, curvature, nomizu
 from .lie import (BilinearMap, LieAlgebra, Representation, equivariant_hom,
                   semidirect)
@@ -16,7 +15,7 @@ from .quaternion import QMatrix, Quaternion, rat, sp_basis
 
 __all__ = [
     "BilinearMap", "ClassReport", "FirstOrderReport", "GenuineLoci",
-    "GroupData", "HomogeneousModel", "IsotypicPair", "KForm", "LieAlgebra",
+    "GroupData", "HomogeneousModel", "IsotypicPair", "LieAlgebra",
     "ModelSpec", "NormalForm", "Poly", "QMatrix", "Quaternion",
     "Representation", "RiemannClass", "build_model", "classify", "curvature",
     "dims", "eh_coefficients", "equivariant_hom", "first_order_tests",

@@ -2,8 +2,10 @@
 derivative, Hodge/codifferential machinery at rational metric points, and the
 split of d(Omega) into the two invariant 5-form lines.
 
-Coefficients are Fractions or Polys in (c1, c2) and, for the beta families,
-beta2; Hodge-dependent quantities require a rational metric point.
+A form is the sparse dict of ``lie``, {sorted index tuple: scalar}, with no
+zero entries; every sum goes through ``linalg.accumulate``.  Coefficients are
+Fractions or Polys in (c1, c2) and, for the beta families, beta2;
+Hodge-dependent quantities require a rational metric point.
 """
 
 from __future__ import annotations
@@ -12,139 +14,89 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import combinations
+from math import gcd, isqrt
 
 from .lie import (ColMat, casimir, common_kernel, derivation, derivation_op,
                   op_is_skew, sort_sign, trace_form)
 from .linalg import Echelon, accumulate, nullspace
 from .poly import Poly, proportionality
-from .models import HomogeneousModel, ambient_rep, isotropy_rep
+from .models import HomogeneousModel, ambient_rep, isotropy_rep, symbolic_model
 
 
-class KForm:
-    """Sparse exterior form: {sorted index tuple: scalar}."""
-
-    __slots__ = ("n4", "k", "terms")
-
-    def __init__(self, n4: int, k: int, terms: dict | None = None):
-        self.n4 = n4
-        self.k = k
-        self.terms = {S: c for S, c in (terms or {}).items() if c}
-
-    def add(self, other: "KForm", s=None) -> "KForm":
-        if (self.n4, self.k) != (other.n4, other.k):
-            raise ValueError("degree/dimension mismatch")
-        out = dict(self.terms)
-        accumulate(out, other.terms, s)
-        return KForm(self.n4, self.k, out)
-
-    def scale(self, s) -> "KForm":
-        if not s:
-            return KForm(self.n4, self.k)
-        return KForm(self.n4, self.k, {S: s * c for S, c in self.terms.items()})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, KForm) and self.k == other.k
-                and self.n4 == other.n4 and self.terms == other.terms)
-
-    def __repr__(self) -> str:
-        inner = ", ".join(f"e{list(S)}: {c}" for S, c in sorted(self.terms.items())[:6])
-        more = "..." if len(self.terms) > 6 else ""
-        return f"KForm(k={self.k}, {inner}{more})"
-
-
-def merge_sign(S: tuple, T: tuple) -> tuple[tuple, int] | None:
-    """Sorted concatenation and permutation sign; None when indices repeat."""
-    return sort_sign(S + T)
-
-
-def wedge(a: KForm, b: KForm) -> KForm:
-    if a.n4 != b.n4:
-        raise ValueError("dimension mismatch")
-    if a.k + b.k > a.n4:
-        return KForm(a.n4, a.k + b.k)
+def lincomb(*pairs) -> dict:
+    """The form sum s * form over the (s, form) pairs."""
     out: dict = {}
-    for S, u in a.terms.items():
+    for s, form in pairs:
+        accumulate(out, form, s)
+    return out
+
+
+def wedge(a: dict, b: dict) -> dict:
+    out: dict = {}
+    for S, u in a.items():
         img = {}
-        for T, v in b.terms.items():
-            if ms := merge_sign(S, T):
+        for T, v in b.items():
+            if ms := sort_sign(S + T):
                 img[ms[0]] = v if ms[1] > 0 else -v
         accumulate(out, img, u)
-    return KForm(a.n4, a.k + b.k, out)
+    return out
 
 
-def pullback_all_slots(form: KForm, op: ColMat) -> KForm:
+def pullback_all_slots(form: dict, op: ColMat) -> dict:
     """(A* alpha)(X_1..X_k) = alpha(A X_1, ..., A X_k): e_S goes to the wedge
     of the images of its slots."""
     out: dict = {}
-    for S, c in form.terms.items():
-        img = KForm(form.n4, 0, {(): Fraction(1)})
+    for S, c in form.items():
+        img = {(): Fraction(1)}
         for s in S:
-            img = wedge(img, KForm(form.n4, 1, {(r,): v for r, v in op.get(s, {}).items()}))
-        accumulate(out, img.terms, c)
-    return KForm(form.n4, form.k, out)
-
-
-def endo_derivation(form: KForm, op: ColMat) -> KForm:
-    """Slotwise extension sum_t alpha(..., A X_t, ...)."""
-    return KForm(form.n4, form.k, derivation(form.terms, op))
-
-
-def dual_action(form: KForm, op: ColMat) -> KForm:
-    """Action of an algebra element on covariant tensors: minus the derivation."""
-    return endo_derivation(form, op).scale(-1)
+            img = wedge(img, {(r,): v for r, v in op.get(s, {}).items()})
+        accumulate(out, img, c)
+    return out
 
 
 # --------------------------------------------------------------------------
 # model-level forms
 # --------------------------------------------------------------------------
 
-def one_form_differentials(model: HomogeneousModel) -> list[KForm]:
+def one_form_differentials(model: HomogeneousModel) -> list[dict]:
     """d(e^s) = -sum_{i<j} c_{ij}^s e^i ^ e^j from the m-part of the bracket."""
-    dm = model.rho.dim
-    terms: list[dict] = [{} for _ in range(dm)]
+    terms: list[dict] = [{} for _ in range(model.rho.dim)]
     for (i, j), col in model.bracket_m.coeffs.items():
         for s, c in col.items():
-            terms[s][(i, j)] = -c
-    return [KForm(dm, 2, t) for t in terms]
+            if c:
+                terms[s][(i, j)] = -c
+    return terms
 
 
-def ce_differential(model: HomogeneousModel, form: KForm,
-                    d1: list[KForm] | None = None) -> KForm:
+def ce_differential(model: HomogeneousModel, form: dict,
+                    d1: list[dict] | None = None) -> dict:
     """Exterior derivative of an invariant form on the reductive model.
 
     Uses only the m-projection of the bracket; on h-invariant input this is
     the de Rham derivative (and d o d = 0 there), otherwise it is just the
-    algebraic differential.
+    algebraic differential.  Slot pos of e_S contributes
+    (-1)^pos d(e^{S_pos}) ^ e_{S without pos}; the 2-form commutes, so it is
+    wedged on the right of the single term.
     """
     if d1 is None:
         d1 = one_form_differentials(model)
-    dm = model.rho.dim
-    out = KForm(dm, form.k + 1)
-    for S, c in form.terms.items():
-        for pos in range(len(S)):
-            rest = KForm(dm, len(S) - 1, {S[:pos] + S[pos + 1:]: Fraction(1)})
-            sign = -1 if pos % 2 else 1
-            piece = wedge(d1[S[pos]], rest).scale(sign * c)
-            out = out.add(piece)
+    out: dict = {}
+    for S, c in form.items():
+        for pos, x in enumerate(S):
+            accumulate(out, wedge({S[:pos] + S[pos + 1:]: -c if pos % 2 else c}, d1[x]))
     return out
 
 
-def fundamental_forms(model: HomogeneousModel) -> tuple[KForm, KForm, KForm, KForm]:
+def fundamental_forms(model: HomogeneousModel) -> tuple[dict, dict, dict, dict]:
     """(omega_I, omega_J, omega_K, Omega) for the model's triple and metric."""
-    dm = model.rho.dim
     G = model.metric
     omegas = []
     for A in model.triple:
         if not op_is_skew(A, G):
             raise AssertionError("omega_A is not antisymmetric")
-        omegas.append(KForm(dm, 2, {(i, j): G[i] * v for j, col in A.items()
-                                    for i, v in col.items() if i < j}))
-    omega = KForm(dm, 4)
-    for om in omegas:
-        omega = omega.add(wedge(om, om))
+        omegas.append({(i, j): G[i] * v for j, col in A.items()
+                       for i, v in col.items() if i < j and v})
+    omega = lincomb(*((1, wedge(om, om)) for om in omegas))
     return omegas[0], omegas[1], omegas[2], omega
 
 
@@ -153,7 +105,6 @@ def fundamental_forms(model: HomogeneousModel) -> tuple[KForm, KForm, KForm, KFo
 # --------------------------------------------------------------------------
 
 def _sqrt_fraction(x: Fraction) -> Fraction:
-    from math import isqrt
     num, den = x.numerator, x.denominator
     rn, rd = isqrt(num), isqrt(den)
     if rn * rn != num or rd * rd != den:
@@ -161,18 +112,17 @@ def _sqrt_fraction(x: Fraction) -> Fraction:
     return Fraction(rn, rd)
 
 
-def hodge_star(form: KForm, metric: list[Fraction]) -> KForm:
-    """Star for the diagonal metric; vol = sqrt(det g) e^{0...N-1}."""
-    n4 = form.n4
+def hodge_star(form: dict, metric: list[Fraction]) -> dict:
+    """Star for the diagonal metric; vol = sqrt(det g) e^{0...N-1}, N = len(metric)."""
     det = Fraction(1)
     for gx in metric:
         det *= gx
     vol_scale = _sqrt_fraction(det)
-    full = tuple(range(n4))
+    full = tuple(range(len(metric)))
     out: dict = {}
-    for S, c in form.terms.items():  # the complements of distinct S are distinct
+    for S, c in form.items():  # the complements of distinct S are distinct
         comp = tuple(i for i in full if i not in S)
-        ms = merge_sign(S, comp)
+        ms = sort_sign(S + comp)
         if ms is None:
             raise AssertionError("complement overlap")
         _, sign = ms
@@ -180,32 +130,32 @@ def hodge_star(form: KForm, metric: list[Fraction]) -> KForm:
         for i in S:
             scale /= metric[i]
         out[comp] = scale * c
-    return KForm(n4, n4 - form.k, out)
+    return out
 
 
-def codifferential(model: HomogeneousModel, form: KForm,
-                   d1: list[KForm] | None = None) -> KForm:
+def codifferential(model: HomogeneousModel, form: dict,
+                   d1: list[dict] | None = None) -> dict:
     """delta = -(star d star) on even-dimensional models."""
     metric = model.metric
-    return hodge_star(ce_differential(model, hodge_star(form, metric), d1),
-                      metric).scale(-1)
+    return lincomb((-1, hodge_star(ce_differential(model, hodge_star(form, metric), d1),
+                                   metric)))
 
 
-def contract_pair(gamma: KForm, omega: KForm, metric: list[Fraction]) -> KForm:
+def contract_pair(gamma: dict, omega: dict, metric: list[Fraction]) -> dict:
     """1-form x -> sum_{a<b} gamma(x, e_a, e_b) omega(e_a, e_b) / (G_a G_b)."""
-    if gamma.k != 3 or omega.k != 2:
+    if any(len(S) != 3 for S in gamma) or any(len(S) != 2 for S in omega):
         raise ValueError("expected a 3-form against a 2-form")
     out: dict = {}
-    for S, c in gamma.terms.items():
+    for S, c in gamma.items():
         img = {}
         for pos in range(3):
             rest = S[:pos] + S[pos + 1:]
-            w = omega.terms.get(rest)
+            w = omega.get(rest)
             if w:  # gamma(x, a, b) with x = S[pos], (a, b) = rest
                 w = w / (metric[rest[0]] * metric[rest[1]])
                 img[(S[pos],)] = -w if pos % 2 else w
         accumulate(out, img, c)
-    return KForm(gamma.n4, 1, out)
+    return out
 
 
 # --------------------------------------------------------------------------
@@ -213,7 +163,7 @@ def contract_pair(gamma: KForm, omega: KForm, metric: list[Fraction]) -> KForm:
 # --------------------------------------------------------------------------
 
 @cache
-def invariant_five_forms(n: int) -> tuple[KForm, ...]:
+def invariant_five_forms(n: int) -> tuple[dict, ...]:
     """Exact basis of the h-invariant 5-forms on m (dimension 2 for n >= 3).
 
     The kernel of the derivations on Lambda^5 is that of the dual action (its
@@ -228,21 +178,21 @@ def invariant_five_forms(n: int) -> tuple[KForm, ...]:
     index = {S: t for t, S in enumerate(basis)}
     makers = [(lambda g=g: derivation_op(rho.mats[g], index)) for g in order]
     kernel = common_kernel(makers, len(basis))
-    forms = tuple(KForm(dm, 5, {basis[t]: v for t, v in vec.items()}) for vec in kernel)
+    forms = tuple({basis[t]: v for t, v in vec.items()} for vec in kernel)
     for g in range(h.dim):
         for f in forms:
-            if not dual_action(f, rho.mats[g]).is_zero():
+            if derivation(f, rho.mats[g]):
                 raise AssertionError("non-invariant 5-form from the kernel engine")
     return forms
 
 
 @dataclass(frozen=True)
 class IsotypicPair:
-    theta_eh: KForm
-    theta_kh: KForm
+    theta_eh: dict
+    theta_kh: dict
     casimir_eigs: tuple[Fraction, Fraction]  # (EH, KH)
     lambda_one_form: Fraction                # Casimir scalar on Lambda^1 m*
-    plane: tuple[KForm, KForm]               # the invariant_five_forms basis split here
+    plane: tuple[dict, dict]                 # the invariant_five_forms basis split here
 
 
 @cache
@@ -257,19 +207,15 @@ def isotypic_split(n: int) -> IsotypicPair:
     _, rho_k, _ = ambient_rep(n)
     cas = casimir(rho_k, trace_form(rho_k))
 
-    def cas_form(form: KForm) -> KForm:
-        return KForm(form.n4, form.k, cas(form.terms))
-
     # Casimir scalar on 1-forms (the EH module)
-    e0 = KForm(4 * n, 1, {(0,): Fraction(1)})
-    lam1 = cas_form(e0).terms.get((0,), Fraction(0))
+    lam1 = cas({(0,): Fraction(1)}).get((0,), Fraction(0))
     for idx in range(4 * n):
-        e = KForm(4 * n, 1, {(idx,): Fraction(1)})
-        if not cas_form(e).add(e, -lam1).is_zero():
+        e = {(idx,): Fraction(1)}
+        if lincomb((1, cas(e)), (-lam1, e)):
             raise AssertionError("Casimir is not scalar on 1-forms")
 
-    c1v = cas_form(v1)
-    c2v = cas_form(v2)
+    c1v = cas(v1)
+    c2v = cas(v2)
     m11, m21 = plane_coordinates(c1v, v1, v2)
     m12, m22 = plane_coordinates(c2v, v1, v2)
     tr = m11 + m22
@@ -281,14 +227,14 @@ def isotypic_split(n: int) -> IsotypicPair:
     if eig1 == eig2:
         raise AssertionError("Casimir eigenvalues coincide on the invariant plane")
 
-    def eigvec(lam: Fraction) -> KForm:
+    def eigvec(lam: Fraction) -> dict:
         a, b = m11 - lam, m12
         if a == 0 and b == 0:
             a, b = m21, m22 - lam
         # (m - lam) (x, y)^T = 0 with matrix rows (m11-lam, m12), (m21, m22-lam)
         x, y = (-b, a) if (a or b) else (Fraction(1), Fraction(0))
-        vec = v1.scale(x).add(v2.scale(y))
-        if cas_form(vec).add(vec, -lam).is_zero():
+        vec = lincomb((x, v1), (y, v2))
+        if not lincomb((1, cas(vec)), (-lam, vec)):
             return vec
         raise AssertionError("eigenvector reconstruction failed")
 
@@ -347,7 +293,6 @@ def _split_domega(model: HomogeneousModel, pair: IsotypicPair):
 @cache
 def _calibration_scales(n: int) -> Calibration:
     """Theta scales fixed once per n so the H4 row matches exactly."""
-    from .models import symbolic_model
     pair = isotypic_split(n)
     x, y, _ = _split_domega(symbolic_model("H4", n), pair)
     x, y = Poly.coerce(x), Poly.coerce(y)
@@ -389,7 +334,6 @@ def eh_coefficients(model: HomogeneousModel) -> ClassReport:
 
 
 def table4_row(kind: str, n: int) -> ClassReport:
-    from .models import symbolic_model
     return eh_coefficients(symbolic_model(kind, n))
 
 
@@ -397,17 +341,15 @@ def table4_row(kind: str, n: int) -> ClassReport:
 # first-order class tests at rational metric points
 # --------------------------------------------------------------------------
 
-def solve_wedge_omega(target: KForm, omega: KForm) -> KForm | None:
-    """One-form zeta with zeta ^ Omega = target, or None when unsolvable."""
-    n4 = target.n4
-    span = Echelon(wedge(KForm(n4, 1, {(x,): Fraction(1)}), omega).terms
-                   for x in range(n4))
-    sol = span.coordinates(target.terms)
+def solve_wedge_omega(target: dict, omega: dict, dim: int) -> dict | None:
+    """One-form zeta with zeta ^ Omega = target on a dim-dimensional m, or
+    None when unsolvable."""
+    span = Echelon(wedge({(x,): Fraction(1)}, omega) for x in range(dim))
+    sol = span.coordinates(target)
     if sol is None:
         return None
-    zeta = KForm(n4, 1, {(x,): v for x, v in sol.items()})
-    check = wedge(zeta, omega).add(target, -1)
-    return zeta if check.is_zero() else None
+    zeta = {(x,): v for x, v in sol.items()}
+    return zeta if wedge(zeta, omega) == target else None
 
 
 @dataclass
@@ -445,33 +387,27 @@ def first_order_tests(model: HomogeneousModel) -> FirstOrderReport:
     d1 = one_form_differentials(model)
     dom = ce_differential(model, omega, d1)
     delta_om = codifferential(model, omega, d1)
-    n = model.n
+    n, dm = model.n, model.rho.dim
     metric = model.metric
+    triple = list(zip(model.triple, (omI, omJ, omK)))
 
-    pair_forms = []
-    for A, omA in zip(model.triple, (omI, omJ, omK)):
-        a_star = pullback_all_slots(delta_om, A)
-        pair_forms.append(contract_pair(a_star, omA, metric))
-    xi = KForm(model.rho.dim, 1)
-    for p in pair_forms:
-        xi = xi.add(p)
-    xi = xi.scale(Fraction(-1, 6 * (2 * n + 1)))
-    xi_a = [xi.scale(Fraction(-3, 2 * (n - 1))).add(p.scale(Fraction(-1, 4 * (n - 1))))
+    pair_forms = [contract_pair(pullback_all_slots(delta_om, A), omA, metric)
+                  for A, omA in triple]
+    xi = lincomb(*((Fraction(-1, 6 * (2 * n + 1)), p) for p in pair_forms))
+    xi_a = [lincomb((Fraction(-3, 2 * (n - 1)), xi), (Fraction(-1, 4 * (n - 1)), p))
             for p in pair_forms]
     xi_equal = xi_a[0] == xi_a[1] == xi_a[2]
 
-    torsion = KForm(model.rho.dim, 5)
-    for A, omA in zip(model.triple, (omI, omJ, omK)):
-        torsion = torsion.add(wedge(endo_derivation(delta_om, A), omA))
-    torsion = torsion.scale(Fraction(1, 3))
+    torsion = lincomb(*((Fraction(1, 3), wedge(derivation(delta_om, A), omA))
+                        for A, omA in triple))
 
-    d_omega_zero = dom.is_zero()
-    zeta = solve_wedge_omega(dom, omega)
+    d_omega_zero = not dom
+    zeta = solve_wedge_omega(dom, omega, dm)
     kh_identity = dom == torsion
-    xi_solved = solve_wedge_omega(torsion.add(dom, -1), omega)
+    xi_solved = solve_wedge_omega(lincomb((1, torsion), (-1, dom)), omega, dm)
     ratio = None
-    if xi_solved is not None and not xi_solved.is_zero():
-        coords = Echelon([xi.terms]).coordinates(xi_solved.terms)
+    if xi_solved:
+        coords = Echelon([xi]).coordinates(xi_solved)
         if coords is not None:
             ratio = coords[0]
     return FirstOrderReport(d_omega_zero, zeta is not None, kh_identity,
@@ -489,7 +425,7 @@ def _bidegree(S: tuple) -> tuple[int, int, int]:
 
 
 @cache
-def pure_bidegree_basis(n: int) -> tuple[KForm, KForm]:
+def pure_bidegree_basis(n: int) -> tuple[dict, dict]:
     """Invariant 5-forms of pure block bi-degree (1,0,4) and (1,2,2).
 
     The invariant plane is spanned by one form of each bi-degree; a change
@@ -501,11 +437,9 @@ def pure_bidegree_basis(n: int) -> tuple[KForm, KForm]:
     v1, v2 = isotypic_split(n).plane
     rows = []
     for v in (v1, v2):
-        parts: dict[tuple, KForm] = {}
-        for S, c in v.terms.items():
-            bd = _bidegree(S)
-            parts.setdefault(bd, KForm(v.n4, 5))
-            parts[bd] = parts[bd].add(KForm(v.n4, 5, {S: c}))
+        parts: dict[tuple, dict] = {}
+        for S, c in v.items():
+            parts.setdefault(_bidegree(S), {})[S] = c
         rows.append(parts)
     bds = sorted({bd for p in rows for bd in p})
     if bds != [(1, 0, 4), (1, 2, 2)]:
@@ -514,33 +448,31 @@ def pure_bidegree_basis(n: int) -> tuple[KForm, KForm]:
     out = []
     for keep in bds:
         drop = [bd for bd in bds if bd != keep][0]
-        keys = sorted(set(rows[0].get(drop, KForm(v1.n4, 5)).terms)
-                      | set(rows[1].get(drop, KForm(v1.n4, 5)).terms))
-        mat = [[Fraction(rows[0].get(drop, KForm(v1.n4, 5)).terms.get(S, 0)),
-                Fraction(rows[1].get(drop, KForm(v1.n4, 5)).terms.get(S, 0))]
-               for S in keys]
+        part1, part2 = rows[0].get(drop, {}), rows[1].get(drop, {})
+        mat = [[Fraction(part1.get(S, 0)), Fraction(part2.get(S, 0))]
+               for S in sorted(set(part1) | set(part2))]
         kern = nullspace(mat, 2)
         if len(kern) != 1:
             raise AssertionError("pure bi-degree combination not unique")
         a, b = kern[0]
-        form = v1.scale(a).add(v2.scale(b))
-        if form.is_zero() or any(_bidegree(S) != keep for S in form.terms):
+        form = lincomb((a, v1), (b, v2))
+        if not form or any(_bidegree(S) != keep for S in form):
             raise AssertionError("pure bi-degree extraction failed")
         out.append(form)
     return out[0], out[1]
 
 
-def plane_coordinates(form: KForm, p1: KForm, p2: KForm):
+def plane_coordinates(form: dict, p1: dict, p2: dict):
     """Exact (x, y) with form = x p1 + y p2 for a rational plane basis (p1, p2);
     the form may have Poly-valued coefficients."""
-    plane = Echelon([p1.terms, p2.terms])
+    plane = Echelon([p1, p2])
     if plane.rank != 2:
         raise AssertionError("degenerate plane basis")
-    coords = plane.coordinates(form.terms)
+    coords = plane.coordinates(form)
     if coords is None:
         raise AssertionError("form leaves the invariant plane")
     x, y = coords.get(0, Fraction(0)), coords.get(1, Fraction(0))
-    if not form.add(p1.scale(x), -1).add(p2.scale(y), -1).is_zero():
+    if lincomb((1, form), (-x, p1), (-y, p2)):
         raise AssertionError("form leaves the invariant plane")
     return x, y
 
@@ -567,8 +499,7 @@ def genuine_loci(model: HomogeneousModel) -> GenuineLoci:
     dom = ce_differential(model, omega)
     x, y = plane_coordinates(dom, p1, p2)
     # the moving EH line is spanned by e0 ^ Omega
-    e0 = KForm(4 * n, 1, {(0,): Fraction(1)})
-    w = wedge(e0, omega)
+    w = wedge({(0,): Fraction(1)}, omega)
     wx, wy = plane_coordinates(w, p1, p2)
     p_eh = Poly.coerce(x * wy - y * wx)
     # the KH line moves by the same diagonal rescaling that carries the fixed
@@ -585,7 +516,6 @@ def _poly_primitive(p: Poly) -> Poly:
     """Scaled so content is 1 and the leading coefficient positive."""
     if p.is_zero():
         return p
-    from math import gcd
     num = 0
     den = 1
     for c in p.terms.values():

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .lie import BilinearMap, ColMat, derivation, op_apply, op_is_skew, op_transpose
+from .lie import (BilinearMap, ColMat, derivation, op_compose, op_is_skew, op_sub,
+                  op_transpose)
 from .linalg import accumulate, connected_components, sv_add_scaled
 
 R4 = dict[tuple[int, int, int, int], Fraction]
@@ -99,31 +100,47 @@ def _kn_product(a: dict[tuple[int, int], Fraction], b: list[Fraction]) -> R4:
     return out
 
 
+def _trace(t: R4, G: list[Fraction]) -> dict[tuple[int, int], Fraction]:
+    """The contraction {(j, k): sum_i t(e_i, e_j, e_k, e_i) / G_i} of the first
+    and last slots, from the support of t; only nonzero entries."""
+    out: dict[tuple[int, int], Fraction] = {}
+    for (i, j, k, l), v in t.items():
+        if i == l:
+            accumulate(out, {(j, k): v / G[i]})
+    return out
+
+
+def _cyclic_sums_vanish(t: dict) -> bool:
+    """True when the cyclic sum of t over its first three slots vanishes for
+    every value of the other slots.
+
+    For the tensors checked here that sum is alternating in the three slots,
+    so it vanishes on repeated indices, and a nonzero sum has a nonzero term:
+    one sorted triple per cyclic class the support reaches is checked.
+    """
+    for (a, b, c), rest in {(tuple(sorted(key[:3])), key[3:]) for key in t
+                            if len(set(key[:3])) == 3}:
+        if t.get((a, b, c) + rest, 0) + t.get((b, c, a) + rest, 0) + t.get((c, a, b) + rest, 0):
+            return False
+    return True
+
+
 def curvature(data: GroupData) -> CurvatureData:
     dm, G = data.dim, data.metric
     if dm < 3:
         raise ValueError(f"curvature needs dim m >= 3, got {dm}: "
                          "the Weyl split divides by dim m - 2")
     lam = nomizu(data)
-    r_ops: dict[tuple[int, int], ColMat] = {}
-    for i, j in combinations(range(dm), 2):
-        # the operators and coefficients of -L([x,y]_m) - rho([x,y]_h)
-        terms = [(lam[t], -s) for t, s in data.bracket_m.pair(i, j).items()]
-        if data.bracket_h is not None and data.h_mats is not None:
-            terms += [(data.h_mats[t], -s) for t, s in data.bracket_h.pair(i, j).items()]
-        op: ColMat = {}
-        for c in range(dm):
-            base = {c: Fraction(1)}
-            vec = op_apply(lam[i], op_apply(lam[j], base))
-            accumulate(vec, op_apply(lam[j], op_apply(lam[i], base)), -1)
-            for mat, s in terms:
-                accumulate(vec, mat.get(c, {}), s)
-            if vec:
-                op[c] = vec
-        r_ops[(i, j)] = op
-
     r4: R4 = {}
-    for (i, j), op in r_ops.items():
+    for i, j in combinations(range(dm), 2):
+        # R(e_i, e_j) = [L_i, L_j] - L([e_i, e_j]_m) - rho([e_i, e_j]_h)
+        op = op_sub(op_compose(lam[i], lam[j]), op_compose(lam[j], lam[i]))
+        terms = [(lam[t], s) for t, s in data.bracket_m.pair(i, j).items()]
+        if data.bracket_h is not None and data.h_mats is not None:
+            terms += [(data.h_mats[t], s) for t, s in data.bracket_h.pair(i, j).items()]
+        for mat, s in terms:
+            for c, col in mat.items():
+                accumulate(op.setdefault(c, {}), col, -s)
         for k, col in op.items():
             for l, v in col.items():
                 val = G[l] * v
@@ -135,25 +152,13 @@ def curvature(data: GroupData) -> CurvatureData:
             raise AssertionError("curvature not antisymmetric in the value pair")
         if r4.get((k, l, i, j), 0) != v:
             raise AssertionError("curvature fails pair symmetry")
-    for i, j, k in combinations(range(dm), 3):
-        for l in range(dm):
-            if (r4.get((i, j, k, l), 0) + r4.get((j, k, i, l), 0)
-                    + r4.get((k, i, j, l), 0)) != 0:
-                raise AssertionError("curvature fails the first Bianchi identity")
+    if not _cyclic_sums_vanish(r4):
+        raise AssertionError("curvature fails the first Bianchi identity")
 
-    ricci = [[Fraction(0)] * dm for _ in range(dm)]
-    for j in range(dm):
-        for k in range(dm):
-            s = Fraction(0)
-            for i in range(dm):
-                v = r4.get((i, j, k, i), 0)
-                if v:
-                    s += v / G[i]
-            ricci[j][k] = s
-    for j in range(dm):
-        for k in range(j):
-            if ricci[j][k] != ricci[k][j]:
-                raise AssertionError("Ricci tensor not symmetric")
+    ric = _trace(r4, G)
+    if any(ric.get((k, j), 0) != v for (j, k), v in ric.items()):
+        raise AssertionError("Ricci tensor not symmetric")
+    ricci = [[ric.get((j, k), Fraction(0)) for k in range(dm)] for j in range(dm)]
     scalar = sum((ricci[j][j] / G[j] for j in range(dm)), Fraction(0))
 
     shift = scalar / (2 * (dm - 1))
@@ -165,15 +170,8 @@ def curvature(data: GroupData) -> CurvatureData:
     weyl = dict(r4)
     accumulate(weyl, _kn_product(schouten, G), -1)
     # Weyl is totally trace-free; this pins the decomposition coefficients
-    for j in range(dm):
-        for k in range(dm):
-            s = Fraction(0)
-            for i in range(dm):
-                v = weyl.get((i, j, k, i), 0)
-                if v:
-                    s += v / G[i]
-            if s != 0:
-                raise AssertionError("Weyl tensor is not trace-free")
+    if _trace(weyl, G):
+        raise AssertionError("Weyl tensor is not trace-free")
 
     # nabla R as a symmetric form on Lambda^2 m.  With R[P][Q] = R4(i,j,k,l)
     # for P = (i,j), Q = (k,l), i < j, k < l, and A_m the derivation L(e_m)
@@ -203,13 +201,8 @@ def curvature(data: GroupData) -> CurvatureData:
                                   (i, j, l, k, v), (j, i, l, k, w)):
                 nabla[(m, a, b, c, d)] = nabla[(m, c, d, a, b)] = t
     # second Bianchi identity: the cyclic sum over the first three slots
-    # vanishes; it is alternating in them, so one sorted triple m < i < j per
-    # value pair k < l that the support reaches is checked
-    for (m, i, j), (k, l) in {(tuple(sorted(key[:3])), key[3:]) for key in nabla
-                              if key[3] < key[4] and len(set(key[:3])) == 3}:
-        if (nabla.get((m, i, j, k, l), 0) + nabla.get((i, j, m, k, l), 0)
-                + nabla.get((j, m, i, k, l), 0)):
-            raise AssertionError("nabla R fails the second Bianchi identity")
+    if not _cyclic_sums_vanish(nabla):
+        raise AssertionError("nabla R fails the second Bianchi identity")
     return CurvatureData(data, lam, r4, ricci, scalar, weyl, nabla)
 
 

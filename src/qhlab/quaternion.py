@@ -65,11 +65,6 @@ class Quaternion:
             a1 * d2 + b1 * c2 - c1 * b2 + d1 * a2,
         )
 
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self * other
-        raise TypeError(f"cannot multiply {type(other)} by Quaternion")
-
     def conj(self) -> "Quaternion":
         return Quaternion(self.a, -self.b, -self.c, -self.d)
 

@@ -7,6 +7,8 @@ live with the tests that check qhlab against them.
 from fractions import Fraction
 from itertools import combinations
 
+from hypothesis import strategies as st
+
 from qhlab.lie import BilinearMap, common_kernel, op_apply
 from qhlab.linalg import accumulate
 from qhlab.models import horizontal_brackets, xi_operator
@@ -89,3 +91,13 @@ def invariant_vectors(rep, order=None):
     kernel = common_kernel([(lambda g=g: rep.mats[g]) for g in gens], rep.dim)
     assert all(not op_apply(mat, v) for mat in rep.mats for v in kernel)
     return kernel
+
+
+def rational_forms(k, dim):
+    """Hypothesis strategy: zero-free k-forms on R^dim, as the sparse dicts
+    {sorted index tuple: Fraction} of qhlab.lie, with up to four terms."""
+    keys = st.lists(st.integers(0, dim - 1), min_size=k, max_size=k,
+                    unique=True).map(lambda idx: tuple(sorted(idx)))
+    coef = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    return st.dictionaries(keys, coef, max_size=4).map(
+        lambda form: {S: c for S, c in form.items() if c})

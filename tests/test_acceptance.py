@@ -398,7 +398,7 @@ def test_criterion_10_structural_self_tests():
         d1 = FO.one_form_differentials(model)
         _, _, _, omega = FO.fundamental_forms(model)
         dom = FO.ce_differential(model, omega, d1)
-        ok = ok and FO.ce_differential(model, dom, d1).is_zero()
+        ok = ok and FO.ce_differential(model, dom, d1) == {}
         data = G.GroupData.from_model(model)
         cur = G.curvature(data)  # symmetry asserts inside
         # nabla g = 0: every Nomizu operator is metric-skew

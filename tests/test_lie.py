@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qhlab.forms import KForm, wedge
+from qhlab.forms import lincomb, wedge
 from qhlab.lie import (BilinearMap, LieAlgebra, Representation,
                        casimir, derivation, equivariant_hom, is_equivariant,
                        op_transpose, semidirect, sort_sign, trace_form)
@@ -15,7 +15,7 @@ from qhlab.models import (ambient_rep, bracket_from_params,
                           horizontal_brackets, isotropy_rep)
 from qhlab.quaternion import sp_basis, sp_coordinates
 
-from oracles import invariant_vectors, vertical_brackets
+from oracles import invariant_vectors, rational_forms, vertical_brackets
 
 rng = random.Random(31)
 
@@ -53,22 +53,16 @@ _ops = st.dictionaries(st.integers(0, DIM - 1),
                        max_size=DIM)
 
 
-def _form_terms(k):
-    keys = st.lists(st.integers(0, DIM - 1), min_size=k, max_size=k,
-                    unique=True).map(lambda idx: tuple(sorted(idx)))
-    return st.dictionaries(keys, _coef, max_size=4)
-
-
 @given(op=_ops, ka=st.integers(1, 3), kb=st.integers(1, 2), data=st.data())
 @settings(max_examples=60, deadline=None)
 def test_derivation_is_leibniz_over_wedge(op, ka, kb, data):
-    a = KForm(DIM, ka, data.draw(_form_terms(ka)))
-    b = KForm(DIM, kb, data.draw(_form_terms(kb)))
+    a = data.draw(rational_forms(ka, DIM))
+    b = data.draw(rational_forms(kb, DIM))
 
     def D(form):
-        return KForm(form.n4, form.k, derivation(form.terms, op))
+        return derivation(form, op)
 
-    assert D(wedge(a, b)) == wedge(D(a), b).add(wedge(a, D(b)))
+    assert D(wedge(a, b)) == lincomb((1, wedge(D(a), b)), (1, wedge(a, D(b))))
 
 
 def test_exterior_power_is_a_representation():
@@ -233,6 +227,20 @@ def test_semidirect_rejects_non_jacobi():
     bad = bracket_from_params(3, 1, 1, 1, 0, 0)  # violates the bracket equations
     with pytest.raises(ValueError):
         semidirect(h, rho, bad, None)
+
+
+def test_semidirect_rejects_non_equivariant_brackets():
+    # the (h, m, m) Jacobi triples are the equivariance of b_m and of b_h
+    h, rho, _ = isotropy_rep(2)
+    theta = horizontal_brackets(2)["Theta"]
+    bad_m = theta.add(BilinearMap(8, 8, {(0, 1): {2: Fraction(1)}}))
+    assert not is_equivariant(bad_m, rho, rho.mats)
+    with pytest.raises(ValueError, match="assembled algebra fails the Jacobi identity"):
+        semidirect(h, rho, bad_m, None)
+    bad_h = BilinearMap(8, h.dim, {(0, 1): {0: Fraction(1)}})
+    assert not is_equivariant(bad_h, rho, h.adjoint().mats)
+    with pytest.raises(ValueError, match="assembled algebra fails the Jacobi identity"):
+        semidirect(h, rho, None, bad_h)
 
 
 def test_common_kernel_order_independence():

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qhlab.lie import is_equivariant, op_compose, op_is_zero, op_sub
 from qhlab.models import (H_KINDS, MODEL_KINDS, ModelSpec, ambient_rep, ambient_triple,
@@ -269,6 +271,15 @@ def test_maximal_models():
     curved = build_model(ModelSpec("MaxCurved", 2, c=Fraction(1)))
     assert curved.g.dim == dims(2)["D"]
     assert curved.bracket_h.coeffs and not curved.bracket_m.coeffs
+
+
+@given(c=st.fractions(min_value=-4, max_value=4, max_denominator=4),
+       on_locus=st.booleans(),
+       offset=st.fractions(min_value=-4, max_value=4, max_denominator=4).filter(bool))
+@settings(max_examples=40, deadline=None)
+def test_maxmodel_jacobi_iff_c_theta_is_twice_c_xi(c, on_locus, offset):
+    c_theta = 2 * c if on_locus else 2 * c + offset
+    assert maxmodel_jacobi_holds(2, c_theta, c) is on_locus
 
 
 def test_qhp_isotropy_is_standard():
