@@ -16,7 +16,7 @@ from functools import cache
 from itertools import combinations
 from math import gcd, isqrt
 
-from .lie import (ColMat, casimir, common_kernel, derivation, derivation_op,
+from .lie import (ColMat, casimir, common_kernel, derivation,
                   op_is_skew, sort_sign, trace_form)
 from .linalg import Echelon, accumulate, nullspace
 from .poly import Poly, proportionality
@@ -167,8 +167,9 @@ def invariant_five_forms(n: int) -> tuple[dict, ...]:
     """Exact basis of the h-invariant 5-forms on m (dimension 2 for n >= 3).
 
     The kernel of the derivations on Lambda^5 is that of the dual action (its
-    negative); each generator's operator is built inside the solver, one at a
-    time.
+    negative).  The solver applies each generator's derivation to the forms
+    its predecessors left invariant; the first, a torus generator, leaves
+    the weight-zero forms.
     """
     if n < 3:
         raise ValueError("the 5-form analysis requires n >= 3")
@@ -176,8 +177,14 @@ def invariant_five_forms(n: int) -> tuple[dict, ...]:
     dm = 4 * n
     basis = list(combinations(range(dm), 5))
     index = {S: t for t, S in enumerate(basis)}
-    makers = [(lambda g=g: derivation_op(rho.mats[g], index)) for g in order]
-    kernel = common_kernel(makers, len(basis))
+
+    def acting(mat: ColMat):
+        def apply(vec: dict) -> dict:
+            img = derivation({basis[t]: v for t, v in vec.items()}, mat)
+            return {index[T]: v for T, v in img.items()}
+        return apply
+
+    kernel = common_kernel([acting(rho.mats[g]) for g in order], len(basis))
     forms = tuple({basis[t]: v for t, v in vec.items()} for vec in kernel)
     for g in range(h.dim):
         for f in forms:

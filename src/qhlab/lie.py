@@ -171,18 +171,41 @@ class BilinearMap:
     def jacobiator(self) -> dict[tuple[int, int, int], SparseVec]:
         """Cyclic sums [[x,y],z] + [[y,z],x] + [[z,x],y] on basis triples.
 
-        Returns only the nonzero components; empty dict means Jacobi holds.
+        Returns only the nonzero components, keyed by sorted triple in
+        increasing order; empty dict means Jacobi holds.  Only nonzero
+        brackets are visited: with ad[x] = {y: [e_x, e_y]}, the row
+        k -> J(i, j, k), k > j, of each pair i < j is summed from the three
+        cyclic terms, each a sum over the support of the inner bracket.
         """
         if self.dim_in != self.dim_out:
             raise ValueError("jacobiator needs an endomorphic bracket")
+        ad: dict[int, dict[int, SparseVec]] = {}
+        for (x, y), col in self.coeffs.items():
+            ad.setdefault(x, {})[y] = col
+            ad.setdefault(y, {})[x] = {r: -v for r, v in col.items()}
         out = {}
-        one, minus_one = Fraction(1), Fraction(-1)
-        for i, j, k in combinations(range(self.dim_in), 3):
-            total = self.apply(self.pair(i, j), {k: one})
-            accumulate(total, self.apply(self.pair(j, k), {i: one}))
-            accumulate(total, self.apply(self.pair(i, k), {j: minus_one}))  # [[k,i],j]
-            if total:
-                out[(i, j, k)] = total
+        for i, ad_i in sorted(ad.items()):
+            for j in range(i + 1, self.dim_in):
+                terms: list[dict[int, SparseVec]] = [{}, {}, {}]
+                # [[e_i, e_j], e_k] = sum_l c_ij^l [e_l, e_k]
+                for l, c in ad_i.get(j, {}).items():
+                    for k, img in ad.get(l, {}).items():
+                        if k > j:
+                            accumulate(terms[0].setdefault(k, {}), img, c)
+                # [[e_j, e_k], e_i] = sum_l c_jk^l [e_l, e_i] and
+                # [[e_k, e_i], e_j] = -sum_l c_ik^l [e_l, e_j]
+                for term, x, y, sign in ((terms[1], j, i, 1), (terms[2], i, j, -1)):
+                    for k, xk in ad.get(x, {}).items():
+                        if k > j:
+                            for l, c in xk.items():
+                                if img := ad.get(l, {}).get(y):
+                                    accumulate(term.setdefault(k, {}), img, c if sign > 0 else -c)
+                for k in sorted(terms[0].keys() | terms[1].keys() | terms[2].keys()):
+                    total = terms[0].get(k, {})
+                    accumulate(total, terms[1].get(k, {}))
+                    accumulate(total, terms[2].get(k, {}))
+                    if total:
+                        out[(i, j, k)] = total
         return out
 
 
@@ -259,21 +282,22 @@ class Representation:
                               [derivation_op(m, index) for m in self.mats])
 
 
-def hom_constraint_op(repA: Representation, repB: Representation, g: int) -> ColMat:
-    """Operator T -> rho_B(g) T - T rho_A(g) on Hom(A, B), flat index a*dimB + b."""
+def hom_constraint(repA: Representation, repB: Representation, g: int):
+    """The map T -> rho_B(g) T - T rho_A(g) on Hom(A, B), flat index a*dimB + b
+    (T's entry in row b of column a), applied to a sparse T without building
+    its matrix."""
     dimB = repB.dim
-    rowsA = op_transpose(repA.mats[g])
     matB = repB.mats[g]
-    op: ColMat = {}
-    for a in range(repA.dim):
-        minus_row = [(a2 * dimB, -c) for a2, c in rowsA.get(a, {}).items()]
-        for b in range(dimB):
-            col = {a * dimB + r: c for r, c in matB.get(b, {}).items()}
-            if minus_row:
-                accumulate(col, {base + b: c for base, c in minus_row})
-            if col:
-                op[a * dimB + b] = col
-    return op
+    rowsA = op_transpose(repA.mats[g])
+
+    def apply(T: SparseVec) -> SparseVec:
+        out: SparseVec = {}
+        for t, v in T.items():
+            a, b = divmod(t, dimB)
+            accumulate(out, {a * dimB + r: c for r, c in matB.get(b, {}).items()}, v)
+            accumulate(out, {a2 * dimB + b: c for a2, c in rowsA.get(a, {}).items()}, -v)
+        return out
+    return apply
 
 
 def trace_form(rep: Representation) -> list[list[Fraction]]:
@@ -321,40 +345,32 @@ def casimir(rep: Representation, gram: list[list[Fraction]]):
 # invariant / equivariant solvers
 # --------------------------------------------------------------------------
 
-def common_kernel(op_makers, dim: int) -> list[SparseVec]:
-    """Exact basis of the common kernel of a family of sparse operators.
+def common_kernel(applies, dim: int) -> list[SparseVec]:
+    """Exact basis of the common kernel of a family of linear maps on R^dim.
 
-    op_makers yields callables returning column-major operators, so large
-    operators can be materialized one at a time and freed.  The running kernel basis
-    is intersected with each operator's kernel; ordering structured
-    (torus-like) operators first keeps every elimination small.
+    Each map is a callable v -> A v on sparse vectors and is only ever
+    applied to the basis of the running kernel, which starts as the dim unit
+    vectors and is intersected with one map's kernel at a time; no matrix is
+    built beyond the images of those vectors.  Ordering structured
+    (torus-like) maps first keeps the running kernel, and so every later
+    elimination, small.
     """
-    K: list[SparseVec] | None = None
-    for make in op_makers:
-        op = make()
-        if K is None:
-            rows = op_transpose(op)
-            row_list = [rows[r] for r in sorted(rows)]
-            K = sparse_nullspace(row_list, dim)
-        else:
-            rowsys: dict[int, SparseVec] = {}
-            for i, k in enumerate(K):
-                w = op_apply(op, k)
-                for r, v in w.items():
-                    rowsys.setdefault(r, {})[i] = v
-            if rowsys:
-                xs = sparse_nullspace([rowsys[r] for r in sorted(rowsys)], len(K))
-                newK = []
-                for x in xs:
-                    vec: SparseVec = {}
-                    for i, s in x.items():
-                        accumulate(vec, K[i], s)
-                    newK.append(sv_primitive(vec))
-                K = newK
+    K: list[SparseVec] = [{c: Fraction(1)} for c in range(dim)]
+    for apply in applies:
+        rowsys: dict[int, SparseVec] = {}
+        for i, k in enumerate(K):
+            for r, v in apply(k).items():
+                rowsys.setdefault(r, {})[i] = v
+        if rowsys:
+            newK = []
+            for x in sparse_nullspace([rowsys[r] for r in sorted(rowsys)], len(K)):
+                vec: SparseVec = {}
+                for i, s in x.items():
+                    accumulate(vec, K[i], s)
+                newK.append(sv_primitive(vec))
+            K = newK
         if not K:
             return []
-    if K is None:
-        raise ValueError("no operators supplied")
     K.sort(key=lambda v: min(v))
     return K
 
@@ -365,14 +381,13 @@ def equivariant_hom(repA: Representation, repB: Representation,
 
     The result is re-verified after the solve by direct application of the
     defining identity to each T as an operator, independently of the
-    elimination path and without rebuilding the constraint operators.
+    elimination path.
     """
     if repA.algebra is not repB.algebra:
         raise ValueError("representations of different algebras")
     gens = order if order is not None else list(range(repA.algebra.dim))
     dimB = repB.dim
-    makers = [(lambda g=g: hom_constraint_op(repA, repB, g)) for g in gens]
-    K = common_kernel(makers, repA.dim * dimB)
+    K = common_kernel([hom_constraint(repA, repB, g) for g in gens], repA.dim * dimB)
     for T in K:
         op_T: ColMat = {}
         for t, v in T.items():

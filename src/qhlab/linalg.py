@@ -45,11 +45,16 @@ def accumulate(acc: dict, b: dict, s=None) -> None:
     if s is not None and not s:
         return
     for k, v in b.items():
-        t = acc.get(k, 0) + (v if s is None else s * v)
-        if t:
-            acc[k] = t
-        else:
-            acc.pop(k, None)
+        if s is not None:
+            v = s * v
+        if k in acc:  # an absent key is stored as is: no addition to zero
+            t = acc[k] + v
+            if t:
+                acc[k] = t
+            else:
+                del acc[k]
+        elif v:
+            acc[k] = v
 
 
 def sv_primitive(a: SparseVec) -> SparseVec:

@@ -19,13 +19,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cache
+from itertools import combinations
 
 from .lie import (BilinearMap, ColMat, LieAlgebra, Representation,
                   equivariant_hom, is_equivariant, op_apply, op_compose,
                   op_is_skew, op_is_zero, op_sub, semidirect)
 from .linalg import Echelon, SparseVec, accumulate
 from .poly import Poly
-from .quaternion import (IM_UNITS, UNITS, QMatrix, Quaternion, format_rat, rat,
+from .quaternion import (IM_UNITS, Q_ZERO, UNITS, QMatrix, Quaternion, format_rat, rat,
                          sp_basis, sp_coordinates)
 
 HORIZONTAL_NAMES = ("Theta", "Psi1", "Psi2", "Upsilon1", "Upsilon2")
@@ -71,15 +72,30 @@ _SP1_BRACKETS = {
 
 
 def _sp_block_brackets(p: int, q: int, offset: int) -> dict[tuple[int, int], SparseVec]:
-    """Structure constants of sp(p,q) in the sp_basis layout, shifted by offset."""
-    basis = sp_basis(p, q)
+    """Structure constants of sp(p,q) in the sp_basis layout, shifted by offset.
+
+    Every basis element has one or two nonzero entries, so XY - YX is formed
+    from those alone, and pairs on disjoint slots, which commute, are skipped.
+    """
+    n = p + q
+    supports = [{(r, c): e for r, row in enumerate(X.entries)
+                 for c, e in enumerate(row) if not e.is_zero()} for X in sp_basis(p, q)]
+    slots = [{r for rc in sup for r in rc} for sup in supports]
     out: dict[tuple[int, int], SparseVec] = {}
-    for i in range(len(basis)):
-        for j in range(i + 1, len(basis)):
-            coords = sp_coordinates(basis[i].commutator(basis[j]), p, q)
-            col = {offset + k: c for k, c in enumerate(coords) if c}
-            if col:
-                out[(offset + i, offset + j)] = col
+    for i, j in combinations(range(len(supports)), 2):
+        if slots[i].isdisjoint(slots[j]):
+            continue
+        comm: dict[tuple[int, int], Quaternion] = {}
+        for x_sup, y_sup, sign in ((supports[i], supports[j], 1), (supports[j], supports[i], -1)):
+            for (r, t), x in x_sup.items():
+                for (t2, c), y in y_sup.items():
+                    if t2 == t:
+                        xy = x * y
+                        comm[(r, c)] = comm.get((r, c), Q_ZERO) + (xy if sign > 0 else -xy)
+        matrix = QMatrix([[comm.get((r, c), Q_ZERO) for c in range(n)] for r in range(n)])
+        col = {offset + k: c for k, c in enumerate(sp_coordinates(matrix, p, q)) if c}
+        if col:
+            out[(offset + i, offset + j)] = col
     return out
 
 

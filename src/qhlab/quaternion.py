@@ -119,38 +119,6 @@ class QMatrix:
         ent[r][c] = q
         return QMatrix(ent)
 
-    def _check_shape(self, other: "QMatrix"):
-        if self.rows != other.rows or self.cols != other.cols:
-            raise ValueError("shape mismatch")
-
-    def __sub__(self, other: "QMatrix") -> "QMatrix":
-        self._check_shape(other)
-        return QMatrix([[a - b for a, b in zip(ra, rb)]
-                        for ra, rb in zip(self.entries, other.entries)])
-
-    def __matmul__(self, other: "QMatrix") -> "QMatrix":
-        if self.cols != other.rows:
-            raise ValueError("shape mismatch in product")
-        out = []
-        for i in range(self.rows):
-            row = []
-            for j in range(other.cols):
-                acc = Q_ZERO
-                for t in range(self.cols):
-                    a = self.entries[i][t]
-                    if a.is_zero():
-                        continue
-                    b = other.entries[t][j]
-                    if b.is_zero():
-                        continue
-                    acc = acc + a * b
-                row.append(acc)
-            out.append(row)
-        return QMatrix(out)
-
-    def commutator(self, other: "QMatrix") -> "QMatrix":
-        return self @ other - other @ self
-
     def __repr__(self) -> str:
         return "QMatrix(" + "; ".join(
             ", ".join(repr(e) for e in row) for row in self.entries) + ")"

@@ -9,11 +9,11 @@ from itertools import combinations
 
 from hypothesis import strategies as st
 
-from qhlab.lie import BilinearMap, common_kernel, op_apply
-from qhlab.linalg import accumulate
+from qhlab.lie import BilinearMap, common_kernel, op_apply, op_transpose
+from qhlab.linalg import accumulate, sparse_nullspace, sv_primitive
 from qhlab.models import horizontal_brackets, xi_operator
 from qhlab.poly import VARS, Poly
-from qhlab.quaternion import IM_UNITS, sp_coordinates
+from qhlab.quaternion import IM_UNITS, QMatrix, Quaternion, sp_basis, sp_coordinates
 
 
 def class_at(row, c1, c2) -> str:
@@ -88,7 +88,7 @@ def invariant_vectors(rep, order=None):
     """Exact basis of the joint kernel of all rho(e_g), each vector certified
     by applying every rho(e_g) to it."""
     gens = order if order is not None else range(rep.algebra.dim)
-    kernel = common_kernel([(lambda g=g: rep.mats[g]) for g in gens], rep.dim)
+    kernel = common_kernel([(lambda v, g=g: op_apply(rep.mats[g], v)) for g in gens], rep.dim)
     assert all(not op_apply(mat, v) for mat in rep.mats for v in kernel)
     return kernel
 
@@ -101,3 +101,79 @@ def rational_forms(k, dim):
     coef = st.fractions(min_value=-3, max_value=3, max_denominator=3)
     return st.dictionaries(keys, coef, max_size=4).map(
         lambda form: {S: c for S, c in form.items() if c})
+
+
+def jacobiator_by_triples(b):
+    """The cyclic sums [[e_i,e_j],e_k] + [[e_j,e_k],e_i] + [[e_k,e_i],e_j] on
+    every basis triple i < j < k, nonzero ones only: the reference that
+    BilinearMap.jacobiator must match, key order included."""
+    out = {}
+    one, minus_one = Fraction(1), Fraction(-1)
+    for i, j, k in combinations(range(b.dim_in), 3):
+        total = b.apply(b.pair(i, j), {k: one})
+        accumulate(total, b.apply(b.pair(j, k), {i: one}))
+        accumulate(total, b.apply(b.pair(i, k), {j: minus_one}))  # [[k,i],j]
+        if total:
+            out[(i, j, k)] = total
+    return out
+
+
+def materialised_common_kernel(op_makers, dim):
+    """Common kernel of the column-major operators the callables in op_makers
+    build, one whole operator per generator: the reference for the
+    matrix-free lie.common_kernel."""
+    K = None
+    for make in op_makers:
+        op = make()
+        if K is None:
+            rows = op_transpose(op)
+            K = sparse_nullspace([rows[r] for r in sorted(rows)], dim)
+        else:
+            rowsys = {}
+            for i, k in enumerate(K):
+                for r, v in op_apply(op, k).items():
+                    rowsys.setdefault(r, {})[i] = v
+            if rowsys:
+                newK = []
+                for x in sparse_nullspace([rowsys[r] for r in sorted(rowsys)], len(K)):
+                    vec = {}
+                    for i, s in x.items():
+                        accumulate(vec, K[i], s)
+                    newK.append(sv_primitive(vec))
+                K = newK
+        if not K:
+            return []
+    K.sort(key=lambda v: min(v))
+    return K
+
+
+def qmatmul(a, b):
+    """The dense product of two quaternionic matrices."""
+    out = [[Quaternion() for _ in range(b.cols)] for _ in range(a.rows)]
+    for i, row in enumerate(a.entries):
+        for t, x in enumerate(row):
+            if not x.is_zero():
+                for j, y in enumerate(b.entries[t]):
+                    if not y.is_zero():
+                        out[i][j] = out[i][j] + x * y
+    return QMatrix(out)
+
+
+def commutator(a, b):
+    """ab - ba of two square quaternionic matrices, densely."""
+    ab, ba = qmatmul(a, b), qmatmul(b, a)
+    return QMatrix([[x - y for x, y in zip(ra, rb)] for ra, rb in zip(ab.entries, ba.entries)])
+
+
+def dense_sp_brackets(p, q, offset):
+    """Structure constants of sp(p,q) from dense quaternionic commutators of
+    every basis pair, shifted by offset: the reference for the sparse
+    models._sp_block_brackets."""
+    basis = sp_basis(p, q)
+    out = {}
+    for i, j in combinations(range(len(basis)), 2):
+        coords = sp_coordinates(commutator(basis[i], basis[j]), p, q)
+        col = {offset + k: c for k, c in enumerate(coords) if c}
+        if col:
+            out[(offset + i, offset + j)] = col
+    return out

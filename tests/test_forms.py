@@ -15,12 +15,13 @@ from qhlab.forms import (ce_differential, codifferential, contract_pair,
                          lincomb, one_form_differentials, pullback_all_slots,
                          pure_bidegree_basis, table4_row, wedge,
                          _calibration_scales, _split_domega)
-from qhlab.lie import derivation, op_apply, sort_sign
-from qhlab.models import ModelSpec, build_model, symbolic_model
+from qhlab.lie import derivation, derivation_op, op_apply, sort_sign
+from qhlab.models import (ModelSpec, bracket_space_dims, build_model, isotropy_rep,
+                          symbolic_model)
 from qhlab.poly import Poly
 from qhlab.quaternion import Quaternion
 
-from oracles import class_at, rational_forms, rotated_triple
+from oracles import class_at, materialised_common_kernel, rational_forms, rotated_triple
 
 rng = random.Random(2024)
 
@@ -187,6 +188,18 @@ def test_invariant_five_form_space():
         invariant_five_forms(2)
 
 
+def test_matrix_free_kernel_matches_the_materialised_operators():
+    # the reference builds every generator's whole operator on Lambda^5 m
+    _, rho, order = isotropy_rep(3)
+    basis = list(combinations(range(12), 5))
+    index = {S: t for t, S in enumerate(basis)}
+    kernel = materialised_common_kernel(
+        [(lambda g=g: derivation_op(rho.mats[g], index)) for g in order], len(basis))
+    expected = [[(basis[t], v) for t, v in vec.items()] for vec in kernel]
+    assert [list(form.items()) for form in invariant_five_forms(3)] == expected
+    assert bracket_space_dims(3) == (5, 4)
+
+
 def test_isotypic_split_labels():
     pair = isotypic_split(3)
     assert pair.casimir_eigs[0] != pair.casimir_eigs[1]
@@ -202,9 +215,9 @@ def test_five_form_plane_is_solved_once_per_n(monkeypatch):
     solves = []
     solve = forms.common_kernel
 
-    def counting(op_makers, dim):
+    def counting(applies, dim):
         solves.append(dim)
-        return solve(op_makers, dim)
+        return solve(applies, dim)
 
     monkeypatch.setattr(forms, "common_kernel", counting)
     isotypic_split(3)
@@ -302,6 +315,14 @@ def test_f_kh_column_shifts_with_n():
     assert row4.f_kh == Poly.parse("c1*c2 + 7*c2^2")
     cal4 = _calibration_scales(4)
     assert not cal4.kh_matches_nominal and cal4.eh_matches_nominal
+
+
+def test_h4_row_at_n5():
+    # README finding 2 at a third n: f_KH moves with n (c2^2 coefficient 2n - 1),
+    # f_EH does not
+    row = table4_row("H4", 5)
+    assert row.f_kh == Poly.parse("c1*c2 + 9*c2^2")
+    assert row.f_eh == Poly.parse("c1*c2 - 2*c2^2")
 
 
 def test_domega_in_invariant_plane_symbolically():

@@ -11,11 +11,13 @@ from qhlab.lie import (BilinearMap, LieAlgebra, Representation,
                        casimir, derivation, equivariant_hom, is_equivariant,
                        op_transpose, semidirect, sort_sign, trace_form)
 from qhlab.linalg import Echelon
-from qhlab.models import (ambient_rep, bracket_from_params,
-                          horizontal_brackets, isotropy_rep)
-from qhlab.quaternion import sp_basis, sp_coordinates
+from qhlab.models import (ambient_rep, bracket_from_params, horizontal_brackets,
+                          isotropy_rep, maxmodel_jacobi_holds)
+from qhlab.poly import Poly
+from qhlab.quaternion import sp_basis
 
-from oracles import invariant_vectors, rational_forms, vertical_brackets
+from oracles import (dense_sp_brackets, invariant_vectors, jacobiator_by_triples,
+                     rational_forms, vertical_brackets)
 
 rng = random.Random(31)
 
@@ -78,16 +80,53 @@ def test_jacobiator_abelian():
 
 
 def test_jacobiator_sp2_structure_constants():
-    basis = sp_basis(2, 0)
-    brackets = {}
-    for i in range(len(basis)):
-        for j in range(i + 1, len(basis)):
-            coords = sp_coordinates(basis[i].commutator(basis[j]), 2, 0)
-            col = {k: c for k, c in enumerate(coords) if c}
-            if col:
-                brackets[(i, j)] = col
-    alg = LieAlgebra(len(basis), brackets)
+    alg = LieAlgebra(len(sp_basis(2, 0)), dense_sp_brackets(2, 0, 0))
     assert alg.verify_jacobi()
+
+
+_SCALARS = {"fraction": _coef,
+            "poly": st.builds(lambda a, b: a * Poly.var("c1") + b, _coef, _coef)}
+
+
+@st.composite
+def _sparse_brackets(draw, scalar):
+    """A random antisymmetric bracket on R^dim with a few sparse values."""
+    dim = draw(st.integers(3, 7))
+    pairs = list(combinations(range(dim), 2))
+    coeffs = draw(st.dictionaries(st.sampled_from(pairs),
+                                  st.dictionaries(st.integers(0, dim - 1), scalar, max_size=3),
+                                  max_size=2 * dim))
+    return BilinearMap(dim, dim, {ij: {k: c for k, c in col.items() if c}
+                                  for ij, col in coeffs.items()})
+
+
+def _entries(jac):
+    """The jacobiator as ordered lists: triples and, per triple, its entries."""
+    return [(ijk, list(vec.items())) for ijk, vec in jac.items()]
+
+
+@given(kind=st.sampled_from(sorted(_SCALARS)), data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_jacobiator_matches_the_triple_loop(kind, data):
+    b = data.draw(_sparse_brackets(_SCALARS[kind]))
+    assert _entries(b.jacobiator()) == _entries(jacobiator_by_triples(b))
+
+
+@pytest.mark.parametrize("c_theta", [Fraction(2), Fraction(3)])
+def test_jacobiator_matches_the_triple_loop_on_the_maxmodel_algebra(monkeypatch, c_theta):
+    # c_theta = 2 c_xi is the Jacobi locus of the maximal model; off it the
+    # jacobiator of the assembled algebra has nonzero components
+    compared = []
+    real = BilinearMap.jacobiator
+
+    def checked(self):
+        out = real(self)
+        compared.append(_entries(out) == _entries(jacobiator_by_triples(self)))
+        return out
+
+    monkeypatch.setattr(BilinearMap, "jacobiator", checked)
+    assert maxmodel_jacobi_holds(2, c_theta, Fraction(1)) is (c_theta == 2)
+    assert compared and all(compared)
 
 
 def test_theta_bracket_two_step_nilpotent():
@@ -179,12 +218,7 @@ def _on_module(cas, dim):
 def test_casimir_sp1_adjoint_scalar():
     # adjoint representation of sp(1) with its trace form
     basis = sp_basis(1, 0)
-    brackets = {}
-    for i in range(3):
-        for j in range(i + 1, 3):
-            coords = sp_coordinates(basis[i].commutator(basis[j]), 1, 0)
-            brackets[(i, j)] = {k: c for k, c in enumerate(coords) if c}
-    alg = LieAlgebra(3, brackets)
+    alg = LieAlgebra(3, dense_sp_brackets(1, 0, 0))
     ad = alg.adjoint()
     gram = [[_real_trace_pairing(basis[i], basis[j]) for j in range(3)]
             for i in range(3)]
@@ -257,13 +291,13 @@ def test_common_kernel_order_independence():
 def test_equivariant_hom_builds_each_constraint_operator_once(monkeypatch):
     import qhlab.lie as lie
     calls = []
-    real = lie.hom_constraint_op
+    real = lie.hom_constraint
 
     def counting(repA, repB, g):
         calls.append(g)
         return real(repA, repB, g)
 
-    monkeypatch.setattr(lie, "hom_constraint_op", counting)
+    monkeypatch.setattr(lie, "hom_constraint", counting)
     h, rho, _ = isotropy_rep(2)
     assert len(equivariant_hom(rho.exterior_power(2), rho)) == 5
     assert sorted(calls) == list(range(h.dim))
@@ -272,6 +306,6 @@ def test_equivariant_hom_builds_each_constraint_operator_once(monkeypatch):
 def test_equivariant_hom_certificate_rejects_a_wrong_kernel(monkeypatch):
     import qhlab.lie as lie
     _, rho, _ = isotropy_rep(2)
-    monkeypatch.setattr(lie, "common_kernel", lambda makers, dim: [{1: Fraction(1)}])
+    monkeypatch.setattr(lie, "common_kernel", lambda applies, dim: [{1: Fraction(1)}])
     with pytest.raises(AssertionError, match="non-equivariant"):
         equivariant_hom(rho.exterior_power(2), rho)

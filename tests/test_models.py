@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qhlab.lie import is_equivariant, op_compose, op_is_zero, op_sub
-from qhlab.models import (H_KINDS, MODEL_KINDS, ModelSpec, ambient_rep, ambient_triple,
+from qhlab.models import (H_KINDS, MODEL_KINDS, ModelSpec, _sp_block_brackets,
+                          ambient_rep, ambient_triple,
                           apply_scaling, bracket_space_dims, build_model, dims,
                           horizontal_brackets, in_families, isotropy_rep,
                           jacobi_equations, maxmodel_jacobi_holds, normalize,
@@ -15,8 +16,8 @@ from qhlab.models import (H_KINDS, MODEL_KINDS, ModelSpec, ambient_rep, ambient_
 from qhlab.poly import Poly, proportionality
 from qhlab.quaternion import IM_UNITS, UNITS, Quaternion
 
-from oracles import (hermitian_metric, invariant_vectors, rotated_triple,
-                     vertical_brackets)
+from oracles import (dense_sp_brackets, hermitian_metric, invariant_vectors,
+                     rotated_triple, vertical_brackets)
 
 rng = random.Random(4242)
 
@@ -280,6 +281,13 @@ def test_maximal_models():
 def test_maxmodel_jacobi_iff_c_theta_is_twice_c_xi(c, on_locus, offset):
     c_theta = 2 * c if on_locus else 2 * c + offset
     assert maxmodel_jacobi_holds(2, c_theta, c) is on_locus
+
+
+@pytest.mark.parametrize("p, q", [(2, 0), (3, 0), (1, 2), (4, 0), (1, 3)])
+def test_sparse_sp_constants_match_dense_commutators(p, q):
+    sparse, dense = _sp_block_brackets(p, q, 4), dense_sp_brackets(p, q, 4)
+    assert [(ij, list(col.items())) for ij, col in sparse.items()] == \
+        [(ij, list(col.items())) for ij, col in dense.items()]
 
 
 def test_qhp_isotropy_is_standard():

@@ -6,7 +6,7 @@ import pytest
 from qhlab.quaternion import (IM_UNITS, Q_I, Q_J, Q_K, Q_ONE, QMatrix,
                               Quaternion, rat, sp_basis, sp_coordinates)
 
-from oracles import hermitian_metric
+from oracles import commutator, hermitian_metric, qmatmul
 
 rng = random.Random(1214)
 
@@ -32,7 +32,7 @@ def _eta(p, q):
 def _sp_defect(x, eta):
     """The entries of X^dagger eta + eta X, which vanish exactly on sp(p,q)."""
     return [[a + b for a, b in zip(ra, rb)]
-            for ra, rb in zip((_dagger(x) @ eta).entries, (eta @ x).entries)]
+            for ra, rb in zip(qmatmul(_dagger(x), eta).entries, qmatmul(eta, x).entries)]
 
 
 def test_hamilton_table():
@@ -104,7 +104,7 @@ def test_sp_basis_defining_equation_and_closure(p, q):
     # closure: every pairwise commutator must expand exactly in the basis
     for i in range(len(basis)):
         for j in range(i + 1, len(basis)):
-            comm = basis[i].commutator(basis[j])
+            comm = commutator(basis[i], basis[j])
             coords = sp_coordinates(comm, p, q)
             rebuilt = tuple(
                 tuple(sum((mat.entries[r][s] * c for c, mat in zip(coords, basis) if c),

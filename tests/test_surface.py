@@ -4,9 +4,13 @@ exported: a definition that nothing in the package references and that
 library), and fails here."""
 
 import ast
+import inspect
 from pathlib import Path
 
+import pytest
+
 import qhlab
+from qhlab import lie, linalg, models
 
 SRC = Path(qhlab.__file__).parent
 
@@ -36,3 +40,13 @@ def _unreferenced() -> list[str]:
 
 def test_every_definition_is_referenced_or_exported():
     assert _unreferenced() == []
+
+
+@pytest.mark.parametrize("func, params", [(lie.common_kernel, {"dim"}),
+                                          (linalg.sparse_nullspace, {"rows", "ncols"}),
+                                          (models.isotropy_rep, {"n"}),
+                                          (models.ambient_rep, {"n"})])
+def test_parameters_the_span_tracer_reads_by_name(func, params):
+    # bench/tracer.py binds these arguments by name for its per-layer counters
+    # (lie.common_kernel.cols, linalg.sparse_nullspace.rows/cols, *.distinct_n)
+    assert params <= set(inspect.signature(func).parameters)
