@@ -11,12 +11,12 @@ from .models import (HomogeneousModel, ModelSpec, NormalForm, build_model,
                      dims, in_families, jacobi_equations, normalize,
                      symbolic_model)
 from .poly import Poly, proportionality
-from .quaternion import QMatrix, Quaternion, rat, sp_basis
+from .quaternion import Quaternion, rat, sp_basis
 
 __all__ = [
     "BilinearMap", "ClassReport", "FirstOrderReport", "GenuineLoci",
     "GroupData", "HomogeneousModel", "IsotypicPair", "LieAlgebra",
-    "ModelSpec", "NormalForm", "Poly", "QMatrix", "Quaternion",
+    "ModelSpec", "NormalForm", "Poly", "Quaternion",
     "Representation", "RiemannClass", "build_model", "classify", "curvature",
     "dims", "eh_coefficients", "equivariant_hom", "first_order_tests",
     "fundamental_forms", "genuine_loci", "in_families", "isotypic_split",

@@ -402,25 +402,6 @@ def equivariant_hom(repA: Representation, repB: Representation,
 # semidirect assembly
 # --------------------------------------------------------------------------
 
-def is_equivariant(b: BilinearMap, rho: Representation,
-                   target_action: list[ColMat]) -> bool:
-    """True when b is equivariant: target(g) b(x,y) = b(rho(g)x, y) + b(x, rho(g)y)."""
-    dm = b.dim_in
-    for g in range(rho.algebra.dim):
-        rg = rho.mats[g]
-        tg = target_action[g]
-        for i in range(dm):
-            ei = {i: Fraction(1)}
-            ri = rg.get(i, {})
-            for j in range(i + 1, dm):
-                ej = {j: Fraction(1)}
-                lhs = op_apply(tg, b.pair(i, j))
-                rhs = sv_add_scaled(b.apply(ri, ej), b.apply(ei, rg.get(j, {})), 1)
-                if sv_add_scaled(lhs, rhs, -1):
-                    return False
-    return True
-
-
 def semidirect(h: LieAlgebra, rho: Representation,
                b_m: BilinearMap | None = None,
                b_h: BilinearMap | None = None) -> LieAlgebra:

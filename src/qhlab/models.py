@@ -22,12 +22,12 @@ from functools import cache
 from itertools import combinations
 
 from .lie import (BilinearMap, ColMat, LieAlgebra, Representation,
-                  equivariant_hom, is_equivariant, op_apply, op_compose,
-                  op_is_skew, op_is_zero, op_sub, semidirect)
+                  equivariant_hom, op_apply, op_compose, op_is_skew, op_is_zero,
+                  op_sub, semidirect)
 from .linalg import Echelon, SparseVec, accumulate
 from .poly import Poly
-from .quaternion import (IM_UNITS, Q_ZERO, UNITS, QMatrix, Quaternion, format_rat, rat,
-                         sp_basis, sp_coordinates)
+from .quaternion import (IM_UNITS, UNITS, QMat, Quaternion, format_rat, rat, sp_basis,
+                         sp_coordinates)
 
 HORIZONTAL_NAMES = ("Theta", "Psi1", "Psi2", "Upsilon1", "Upsilon2")
 PARAM_NAMES = ("alpha", "beta1", "beta2", "gamma1", "gamma2")
@@ -55,13 +55,16 @@ def _quat_to_slot(p: int, q: Quaternion) -> SparseVec:
     return out
 
 
-def _im_to_coords(q: Quaternion, offset: int) -> SparseVec:
-    """Imaginary quaternion -> coordinates on three consecutive indices."""
-    out: SparseVec = {}
-    for t, comp in enumerate((q.b, q.c, q.d)):
-        if comp:
-            out[offset + t] = comp
-    return out
+def _realify(n: int, image) -> ColMat:
+    """Column-major real matrix of the real-linear map of H^n that sends the
+    unit x in slot p to image(p, x), a dict {slot: quaternion}."""
+    col: ColMat = {}
+    for p in range(n):
+        for u, unit in enumerate(UNITS):
+            if vec := {k: v for t, q in image(p, unit).items()
+                       for k, v in _quat_to_slot(t, q).items()}:
+                col[4 * p + u] = vec
+    return col
 
 
 _SP1_BRACKETS = {
@@ -71,31 +74,37 @@ _SP1_BRACKETS = {
 }
 
 
-def _sp_block_brackets(p: int, q: int, offset: int) -> dict[tuple[int, int], SparseVec]:
-    """Structure constants of sp(p,q) in the sp_basis layout, shifted by offset.
+def _shift(brackets: dict[tuple[int, int], SparseVec], offset: int) -> dict:
+    """Structure constants with every basis index moved up by offset."""
+    return {(i + offset, j + offset): {k + offset: v for k, v in col.items()}
+            for (i, j), col in brackets.items()}
+
+
+@cache
+def _sp_block_brackets(p: int, q: int) -> dict[tuple[int, int], SparseVec]:
+    """Structure constants of sp(p,q) in the sp_basis layout.
 
     Every basis element has one or two nonzero entries, so XY - YX is formed
     from those alone, and pairs on disjoint slots, which commute, are skipped.
+    The commutator is read back through sp_coordinates, which checks that it
+    lies in sp(p,q).  Built once per (p, q); callers place it with _shift and
+    must not modify it.
     """
-    n = p + q
-    supports = [{(r, c): e for r, row in enumerate(X.entries)
-                 for c, e in enumerate(row) if not e.is_zero()} for X in sp_basis(p, q)]
-    slots = [{r for rc in sup for r in rc} for sup in supports]
+    basis = sp_basis(p, q)
+    slots = [{r for rc in X for r in rc} for X in basis]
     out: dict[tuple[int, int], SparseVec] = {}
-    for i, j in combinations(range(len(supports)), 2):
+    for i, j in combinations(range(len(basis)), 2):
         if slots[i].isdisjoint(slots[j]):
             continue
-        comm: dict[tuple[int, int], Quaternion] = {}
-        for x_sup, y_sup, sign in ((supports[i], supports[j], 1), (supports[j], supports[i], -1)):
-            for (r, t), x in x_sup.items():
-                for (t2, c), y in y_sup.items():
-                    if t2 == t:
-                        xy = x * y
-                        comm[(r, c)] = comm.get((r, c), Q_ZERO) + (xy if sign > 0 else -xy)
-        matrix = QMatrix([[comm.get((r, c), Q_ZERO) for c in range(n)] for r in range(n)])
-        col = {offset + k: c for k, c in enumerate(sp_coordinates(matrix, p, q)) if c}
-        if col:
-            out[(offset + i, offset + j)] = col
+        comm: QMat = {}
+        for (r, t), x in basis[i].items():
+            for (t2, c), y in basis[j].items():
+                if t2 == t:  # XY
+                    accumulate(comm, {(r, c): x * y})
+                if c == r:  # YX
+                    accumulate(comm, {(t2, t): -(y * x)})
+        if col := sp_coordinates(comm, p, q):
+            out[(i, j)] = col
     return out
 
 
@@ -115,32 +124,14 @@ def _sp_pair_rep(n: int, m: int) -> tuple[LieAlgebra, Representation, tuple[int,
     """
     off = n - m
     dim = 3 + m * (2 * m + 1)
-    brackets = dict(_SP1_BRACKETS)
-    brackets.update(_sp_block_brackets(m, 0, 3))
-    alg = LieAlgebra(dim, brackets)
+    alg = LieAlgebra(dim, {**_SP1_BRACKETS, **_shift(_sp_block_brackets(m, 0), 3)})
     if not alg.verify_jacobi():
         raise AssertionError(f"sp(1) + sp({m}) fails Jacobi")
-    mats: list[ColMat] = []
-    for a in IM_UNITS:
-        col: ColMat = {}
-        for p in range(n):
-            for u, unit in enumerate(UNITS):
-                img = a * unit - unit * a if p < off else -(unit * a)
-                if vec := _quat_to_slot(p, img):
-                    col[4 * p + u] = vec
-        mats.append(col)
-    for Y in sp_basis(m, 0):
-        col = {}
-        for p in range(off, n):
-            for u, unit in enumerate(UNITS):
-                img: SparseVec = {}
-                for t in range(off, n):
-                    e = Y.entries[t - off][p - off]
-                    if not e.is_zero():
-                        accumulate(img, _quat_to_slot(t, e * unit))
-                if img:
-                    col[4 * p + u] = img
-        mats.append(col)
+    mats = [_realify(n, lambda p, x, a=a: {p: a * x - x * a if p < off else -(x * a)})
+            for a in IM_UNITS]
+    mats += [_realify(n, lambda p, x, Y=Y: {off + r: e * x for (r, c), e in Y.items()
+                                            if c == p - off})
+             for Y in sp_basis(m, 0)]
     rho = Representation(alg, 4 * n, mats, check=True)
     torus = [0] + [3 + 3 * s for s in range(m)]
     order = tuple(torus + [g for g in range(dim) if g not in torus])
@@ -159,21 +150,6 @@ def ambient_rep(n: int) -> tuple[LieAlgebra, Representation, tuple[int, ...]]:
     return _sp_pair_rep(n, n)
 
 
-def _mixed_mult(n: int, a: Quaternion, sign0: int, sign_h: int) -> ColMat:
-    """sign0 * L_a on the H-slot, sign_h * R_a on H^{n-1}, column-major."""
-    col: ColMat = {}
-    for u, unit in enumerate(UNITS):
-        vec = _quat_to_slot(0, (a * unit) * Fraction(sign0))
-        if vec:
-            col[u] = vec
-    for p in range(1, n):
-        for u, unit in enumerate(UNITS):
-            vec = _quat_to_slot(p, (unit * a) * Fraction(sign_h))
-            if vec:
-                col[4 * p + u] = vec
-    return col
-
-
 def quaternionic_triple(n: int) -> tuple[ColMat, ColMat, ColMat]:
     """Invariant triple for the submaximal models.
 
@@ -184,9 +160,10 @@ def quaternionic_triple(n: int) -> tuple[ColMat, ColMat, ColMat]:
     quaternion-Kahler locus lands on the alpha = -1 bracket at c1 = 2 c2,
     matching the classification's normal-form labels.
     """
+    def mixed(a: Quaternion, sign: int) -> ColMat:  # sign L_a on slot 0, -sign R_a after
+        return _realify(n, lambda p, x: {p: (a * x) * sign if p == 0 else (x * a) * -sign})
     i, j, k = IM_UNITS
-    return (_mixed_mult(n, i, -1, 1), _mixed_mult(n, j, -1, 1),
-            _mixed_mult(n, k, 1, -1))
+    return mixed(i, -1), mixed(j, -1), mixed(k, 1)
 
 
 def ambient_triple(n: int) -> tuple[ColMat, ColMat, ColMat]:
@@ -196,14 +173,9 @@ def ambient_triple(n: int) -> tuple[ColMat, ColMat, ColMat]:
     the flat and curved maximal models (their isotropy rotates any slotwise
     mixture out of the span).
     """
-    i, j, k = IM_UNITS
-
     def right_mult(a: Quaternion, sign: int) -> ColMat:
-        col: ColMat = {}
-        for p in range(n):
-            for u, unit in enumerate(UNITS):
-                col[4 * p + u] = _quat_to_slot(p, (unit * a) * Fraction(sign))
-        return col
+        return _realify(n, lambda p, x: {p: (x * a) * sign})
+    i, j, k = IM_UNITS
     return right_mult(i, 1), right_mult(j, 1), right_mult(k, -1)
 
 
@@ -253,15 +225,13 @@ def horizontal_brackets(n: int) -> dict[str, BilinearMap]:
     }
 
 
-def xi_operator(q1_slot: int, q1_unit: int, q2_slot: int, q2_unit: int,
-                nloc: int) -> QMatrix:
-    """Xi(q1, q2) = q2 q1^dagger - q1 q2^dagger as an (nloc x nloc) matrix."""
-    u = UNITS[q1_unit]
-    v = UNITS[q2_unit]
-    ent = [[Quaternion() for _ in range(nloc)] for _ in range(nloc)]
-    ent[q2_slot][q1_slot] = ent[q2_slot][q1_slot] + v * u.conj()
-    ent[q1_slot][q2_slot] = ent[q1_slot][q2_slot] - u * v.conj()
-    return QMatrix(ent)
+def xi_operator(q1_slot: int, q1_unit: int, q2_slot: int, q2_unit: int) -> QMat:
+    """Xi(q1, q2) = q2 q1^dagger - q1 q2^dagger on unit vectors: at most two entries."""
+    u, v = UNITS[q1_unit], UNITS[q2_unit]
+    out: QMat = {}
+    accumulate(out, {(q2_slot, q1_slot): v * u.conj()})
+    accumulate(out, {(q1_slot, q2_slot): -(u * v.conj())})
+    return out
 
 
 def bracket_from_params(n: int, alpha, beta1, beta2, gamma1, gamma2) -> BilinearMap:
@@ -550,9 +520,12 @@ def _assemble(spec: ModelSpec, h: LieAlgebra, rho: Representation,
     dh, dm = h.dim, rho.dim
     b_m = b_m or BilinearMap.zero(dm, dm)
     b_h = b_h or BilinearMap.zero(dm, dh)
-    return _verified(HomogeneousModel(
-        spec.n, semidirect(h, rho, b_m, b_h), rho, b_m, b_h, triple,
-        metric_diag(spec.n, spec.c1, spec.c2), extras or {}))
+    try:
+        g = semidirect(h, rho, b_m, b_h)
+    except ValueError as exc:  # a failed certificate, not a verdict on the paper
+        raise AssertionError(str(exc)) from exc
+    return _verified(HomogeneousModel(spec.n, g, rho, b_m, b_h, triple,
+                                      metric_diag(spec.n, spec.c1, spec.c2), extras or {}))
 
 
 def build_model(spec: ModelSpec) -> HomogeneousModel:
@@ -593,8 +566,7 @@ def maximal_vertical_bracket(n: int, c_theta, c_xi) -> BilinearMap:
                         th = (UNITS[u].conj() * UNITS[v]).im()
                         for t, comp in enumerate((th.b, th.c, th.d)):
                             col[t] = -c_theta * comp
-                    xi = xi_operator(p, u, q, v, n)
-                    for t, comp in enumerate(sp_coordinates(xi, n, 0)):
+                    for t, comp in sp_coordinates(xi_operator(p, u, q, v), n, 0).items():
                         col[3 + t] = c_xi * comp
                     col = {k2: v2 for k2, v2 in col.items() if v2}
                     if col:
@@ -612,56 +584,32 @@ def _build_reductive_model(spec: ModelSpec) -> HomogeneousModel:
     n = spec.n
     pq = (n, 0) if spec.kind == "QHP" else (1, n - 1)
     spb = sp_basis(*pq)
-    nsp = len(spb)
-    dg = 4 + nsp
-    brackets: dict[tuple[int, int], SparseVec] = {}
-    for a in range(1, 4):
-        for b in range(a + 1, 4):
-            comm = UNITS[a] * UNITS[b] - UNITS[b] * UNITS[a]
-            col = _im_to_coords(comm, 1)
-            if col:
-                brackets[(a, b)] = col
-    brackets.update(_sp_block_brackets(*pq, 4))
-    g_old = LieAlgebra(dg, brackets)
+    dg = 4 + len(spb)
+    g_old = LieAlgebra(dg, {**_shift(_SP1_BRACKETS, 1), **_shift(_sp_block_brackets(*pq), 4)})
     if not g_old.verify_jacobi():
         raise AssertionError("reductive ambient algebra fails Jacobi")
 
-    def sp_index(coords_matrix: QMatrix) -> SparseVec:
-        return {4 + t: c for t, c in
-                enumerate(sp_coordinates(coords_matrix, *pq)) if c}
+    def sp_index(m: QMat) -> SparseVec:
+        return {4 + t: c for t, c in sp_coordinates(m, *pq).items()}
 
     # change of basis: h-part then m-part
     cols: list[SparseVec] = []
     for a in range(1, 4):  # A_a = a_H + a E_11
         vec = {a: Fraction(1)}
-        accumulate(vec, sp_index(QMatrix.from_entry(n, n, 0, 0, UNITS[a])))
+        accumulate(vec, sp_index({(0, 0): UNITS[a]}))
         cols.append(vec)
-    lower: list[SparseVec] = []
-    for s in range(1, n):
-        for a in IM_UNITS:
-            lower.append(sp_index(QMatrix.from_entry(n, n, s, s, a)))
-    for s in range(1, n):  # -eta_s eta_t = -1 in both signatures on this block
-        for t in range(s + 1, n):
-            for a in UNITS:
-                ent = [[Quaternion() for _ in range(n)] for _ in range(n)]
-                ent[s][t] = a
-                ent[t][s] = a.conj() * Fraction(-1)
-                lower.append(sp_index(QMatrix(ent)))
+    # sp(n-1): the sp(p,q) basis elements off slot 0 (-eta_s eta_t = -1 on this block)
+    lower = [sp_index(X) for X in spb if all(0 not in rc for rc in X)]
     cols.extend(lower)
     dh = 3 + len(lower)
     cols.append({0: Fraction(1)})  # m_0 = real quaternion unit
     for a in range(1, 4):  # anti-diagonal Im(H)
         vec = {a: Fraction(1)}
-        accumulate(vec, sp_index(QMatrix.from_entry(n, n, 0, 0, UNITS[a])), -1)
+        accumulate(vec, sp_index({(0, 0): UNITS[a]}), -1)
         cols.append(vec)
-    first_row_sign = -1 if spec.kind == "QHP" else 1  # -eta_0 eta_t
     for t in range(1, n):
-        for u in range(4):  # standard coordinate (t, u), block entries conjugated
-            q = UNITS[u].conj()
-            ent = [[Quaternion() for _ in range(n)] for _ in range(n)]
-            ent[0][t] = q
-            ent[t][0] = q.conj() * Fraction(first_row_sign)
-            cols.append(sp_index(QMatrix(ent)))
+        for x in UNITS:  # standard coordinate (t, x), block entries conjugated
+            cols.append(sp_index({(0, t): x.conj(), (t, 0): -x if spec.kind == "QHP" else x}))
     if len(cols) != dg:
         raise AssertionError("basis count mismatch")
 
@@ -735,17 +683,21 @@ def twisted_theta(n: int) -> BilinearMap:
 
 def _build_twisted_model(spec: ModelSpec) -> HomogeneousModel:
     """The twisted bracket over the centralizer Z_h(I) = so(2) + sp(n-1) (the
-    A_i axis plus the sp(n-1) block): it must be Z-equivariant and must not be
-    equivariant under all of h."""
+    A_i axis plus the sp(n-1) block): it must be Z-equivariant, which the
+    Jacobi certificate of its assembly checks, and must not be equivariant
+    under all of h, so that the semidirect sum over h must fail Jacobi."""
     n = spec.n
     h, rho, _ = isotropy_rep(n)
     gens = [0] + list(range(3, h.dim))
     z = h.subalgebra(gens)
     rho_z = _restrict_rep(rho, z, gens)
     b = twisted_theta(n)
-    if not is_equivariant(b, rho_z, rho_z.mats) or is_equivariant(b, rho, rho.mats):
-        raise AssertionError("the twisted bracket fails the symmetry protocol")
-    return _assemble(spec, z, rho_z, b, None, quaternionic_triple(n), {"twist_variant": "output"})
+    model = _assemble(spec, z, rho_z, b, None, quaternionic_triple(n), {"twist_variant": "output"})
+    try:  # Jacobi on m x m x m holds (certified above), so only h-equivariance can fail
+        semidirect(h, rho, b)
+    except ValueError:
+        return model
+    raise AssertionError("the twisted bracket is equivariant under all of h")
 
 
 # --------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+
 
 def rat(p, q=1) -> Fraction:
     """Exact rational, accepting ints, Fractions or 'p/q' strings."""
@@ -71,8 +71,8 @@ class Quaternion:
     def im(self) -> "Quaternion":
         return Quaternion(Fraction(0), self.b, self.c, self.d)
 
-    def is_zero(self) -> bool:
-        return not (self.a or self.b or self.c or self.d)
+    def __bool__(self) -> bool:
+        return bool(self.a or self.b or self.c or self.d)
 
     def components(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
         return (self.a, self.b, self.c, self.d)
@@ -85,7 +85,6 @@ class Quaternion:
         return " + ".join(parts) if parts else "0"
 
 
-Q_ZERO = Quaternion()
 Q_ONE = Quaternion.of(1)
 Q_I = Quaternion.of(0, 1)
 Q_J = Quaternion.of(0, 0, 1)
@@ -93,38 +92,17 @@ Q_K = Quaternion.of(0, 0, 0, 1)
 UNITS = (Q_ONE, Q_I, Q_J, Q_K)
 IM_UNITS = (Q_I, Q_J, Q_K)
 
-
-class QMatrix:
-    """Dense quaternionic matrix with exact entries (immutable)."""
-
-    __slots__ = ("rows", "cols", "entries")
-
-    def __init__(self, entries: Iterable[Iterable[Quaternion]]):
-        rows = tuple(tuple(row) for row in entries)
-        if not rows or not rows[0]:
-            raise ValueError("QMatrix must be nonempty")
-        ncols = len(rows[0])
-        if any(len(r) != ncols for r in rows):
-            raise ValueError("ragged rows")
-        object.__setattr__(self, "rows", len(rows))
-        object.__setattr__(self, "cols", ncols)
-        object.__setattr__(self, "entries", rows)
-
-    def __setattr__(self, *a):  # immutability guard
-        raise AttributeError("QMatrix is immutable")
-
-    @staticmethod
-    def from_entry(rows: int, cols: int, r: int, c: int, q: Quaternion) -> "QMatrix":
-        ent = [[Q_ZERO] * cols for _ in range(rows)]
-        ent[r][c] = q
-        return QMatrix(ent)
-
-    def __repr__(self) -> str:
-        return "QMatrix(" + "; ".join(
-            ", ".join(repr(e) for e in row) for row in self.entries) + ")"
+# A quaternionic matrix by its nonzero entries {(row, col): entry}.
+QMat = dict[tuple[int, int], Quaternion]
 
 
-def sp_basis(p: int, q: int) -> list[QMatrix]:
+def _lower(upper: Quaternion, s: int, t: int, p: int) -> Quaternion:
+    """The (t, s) entry that the (s, t) entry forces on sp(p,q):
+    -eta_s eta_t conj(upper), eta = diag(I_p, -I_q)."""
+    return -upper.conj() if (s < p) == (t < p) else upper.conj()
+
+
+def sp_basis(p: int, q: int) -> list[QMat]:
     """Basis of sp(p,q) = {X : X^dagger eta + eta X = 0}, eta = diag(I_p, -I_q).
 
     Layout: for each diagonal slot s the three imaginary units a*E_ss, then
@@ -134,37 +112,35 @@ def sp_basis(p: int, q: int) -> list[QMatrix]:
     n = p + q
     if n < 1:
         raise ValueError("p + q must be >= 1")
-    signs = [1] * p + [-1] * q
-    basis: list[QMatrix] = []
-    for s in range(n):
-        for a in IM_UNITS:
-            basis.append(QMatrix.from_entry(n, n, s, s, a))
+    basis: list[QMat] = [{(s, s): a} for s in range(n) for a in IM_UNITS]
     for s in range(n):
         for t in range(s + 1, n):
-            for a in UNITS:
-                ent = [[Q_ZERO] * n for _ in range(n)]
-                ent[s][t] = a
-                ent[t][s] = a.conj() * Fraction(-signs[s] * signs[t])
-                basis.append(QMatrix(ent))
+            basis.extend({(s, t): a, (t, s): _lower(a, s, t, p)} for a in UNITS)
     return basis
 
 
-def sp_coordinates(m: QMatrix, p: int, q: int) -> list[Fraction]:
-    """Coordinates of m in the sp_basis(p, q) layout (m must lie in sp(p,q))."""
+def sp_coordinates(m: QMat, p: int, q: int) -> dict[int, Fraction]:
+    """Nonzero coordinates {index: coeff}, in increasing index order, of m in
+    the sp_basis(p, q) layout; raises ValueError unless m lies in sp(p,q).
+
+    Only m's entries are read: a diagonal entry gives three coordinates, an
+    upper one four, and a lower one is only checked against its upper one.
+    """
     n = p + q
-    signs = [1] * p + [-1] * q
-    coords: list[Fraction] = []
-    for s in range(n):
-        e = m.entries[s][s]
-        if e.a:
-            raise ValueError("matrix not in sp(p,q): real diagonal part")
-        coords.extend((e.b, e.c, e.d))
-    for s in range(n):
-        for t in range(s + 1, n):
-            e = m.entries[s][t]
-            coords.extend(e.components())
-            # lower entry is determined; validated by reconstruction
-            expect = e.conj() * Fraction(-signs[s] * signs[t])
-            if m.entries[t][s] != expect:
+    out: dict[int, Fraction] = {}
+    for (s, t), e in m.items():
+        if s == t:
+            if e.a:
+                raise ValueError("matrix not in sp(p,q): real diagonal part")
+            base, comps = 3 * s, (e.b, e.c, e.d)
+        elif s < t:
+            if m.get((t, s)) != _lower(e, s, t, p):
                 raise ValueError("matrix not in sp(p,q): lower block mismatch")
-    return coords
+            pair = s * (2 * n - s - 1) // 2 + t - s - 1  # position of (s, t) among pairs s < t
+            base, comps = 3 * n + 4 * pair, e.components()
+        elif (t, s) in m:
+            continue
+        else:
+            raise ValueError("matrix not in sp(p,q): lower entry without an upper one")
+        out.update((base + u, x) for u, x in enumerate(comps) if x)
+    return dict(sorted(out.items()))

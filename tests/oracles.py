@@ -5,15 +5,15 @@ live with the tests that check qhlab against them.
 """
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 from hypothesis import strategies as st
 
 from qhlab.lie import BilinearMap, common_kernel, op_apply, op_transpose
-from qhlab.linalg import accumulate, sparse_nullspace, sv_primitive
+from qhlab.linalg import accumulate, sparse_nullspace, sv_add_scaled, sv_primitive
 from qhlab.models import horizontal_brackets, xi_operator
 from qhlab.poly import VARS, Poly
-from qhlab.quaternion import IM_UNITS, QMatrix, Quaternion, sp_basis, sp_coordinates
+from qhlab.quaternion import IM_UNITS, Quaternion, sp_basis, sp_coordinates
 
 
 def class_at(row, c1, c2) -> str:
@@ -59,8 +59,8 @@ def vertical_brackets(n):
            for name in ("Theta", "Psi1", "Upsilon1")}
     xi = {}
     for (p, u), (q, v) in combinations([(p, u) for p in range(1, n) for u in range(4)], 2):
-        coords = sp_coordinates(xi_operator(p - 1, u, q - 1, v, n - 1), n - 1, 0)
-        xi[(4 * p + u, 4 * q + v)] = {3 + t: c for t, c in enumerate(coords) if c}
+        coords = sp_coordinates(xi_operator(p - 1, u, q - 1, v), n - 1, 0)
+        xi[(4 * p + u, 4 * q + v)] = {3 + t: c for t, c in coords.items()}
     out["Xi"] = BilinearMap(dm, dh, xi)
     return out
 
@@ -147,33 +147,48 @@ def materialised_common_kernel(op_makers, dim):
     return K
 
 
-def qmatmul(a, b):
-    """The dense product of two quaternionic matrices."""
-    out = [[Quaternion() for _ in range(b.cols)] for _ in range(a.rows)]
-    for i, row in enumerate(a.entries):
-        for t, x in enumerate(row):
-            if not x.is_zero():
-                for j, y in enumerate(b.entries[t]):
-                    if not y.is_zero():
-                        out[i][j] = out[i][j] + x * y
-    return QMatrix(out)
+def is_equivariant(b, rho, target_action) -> bool:
+    """True when b is equivariant: target(g) b(x,y) = b(rho(g)x, y) + b(x, rho(g)y),
+    checked on every generator g and basis pair x < y."""
+    dm = b.dim_in
+    for g in range(rho.algebra.dim):
+        rg = rho.mats[g]
+        tg = target_action[g]
+        for i in range(dm):
+            ei = {i: Fraction(1)}
+            ri = rg.get(i, {})
+            for j in range(i + 1, dm):
+                ej = {j: Fraction(1)}
+                lhs = op_apply(tg, b.pair(i, j))
+                rhs = sv_add_scaled(b.apply(ri, ej), b.apply(ei, rg.get(j, {})), 1)
+                if sv_add_scaled(lhs, rhs, -1):
+                    return False
+    return True
 
 
-def commutator(a, b):
-    """ab - ba of two square quaternionic matrices, densely."""
-    ab, ba = qmatmul(a, b), qmatmul(b, a)
-    return QMatrix([[x - y for x, y in zip(ra, rb)] for ra, rb in zip(ab.entries, ba.entries)])
+def qmatmul(a, b, n):
+    """The product of two n x n quaternionic matrices {(row, col): entry},
+    summed over every index triple (i, t, j)."""
+    out = {}
+    for i, t, j in product(range(n), repeat=3):
+        if (i, t) in a and (t, j) in b:
+            accumulate(out, {(i, j): a[(i, t)] * b[(t, j)]})
+    return out
 
 
-def dense_sp_brackets(p, q, offset):
-    """Structure constants of sp(p,q) from dense quaternionic commutators of
-    every basis pair, shifted by offset: the reference for the sparse
-    models._sp_block_brackets."""
+def commutator(a, b, n):
+    """ab - ba of two n x n quaternionic matrices."""
+    out = qmatmul(a, b, n)
+    accumulate(out, {rc: -x for rc, x in qmatmul(b, a, n).items()})
+    return out
+
+
+def dense_sp_brackets(p, q):
+    """Structure constants of sp(p,q) from the dense commutator of every basis
+    pair: the reference for the sparse models._sp_block_brackets."""
     basis = sp_basis(p, q)
     out = {}
     for i, j in combinations(range(len(basis)), 2):
-        coords = sp_coordinates(commutator(basis[i], basis[j]), p, q)
-        col = {offset + k: c for k, c in enumerate(coords) if c}
-        if col:
-            out[(offset + i, offset + j)] = col
+        if col := sp_coordinates(commutator(basis[i], basis[j], p + q), p, q):
+            out[(i, j)] = col
     return out

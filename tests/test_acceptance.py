@@ -409,7 +409,7 @@ def test_criterion_10_structural_self_tests():
     while rotations < 50:
         q = Quaternion.of(rng.randint(-5, 5), rng.randint(-5, 5),
                           rng.randint(-5, 5), rng.randint(-5, 5))
-        if q.is_zero():
+        if not q:
             continue
         clone = model.with_metric(F(2), F(1))
         clone.triple = rotated_triple(model.triple, q)

@@ -79,6 +79,21 @@ def test_internal_check_failure_exits_3(monkeypatch, capsys):
     assert captured.err == "qhlab: internal check failed: metric is not Hermitian for the triple\n"
 
 
+def test_failed_assembly_jacobi_certificate_exits_3(monkeypatch, capsys):
+    # the semidirect sum's Jacobi check is a certificate of the model build;
+    # its failure is an internal error, not a verification mismatch (exit 1)
+    from qhlab.lie import LieAlgebra
+    verify = LieAlgebra.verify_jacobi
+    monkeypatch.setattr(LieAlgebra, "verify_jacobi",
+                        lambda alg: alg.dim != 25 and verify(alg))  # dim g of H4 at n=3
+    code = main(["model-report", "--spec", "H4:n=3"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err == ("qhlab: internal check failed: "
+                            "assembled algebra fails the Jacobi identity\n")
+
+
 def test_json_report_schema_and_determinism(capsys):
     code, out1 = run(["--format", "json", "classify-bracket", "0", "0", "5", "3", "0"],
                      capsys)

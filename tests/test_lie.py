@@ -8,16 +8,16 @@ from hypothesis import strategies as st
 
 from qhlab.forms import lincomb, wedge
 from qhlab.lie import (BilinearMap, LieAlgebra, Representation,
-                       casimir, derivation, equivariant_hom, is_equivariant,
-                       op_transpose, semidirect, sort_sign, trace_form)
+                       casimir, derivation, equivariant_hom, op_transpose,
+                       semidirect, sort_sign, trace_form)
 from qhlab.linalg import Echelon
 from qhlab.models import (ambient_rep, bracket_from_params, horizontal_brackets,
                           isotropy_rep, maxmodel_jacobi_holds)
 from qhlab.poly import Poly
 from qhlab.quaternion import sp_basis
 
-from oracles import (dense_sp_brackets, invariant_vectors, jacobiator_by_triples,
-                     rational_forms, vertical_brackets)
+from oracles import (dense_sp_brackets, invariant_vectors, is_equivariant,
+                     jacobiator_by_triples, rational_forms, vertical_brackets)
 
 rng = random.Random(31)
 
@@ -37,8 +37,8 @@ def _flatten(b):
 
 def _real_trace_pairing(x, y):
     """tr of the product of the real 4r x 4r matrices of x and y: 4 Re tr(x y)."""
-    return sum((4 * (x.entries[r][t] * y.entries[t][r]).a
-                for r in range(x.rows) for t in range(x.cols)), Fraction(0))
+    return sum((4 * (a * b).a for (r, t), a in x.items() for (t2, r2), b in y.items()
+                if t2 == t and r2 == r), Fraction(0))
 
 
 def test_sort_sign():
@@ -80,7 +80,7 @@ def test_jacobiator_abelian():
 
 
 def test_jacobiator_sp2_structure_constants():
-    alg = LieAlgebra(len(sp_basis(2, 0)), dense_sp_brackets(2, 0, 0))
+    alg = LieAlgebra(len(sp_basis(2, 0)), dense_sp_brackets(2, 0))
     assert alg.verify_jacobi()
 
 
@@ -218,7 +218,7 @@ def _on_module(cas, dim):
 def test_casimir_sp1_adjoint_scalar():
     # adjoint representation of sp(1) with its trace form
     basis = sp_basis(1, 0)
-    alg = LieAlgebra(3, dense_sp_brackets(1, 0, 0))
+    alg = LieAlgebra(3, dense_sp_brackets(1, 0))
     ad = alg.adjoint()
     gram = [[_real_trace_pairing(basis[i], basis[j]) for j in range(3)]
             for i in range(3)]

@@ -3,8 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from qhlab.quaternion import (IM_UNITS, Q_I, Q_J, Q_K, Q_ONE, QMatrix,
-                              Quaternion, rat, sp_basis, sp_coordinates)
+from qhlab.linalg import accumulate
+from qhlab.quaternion import (IM_UNITS, Q_I, Q_J, Q_K, Q_ONE, UNITS, Quaternion, rat,
+                              sp_basis, sp_coordinates)
 
 from oracles import commutator, hermitian_metric, qmatmul
 
@@ -18,21 +19,19 @@ def rand_q():
 
 def _dagger(m):
     """Conjugate transpose."""
-    return QMatrix([[m.entries[r][c].conj() for r in range(m.rows)]
-                    for c in range(m.cols)])
+    return {(c, r): e.conj() for (r, c), e in m.items()}
 
 
 def _eta(p, q):
     """Signature matrix diag(I_p, -I_q)."""
-    n = p + q
-    return QMatrix([[(Q_ONE if i < p else -Q_ONE) if i == j else Quaternion()
-                     for j in range(n)] for i in range(n)])
+    return {(i, i): Q_ONE if i < p else -Q_ONE for i in range(p + q)}
 
 
-def _sp_defect(x, eta):
-    """The entries of X^dagger eta + eta X, which vanish exactly on sp(p,q)."""
-    return [[a + b for a, b in zip(ra, rb)]
-            for ra, rb in zip(qmatmul(_dagger(x), eta).entries, qmatmul(eta, x).entries)]
+def _sp_defect(x, eta, n):
+    """X^dagger eta + eta X, which vanishes exactly on sp(p,q)."""
+    out = qmatmul(_dagger(x), eta, n)
+    accumulate(out, qmatmul(eta, x, n))
+    return out
 
 
 def test_hamilton_table():
@@ -59,7 +58,7 @@ def test_conjugation_antihomomorphism():
     for _ in range(100):
         a, b = rand_q(), rand_q()
         assert (a * b).conj() == b.conj() * a.conj()
-        assert (a.conj() * a).im().is_zero()
+        assert not (a.conj() * a).im()
         assert sum(x * x for x in a.components()) == (a * a.conj()).a
 
 
@@ -85,11 +84,17 @@ def test_hermitian_metric_unit_invariance():
             assert hermitian_metric(va, wa) == hermitian_metric(v, w)
 
 
+def test_zero_quaternion_is_falsy():
+    assert not Quaternion()
+    assert all(UNITS)
+    assert not Q_I - Q_I
+
+
 def test_sp_basis_counts():
     b10 = sp_basis(1, 0)
     assert len(b10) == 3
-    assert all(m.rows == 1 for m in b10)
-    assert {m.entries[0][0] for m in b10} == set(IM_UNITS)
+    assert all(list(m) == [(0, 0)] for m in b10)
+    assert {m[(0, 0)] for m in b10} == set(IM_UNITS)
     assert len(sp_basis(3, 0)) == 21
     assert len(sp_basis(1, 2)) == 21
     assert len(sp_basis(2, 0)) == 10
@@ -100,17 +105,36 @@ def test_sp_basis_defining_equation_and_closure(p, q):
     basis = sp_basis(p, q)
     eta, n = _eta(p, q), p + q
     for m in basis:
-        assert all(x.is_zero() for row in _sp_defect(m, eta) for x in row)
+        assert _sp_defect(m, eta, n) == {}
     # closure: every pairwise commutator must expand exactly in the basis
     for i in range(len(basis)):
         for j in range(i + 1, len(basis)):
-            comm = commutator(basis[i], basis[j])
+            comm = commutator(basis[i], basis[j], n)
             coords = sp_coordinates(comm, p, q)
-            rebuilt = tuple(
-                tuple(sum((mat.entries[r][s] * c for c, mat in zip(coords, basis) if c),
-                          Quaternion()) for s in range(n))
-                for r in range(n))
-            assert rebuilt == comm.entries
+            assert list(coords) == sorted(coords) and all(coords.values())
+            rebuilt = {}
+            for k, c in coords.items():
+                accumulate(rebuilt, {rc: e * c for rc, e in basis[k].items()})
+            assert rebuilt == comm
+
+
+@pytest.mark.parametrize("p,q", [(1, 0), (2, 0), (1, 1), (1, 2), (3, 0)])
+def test_sp_basis_elements_read_back_as_unit_coordinates(p, q):
+    for k, m in enumerate(sp_basis(p, q)):
+        assert sp_coordinates(m, p, q) == {k: 1}
+
+
+@pytest.mark.parametrize("m, pq, reason", [
+    ({(0, 0): Quaternion.of(1, 1)}, (2, 0), "real diagonal part"),
+    ({(0, 1): Q_J}, (2, 0), "lower block mismatch"),  # an upper entry without its lower one
+    ({(0, 1): Q_J, (1, 0): -Q_J}, (2, 0), "lower block mismatch"),  # wants -conj(j) = j
+    ({(0, 1): Q_ONE, (1, 0): Q_ONE}, (2, 0), "lower block mismatch"),  # wants -1
+    ({(0, 1): Q_ONE, (1, 0): -Q_ONE}, (1, 1), "lower block mismatch"),  # wants +1
+    ({(1, 0): Q_K}, (2, 0), "lower entry without an upper one"),
+])
+def test_sp_coordinates_rejects_non_members(m, pq, reason):
+    with pytest.raises(ValueError, match=reason):
+        sp_coordinates(m, *pq)
 
 
 def test_sp_rank_matches_dimension():
@@ -123,16 +147,15 @@ def test_sp_rank_matches_dimension():
         unknowns = []
         for a in range(n):
             for b in range(n):
-                for u, unit in enumerate((Q_ONE, Q_I, Q_J, Q_K)):
-                    unknowns.append(QMatrix.from_entry(n, n, a, b, unit))
+                for unit in (Q_ONE, Q_I, Q_J, Q_K):
+                    unknowns.append({(a, b): unit})
+        defects = [_sp_defect(x, eta, n) for x in unknowns]
         eqrows = []
         for r in range(n):
             for c in range(n):
                 for comp in range(4):
-                    row = []
-                    for x in unknowns:
-                        row.append(_sp_defect(x, eta)[r][c].components()[comp])
-                    eqrows.append(row)
+                    eqrows.append([d.get((r, c), Quaternion()).components()[comp]
+                                   for d in defects])
         kern = nullspace(eqrows, len(unknowns))
         assert len(kern) == n * (2 * n + 1)
 
