@@ -168,11 +168,12 @@ class BilinearMap:
             accumulate(out.setdefault(ij, {}), col)
         return BilinearMap(self.dim_in, self.dim_out, out)
 
-    def jacobiator(self) -> dict[tuple[int, int, int], SparseVec]:
-        """Cyclic sums [[x,y],z] + [[y,z],x] + [[z,x],y] on basis triples.
+    def jacobiator(self, start: int = 0) -> dict[tuple[int, int, int], SparseVec]:
+        """Cyclic sums [[x,y],z] + [[y,z],x] + [[z,x],y] on the basis triples
+        i < j < k with j >= start.
 
         Returns only the nonzero components, keyed by sorted triple in
-        increasing order; empty dict means Jacobi holds.  Only nonzero
+        increasing order; empty dict means Jacobi holds there.  Only nonzero
         brackets are visited: with ad[x] = {y: [e_x, e_y]}, the row
         k -> J(i, j, k), k > j, of each pair i < j is summed from the three
         cyclic terms, each a sum over the support of the inner bracket.
@@ -185,7 +186,7 @@ class BilinearMap:
             ad.setdefault(y, {})[x] = {r: -v for r, v in col.items()}
         out = {}
         for i, ad_i in sorted(ad.items()):
-            for j in range(i + 1, self.dim_in):
+            for j in range(max(i + 1, start), self.dim_in):
                 terms: list[dict[int, SparseVec]] = [{}, {}, {}]
                 # [[e_i, e_j], e_k] = sum_l c_ij^l [e_l, e_k]
                 for l, c in ad_i.get(j, {}).items():
@@ -228,8 +229,10 @@ class LieAlgebra:
                  if (img := self.structure.pair(g, a))} for g in range(self.dim)]
         return Representation(self, self.dim, mats)
 
-    def verify_jacobi(self) -> bool:
-        ok = not self.structure.jacobiator()
+    def verify_jacobi(self, start: int = 0) -> bool:
+        """Jacobi on the triples i < j < k with j >= start; the caller
+        certifies the others."""
+        ok = not self.structure.jacobiator(start)
         self.verified = ok
         return ok
 
@@ -261,6 +264,7 @@ class Representation:
         self.algebra = algebra
         self.dim = dim
         self.mats = mats
+        self.verified = False
         if check:
             self.verify_homomorphism()
 
@@ -274,6 +278,7 @@ class Representation:
                          op_compose(self.mats[j], self.mats[i]))
             if not op_is_zero(op_sub(lhs, rhs)):
                 raise ValueError(f"not a representation at pair ({i},{j})")
+        self.verified = True
         return True
 
     def exterior_power(self, k: int) -> "Representation":
@@ -404,14 +409,21 @@ def equivariant_hom(repA: Representation, repB: Representation,
 
 def semidirect(h: LieAlgebra, rho: Representation,
                b_m: BilinearMap | None = None,
-               b_h: BilinearMap | None = None) -> LieAlgebra:
+               b_h: BilinearMap | None = None, check: bool = True) -> LieAlgebra:
     """Lie algebra h + m with [h,m] = rho(h)m and [m,m] = b_m + b_h.
 
     Raises ValueError when the assembled algebra fails Jacobi; the result
-    carries verified=True otherwise.  The Jacobi identity on a triple
-    (h, m, m) is the equivariance of b_m (its m-part) and of b_h (its
-    h-part), so a non-equivariant bracket is rejected there.
+    carries verified=True otherwise.  Only the triples with two m-indices
+    are checked: the (h, h, h) triples are h's Jacobi identity and the
+    (h, h, m) ones are rho([x,y]) = [rho(x), rho(y)], so h must be verified
+    and rho checked (an AssertionError otherwise).  The (h, m, m) triples
+    are the equivariance of b_m (their m-part) and of b_h (their h-part),
+    so a non-equivariant bracket is rejected there.  With check=False the
+    algebra comes back unverified, for a caller that runs
+    ``jacobiator(h.dim)`` itself.
     """
+    if not (h.verified and rho.verified and rho.algebra is h):
+        raise AssertionError("semidirect needs a verified h and a checked representation of it")
     dh, dm = h.dim, rho.dim
     if b_m is None:
         b_m = BilinearMap.zero(dm, dm)
@@ -429,6 +441,6 @@ def semidirect(h: LieAlgebra, rho: Representation,
     for (i, j), col in b_h.coeffs.items():
         accumulate(brackets.setdefault((dh + i, dh + j), {}), col)
     g_alg = LieAlgebra(dh + dm, brackets)
-    if not g_alg.verify_jacobi():
+    if check and not g_alg.verify_jacobi(start=dh):
         raise ValueError("assembled algebra fails the Jacobi identity")
     return g_alg

@@ -744,12 +744,22 @@ def inadmissible_hom_dim(n: int, which: str) -> int:
     return len(equivariant_hom(lam2, rho_sub))
 
 
+@cache
+def _maxmodel_jacobiator(n: int) -> dict[tuple[int, int, int], SparseVec]:
+    """The nonzero components of the jacobiator of k + H^n with the vertical
+    bracket c_theta * Theta + c_xi * Xi, on the triples semidirect checks.
+
+    Poly's fixed variables c1 and c2 stand for c_theta and c_xi here.  Every
+    component is linear in them, so one symbolic build per n serves every
+    point; callers must not modify the result.
+    """
+    k, rho_k, _ = ambient_rep(n)
+    b_k = maximal_vertical_bracket(n, Poly.var("c1"), Poly.var("c2"))
+    return semidirect(k, rho_k, None, b_k, check=False).structure.jacobiator(k.dim)
+
+
 def maxmodel_jacobi_holds(n: int, c_theta: Fraction, c_xi: Fraction) -> bool:
     """Jacobi for the bracket c_theta*Theta + c_xi*Xi on m = H^n (full algebra)."""
-    k, rho_k, _ = ambient_rep(n)
-    b_k = maximal_vertical_bracket(n, c_theta, c_xi)
-    try:
-        semidirect(k, rho_k, None, b_k)
-        return True
-    except ValueError:
-        return False
+    point = {"c1": c_theta, "c2": c_xi}
+    return all(v.eval(point) == 0 for col in _maxmodel_jacobiator(n).values()
+               for v in col.values())

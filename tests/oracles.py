@@ -9,9 +9,9 @@ from itertools import combinations, product
 
 from hypothesis import strategies as st
 
-from qhlab.lie import BilinearMap, common_kernel, op_apply, op_transpose
+from qhlab.lie import BilinearMap, common_kernel, op_apply, op_transpose, semidirect
 from qhlab.linalg import accumulate, sparse_nullspace, sv_add_scaled, sv_primitive
-from qhlab.models import horizontal_brackets, xi_operator
+from qhlab.models import ambient_rep, horizontal_brackets, maximal_vertical_bracket, xi_operator
 from qhlab.poly import VARS, Poly
 from qhlab.quaternion import IM_UNITS, Quaternion, sp_basis, sp_coordinates
 
@@ -116,6 +116,15 @@ def jacobiator_by_triples(b):
         if total:
             out[(i, j, k)] = total
     return out
+
+
+def maxmodel_jacobi_by_assembly(n, c_theta, c_xi) -> bool:
+    """Jacobi for the bracket c_theta*Theta + c_xi*Xi on m = H^n, from the
+    whole jacobiator of a fresh rational assembly of k + H^n: the reference
+    for the symbolic models.maxmodel_jacobi_holds."""
+    k, rho_k, _ = ambient_rep(n)
+    b_k = maximal_vertical_bracket(n, c_theta, c_xi)
+    return not semidirect(k, rho_k, None, b_k, check=False).structure.jacobiator()
 
 
 def materialised_common_kernel(op_makers, dim):

@@ -85,7 +85,7 @@ def test_failed_assembly_jacobi_certificate_exits_3(monkeypatch, capsys):
     from qhlab.lie import LieAlgebra
     verify = LieAlgebra.verify_jacobi
     monkeypatch.setattr(LieAlgebra, "verify_jacobi",
-                        lambda alg: alg.dim != 25 and verify(alg))  # dim g of H4 at n=3
+                        lambda alg, **kw: alg.dim != 25 and verify(alg, **kw))  # dim g of H4 at n=3
     code = main(["model-report", "--spec", "H4:n=3"])
     captured = capsys.readouterr()
     assert code == 3

@@ -11,8 +11,9 @@ from qhlab.lie import (BilinearMap, LieAlgebra, Representation,
                        casimir, derivation, equivariant_hom, op_transpose,
                        semidirect, sort_sign, trace_form)
 from qhlab.linalg import Echelon
-from qhlab.models import (ambient_rep, bracket_from_params, horizontal_brackets,
-                          isotropy_rep, maxmodel_jacobi_holds)
+from qhlab.models import (_maxmodel_jacobiator, ambient_rep, bracket_from_params,
+                          horizontal_brackets, isotropy_rep, maximal_vertical_bracket,
+                          maxmodel_jacobi_holds, twisted_theta)
 from qhlab.poly import Poly
 from qhlab.quaternion import sp_basis
 
@@ -109,24 +110,24 @@ def _entries(jac):
 @settings(max_examples=60, deadline=None)
 def test_jacobiator_matches_the_triple_loop(kind, data):
     b = data.draw(_sparse_brackets(_SCALARS[kind]))
-    assert _entries(b.jacobiator()) == _entries(jacobiator_by_triples(b))
+    start = data.draw(st.integers(0, b.dim_in))
+    expected = {ijk: v for ijk, v in jacobiator_by_triples(b).items() if ijk[1] >= start}
+    assert _entries(b.jacobiator(start)) == _entries(expected)
 
 
 @pytest.mark.parametrize("c_theta", [Fraction(2), Fraction(3)])
-def test_jacobiator_matches_the_triple_loop_on_the_maxmodel_algebra(monkeypatch, c_theta):
-    # c_theta = 2 c_xi is the Jacobi locus of the maximal model; off it the
-    # jacobiator of the assembled algebra has nonzero components
-    compared = []
-    real = BilinearMap.jacobiator
-
-    def checked(self):
-        out = real(self)
-        compared.append(_entries(out) == _entries(jacobiator_by_triples(self)))
-        return out
-
-    monkeypatch.setattr(BilinearMap, "jacobiator", checked)
+def test_jacobiator_matches_the_triple_loop_on_the_maxmodel_algebra(c_theta):
+    # the symbolic jacobiator behind maxmodel_jacobi_holds (c1, c2 standing
+    # for c_theta, c_xi), built afresh, against the triple loop on the same
+    # assembled algebra k + H^2: it keeps the triples with two m-indices, and
+    # the (k, k, .) triples it skips vanish
+    k, rho_k, _ = ambient_rep(2)
+    b_k = maximal_vertical_bracket(2, Poly.var("c1"), Poly.var("c2"))
+    oracle = jacobiator_by_triples(semidirect(k, rho_k, None, b_k, check=False).structure)
+    assert oracle and all(j >= k.dim for _, j, _ in oracle)
+    assert _entries(_maxmodel_jacobiator.__wrapped__(2)) == _entries(oracle)
+    # c_theta = 2 c_xi is the Jacobi locus of the maximal model
     assert maxmodel_jacobi_holds(2, c_theta, Fraction(1)) is (c_theta == 2)
-    assert compared and all(compared)
 
 
 def test_theta_bracket_two_step_nilpotent():
@@ -275,6 +276,66 @@ def test_semidirect_rejects_non_equivariant_brackets():
     assert not is_equivariant(bad_h, rho, h.adjoint().mats)
     with pytest.raises(ValueError, match="assembled algebra fails the Jacobi identity"):
         semidirect(h, rho, None, bad_h)
+
+
+def test_semidirect_requires_a_verified_algebra_and_a_checked_representation():
+    # the triples semidirect skips are certified by h's Jacobi identity and
+    # by rho's homomorphism check, so it refuses inputs that lack either
+    h, rho, _ = isotropy_rep(2)
+    raw = LieAlgebra(h.dim, h.brackets)  # the same constants, never checked
+    with pytest.raises(AssertionError, match="verified h"):
+        semidirect(raw, Representation(raw, rho.dim, rho.mats, check=True))
+    with pytest.raises(AssertionError, match="checked representation"):
+        semidirect(h, Representation(h, rho.dim, rho.mats))
+    with pytest.raises(AssertionError, match="representation of it"):
+        semidirect(h, ambient_rep(2)[1])
+
+
+def test_semidirect_checks_the_triples_through_the_first_m_index():
+    # h = R acting on m = R^2 by diag(1, 0) and [m0, m1] = m1: Jacobi fails
+    # only on (h, m0, m1), whose middle index is the first of m
+    h = LieAlgebra(1, {})
+    assert h.verify_jacobi()
+    rho = Representation(h, 2, [{0: {0: Fraction(1)}}], check=True)
+    b = BilinearMap(2, 2, {(0, 1): {1: Fraction(1)}})
+    assert list(semidirect(h, rho, b, check=False).structure.jacobiator()) == [(0, 1, 2)]
+    with pytest.raises(ValueError, match="assembled algebra fails the Jacobi identity"):
+        semidirect(h, rho, b)
+
+
+_FAMILY_POINTS = {  # table-3 parameters (alpha, beta1, beta2, gamma1, gamma2)
+    None: lambda a, b1, b2, g1, g2: (a, b1, b2, g1, g2),
+    "F1": lambda a, b1, b2, g1, g2: (a, 2 * b2, b2, 0, 0),
+    "F2": lambda a, b1, b2, g1, g2: (0, b1, b2, 0, 0),
+    "F3": lambda a, b1, b2, g1, g2: (0, 0, b2, g1, g1),
+    "F4": lambda a, b1, b2, g1, g2: (0, 0, b2, g1, 0),
+}
+
+
+@given(family=st.sampled_from(list(_FAMILY_POINTS)), params=st.tuples(*[_coef] * 5))
+@settings(max_examples=30, deadline=None)
+def test_semidirect_verdict_is_the_full_jacobiator_at_table3_points(family, params):
+    h, rho, _ = isotropy_rep(2)
+    b = bracket_from_params(2, *_FAMILY_POINTS[family](*params))
+    full = semidirect(h, rho, b, check=False).structure.jacobiator()
+    try:
+        semidirect(h, rho, b)
+        holds = True
+    except ValueError:
+        holds = False
+    assert holds is (not full)
+    assert holds or family is None
+
+
+def test_twisted_theta_fails_over_all_of_h():
+    # twisted_theta is equivariant only under the centralizer of I, so over
+    # all of h the Jacobi identity fails, and only on (h, m, m) triples
+    h, rho, _ = isotropy_rep(2)
+    b = twisted_theta(2)
+    with pytest.raises(ValueError, match="assembled algebra fails the Jacobi identity"):
+        semidirect(h, rho, b)
+    full = semidirect(h, rho, b, check=False).structure.jacobiator()
+    assert full and all(i < h.dim <= j for i, j, _ in full)
 
 
 def test_common_kernel_order_independence():

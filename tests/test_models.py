@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qhlab.lie import op_compose, op_is_zero, op_sub
-from qhlab.models import (H_KINDS, MODEL_KINDS, ModelSpec, _sp_block_brackets,
+from qhlab.models import (H_KINDS, MODEL_KINDS, ModelSpec, _maxmodel_jacobiator,
+                          _sp_block_brackets,
                           ambient_rep, ambient_triple,
                           apply_scaling, bracket_space_dims, build_model, dims,
                           horizontal_brackets, in_families, isotropy_rep,
@@ -17,7 +18,8 @@ from qhlab.poly import Poly, proportionality
 from qhlab.quaternion import IM_UNITS, UNITS, Quaternion
 
 from oracles import (dense_sp_brackets, hermitian_metric, invariant_vectors,
-                     is_equivariant, rotated_triple, vertical_brackets)
+                     is_equivariant, maxmodel_jacobi_by_assembly, rotated_triple,
+                     vertical_brackets)
 
 rng = random.Random(4242)
 
@@ -287,6 +289,39 @@ def test_maxmodel_jacobi_iff_c_theta_is_twice_c_xi(c, on_locus, offset):
     assert maxmodel_jacobi_holds(2, c_theta, c) is on_locus
 
 
+@pytest.mark.parametrize("n, count", [(2, 56), (3, 156)])
+def test_maxmodel_jacobiator_is_a_multiple_of_c_theta_minus_twice_c_xi(n, count):
+    # every component is a nonzero rational multiple of c' - 2c (c1, c2
+    # standing for c' = c_theta and c = c_xi), so Jacobi holds iff c' = 2c
+    locus = Poly.var("c1") - 2 * Poly.var("c2")
+    values = [v for col in _maxmodel_jacobiator(n).values() for v in col.values()]
+    assert len(values) == count
+    assert all(proportionality(v, locus) for v in values)
+
+
+_MAXMODEL_POINTS = st.tuples(st.fractions(min_value=-4, max_value=4, max_denominator=4),
+                             st.booleans(),
+                             st.fractions(min_value=-4, max_value=4, max_denominator=4))
+
+
+def _holds_as_by_assembly(n, point):
+    c, on_locus, offset = point
+    c_theta = 2 * c if on_locus else 2 * c + offset
+    assert maxmodel_jacobi_holds(n, c_theta, c) is maxmodel_jacobi_by_assembly(n, c_theta, c)
+
+
+@given(point=_MAXMODEL_POINTS)
+@settings(max_examples=40, deadline=None)
+def test_maxmodel_jacobi_holds_matches_a_numeric_assembly_at_n2(point):
+    _holds_as_by_assembly(2, point)
+
+
+@given(point=_MAXMODEL_POINTS)
+@settings(max_examples=5, deadline=None)
+def test_maxmodel_jacobi_holds_matches_a_numeric_assembly_at_n3(point):
+    _holds_as_by_assembly(3, point)
+
+
 @pytest.mark.parametrize("p, q", [(2, 0), (3, 0), (1, 2), (4, 0), (1, 3)])
 def test_sparse_sp_constants_match_dense_commutators(p, q):
     sparse, dense = _sp_block_brackets(p, q), dense_sp_brackets(p, q)
@@ -331,11 +366,14 @@ def test_symbolic_model_builds():
 
 
 def _cached_state(n):
-    # a deep copy of everything the shared sp(1) + sp(m) and sp(p,q) caches hand out
+    # a deep copy of everything the shared sp(1) + sp(m), sp(p,q) and
+    # maxmodel jacobiator caches hand out
     import copy
-    return [(alg.verified, copy.deepcopy(alg.brackets), copy.deepcopy(rho.mats), order)
+    return [(alg.verified, rho.verified, copy.deepcopy(alg.brackets), copy.deepcopy(rho.mats),
+             order)
             for alg, rho, order in (isotropy_rep(n), ambient_rep(n))] + \
-        [copy.deepcopy(_sp_block_brackets(p, q)) for p, q in ((n, 0), (1, n - 1))]
+        [copy.deepcopy(_sp_block_brackets(p, q)) for p, q in ((n, 0), (1, n - 1))] + \
+        [copy.deepcopy(_maxmodel_jacobiator(n))]
 
 
 def test_sp_pair_reps_are_built_once_and_shared():
