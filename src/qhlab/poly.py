@@ -149,6 +149,7 @@ class Poly:
         return self.to_string()
 
     def to_string(self) -> str:
+        """The text ``parse`` reads back; a negative exponent raises ValueError."""
         if not self.terms:
             return "0"
         parts = []
@@ -156,6 +157,8 @@ class Poly:
             c = self.terms[m]
             factors = []
             for i, e in enumerate(m):
+                if e < 0:
+                    raise ValueError(f"cannot print {VARS[i]}^{e}: negative exponent")
                 if e == 1:
                     factors.append(VARS[i])
                 elif e > 1:

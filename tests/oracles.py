@@ -9,9 +9,11 @@ from itertools import combinations, product
 
 from hypothesis import strategies as st
 
-from qhlab.lie import BilinearMap, common_kernel, op_apply, op_transpose, semidirect
-from qhlab.linalg import accumulate, sparse_nullspace, sv_add_scaled, sv_primitive
-from qhlab.models import ambient_rep, horizontal_brackets, maximal_vertical_bracket, xi_operator
+from qhlab.lie import (BilinearMap, LieAlgebra, Representation, common_kernel, op_apply,
+                       op_transpose, semidirect)
+from qhlab.linalg import Echelon, accumulate, sparse_nullspace, sv_add_scaled, sv_primitive
+from qhlab.models import (_reductive_basis, ambient_rep, horizontal_brackets,
+                          maximal_vertical_bracket, xi_operator)
 from qhlab.poly import VARS, Poly
 from qhlab.quaternion import IM_UNITS, Quaternion, sp_basis, sp_coordinates
 
@@ -201,3 +203,52 @@ def dense_sp_brackets(p, q):
         if col := sp_coordinates(commutator(basis[i], basis[j], p + q), p, q):
             out[(i, j)] = col
     return out
+
+
+def reductive_split(spec):
+    """(g, h, rho, b_m, b_h) of QHP/QHH read from the whole basis-changed
+    algebra: sp(1) + sp(p,q) is Jacobi-checked, every bracket of the adapted
+    basis is read into a second algebra, which is Jacobi-checked too, and
+    that algebra is split at dim h into h, its action rho on m (checked to be
+    a representation) and the two parts of [m, m].  The reference for the
+    per-pair reading of models._build_reductive_model."""
+    old, cols, dh = _reductive_basis(spec)
+    dg = len(cols)
+    g_old = LieAlgebra(dg, old.coeffs)
+    assert g_old.verify_jacobi()
+    basis = Echelon(cols)
+    assert basis.rank == dg
+    g = LieAlgebra(dg, {(i, j): img for i, j in combinations(range(dg), 2)
+                        if (img := basis.coordinates(g_old.structure.apply(cols[i], cols[j])))})
+    assert g.verify_jacobi()
+    dm = dg - dh
+    h = g.subalgebra(list(range(dh)))
+    mats = []
+    for a in range(dh):
+        col = {}
+        for b in range(dm):
+            img = g.structure.pair(a, dh + b)
+            assert all(k >= dh for k in img), "complement is not rho-invariant"
+            if img:
+                col[b] = {k - dh: v for k, v in img.items()}
+        mats.append(col)
+    rho = Representation(h, dm, mats, check=True)
+    b_m, b_h = {}, {}
+    for a, b in combinations(range(dm), 2):
+        img = g.structure.pair(dh + a, dh + b)
+        if mpart := {k - dh: v for k, v in img.items() if k >= dh}:
+            b_m[(a, b)] = mpart
+        if hpart := {k: v for k, v in img.items() if k < dh}:
+            b_h[(a, b)] = hpart
+    return g, h, rho, BilinearMap(dm, dm, b_m), BilinearMap(dm, dh, b_h)
+
+
+def swapped_reductive_basis(spec):
+    """models._reductive_basis with the first two H^{n-1} columns swapped:
+    still a basis of g, but one on which h does not act by the standard
+    isotropy representation."""
+    old, cols, dh = _reductive_basis(spec)
+    first = dh + 4  # after R + Im(H)
+    cols = list(cols)
+    cols[first], cols[first + 1] = cols[first + 1], cols[first]
+    return old, cols, dh

@@ -9,6 +9,8 @@ import pytest
 
 from qhlab.cli import _load_data, main
 
+from oracles import swapped_reductive_basis
+
 
 def run(argv, capsys):
     code = main(argv)
@@ -92,6 +94,19 @@ def test_failed_assembly_jacobi_certificate_exits_3(monkeypatch, capsys):
     assert captured.out == ""
     assert captured.err == ("qhlab: internal check failed: "
                             "assembled algebra fails the Jacobi identity\n")
+
+
+def test_nonstandard_reductive_basis_exits_3(monkeypatch, capsys):
+    # a basis of sp(1) + sp(3) on which h does not act by the standard
+    # isotropy representation fails the per-pair reading of the QHP build
+    from qhlab import models
+    monkeypatch.setattr(models, "_reductive_basis", swapped_reductive_basis)
+    code = main(["model-report", "--spec", "QHP:n=3"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err == ("qhlab: internal check failed: "
+                            "isotropy action on m is not the standard one\n")
 
 
 def test_json_report_schema_and_determinism(capsys):

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qhlab import models
 from qhlab.lie import op_compose, op_is_zero, op_sub
+from qhlab.linalg import Echelon
 from qhlab.models import (H_KINDS, MODEL_KINDS, ModelSpec, _maxmodel_jacobiator,
                           _sp_block_brackets,
                           ambient_rep, ambient_triple,
@@ -18,8 +20,8 @@ from qhlab.poly import Poly, proportionality
 from qhlab.quaternion import IM_UNITS, UNITS, Quaternion
 
 from oracles import (dense_sp_brackets, hermitian_metric, invariant_vectors,
-                     is_equivariant, maxmodel_jacobi_by_assembly, rotated_triple,
-                     vertical_brackets)
+                     is_equivariant, maxmodel_jacobi_by_assembly, reductive_split,
+                     rotated_triple, swapped_reductive_basis, vertical_brackets)
 
 rng = random.Random(4242)
 
@@ -336,6 +338,30 @@ def test_qhp_isotropy_is_standard():
     h_std, rho_std, order = isotropy_rep(3)
     triv = invariant_vectors(model.rho, order)
     assert len(triv) == 1 and set(triv[0]) == {0}
+
+
+@pytest.mark.parametrize("kind", ["QHP", "QHH"])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_reductive_models_match_the_whole_algebra_split(kind, n):
+    # one reading per bracket gives the algebra, the action and both parts of
+    # [m, m] that the Jacobi-checked basis-changed algebra gives, split at dim h
+    spec = ModelSpec(kind, n)
+    model = build_model(spec)
+    g, _, rho, b_m, b_h = reductive_split(spec)
+    assert model.g.brackets == g.brackets
+    assert model.bracket_m.coeffs == b_m.coeffs
+    assert model.bracket_h.coeffs == b_h.coeffs
+    assert model.rho.mats == rho.mats
+    assert model.rho is isotropy_rep(n)[1]
+
+
+def test_a_basis_with_a_nonstandard_action_fails_the_reductive_build(monkeypatch):
+    spec = ModelSpec("QHP", 3)
+    _, cols, _ = swapped_reductive_basis(spec)
+    assert Echelon(cols).rank == len(cols)  # still a basis of sp(1) + sp(3)
+    monkeypatch.setattr(models, "_reductive_basis", swapped_reductive_basis)
+    with pytest.raises(AssertionError, match="isotropy action on m is not the standard one"):
+        build_model(spec)
 
 
 def test_triple_relations_and_rotation():

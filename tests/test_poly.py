@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -80,6 +81,12 @@ def test_to_string_parse_roundtrip():
     assert Poly.parse("0") == Poly()
     assert Poly.parse("-3/2*c1^2 + c1*c2") == \
         Poly.var("c1") ** 2 * Fraction(-3, 2) + Poly.var("c1") * Poly.var("c2")
+
+
+def test_to_string_refuses_a_negative_exponent():
+    # c1^-1 * c2^2 would otherwise print as c2^2 and parse back as another poly
+    with pytest.raises(ValueError, match="negative exponent"):
+        Poly({(0, 0, 0, 0, 0, -1, 2): Fraction(1)}).to_string()
 
 
 def test_proportionality():

@@ -50,3 +50,26 @@ def test_parameters_the_span_tracer_reads_by_name(func, params):
     # bench/tracer.py binds these arguments by name for its per-layer counters
     # (lie.common_kernel.cols, linalg.sparse_nullspace.rows/cols, *.distinct_n)
     assert params <= set(inspect.signature(func).parameters)
+
+
+def test_models_are_constructed_only_by_assemble():
+    # one model-assembly path: every HomogeneousModel(...) call in the package
+    # sits in models._assemble (with_metric copies one through dataclasses.replace)
+    calls = []
+
+    def visit(node, module, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, module, child.name)
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                name = (func.id if isinstance(func, ast.Name)
+                        else func.attr if isinstance(func, ast.Attribute) else None)
+                if name == "HomogeneousModel":
+                    calls.append(f"{module}:{function}")
+            visit(child, module, function)
+
+    for path in sorted(SRC.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.name, None)
+    assert calls == ["models.py:_assemble"]
