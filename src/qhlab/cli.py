@@ -346,7 +346,7 @@ def cmd_model_report(ns) -> tuple[dict, int]:
         checks.append(("twisted symmetry dimension = d_n - 2",
                        model.g.dim == expected,
                        f"dim g = {model.g.dim}, d_n - 2 = {expected}"))
-        entry["extras"]["twist_variant"] = model.extras["twist_variant"]
+        entry["extras"]["twist_variant"] = "output"
         entry["extras"]["equivariance"] = "centralizer so(2)+sp(n-1) only"
     elif spec.kind in ("FlatMax", "MaxCurved"):
         checks.append(("maximal model dimension = D_n", model.g.dim == dims["D"],

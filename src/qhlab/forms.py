@@ -3,9 +3,10 @@ derivative, Hodge/codifferential machinery at rational metric points, and the
 split of d(Omega) into the two invariant 5-form lines.
 
 A form is the sparse dict of ``lie``, {sorted index tuple: scalar}, with no
-zero entries; every sum goes through ``linalg.accumulate``.  Coefficients are
-Fractions or Polys in (c1, c2) and, for the beta families, beta2;
-Hodge-dependent quantities require a rational metric point.
+zero entries; every sum goes through ``linalg.accumulate``.  The cached
+invariant 5-forms and theta lines are handed out as read-only mappings.
+Coefficients are Fractions or Polys in (c1, c2) and, for the beta families,
+beta2; Hodge-dependent quantities require a rational metric point.
 """
 
 from __future__ import annotations
@@ -15,12 +16,13 @@ from fractions import Fraction
 from functools import cache
 from itertools import combinations
 from math import gcd, isqrt
+from types import MappingProxyType
 
-from .lie import (ColMat, casimir, common_kernel, derivation,
-                  op_is_skew, sort_sign, trace_form)
+from .lie import ColMat, common_kernel, derivation, op_is_skew, sort_sign
 from .linalg import Echelon, accumulate, nullspace
 from .poly import Poly, proportionality
-from .models import HomogeneousModel, ambient_rep, isotropy_rep, symbolic_model
+from .models import (HomogeneousModel, ModelSpec, ambient_rep, build_model, isotropy_rep,
+                     symbolic_model)
 
 
 def lincomb(*pairs) -> dict:
@@ -190,70 +192,50 @@ def invariant_five_forms(n: int) -> tuple[dict, ...]:
         for f in forms:
             if derivation(f, rho.mats[g]):
                 raise AssertionError("non-invariant 5-form from the kernel engine")
-    return forms
+    return tuple(MappingProxyType(f) for f in forms)
+
+
+def _bidegree(S: tuple) -> tuple[int, int, int]:
+    return (sum(1 for i in S if i == 0),
+            sum(1 for i in S if 1 <= i <= 3),
+            sum(1 for i in S if i >= 4))
 
 
 @dataclass(frozen=True)
 class IsotypicPair:
     theta_eh: dict
     theta_kh: dict
-    casimir_eigs: tuple[Fraction, Fraction]  # (EH, KH)
-    lambda_one_form: Fraction                # Casimir scalar on Lambda^1 m*
-    plane: tuple[dict, dict]                 # the invariant_five_forms basis split here
+    pure: tuple[dict, dict]  # the (1,0,4) and (1,2,2) parts of theta_EH
 
 
 @cache
 def isotypic_split(n: int) -> IsotypicPair:
-    """Split the 2d invariant 5-form space into the theta_EH / theta_KH lines.
+    """The theta_EH / theta_KH lines of the invariant 5-form plane.
 
-    The ambient-algebra Casimir acts on the invariant plane; the eigenvector
-    whose eigenvalue matches the Casimir scalar on 1-forms is labelled EH.
-    Normalization is fixed downstream by the H4 calibration.
+    EH is the Lambda^1-type module Lambda^1 ^ Omega_k of the ambient
+    k = sp(1) + sp(n), Omega_k the fundamental 4-form of the ambient triple at
+    the unit metric; its invariant line is theta_EH = e^0 ^ Omega_k.  The
+    two block bi-degree parts of theta_EH span the invariant plane, and
+    theta_KH is the orthogonal complement of theta_EH there under the unit
+    metric, which k preserves.  Normalization is fixed downstream by the H4
+    calibration.  A change of metric parameters scales the two pure parts by
+    c1^(1/2) c2^2 and c1^(3/2) c2, so every metric-adapted line is rational
+    in (c1, c2) when written in that basis.
     """
     v1, v2 = invariant_five_forms(n)
-    _, rho_k, _ = ambient_rep(n)
-    cas = casimir(rho_k, trace_form(rho_k))
-
-    # Casimir scalar on 1-forms (the EH module)
-    lam1 = cas({(0,): Fraction(1)}).get((0,), Fraction(0))
-    for idx in range(4 * n):
-        e = {(idx,): Fraction(1)}
-        if lincomb((1, cas(e)), (-lam1, e)):
-            raise AssertionError("Casimir is not scalar on 1-forms")
-
-    c1v = cas(v1)
-    c2v = cas(v2)
-    m11, m21 = plane_coordinates(c1v, v1, v2)
-    m12, m22 = plane_coordinates(c2v, v1, v2)
-    tr = m11 + m22
-    det = m11 * m22 - m12 * m21
-    disc = tr * tr - 4 * det
-    sq = _sqrt_fraction(disc)
-    eig1 = (tr + sq) / 2
-    eig2 = (tr - sq) / 2
-    if eig1 == eig2:
-        raise AssertionError("Casimir eigenvalues coincide on the invariant plane")
-
-    def eigvec(lam: Fraction) -> dict:
-        a, b = m11 - lam, m12
-        if a == 0 and b == 0:
-            a, b = m21, m22 - lam
-        # (m - lam) (x, y)^T = 0 with matrix rows (m11-lam, m12), (m21, m22-lam)
-        x, y = (-b, a) if (a or b) else (Fraction(1), Fraction(0))
-        vec = lincomb((x, v1), (y, v2))
-        if not lincomb((1, cas(vec)), (-lam, vec)):
-            return vec
-        raise AssertionError("eigenvector reconstruction failed")
-
-    if eig1 == lam1:
-        theta_eh, theta_kh = eigvec(eig1), eigvec(eig2)
-        eigs = (eig1, eig2)
-    elif eig2 == lam1:
-        theta_eh, theta_kh = eigvec(eig2), eigvec(eig1)
-        eigs = (eig2, eig1)
-    else:
-        raise AssertionError("no Casimir eigenvalue matches the 1-form scalar")
-    return IsotypicPair(theta_eh, theta_kh, eigs, lam1, (v1, v2))
+    _, _, _, omega_k = fundamental_forms(build_model(ModelSpec("FlatMax", n)))
+    if any(derivation(omega_k, mat) for mat in ambient_rep(n)[1].mats):
+        raise AssertionError("Omega_k is not invariant under the ambient algebra")
+    theta_eh = wedge({(0,): Fraction(1)}, omega_k)
+    p1 = {S: c for S, c in theta_eh.items() if _bidegree(S) == (1, 0, 4)}
+    p2 = {S: c for S, c in theta_eh.items() if _bidegree(S) == (1, 2, 2)}
+    for part in (p1, p2):  # raises unless the part is invariant
+        plane_coordinates(part, v1, v2)
+    # the unit-metric Gram row [<theta_EH, p1>, <theta_EH, p2>]
+    (a, b), = nullspace([[sum(theta_eh[S] * c for S, c in p.items()) for p in (p1, p2)]], 2)
+    theta_kh = lincomb((a, p1), (b, p2))
+    return IsotypicPair(*(MappingProxyType(f) for f in (theta_eh, theta_kh)),
+                        (MappingProxyType(p1), MappingProxyType(p2)))
 
 
 # --------------------------------------------------------------------------
@@ -303,7 +285,7 @@ def _calibration_scales(n: int) -> Calibration:
     pair = isotypic_split(n)
     x, y, _ = _split_domega(symbolic_model("H4", n), pair)
     x, y = Poly.coerce(x), Poly.coerce(y)
-    if x.is_zero() or y.is_zero():
+    if not (x and y):
         raise AssertionError("H4 row degenerated; cannot calibrate")
     s_eh = proportionality(x, _H4_F_KH)
     s_kh = proportionality(y, _H4_F_EH)
@@ -425,50 +407,6 @@ def first_order_tests(model: HomogeneousModel) -> FirstOrderReport:
 # metric-adapted (moving) isotypic lines and genuine first-order loci
 # --------------------------------------------------------------------------
 
-def _bidegree(S: tuple) -> tuple[int, int, int]:
-    return (sum(1 for i in S if i == 0),
-            sum(1 for i in S if 1 <= i <= 3),
-            sum(1 for i in S if i >= 4))
-
-
-@cache
-def pure_bidegree_basis(n: int) -> tuple[dict, dict]:
-    """Invariant 5-forms of pure block bi-degree (1,0,4) and (1,2,2).
-
-    The invariant plane is spanned by one form of each bi-degree; a change
-    of metric parameters scales these two lines by c1^(1/2) c2^2 and
-    c1^(3/2) c2, so every metric-adapted line is rational in (c1, c2) when
-    written in this basis.  The plane is the one isotypic_split has split,
-    so that a report solves and enters invariant_five_forms once.
-    """
-    v1, v2 = isotypic_split(n).plane
-    rows = []
-    for v in (v1, v2):
-        parts: dict[tuple, dict] = {}
-        for S, c in v.items():
-            parts.setdefault(_bidegree(S), {})[S] = c
-        rows.append(parts)
-    bds = sorted({bd for p in rows for bd in p})
-    if bds != [(1, 0, 4), (1, 2, 2)]:
-        raise AssertionError(f"unexpected bi-degrees in the invariant plane: {bds}")
-    # solve for combinations that are pure of each bi-degree
-    out = []
-    for keep in bds:
-        drop = [bd for bd in bds if bd != keep][0]
-        part1, part2 = rows[0].get(drop, {}), rows[1].get(drop, {})
-        mat = [[Fraction(part1.get(S, 0)), Fraction(part2.get(S, 0))]
-               for S in sorted(set(part1) | set(part2))]
-        kern = nullspace(mat, 2)
-        if len(kern) != 1:
-            raise AssertionError("pure bi-degree combination not unique")
-        a, b = kern[0]
-        form = lincomb((a, v1), (b, v2))
-        if not form or any(_bidegree(S) != keep for S in form):
-            raise AssertionError("pure bi-degree extraction failed")
-        out.append(form)
-    return out[0], out[1]
-
-
 def plane_coordinates(form: dict, p1: dict, p2: dict):
     """Exact (x, y) with form = x p1 + y p2 for a rational plane basis (p1, p2);
     the form may have Poly-valued coefficients."""
@@ -499,9 +437,8 @@ class GenuineLoci:
 
 def genuine_loci(model: HomogeneousModel) -> GenuineLoci:
     """Compute the adapted-class loci for a symbolic-metric model."""
-    n = model.n
-    p1, p2 = pure_bidegree_basis(n)
-    pair = isotypic_split(n)
+    pair = isotypic_split(model.n)
+    p1, p2 = pair.pure
     _, _, _, omega = fundamental_forms(model)
     dom = ce_differential(model, omega)
     x, y = plane_coordinates(dom, p1, p2)
@@ -510,18 +447,15 @@ def genuine_loci(model: HomogeneousModel) -> GenuineLoci:
     wx, wy = plane_coordinates(w, p1, p2)
     p_eh = Poly.coerce(x * wy - y * wx)
     # the KH line moves by the same diagonal rescaling that carries the fixed
-    # theta_EH direction (ex : ey) to (wx : wy)
-    ex, ey = plane_coordinates(pair.theta_eh, p1, p2)
+    # theta_EH = p1 + p2 direction (1 : 1) to (wx : wy)
     kx, ky = plane_coordinates(pair.theta_kh, p1, p2)
-    if not (ex and ey):
-        raise AssertionError("theta_EH is unexpectedly pure in this basis")
-    p_kh = Poly.coerce(x * (ky * ex * wy) - y * (kx * ey * wx))
+    p_kh = Poly.coerce(x * (ky * wy) - y * (kx * wx))
     return GenuineLoci(_poly_primitive(p_eh), _poly_primitive(p_kh))
 
 
 def _poly_primitive(p: Poly) -> Poly:
     """Scaled so content is 1 and the leading coefficient positive."""
-    if p.is_zero():
+    if not p:
         return p
     num = 0
     den = 1

@@ -219,7 +219,6 @@ class RiemannClass:
     conformally_flat: bool
     locally_symmetric: bool
     constant_sectional: Fraction | None
-    ricci_flat: bool
     product_blocks: list[dict]
 
 
@@ -264,7 +263,6 @@ def classify(cur: CurvatureData, groups: list[list[int]] | None = None) -> Riema
 
     k0 = sectional(cur, 0, 1)
     const_k = k0 if constant(k0) else None
-    ricci_flat = all(not cur.ricci[i][j] for i in range(dm) for j in range(dm))
 
     if groups is None:
         groups = [[i] for i in range(dm)]
@@ -278,7 +276,7 @@ def classify(cur: CurvatureData, groups: list[list[int]] | None = None) -> Riema
             kb = sectional(cur, block[0], block[1])
             entry["constant_sectional"] = kb if constant(kb, inside) else None
         blocks.append(entry)
-    return RiemannClass(einstein, conf_flat, loc_sym, const_k, ricci_flat, blocks)
+    return RiemannClass(einstein, conf_flat, loc_sym, const_k, blocks)
 
 
 def model_groups(n: int) -> list[list[int]]:

@@ -14,7 +14,7 @@ from bisect import bisect_left
 from fractions import Fraction
 from itertools import combinations
 
-from .linalg import (SparseVec, accumulate, invert, sparse_nullspace,
+from .linalg import (SparseVec, accumulate, sparse_nullspace,
                      sv_add_scaled, sv_primitive)
 
 # --------------------------------------------------------------------------
@@ -302,47 +302,6 @@ def hom_constraint(repA: Representation, repB: Representation, g: int):
             accumulate(out, {a * dimB + r: c for r, c in matB.get(b, {}).items()}, v)
             accumulate(out, {a2 * dimB + b: c for a2, c in rowsA.get(a, {}).items()}, -v)
         return out
-    return apply
-
-
-def trace_form(rep: Representation) -> list[list[Fraction]]:
-    """Gram matrix tr(rho(e_i) rho(e_j)) of the trace form of rep."""
-    mats = rep.mats
-    gram = [[Fraction(0)] * len(mats) for _ in mats]
-    for i in range(len(mats)):
-        for j in range(i, len(mats)):
-            gram[i][j] = gram[j][i] = sum(
-                (op_apply(mats[i], col).get(c, 0) for c, col in mats[j].items()),
-                Fraction(0))
-    return gram
-
-
-def casimir(rep: Representation, gram: list[list[Fraction]]):
-    """The Casimir element sum_ij (gram^-1)_ij rho(e_i) rho(e_j) of rep, for
-    the ad-invariant form with Gram matrix gram, as a map on forms (through
-    ``derivation``).
-
-    It is certified on the module itself, where it must commute with the
-    action; an AssertionError otherwise (e.g. a form that is not invariant).
-    """
-    inv = invert(gram)
-    mats = rep.mats
-
-    def apply(form: dict) -> dict:
-        w = [derivation(form, m) for m in mats]
-        out: dict = {}
-        for i, m in enumerate(mats):
-            u: dict = {}
-            for j, wj in enumerate(w):
-                accumulate(u, wj, inv[i][j])
-            accumulate(out, derivation(u, m))
-        return out
-
-    on_module = {c: {r: x for (r,), x in apply({(c,): Fraction(1)}).items()}
-                 for c in range(rep.dim)}
-    for m in mats:
-        if not op_is_zero(op_sub(op_compose(on_module, m), op_compose(m, on_module))):
-            raise AssertionError("casimir does not commute with the action")
     return apply
 
 

@@ -6,7 +6,7 @@ are dicts {key: scalar} whose keys only need an order (column ints, form
 index tuples).  Inserted vectors are Fraction-valued; vectors reduced against
 the echelon or written in its span may carry Poly entries.
 
-Front-ends over it: ``rref`` / ``nullspace`` / ``invert`` on dense lists of
+Front-ends over it: ``rref`` / ``nullspace`` on dense lists of
 Fractions, and ``sparse_nullspace`` for the large equivariance / invariance
 kernels, whose constraint rows touch only a handful of unknowns each and are
 split into connected components first.
@@ -208,15 +208,6 @@ def nullspace(rows: list[list[Fraction]], ncols: int | None = None) -> list[list
         ncols = len(rows[0])
     ech = Echelon(_sparse(r) for r in rows)
     return [_dense(v, ncols) for v in ech.kernel(range(ncols))]
-
-
-def invert(a_rows: list[list[Fraction]]) -> list[list[Fraction]]:
-    """Inverse of a square matrix; row j is the combination of rows giving e_j."""
-    n = len(a_rows)
-    ech = Echelon(_sparse(r) for r in a_rows)
-    if ech.rank != n:
-        raise ValueError("matrix not invertible")
-    return [_dense(ech.coordinates({j: Fraction(1)}), n) for j in range(n)]
 
 
 def sparse_nullspace(rows: list[SparseVec], ncols: int) -> list[SparseVec]:

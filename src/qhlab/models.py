@@ -16,7 +16,7 @@ matching the normal-form labels.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cache
 from itertools import combinations
@@ -262,7 +262,7 @@ def jacobi_equations() -> tuple[Poly, ...]:
     for comp in b.jacobiator().values():
         for val in comp.values():
             m = val.monic()
-            seen[m.key()] = m
+            seen[m] = m
     monos = sorted({mono for p in seen.values() for mono in p.terms})
     midx = {mono: i for i, mono in enumerate(monos)}
     rows = []
@@ -456,7 +456,6 @@ class HomogeneousModel:
     bracket_h: BilinearMap
     triple: tuple[ColMat, ColMat, ColMat]
     metric: list
-    extras: dict = field(default_factory=dict)
 
     def with_metric(self, c1, c2) -> "HomogeneousModel":
         """The same verified skeleton with the metric g_{c1,c2} (rational or
@@ -507,8 +506,7 @@ def _restrict_rep(rep: Representation, sub: LieAlgebra, gens: list[int]) -> Repr
 
 def _assemble(spec: ModelSpec, h: LieAlgebra, rho: Representation,
               b_m: BilinearMap | None, b_h: BilinearMap | None,
-              triple: tuple[ColMat, ColMat, ColMat],
-              extras: dict | None = None) -> HomogeneousModel:
+              triple: tuple[ColMat, ColMat, ColMat]) -> HomogeneousModel:
     """The verified model g = h + m, m = rho's module, with [m,m] = b_m + b_h,
     and the spec's metric."""
     dh, dm = h.dim, rho.dim
@@ -519,7 +517,7 @@ def _assemble(spec: ModelSpec, h: LieAlgebra, rho: Representation,
     except ValueError as exc:  # a failed certificate, not a verdict on the paper
         raise AssertionError(str(exc)) from exc
     model = HomogeneousModel(spec.n, g, rho, b_m, b_h, triple,
-                             metric_diag(spec.n, spec.c1, spec.c2), extras or {})
+                             metric_diag(spec.n, spec.c1, spec.c2))
     verify_model(model)
     verify_metric(model)
     return model
@@ -654,7 +652,7 @@ def _build_twisted_model(spec: ModelSpec) -> HomogeneousModel:
     z = h.subalgebra(gens)
     rho_z = _restrict_rep(rho, z, gens)
     b = twisted_theta(n)
-    model = _assemble(spec, z, rho_z, b, None, quaternionic_triple(n), {"twist_variant": "output"})
+    model = _assemble(spec, z, rho_z, b, None, quaternionic_triple(n))
     try:  # Jacobi on m x m x m holds (certified above), so only h-equivariance can fail
         semidirect(h, rho, b)
     except ValueError:

@@ -95,9 +95,6 @@ class Poly:
 
     # -- queries ----------------------------------------------------------
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def __bool__(self) -> bool:
         return bool(self.terms)
 
@@ -121,9 +118,6 @@ class Poly:
 
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
-
-    def key(self) -> frozenset:
-        return frozenset(self.terms.items())
 
     # -- evaluation -------------------------------------------------------
 
@@ -207,9 +201,9 @@ class Poly:
 def proportionality(p: Poly, q: Poly) -> Fraction | None:
     """lambda with p == lambda * q, or None when no such rational exists."""
     p, q = Poly.coerce(p), Poly.coerce(q)
-    if q.is_zero():
-        return None if not p.is_zero() else Fraction(0)
-    if p.is_zero():
+    if not q:
+        return None if p else Fraction(0)
+    if not p:
         return Fraction(0)
     if set(p.terms) != set(q.terms):
         return None

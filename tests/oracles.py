@@ -9,9 +9,11 @@ from itertools import combinations, product
 
 from hypothesis import strategies as st
 
-from qhlab.lie import (BilinearMap, LieAlgebra, Representation, common_kernel, op_apply,
-                       op_transpose, semidirect)
-from qhlab.linalg import Echelon, accumulate, sparse_nullspace, sv_add_scaled, sv_primitive
+from qhlab.forms import _bidegree, _sqrt_fraction, invariant_five_forms, lincomb, plane_coordinates
+from qhlab.lie import (BilinearMap, LieAlgebra, Representation, common_kernel, derivation,
+                       op_apply, op_compose, op_is_zero, op_sub, op_transpose, semidirect)
+from qhlab.linalg import (Echelon, _dense, _sparse, accumulate, nullspace, sparse_nullspace,
+                          sv_add_scaled, sv_primitive)
 from qhlab.models import (_reductive_basis, ambient_rep, horizontal_brackets,
                           maximal_vertical_bracket, xi_operator)
 from qhlab.poly import VARS, Poly
@@ -252,3 +254,106 @@ def swapped_reductive_basis(spec):
     cols = list(cols)
     cols[first], cols[first + 1] = cols[first + 1], cols[first]
     return old, cols, dh
+
+
+def invert(a_rows):
+    """Inverse of a square Fraction matrix; row j is the combination of rows
+    giving e_j."""
+    n = len(a_rows)
+    ech = Echelon(_sparse(r) for r in a_rows)
+    if ech.rank != n:
+        raise ValueError("matrix not invertible")
+    return [_dense(ech.coordinates({j: Fraction(1)}), n) for j in range(n)]
+
+
+def trace_form(rep):
+    """Gram matrix tr(rho(e_i) rho(e_j)) of the trace form of rep."""
+    mats = rep.mats
+    gram = [[Fraction(0)] * len(mats) for _ in mats]
+    for i in range(len(mats)):
+        for j in range(i, len(mats)):
+            gram[i][j] = gram[j][i] = sum(
+                (op_apply(mats[i], col).get(c, 0) for c, col in mats[j].items()),
+                Fraction(0))
+    return gram
+
+
+def casimir(rep, gram):
+    """The Casimir element sum_ij (gram^-1)_ij rho(e_i) rho(e_j) of rep, for
+    the ad-invariant form with Gram matrix gram, as a map on forms (through
+    ``derivation``), certified to commute with the action on the module."""
+    inv = invert(gram)
+    mats = rep.mats
+
+    def apply(form):
+        w = [derivation(form, m) for m in mats]
+        out = {}
+        for i, m in enumerate(mats):
+            u = {}
+            for j, wj in enumerate(w):
+                accumulate(u, wj, inv[i][j])
+            accumulate(out, derivation(u, m))
+        return out
+
+    on_module = {c: {r: x for (r,), x in apply({(c,): Fraction(1)}).items()}
+                 for c in range(rep.dim)}
+    for m in mats:
+        assert op_is_zero(op_sub(op_compose(on_module, m), op_compose(m, on_module))), \
+            "casimir does not commute with the action"
+    return apply
+
+
+def casimir_split(n):
+    """(theta_EH, theta_KH, (EH, KH) eigenvalues, 1-form scalar) of the
+    ambient Casimir on the invariant 5-form plane: the eigenline whose
+    eigenvalue is the Casimir scalar on 1-forms is EH.  The reference for
+    the closed-form forms.isotypic_split."""
+    v1, v2 = invariant_five_forms(n)
+    _, rho_k, _ = ambient_rep(n)
+    cas = casimir(rho_k, trace_form(rho_k))
+    lam1 = cas({(0,): Fraction(1)})[(0,)]
+    for idx in range(4 * n):
+        e = {(idx,): Fraction(1)}
+        assert not lincomb((1, cas(e)), (-lam1, e)), "Casimir is not scalar on 1-forms"
+    (m11, m21), (m12, m22) = (plane_coordinates(cas(v), v1, v2) for v in (v1, v2))
+    tr, det = m11 + m22, m11 * m22 - m12 * m21
+    sq = _sqrt_fraction(tr * tr - 4 * det)
+    eigs = ((tr + sq) / 2, (tr - sq) / 2)
+    assert eigs[0] != eigs[1], "Casimir eigenvalues coincide on the invariant plane"
+
+    def eigvec(lam):
+        a, b = m11 - lam, m12
+        if a == 0 and b == 0:
+            a, b = m21, m22 - lam
+        vec = lincomb((-b, v1), (a, v2))
+        assert vec and not lincomb((1, cas(vec)), (-lam, vec)), "not an eigenvector"
+        return vec
+
+    eh, kh = eigs if eigs[0] == lam1 else eigs[::-1]
+    assert eh == lam1, "no Casimir eigenvalue matches the 1-form scalar"
+    return eigvec(eh), eigvec(kh), (eh, kh), lam1
+
+
+def pure_bidegree_by_nullspace(n):
+    """The (1,0,4) and (1,2,2) forms of the invariant_five_forms plane, each
+    the plane combination whose other bi-degree part vanishes (a nullspace
+    solve): the reference for forms.isotypic_split's pure parts."""
+    v1, v2 = invariant_five_forms(n)
+    rows = []
+    for v in (v1, v2):
+        parts = {}
+        for S, c in v.items():
+            parts.setdefault(_bidegree(S), {})[S] = c
+        rows.append(parts)
+    bds = sorted({bd for p in rows for bd in p})
+    assert bds == [(1, 0, 4), (1, 2, 2)], bds
+    out = []
+    for keep, drop in zip(bds, bds[::-1]):
+        part1, part2 = rows[0].get(drop, {}), rows[1].get(drop, {})
+        kern = nullspace([[Fraction(part1.get(S, 0)), Fraction(part2.get(S, 0))]
+                          for S in sorted(set(part1) | set(part2))], 2)
+        assert len(kern) == 1, "pure bi-degree combination not unique"
+        form = lincomb((kern[0][0], v1), (kern[0][1], v2))
+        assert form and all(_bidegree(S) == keep for S in form)
+        out.append(form)
+    return tuple(out)

@@ -1,4 +1,3 @@
-import copy
 import random
 from fractions import Fraction
 from functools import cache
@@ -13,15 +12,17 @@ from qhlab.forms import (ce_differential, codifferential, contract_pair,
                          first_order_tests, fundamental_forms, genuine_loci,
                          hodge_star, invariant_five_forms, isotypic_split,
                          lincomb, one_form_differentials, pullback_all_slots,
-                         pure_bidegree_basis, table4_row, wedge,
-                         _calibration_scales, _split_domega)
+                         table4_row, wedge,
+                         _bidegree, _calibration_scales, _split_domega)
 from qhlab.lie import derivation, derivation_op, op_apply, sort_sign
+from qhlab.linalg import Echelon
 from qhlab.models import (ModelSpec, bracket_space_dims, build_model, isotropy_rep,
-                          symbolic_model)
+                          quaternionic_triple, symbolic_model)
 from qhlab.poly import Poly
 from qhlab.quaternion import Quaternion
 
-from oracles import class_at, materialised_common_kernel, rational_forms, rotated_triple
+from oracles import (casimir_split, class_at, materialised_common_kernel,
+                     pure_bidegree_by_nullspace, rational_forms, rotated_triple)
 
 rng = random.Random(2024)
 
@@ -201,16 +202,39 @@ def test_matrix_free_kernel_matches_the_materialised_operators():
 
 
 def test_isotypic_split_labels():
+    # theta_EH = e0 ^ Omega_k with Omega_k the unit-metric 4-form of the ambient
+    # triple; its two bi-degree parts span the plane; theta_KH is orthogonal
     pair = isotypic_split(3)
-    assert pair.casimir_eigs[0] != pair.casimir_eigs[1]
-    assert pair.casimir_eigs[0] == pair.lambda_one_form
-    p1, p2 = pure_bidegree_basis(3)
-    assert p1 != {} and p2 != {}
+    _, _, _, omega_k = fundamental_forms(build_model(ModelSpec("FlatMax", 3)))
+    assert pair.theta_eh == wedge({(0,): F(1)}, omega_k)
+    p1, p2 = pair.pure
+    assert {_bidegree(S) for S in p1} == {(1, 0, 4)}
+    assert {_bidegree(S) for S in p2} == {(1, 2, 2)}
+    assert pair.theta_eh == lincomb((1, p1), (1, p2))
+    assert sum(c * pair.theta_kh.get(S, 0) for S, c in pair.theta_eh.items()) == 0
+    assert len(pair.theta_kh) == len(pair.theta_eh)
+
+
+def _same_line(a, b):
+    return bool(a) and Echelon([dict(a), dict(b)]).rank == 1
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_isotypic_lines_match_the_casimir_split(n):
+    # the ambient Casimir's eigenline at the 1-form scalar is theta_EH, the
+    # other eigenline theta_KH; the nullspace-extracted pure bi-degree forms
+    # of the Lambda^5 basis are the parts of theta_EH
+    pair = isotypic_split(n)
+    eh, kh, (lam_eh, lam_kh), lam1 = casimir_split(n)
+    assert lam_eh == lam1 != lam_kh
+    assert _same_line(pair.theta_eh, eh) and _same_line(pair.theta_kh, kh)
+    for part, reference in zip(pair.pure, pure_bidegree_by_nullspace(n)):
+        assert _same_line(part, reference)
 
 
 def test_five_form_plane_is_solved_once_per_n(monkeypatch):
     import qhlab.forms as forms
-    for cached in (invariant_five_forms, isotypic_split, pure_bidegree_basis):
+    for cached in (invariant_five_forms, isotypic_split):
         cached.cache_clear()
     solves = []
     solve = forms.common_kernel
@@ -221,16 +245,44 @@ def test_five_form_plane_is_solved_once_per_n(monkeypatch):
 
     monkeypatch.setattr(forms, "common_kernel", counting)
     isotypic_split(3)
-    pure_bidegree_basis(3)
+    invariant_five_forms(3)
     assert solves == [792]  # one Lambda^5 kernel solve, C(12, 5) columns
 
 
+def test_non_invariant_omega_k_exits_3(monkeypatch, capsys):
+    # Omega_k of a triple that sp(1) + sp(n) does not preserve fails the
+    # invariance certificate: an internal check, not a paper mismatch
+    import qhlab.forms as forms
+
+    def mixed_triple_model(spec):
+        model = build_model(spec)
+        model.triple = quaternionic_triple(spec.n)
+        return model
+
+    isotypic_split.cache_clear()
+    monkeypatch.setattr(forms, "build_model", mixed_triple_model)
+    try:
+        assert main(["reproduce", "table4", "--n", "3"]) == 3
+    finally:
+        isotypic_split.cache_clear()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("qhlab: internal check failed: "
+                            "Omega_k is not invariant under the ambient algebra\n")
+
+
 def _five_form_state(n):
-    # a deep copy of every form dict the shared five-form caches hand out
+    # a copy of every form dict the shared five-form caches hand out
     pair = isotypic_split(n)
-    forms = (*invariant_five_forms(n), pair.theta_eh, pair.theta_kh, *pair.plane,
-             *pure_bidegree_basis(n))
-    return [copy.deepcopy(f) for f in forms], pair.casimir_eigs
+    forms = (*invariant_five_forms(n), pair.theta_eh, pair.theta_kh, *pair.pure)
+    return [dict(f) for f in forms]
+
+
+def test_cached_five_forms_are_read_only():
+    pair = isotypic_split(3)
+    for form in (*invariant_five_forms(3), pair.theta_eh, pair.theta_kh, *pair.pure):
+        with pytest.raises(TypeError):
+            form[(0, 1, 2, 3, 4)] = F(1)
 
 
 def test_model_report_leaves_the_cached_five_forms_unchanged(capsys):

@@ -7,9 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qhlab.forms import lincomb, wedge
-from qhlab.lie import (BilinearMap, LieAlgebra, Representation,
-                       casimir, derivation, equivariant_hom, op_transpose,
-                       semidirect, sort_sign, trace_form)
+from qhlab.lie import (BilinearMap, LieAlgebra, Representation, derivation,
+                       equivariant_hom, op_transpose, semidirect, sort_sign)
 from qhlab.linalg import Echelon
 from qhlab.models import (_maxmodel_jacobiator, ambient_rep, bracket_from_params,
                           horizontal_brackets, isotropy_rep, maximal_vertical_bracket,
@@ -17,8 +16,8 @@ from qhlab.models import (_maxmodel_jacobiator, ambient_rep, bracket_from_params
 from qhlab.poly import Poly
 from qhlab.quaternion import sp_basis
 
-from oracles import (dense_sp_brackets, invariant_vectors, is_equivariant,
-                     jacobiator_by_triples, rational_forms, vertical_brackets)
+from oracles import (casimir, dense_sp_brackets, invariant_vectors, is_equivariant,
+                     jacobiator_by_triples, rational_forms, trace_form, vertical_brackets)
 
 rng = random.Random(31)
 

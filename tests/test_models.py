@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qhlab import models
+from qhlab.cli import main
 from qhlab.lie import op_compose, op_is_zero, op_sub
 from qhlab.linalg import Echelon
 from qhlab.models import (H_KINDS, MODEL_KINDS, ModelSpec, _maxmodel_jacobiator,
@@ -260,10 +262,11 @@ def test_model_dimensions(n):
         assert model.g.verified
 
 
-def test_twisted_model():
+def test_twisted_model(capsys):
     model = build_model(ModelSpec("TwistedTheta", 3))
     assert model.g.dim == dims(3)["d"] - 2
-    assert model.extras["twist_variant"] == "output"
+    assert main(["--format", "json", "model-report", "--spec", "TwistedTheta:n=3"]) == 0
+    assert json.loads(capsys.readouterr().out)["models"][0]["extras"]["twist_variant"] == "output"
     h, rho, _ = isotropy_rep(3)
     b = twisted_theta(3)
     assert not is_equivariant(b, rho, rho.mats)

@@ -101,10 +101,10 @@ def test_proportionality():
 def test_proportionality_exactness():
     for _ in range(100):
         q = rand_poly()
-        if q.is_zero():
+        if not q:
             continue
         lam = Fraction(rng.randint(-7, 7), rng.randint(1, 4))
         p = q * lam
         got = proportionality(p, q)
         assert got == lam
-        assert (p - q * got).is_zero()
+        assert not (p - q * got)

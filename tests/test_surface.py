@@ -1,10 +1,17 @@
 """Every function, class and method of qhlab is used by qhlab itself or is
 exported: a definition that nothing in the package references and that
 ``qhlab.__all__`` does not list is dead code (or a test helper living in the
-library), and fails here."""
+library), and fails here.  A reference by name can be a false positive (a
+dead method sharing a live one's name), so a second guard runs a fixed set
+of CLI commands under a profile hook and requires every function to be
+entered."""
 
 import ast
 import inspect
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -73,3 +80,73 @@ def test_models_are_constructed_only_by_assemble():
     for path in sorted(SRC.glob("*.py")):
         visit(ast.parse(path.read_text(encoding="utf-8")), path.name, None)
     assert calls == ["models.py:_assemble"]
+
+
+# Functions that only an error path reaches, which no command below takes.
+_ERROR_ONLY = {"cli._usage_error", "quaternion.Quaternion.__repr__"}
+
+# Cheap commands that between them reach every model kind, every reproduce
+# target, every output format and both verdict exit codes.
+_PROFILED_COMMANDS = [
+    (["invariant-dims", "--n", "2"], 0),
+    (["--format", "csv", "invariant-dims", "--n", "3"], 0),
+    (["classify-bracket", "4", "8", "4", "0", "0"], 0),
+    (["--format", "csv", "classify-bracket", "0", "0", "0", "0", "0"], 0),
+    (["classify-bracket", "1", "1", "1", "0", "0"], 1),
+    (["reproduce", "table3"], 0),
+    (["--format", "csv", "reproduce", "table4", "--n", "3"], 1),
+    (["reproduce", "prop12", "--n", "2", "--beta=3"], 0),
+    (["reproduce", "maxmodel"], 0),
+    (["--format", "json", "model-report", "--spec", "H3:beta=1:n=3", "--grid", "1,2"], 0),
+    (["model-report", "--spec", "QHP:n=3"], 0),
+    (["model-report", "--spec", "TwistedTheta:n=3"], 0),
+    (["model-report", "--spec", "FlatMax:n=2"], 0),
+    (["model-report", "--spec", "MaxCurved:c=1:n=2"], 0),
+]
+
+# Run in a fresh interpreter, so that import-time calls count and no cache
+# filled by an earlier test hides a function: argv[1] is the JSON command
+# list; prints the exit codes and the functions never entered.
+_PROFILE_CHILD = """
+import contextlib, inspect, io, json, sys, types
+from pathlib import Path
+entered = set()
+
+def hook(frame, event, arg):
+    if event == "call":
+        entered.add((frame.f_code.co_filename, frame.f_code.co_firstlineno))
+
+sys.setprofile(hook)
+import qhlab
+from qhlab.cli import main
+codes = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(main(argv))
+sys.setprofile(None)
+
+missed = []
+def walk(code, module):
+    for const in code.co_consts:
+        if isinstance(const, types.CodeType):
+            if const.co_flags & inspect.CO_OPTIMIZED and const.co_name not in (
+                    "<listcomp>", "<dictcomp>", "<setcomp>", "<genexpr>") and (
+                    const.co_filename, const.co_firstlineno) not in entered:
+                missed.append(f"{module}.{const.co_qualname}")
+            walk(const, module)
+
+for path in sorted(Path(qhlab.__file__).parent.glob("*.py")):
+    walk(compile(path.read_text(encoding="utf-8"), str(path), "exec"), path.stem)
+print(json.dumps({"codes": codes, "missed": sorted(missed)}))
+"""
+
+
+def test_every_function_is_entered_by_the_profiled_commands():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC.parent), env.get("PYTHONPATH")]))
+    argvs = [argv for argv, _ in _PROFILED_COMMANDS]
+    child = subprocess.run([sys.executable, "-c", _PROFILE_CHILD, json.dumps(argvs)],
+                           capture_output=True, text=True, env=env, check=True, timeout=300)
+    result = json.loads(child.stdout)
+    assert result["codes"] == [code for _, code in _PROFILED_COMMANDS]
+    assert set(result["missed"]) == _ERROR_ONLY
