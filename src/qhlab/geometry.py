@@ -4,7 +4,8 @@ Conventions: R(x,y) = [L(x), L(y)] - L([x,y]_m) - rho([x,y]_h) with L the
 Nomizu operator of the metric; R4(x,y,z,w) = g(R(x,y)z, w); sectional
 curvature K(x,y) = R4(x,y,y,x) / (|x|^2 |y|^2 - g(x,y)^2), so round spheres
 come out positive and the solvable hyperbolic algebras negative.  All
-quantities are exact Fractions evaluated at rational metric points.
+quantities are exact: Fractions at a rational metric point, or Laurent
+polynomials in c1, c2 over the whole open cone for a metric of Poly monomials.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from itertools import combinations
 from .lie import (BilinearMap, ColMat, derivation, op_compose, op_is_skew, op_sub,
                   op_transpose)
 from .linalg import accumulate, connected_components, sv_add_scaled
+from .poly import VARS, Poly
 
 R4 = dict[tuple[int, int, int, int], Fraction]
 
@@ -44,14 +46,16 @@ def nomizu(data: GroupData) -> list[ColMat]:
     """Nomizu operators L(e_i) of the Levi-Civita connection.
 
     Defined by 2 g(L(x)y, z) = g([x,y],z) - g([y,z],x) + g([z,x],y); the
-    returned operators are checked to be g-skew and torsion-free.
+    returned operators are checked to be g-skew and torsion-free.  A Poly
+    metric entry must be a positive multiple of a monomial in c1, c2, which
+    is positive on the open cone c1, c2 > 0.
 
     Only the nonzero bracket entries contribute: b = [e_p, e_q]_r, read in
     both orders (p, q, b) and (q, p, -b), enters exactly three Koszul terms,
     L(p)q on e_r, L(r)p on e_q and L(q)r on e_p.
     """
     dm, G, b = data.dim, data.metric, data.bracket_m
-    if any(gx <= 0 for gx in G):
+    if not all(_positive(gx) for gx in G):
         raise ValueError("metric must be positive definite")
     lam: list[ColMat] = [{} for _ in range(dm)]
     for (p0, q0), vec in b.coeffs.items():
@@ -68,6 +72,14 @@ def nomizu(data: GroupData) -> list[ColMat]:
             if sv_add_scaled(lam[i].get(j, {}), lam[j].get(i, {}), -1) != b.pair(i, j):
                 raise AssertionError("Nomizu operator fails torsion-freeness")
     return lam
+
+
+def _positive(gx) -> bool:
+    if not isinstance(gx, Poly):
+        return gx > 0
+    return len(gx.terms) == 1 and all(
+        c > 0 and all(VARS[i] in ("c1", "c2") for i, e in enumerate(mono) if e)
+        for mono, c in gx.terms.items())
 
 
 @dataclass
@@ -237,21 +249,31 @@ def _block_partition(cur: CurvatureData, groups: list[list[int]]) -> list[list[i
     return sorted(sorted(b) for b in blocks.values())
 
 
+def riemann_flags(cur: CurvatureData, point: dict | None = None
+                  ) -> tuple[Fraction | None, bool, bool]:
+    """(Einstein constant or None, conformally flat, locally symmetric).
+
+    With a point {"c1": .., "c2": ..}, every Poly entry of a symbolic
+    curvature is read there: Ricci against lambda g, and whether any Weyl or
+    nabla R entry is nonzero.
+    """
+    def at(x):
+        return x.eval(point) if point and isinstance(x, Poly) else x
+
+    dm = cur.data.dim
+    G = [at(g) for g in cur.data.metric]
+    ricci = [[at(x) for x in row] for row in cur.ricci]
+    lam_e = ricci[0][0] / G[0]
+    einstein = lam_e if all(ricci[i][j] == (lam_e * G[i] if i == j else 0)
+                            for i in range(dm) for j in range(dm)) else None
+    return (einstein, not any(at(v) for v in cur.weyl.values()),
+            not any(at(v) for v in cur.nabla_r.values()))
+
+
 def classify(cur: CurvatureData, groups: list[list[int]] | None = None) -> RiemannClass:
     """Exact Einstein / conformally-flat / symmetric / constant-curvature flags."""
     dm, G = cur.data.dim, cur.data.metric
-    lam_e = cur.ricci[0][0] / G[0]
-    einstein: Fraction | None = lam_e
-    for i in range(dm):
-        for j in range(dm):
-            expect = lam_e * G[i] if i == j else Fraction(0)
-            if cur.ricci[i][j] != expect:
-                einstein = None
-                break
-        if einstein is None:
-            break
-    conf_flat = not cur.weyl
-    loc_sym = not cur.nabla_r
+    einstein, conf_flat, loc_sym = riemann_flags(cur)
     # R4 = (k/2) g*g on the index tuples accepted by inside; both sides
     # vanish off the union of their supports
     template = _kn_product({(i, i): g for i, g in enumerate(G)}, G)

@@ -1,10 +1,11 @@
 """Sparse multivariate polynomials over exact rationals.
 
 The variable set is fixed: (alpha, beta1, beta2, gamma1, gamma2, c1, c2).
-Monomials are exponent tuples; the canonical order is graded lexicographic.
-Polynomials interoperate with int / Fraction scalars (on either side of + and
-*, on the right of -), so code downstream can be written once for both
-rational and symbolic coefficients.
+Monomials are exponent tuples, negative exponents allowed (Laurent
+monomials); the canonical order is graded lexicographic.  Polynomials
+interoperate with int / Fraction scalars on either side of +, -, * and /, so
+code downstream can be written once for both rational and symbolic
+coefficients.  A Poly divides only by a single monomial.
 """
 
 from __future__ import annotations
@@ -66,6 +67,9 @@ class Poly:
     def __sub__(self, other) -> "Poly":
         return self + (-Poly.coerce(other))
 
+    def __rsub__(self, other) -> "Poly":
+        return Poly.coerce(other) - self
+
     def __mul__(self, other) -> "Poly":
         if isinstance(other, (int, Fraction)):
             s = Fraction(other)
@@ -80,6 +84,22 @@ class Poly:
         return Poly(out)
 
     __rmul__ = __mul__
+
+    def __truediv__(self, other) -> "Poly":
+        """Division by a nonzero rational or by a single Laurent monomial;
+        a zero divisor raises ZeroDivisionError, any other ValueError."""
+        if isinstance(other, (int, Fraction)):
+            return self * (Fraction(1) / other)
+        if not other:
+            raise ZeroDivisionError("Poly division by zero")
+        if len(other.terms) != 1:
+            raise ValueError(f"cannot divide by {other}: not a single monomial")
+        (m2, c2), = other.terms.items()
+        return Poly({tuple(a - b for a, b in zip(m1, m2)): c1 / c2
+                     for m1, c1 in self.terms.items()})
+
+    def __rtruediv__(self, other) -> "Poly":
+        return Poly.coerce(other) / self
 
     def __pow__(self, k: int) -> "Poly":
         if k < 0:

@@ -9,15 +9,17 @@ from itertools import combinations, product
 
 from hypothesis import strategies as st
 
+from qhlab.cli import _GRID, _SPECIAL, _prop12_expected
 from qhlab.forms import _bidegree, _sqrt_fraction, invariant_five_forms, lincomb, plane_coordinates
 from qhlab.lie import (BilinearMap, LieAlgebra, Representation, common_kernel, derivation,
                        op_apply, op_compose, op_is_zero, op_sub, op_transpose, semidirect)
 from qhlab.linalg import (Echelon, _dense, _sparse, accumulate, nullspace, sparse_nullspace,
                           sv_add_scaled, sv_primitive)
-from qhlab.models import (_reductive_basis, ambient_rep, horizontal_brackets,
-                          maximal_vertical_bracket, xi_operator)
+from qhlab.geometry import GroupData, classify, curvature, model_groups
+from qhlab.models import (ModelSpec, _reductive_basis, ambient_rep, build_model,
+                          horizontal_brackets, maximal_vertical_bracket, xi_operator)
 from qhlab.poly import VARS, Poly
-from qhlab.quaternion import IM_UNITS, Quaternion, sp_basis, sp_coordinates
+from qhlab.quaternion import IM_UNITS, Quaternion, format_rat, sp_basis, sp_coordinates
 
 
 def class_at(row, c1, c2) -> str:
@@ -357,3 +359,29 @@ def pure_bidegree_by_nullspace(n):
         assert form and all(_bidegree(S) == keep for S in form)
         out.append(form)
     return tuple(out)
+
+
+def prop12_by_points(n, betas=None):
+    """The checks of ``reproduce prop12`` from one exact Fraction-metric
+    curvature and classification per case and sample point: the reference
+    for cli._reproduce_prop12, which reads one symbolic curvature per case."""
+    if betas is None:
+        betas = [Fraction(b) for b in (-1, 0, 1, 2)]
+    cases = [("H1+", None), ("H1-", None), ("H2", None), ("H4", None)]
+    cases += [("H3", b) for b in betas] + [("H5", b) for b in betas]
+    points = _GRID + [p for p in _SPECIAL if p not in _GRID]
+    checks = []
+    for kind, beta in cases:
+        bad = []
+        skeleton = build_model(ModelSpec(kind, n, beta=beta))
+        for c1, c2 in points:
+            cur = curvature(GroupData.from_model(skeleton.with_metric(c1, c2)))
+            cls = classify(cur, model_groups(n))
+            want = _prop12_expected(kind, beta, c1, c2)
+            got = (cls.einstein is not None, cls.conformally_flat, cls.locally_symmetric)
+            if got != want:
+                bad.append(f"({format_rat(c1)},{format_rat(c2)}): got {got} want {want}")
+        label = kind if beta is None else f"{kind}^{format_rat(beta)}"
+        checks.append((f"{label} flags over {len(points)} points", not bad,
+                       "; ".join(bad) if bad else "einstein/CF/symmetric all match"))
+    return checks

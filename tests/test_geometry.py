@@ -10,6 +10,7 @@ from qhlab.geometry import (GroupData, _kn_product, classify, curvature,
 from qhlab.lie import BilinearMap, op_is_skew, op_transpose
 from qhlab.linalg import accumulate
 from qhlab.models import H_KINDS, ModelSpec, build_model, horizontal_brackets
+from qhlab.poly import VARS, Poly
 
 rng = random.Random(77)
 
@@ -168,6 +169,42 @@ def test_scaling_covariance():
             assert scaled.r4.get(key, 0) == lam * v
         for key, v in scaled.r4.items():
             assert cur.r4.get(key, 0) == v / lam
+
+
+def _degrees(values) -> set[int]:
+    """The total c1, c2 degrees of the monomials of the Poly values (a
+    rational value has degree 0); a monomial in another variable fails."""
+    out = set()
+    for v in values:
+        for mono in Poly.coerce(v).terms:
+            assert all(VARS[i] in ("c1", "c2") for i, e in enumerate(mono) if e)
+            out.add(sum(mono))
+    return out
+
+
+@pytest.mark.parametrize("kind", H_KINDS)
+def test_scaling_covariance_over_the_cone(kind):
+    # g -> t g leaves the Nomizu operators unchanged: R4, Weyl and nabla R
+    # scale with g, Ricci is invariant and the scalar goes as 1/t, now as
+    # identities in (c1, c2) rather than at sampled points
+    beta = F(3) if kind in ("H3", "H5") else None
+    skeleton = _model(kind, 2, beta=beta)
+    cur = curvature(GroupData.from_model(skeleton.with_metric(Poly.var("c1"), Poly.var("c2"))))
+    assert cur.r4
+    assert _degrees(cur.r4.values()) == {1}
+    assert _degrees(cur.weyl.values()) <= {1}
+    assert _degrees(cur.nabla_r.values()) <= {1}
+    assert _degrees(x for row in cur.ricci for x in row) == {0}
+    assert _degrees([cur.scalar]) <= {-1}
+
+
+def test_nomizu_rejects_a_symbolic_metric_not_positive_on_the_cone():
+    c1, c2 = Poly.var("c1"), Poly.var("c2")
+    skeleton = _model("H2", 2)
+    assert nomizu(GroupData.from_model(skeleton.with_metric(c1 * 2, c2 / c1)))
+    for g1, g2 in ((-c1, c2), (c1, c1 - c2), (c1 * Poly.var("alpha"), c2)):
+        with pytest.raises(ValueError, match="positive definite"):
+            nomizu(GroupData.from_model(skeleton.with_metric(g1, g2)))
 
 
 def test_divergence_free_at_einstein_point():

@@ -83,6 +83,33 @@ def test_to_string_parse_roundtrip():
         Poly.var("c1") ** 2 * Fraction(-3, 2) + Poly.var("c1") * Poly.var("c2")
 
 
+def test_laurent_monomial_division():
+    c1, c2 = Poly.var("c1"), Poly.var("c2")
+    m = c2 * c2 / c1 * Fraction(-3, 2)  # -3/2 c1^-1 c2^2
+    assert m.terms == {(0, 0, 0, 0, 0, -1, 2): Fraction(-3, 2)}
+    for _ in range(50):
+        p = rand_poly()
+        assert p * m / m == p
+        assert p / m * m == p
+    assert Fraction(1) / c1 * c1 == 1 and 2 - c1 == -(c1 - 2)
+    assert c1 / 4 == c1 * Fraction(1, 4)
+
+
+def test_eval_at_a_negative_exponent():
+    p = Poly({(0, 0, 0, 0, 0, -2, 1): Fraction(3)}) + Poly.var("c1")
+    assert p.eval({"c1": Fraction(2), "c2": Fraction(5)}) == Fraction(3 * 5, 4) + 2
+
+
+def test_division_by_a_non_monomial_raises():
+    c1, c2 = Poly.var("c1"), Poly.var("c2")
+    with pytest.raises(ValueError, match=r"cannot divide by c1 \+ c2"):
+        c1 / (c1 + c2)
+    with pytest.raises(ValueError, match="cannot divide by c1 - 1"):
+        Fraction(1) / (c1 - 1)
+    with pytest.raises(ZeroDivisionError):
+        c1 / Poly()
+
+
 def test_to_string_refuses_a_negative_exponent():
     # c1^-1 * c2^2 would otherwise print as c2^2 and parse back as another poly
     with pytest.raises(ValueError, match="negative exponent"):

@@ -1,4 +1,4 @@
-"""Report bytes of four benchmark commands, run in-process, against the
+"""Report bytes of nine benchmark commands, run in-process, against the
 SHA-256 digests that the benchmark's correctness gate compares
 (``bench/digests.json``, only read here).  A change that alters a single
 report byte of these commands fails here, before the benchmark runs."""
@@ -19,7 +19,8 @@ DIGESTS = Path(__file__).resolve().parent.parent / "bench" / "digests.json"
     (["--format", "json", "invariant-dims", "--n", "3"], 0),
     (["--format", "json", "reproduce", "maxmodel"], 0),
     (["--format", "json", "model-report", "--spec", "H5:beta=1:n=3", "--grid", "2,3"], 0),
-])
+] + [(["--format", "json", "reproduce", "prop12", "--n", "2", f"--beta={beta}"], 0)
+     for beta in ("1/2", "-3/2", "3/2", "3", "-2")])
 def test_report_bytes_match_the_recorded_digest(argv, exit_code, capsys):
     want = json.loads(DIGESTS.read_text(encoding="utf-8"))["reports"][" ".join(argv)]
     code = main(argv)
