@@ -14,10 +14,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from itertools import combinations
 from math import gcd, isqrt
 from types import MappingProxyType
 
+# common_kernel is unused here; bench/test_bench.py pins the forms.common_kernel binding
 from .lie import ColMat, common_kernel, derivation, op_is_skew, sort_sign
 from .linalg import Echelon, accumulate, nullspace
 from .poly import Poly, proportionality
@@ -164,78 +164,61 @@ def contract_pair(gamma: dict, omega: dict, metric: list[Fraction]) -> dict:
 # invariant 5-forms and the isotypic split
 # --------------------------------------------------------------------------
 
-@cache
-def invariant_five_forms(n: int) -> tuple[dict, ...]:
-    """Exact basis of the h-invariant 5-forms on m (dimension 2 for n >= 3).
-
-    The kernel of the derivations on Lambda^5 is that of the dual action (its
-    negative).  The solver applies each generator's derivation to the forms
-    its predecessors left invariant; the first, a torus generator, leaves
-    the weight-zero forms.
-    """
-    if n < 3:
-        raise ValueError("the 5-form analysis requires n >= 3")
-    h, rho, order = isotropy_rep(n)
-    dm = 4 * n
-    basis = list(combinations(range(dm), 5))
-    index = {S: t for t, S in enumerate(basis)}
-
-    def acting(mat: ColMat):
-        def apply(vec: dict) -> dict:
-            img = derivation({basis[t]: v for t, v in vec.items()}, mat)
-            return {index[T]: v for T, v in img.items()}
-        return apply
-
-    kernel = common_kernel([acting(rho.mats[g]) for g in order], len(basis))
-    forms = tuple({basis[t]: v for t, v in vec.items()} for vec in kernel)
-    for g in range(h.dim):
-        for f in forms:
-            if derivation(f, rho.mats[g]):
-                raise AssertionError("non-invariant 5-form from the kernel engine")
-    return tuple(MappingProxyType(f) for f in forms)
-
-
 def _bidegree(S: tuple) -> tuple[int, int, int]:
     return (sum(1 for i in S if i == 0),
             sum(1 for i in S if 1 <= i <= 3),
             sum(1 for i in S if i >= 4))
 
 
+@cache
+def invariant_five_forms(n: int) -> tuple[dict, dict]:
+    """The (1,0,4) and (1,2,2) block bi-degree parts p1, p2 of e^0 ^ Omega_k,
+    an exact basis of the h-invariant 5-forms on m (dimension 2 for n >= 3).
+
+    Omega_k is the fundamental 4-form of the ambient triple at the unit
+    metric, certified killed by every generator of the ambient
+    k = sp(1) + sp(n); each part is certified killed by every isotropy
+    generator.  That the invariant 5-forms are no more than these two is
+    checked against the kernel of the derivations on Lambda^5 in the tests.
+    """
+    if n < 3:
+        raise ValueError("the 5-form analysis requires n >= 3")
+    _, _, _, omega_k = fundamental_forms(build_model(ModelSpec("FlatMax", n)))
+    if any(derivation(omega_k, mat) for mat in ambient_rep(n)[1].mats):
+        raise AssertionError("Omega_k is not invariant under the ambient algebra")
+    theta_eh = wedge({(0,): Fraction(1)}, omega_k)
+    parts = tuple({S: c for S, c in theta_eh.items() if _bidegree(S) == bd}
+                  for bd in ((1, 0, 4), (1, 2, 2)))
+    if any(derivation(p, mat) for mat in isotropy_rep(n)[1].mats for p in parts):
+        raise AssertionError("a bi-degree part of e0 ^ Omega_k is not invariant")
+    return tuple(MappingProxyType(p) for p in parts)
+
+
 @dataclass(frozen=True)
 class IsotypicPair:
     theta_eh: dict
     theta_kh: dict
-    pure: tuple[dict, dict]  # the (1,0,4) and (1,2,2) parts of theta_EH
 
 
 @cache
 def isotypic_split(n: int) -> IsotypicPair:
     """The theta_EH / theta_KH lines of the invariant 5-form plane.
 
-    EH is the Lambda^1-type module Lambda^1 ^ Omega_k of the ambient
-    k = sp(1) + sp(n), Omega_k the fundamental 4-form of the ambient triple at
-    the unit metric; its invariant line is theta_EH = e^0 ^ Omega_k.  The
-    two block bi-degree parts of theta_EH span the invariant plane, and
-    theta_KH is the orthogonal complement of theta_EH there under the unit
-    metric, which k preserves.  Normalization is fixed downstream by the H4
-    calibration.  A change of metric parameters scales the two pure parts by
-    c1^(1/2) c2^2 and c1^(3/2) c2, so every metric-adapted line is rational
-    in (c1, c2) when written in that basis.
+    EH is the Lambda^1-type module Lambda^1 ^ Omega_k of the ambient k; its
+    invariant line is theta_EH = e^0 ^ Omega_k = p1 + p2, the sum of the two
+    pure parts of ``invariant_five_forms``.  theta_KH is the orthogonal
+    complement of theta_EH in the plane under the unit metric, which k
+    preserves.  Normalization is fixed downstream by the H4 calibration.  A
+    change of metric parameters scales the two pure parts by c1^(1/2) c2^2
+    and c1^(3/2) c2, so every metric-adapted line is rational in (c1, c2)
+    when written in that basis.
     """
-    v1, v2 = invariant_five_forms(n)
-    _, _, _, omega_k = fundamental_forms(build_model(ModelSpec("FlatMax", n)))
-    if any(derivation(omega_k, mat) for mat in ambient_rep(n)[1].mats):
-        raise AssertionError("Omega_k is not invariant under the ambient algebra")
-    theta_eh = wedge({(0,): Fraction(1)}, omega_k)
-    p1 = {S: c for S, c in theta_eh.items() if _bidegree(S) == (1, 0, 4)}
-    p2 = {S: c for S, c in theta_eh.items() if _bidegree(S) == (1, 2, 2)}
-    for part in (p1, p2):  # raises unless the part is invariant
-        plane_coordinates(part, v1, v2)
+    p1, p2 = invariant_five_forms(n)
+    theta_eh = lincomb((1, p1), (1, p2))
     # the unit-metric Gram row [<theta_EH, p1>, <theta_EH, p2>]
     (a, b), = nullspace([[sum(theta_eh[S] * c for S, c in p.items()) for p in (p1, p2)]], 2)
     theta_kh = lincomb((a, p1), (b, p2))
-    return IsotypicPair(*(MappingProxyType(f) for f in (theta_eh, theta_kh)),
-                        (MappingProxyType(p1), MappingProxyType(p2)))
+    return IsotypicPair(MappingProxyType(theta_eh), MappingProxyType(theta_kh))
 
 
 # --------------------------------------------------------------------------
@@ -250,13 +233,13 @@ _H4_F_KH = Poly.parse("c1*c2 + 5*c2^2")
 
 @dataclass(frozen=True)
 class Calibration:
-    """Theta scales pinned on the H4 row, plus the targets actually used.
+    """Theta scales pinned on the H4 row, plus the targets used.
 
-    When the nominal quadratics are not proportional to the raw H4
-    coefficients (this happens on the KH column away from n = 3, where the
-    observed shape is c2*(c1 + (2n-1) c2)), the scales fall back to the
-    content-normalized observed coefficient and the substitution is
-    recorded rather than suppressed.
+    The targets are the content-normalized H4 coefficients and the flags
+    record whether they equal the nominal quadratics (both primitive with a
+    positive leading term).  The KH column differs away from n = 3, where
+    the observed shape is c2*(c1 + (2n-1) c2); the difference is reported
+    rather than suppressed.
     """
 
     s_eh: Fraction
@@ -287,17 +270,9 @@ def _calibration_scales(n: int) -> Calibration:
     x, y = Poly.coerce(x), Poly.coerce(y)
     if not (x and y):
         raise AssertionError("H4 row degenerated; cannot calibrate")
-    s_eh = proportionality(x, _H4_F_KH)
-    s_kh = proportionality(y, _H4_F_EH)
-    target_kh, target_eh = _H4_F_KH, _H4_F_EH
-    kh_ok, eh_ok = s_eh is not None, s_kh is not None
-    if s_eh is None:
-        target_kh = _poly_primitive(x)
-        s_eh = proportionality(x, target_kh)
-    if s_kh is None:
-        target_eh = _poly_primitive(y)
-        s_kh = proportionality(y, target_eh)
-    return Calibration(s_eh, s_kh, target_kh, target_eh, kh_ok, eh_ok)
+    target_kh, target_eh = _poly_primitive(x), _poly_primitive(y)
+    return Calibration(proportionality(x, target_kh), proportionality(y, target_eh),
+                       target_kh, target_eh, target_kh == _H4_F_KH, target_eh == _H4_F_EH)
 
 
 @dataclass
@@ -437,8 +412,7 @@ class GenuineLoci:
 
 def genuine_loci(model: HomogeneousModel) -> GenuineLoci:
     """Compute the adapted-class loci for a symbolic-metric model."""
-    pair = isotypic_split(model.n)
-    p1, p2 = pair.pure
+    p1, p2 = invariant_five_forms(model.n)
     _, _, _, omega = fundamental_forms(model)
     dom = ce_differential(model, omega)
     x, y = plane_coordinates(dom, p1, p2)
@@ -448,7 +422,7 @@ def genuine_loci(model: HomogeneousModel) -> GenuineLoci:
     p_eh = Poly.coerce(x * wy - y * wx)
     # the KH line moves by the same diagonal rescaling that carries the fixed
     # theta_EH = p1 + p2 direction (1 : 1) to (wx : wy)
-    kx, ky = plane_coordinates(pair.theta_kh, p1, p2)
+    kx, ky = plane_coordinates(isotypic_split(model.n).theta_kh, p1, p2)
     p_kh = Poly.coerce(x * (ky * wy) - y * (kx * wx))
     return GenuineLoci(_poly_primitive(p_eh), _poly_primitive(p_kh))
 

@@ -5,19 +5,20 @@ live with the tests that check qhlab against them.
 """
 
 from fractions import Fraction
+from functools import cache
 from itertools import combinations, product
 
 from hypothesis import strategies as st
 
 from qhlab.cli import _GRID, _SPECIAL, _prop12_expected
-from qhlab.forms import _bidegree, _sqrt_fraction, invariant_five_forms, lincomb, plane_coordinates
+from qhlab.forms import _bidegree, _sqrt_fraction, lincomb, plane_coordinates
 from qhlab.lie import (BilinearMap, LieAlgebra, Representation, common_kernel, derivation,
                        op_apply, op_compose, op_is_zero, op_sub, op_transpose, semidirect)
 from qhlab.linalg import (Echelon, _dense, _sparse, accumulate, nullspace, sparse_nullspace,
                           sv_add_scaled, sv_primitive)
 from qhlab.geometry import GroupData, classify, curvature, model_groups
 from qhlab.models import (ModelSpec, _reductive_basis, ambient_rep, build_model,
-                          horizontal_brackets, maximal_vertical_bracket, xi_operator)
+                          horizontal_brackets, isotropy_rep, maximal_vertical_bracket, xi_operator)
 from qhlab.poly import VARS, Poly
 from qhlab.quaternion import IM_UNITS, Quaternion, format_rat, sp_basis, sp_coordinates
 
@@ -305,12 +306,38 @@ def casimir(rep, gram):
     return apply
 
 
+@cache
+def invariant_five_forms_by_kernel(n):
+    """Exact basis of the h-invariant 5-forms on m, the common kernel of the
+    isotropy derivations on Lambda^5 m* (the kernel of the dual action is
+    that of the derivations, its negative): the reference for the
+    closed-form forms.invariant_five_forms.  The solver applies each
+    generator's derivation to the forms its predecessors left invariant; the
+    first, a torus generator, leaves the weight-zero forms."""
+    h, rho, order = isotropy_rep(n)
+    basis = list(combinations(range(4 * n), 5))
+    index = {S: t for t, S in enumerate(basis)}
+
+    def acting(mat):
+        def apply(vec):
+            img = derivation({basis[t]: v for t, v in vec.items()}, mat)
+            return {index[T]: v for T, v in img.items()}
+        return apply
+
+    kernel = common_kernel([acting(rho.mats[g]) for g in order], len(basis))
+    forms = tuple({basis[t]: v for t, v in vec.items()} for vec in kernel)
+    for g in range(h.dim):
+        for f in forms:
+            assert not derivation(f, rho.mats[g]), "non-invariant 5-form from the kernel engine"
+    return forms
+
+
 def casimir_split(n):
     """(theta_EH, theta_KH, (EH, KH) eigenvalues, 1-form scalar) of the
     ambient Casimir on the invariant 5-form plane: the eigenline whose
     eigenvalue is the Casimir scalar on 1-forms is EH.  The reference for
     the closed-form forms.isotypic_split."""
-    v1, v2 = invariant_five_forms(n)
+    v1, v2 = invariant_five_forms_by_kernel(n)
     _, rho_k, _ = ambient_rep(n)
     cas = casimir(rho_k, trace_form(rho_k))
     lam1 = cas({(0,): Fraction(1)})[(0,)]
@@ -337,10 +364,10 @@ def casimir_split(n):
 
 
 def pure_bidegree_by_nullspace(n):
-    """The (1,0,4) and (1,2,2) forms of the invariant_five_forms plane, each
-    the plane combination whose other bi-degree part vanishes (a nullspace
-    solve): the reference for forms.isotypic_split's pure parts."""
-    v1, v2 = invariant_five_forms(n)
+    """The (1,0,4) and (1,2,2) forms of the kernel-solved invariant plane,
+    each the plane combination whose other bi-degree part vanishes (a
+    nullspace solve): the reference for forms.invariant_five_forms."""
+    v1, v2 = invariant_five_forms_by_kernel(n)
     rows = []
     for v in (v1, v2):
         parts = {}

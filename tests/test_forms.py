@@ -21,8 +21,9 @@ from qhlab.models import (ModelSpec, bracket_space_dims, build_model, isotropy_r
 from qhlab.poly import Poly
 from qhlab.quaternion import Quaternion
 
-from oracles import (casimir_split, class_at, materialised_common_kernel,
-                     pure_bidegree_by_nullspace, rational_forms, rotated_triple)
+from oracles import (casimir_split, class_at, invariant_five_forms_by_kernel,
+                     materialised_common_kernel, pure_bidegree_by_nullspace,
+                     rational_forms, rotated_triple, substitute)
 
 rng = random.Random(2024)
 
@@ -183,8 +184,12 @@ def test_codifferential_flat_and_adjointness():
 
 
 def test_invariant_five_form_space():
-    forms = invariant_five_forms(3)
-    assert len(forms) == 2
+    # the Lambda^5 kernel solve finds exactly two invariant 5-forms, and they
+    # span the plane of the two bi-degree parts of e0 ^ Omega_k
+    for n in (3, 4, 5):
+        forms, kernel = invariant_five_forms(n), invariant_five_forms_by_kernel(n)
+        assert len(forms) == len(kernel) == 2
+        assert Echelon([*kernel, *map(dict, forms)]).rank == 2, n
     with pytest.raises(ValueError):
         invariant_five_forms(2)
 
@@ -197,7 +202,7 @@ def test_matrix_free_kernel_matches_the_materialised_operators():
     kernel = materialised_common_kernel(
         [(lambda g=g: derivation_op(rho.mats[g], index)) for g in order], len(basis))
     expected = [[(basis[t], v) for t, v in vec.items()] for vec in kernel]
-    assert [list(form.items()) for form in invariant_five_forms(3)] == expected
+    assert [list(form.items()) for form in invariant_five_forms_by_kernel(3)] == expected
     assert bracket_space_dims(3) == (5, 4)
 
 
@@ -207,7 +212,7 @@ def test_isotypic_split_labels():
     pair = isotypic_split(3)
     _, _, _, omega_k = fundamental_forms(build_model(ModelSpec("FlatMax", 3)))
     assert pair.theta_eh == wedge({(0,): F(1)}, omega_k)
-    p1, p2 = pair.pure
+    p1, p2 = invariant_five_forms(3)
     assert {_bidegree(S) for S in p1} == {(1, 0, 4)}
     assert {_bidegree(S) for S in p2} == {(1, 2, 2)}
     assert pair.theta_eh == lincomb((1, p1), (1, p2))
@@ -223,30 +228,30 @@ def _same_line(a, b):
 def test_isotypic_lines_match_the_casimir_split(n):
     # the ambient Casimir's eigenline at the 1-form scalar is theta_EH, the
     # other eigenline theta_KH; the nullspace-extracted pure bi-degree forms
-    # of the Lambda^5 basis are the parts of theta_EH
+    # of the kernel-solved Lambda^5 plane are the parts of theta_EH
     pair = isotypic_split(n)
     eh, kh, (lam_eh, lam_kh), lam1 = casimir_split(n)
     assert lam_eh == lam1 != lam_kh
     assert _same_line(pair.theta_eh, eh) and _same_line(pair.theta_kh, kh)
-    for part, reference in zip(pair.pure, pure_bidegree_by_nullspace(n)):
+    for part, reference in zip(invariant_five_forms(n), pure_bidegree_by_nullspace(n)):
         assert _same_line(part, reference)
 
 
-def test_five_form_plane_is_solved_once_per_n(monkeypatch):
+def test_class_path_runs_no_kernel_solve(monkeypatch):
+    # the invariant 5-form plane and the class coefficients are closed-form:
+    # with every kernel solve raising, both class commands keep their codes
     import qhlab.forms as forms
+    import qhlab.lie as lie
     for cached in (invariant_five_forms, isotypic_split):
         cached.cache_clear()
-    solves = []
-    solve = forms.common_kernel
 
-    def counting(applies, dim):
-        solves.append(dim)
-        return solve(applies, dim)
+    def no_solve(applies, dim):
+        raise RuntimeError("kernel solve on the class path")
 
-    monkeypatch.setattr(forms, "common_kernel", counting)
-    isotypic_split(3)
-    invariant_five_forms(3)
-    assert solves == [792]  # one Lambda^5 kernel solve, C(12, 5) columns
+    monkeypatch.setattr(lie, "common_kernel", no_solve)
+    monkeypatch.setattr(forms, "common_kernel", no_solve)
+    assert main(["reproduce", "table4", "--n", "3"]) == 1
+    assert main(["model-report", "--spec", "H3:beta=1:n=3", "--grid", "1,2"]) == 0
 
 
 def test_non_invariant_omega_k_exits_3(monkeypatch, capsys):
@@ -259,12 +264,15 @@ def test_non_invariant_omega_k_exits_3(monkeypatch, capsys):
         model.triple = quaternionic_triple(spec.n)
         return model
 
-    isotypic_split.cache_clear()
+    caches = (invariant_five_forms, isotypic_split)
+    for cached in caches:
+        cached.cache_clear()
     monkeypatch.setattr(forms, "build_model", mixed_triple_model)
     try:
         assert main(["reproduce", "table4", "--n", "3"]) == 3
     finally:
-        isotypic_split.cache_clear()
+        for cached in caches:
+            cached.cache_clear()
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == ("qhlab: internal check failed: "
@@ -274,13 +282,13 @@ def test_non_invariant_omega_k_exits_3(monkeypatch, capsys):
 def _five_form_state(n):
     # a copy of every form dict the shared five-form caches hand out
     pair = isotypic_split(n)
-    forms = (*invariant_five_forms(n), pair.theta_eh, pair.theta_kh, *pair.pure)
+    forms = (*invariant_five_forms(n), pair.theta_eh, pair.theta_kh)
     return [dict(f) for f in forms]
 
 
 def test_cached_five_forms_are_read_only():
     pair = isotypic_split(3)
-    for form in (*invariant_five_forms(3), pair.theta_eh, pair.theta_kh, *pair.pure):
+    for form in (*invariant_five_forms(3), pair.theta_eh, pair.theta_kh):
         with pytest.raises(TypeError):
             form[(0, 1, 2, 3, 4)] = F(1)
 
@@ -318,40 +326,39 @@ def test_calibration_nominal_at_n3():
     assert cal.s_eh != 0 and cal.s_kh != 0
 
 
-_EXPECTED_ROWS_N3 = {
-    # exact computed values (regression targets); H3/H4 agree with the
-    # embedded reference table, the alpha-rows are its exact halves with the
-    # same zero loci, H5 mirrors the reference in the sign of the free
-    # parameter, and the bundle models differ as documented in the README
-    "H1+": ("3/2*c1^2 + 2*c1*c2 - 2*c2^2", "3/2*c1^2 + 11/2*c1*c2 + 5*c2^2"),
-    "H1-": ("-3/2*c1^2 + 4*c1*c2 - 2*c2^2", "-3/2*c1^2 + 1/2*c1*c2 + 5*c2^2"),
-    "H2": ("3/2*c1^2 - c1*c2", "3/2*c1^2 + 5/2*c1*c2"),
-    "H3": ("beta2*c1*c2 - 2*beta2*c2^2 + 2*c1*c2",
-           "beta2*c1*c2 + 5*beta2*c2^2 + 2*c1*c2"),
-    "H4": ("c1*c2 - 2*c2^2", "c1*c2 + 5*c2^2"),
-    "H5": ("beta2*c1*c2 - 2*beta2*c2^2 - c1*c2",
-           "beta2*c1*c2 + 5*beta2*c2^2 - c1*c2"),
-    "QHP": ("3/2*c1^2 - 3*c1*c2", "3/2*c1^2 + 1/2*c1*c2"),
-    "QHH": ("-3/2*c1^2 - c1*c2", "-3/2*c1^2 - 9/2*c1*c2"),
+c1, c2, b2 = (Poly.var(v) for v in ("c1", "c2", "beta2"))
+half = F(1, 2)
+
+# Every Table-4 row at n as (f_EH, f_KH): f_EH is the same at every n and
+# f_KH is affine in n.  The alpha-rows are the exact halves of the embedded
+# reference with the same zero loci, H3/H4 agree with it at n = 3, H5
+# mirrors it in the sign of the free parameter, and the bundle models differ
+# as documented in the README.
+_TABLE4_ROWS = {
+    "H1+": lambda n: (3*half*c1**2 + 2*c1*c2 - 2*c2**2,
+                      3*half*c1**2 + (n + 5*half)*c1*c2 + (2*n - 1)*c2**2),
+    "H1-": lambda n: (-3*half*c1**2 + 4*c1*c2 - 2*c2**2,
+                      -3*half*c1**2 + (7*half - n)*c1*c2 + (2*n - 1)*c2**2),
+    "H2": lambda n: (3*half*c1**2 - c1*c2, 3*half*c1**2 + (n - half)*c1*c2),
+    "H3": lambda n: ((b2 + 2)*c1*c2 - 2*b2*c2**2, (b2 + 2)*c1*c2 + (2*n - 1)*b2*c2**2),
+    "H4": lambda n: (c1*c2 - 2*c2**2, c1*c2 + (2*n - 1)*c2**2),
+    "H5": lambda n: ((b2 - 1)*c1*c2 - 2*b2*c2**2, (b2 - 1)*c1*c2 + (2*n - 1)*b2*c2**2),
+    "QHP": lambda n: (3*half*c1**2 - 3*c1*c2, 3*half*c1**2 + (n - 5*half)*c1*c2),
+    "QHH": lambda n: (-3*half*c1**2 - c1*c2, -3*half*c1**2 - (n + 3*half)*c1*c2),
 }
 
 
-def test_table4_rows_regression_n3():
-    for kind, (eh, kh) in _EXPECTED_ROWS_N3.items():
-        row = table4_row(kind, 3)
-        assert row.f_eh == Poly.parse(eh), kind
-        assert row.f_kh == Poly.parse(kh), kind
-
-
-def test_qk_point_is_h1_minus():
-    row = table4_row("H1-", 3)
-    assert class_at(row, 2, 1) == "QK"
-    assert class_at(row, 1, 1) == "KEH"
-    row_plus = table4_row("H1+", 3)
-    assert class_at(row_plus, 2, 1) != "QK"
-    # direct differential confirmation
-    rpt = first_order_tests(_model("H1-", 3, 2, 1))
-    assert rpt.d_omega_zero
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_table4_rows_as_functions_of_n(n):
+    rows = {kind: table4_row(kind, n) for kind in _TABLE4_ROWS}
+    for kind, expected in _TABLE4_ROWS.items():
+        assert (rows[kind].f_eh, rows[kind].f_kh) == expected(n), kind
+    # bracket linearity over the table-3 normal forms, on both columns
+    for col in ("f_eh", "f_kh"):
+        got = {kind: getattr(row, col) for kind, row in rows.items()}
+        h3 = substitute(got["H3"], {"beta2": 1})
+        assert got["H1+"] - got["H2"] == h3, col
+        assert got["H1+"] + got["H1-"] == h3 * 2, col
 
 
 def test_f_eh_column_is_n_uniform():
@@ -369,12 +376,15 @@ def test_f_kh_column_shifts_with_n():
     assert not cal4.kh_matches_nominal and cal4.eh_matches_nominal
 
 
-def test_h4_row_at_n5():
-    # README finding 2 at a third n: f_KH moves with n (c2^2 coefficient 2n - 1),
-    # f_EH does not
-    row = table4_row("H4", 5)
-    assert row.f_kh == Poly.parse("c1*c2 + 9*c2^2")
-    assert row.f_eh == Poly.parse("c1*c2 - 2*c2^2")
+def test_qk_point_is_h1_minus():
+    row = table4_row("H1-", 3)
+    assert class_at(row, 2, 1) == "QK"
+    assert class_at(row, 1, 1) == "KEH"
+    row_plus = table4_row("H1+", 3)
+    assert class_at(row_plus, 2, 1) != "QK"
+    # direct differential confirmation
+    rpt = first_order_tests(_model("H1-", 3, 2, 1))
+    assert rpt.d_omega_zero
 
 
 def test_domega_in_invariant_plane_symbolically():
