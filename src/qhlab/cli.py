@@ -513,8 +513,12 @@ def main(argv=None) -> int:
         return 3
     text = {"text": render_text, "json": render_json, "csv": render_csv}[ns.format](report)
     if ns.out:
-        with open(ns.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(ns.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:  # a bad --out path is a usage error
+            print(f"qhlab: cannot write report to {ns.out}: {exc.strerror or exc}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text)
     return code

@@ -1,6 +1,10 @@
 """Lie algebras by structure constants, representations, and exact
 equivariant/invariant solvers.
 
+Structure constants have one source, ``matrix_algebra``, which reads them off
+the commutators of a faithful family of matrices and so certifies bracket,
+Jacobi identity and representation in one exact pass.
+
 Sparse conventions: a vector is a dict {index: scalar}; an operator is
 column-major, op[col] = {row: scalar}; a form (an element of an exterior
 power) is a dict {sorted index tuple: scalar}.  Scalars are Fractions or
@@ -14,7 +18,7 @@ from bisect import bisect_left
 from fractions import Fraction
 from itertools import combinations
 
-from .linalg import (SparseVec, accumulate, sparse_nullspace,
+from .linalg import (Echelon, SparseVec, accumulate, sparse_nullspace,
                      sv_add_scaled, sv_primitive)
 
 # --------------------------------------------------------------------------
@@ -58,6 +62,11 @@ def op_sub(a: ColMat, b: ColMat) -> ColMat:
         if col:
             out[c] = col
     return out
+
+
+def flatten_op(op: ColMat, dim: int) -> SparseVec:
+    """op on R^dim as a vector of R^(dim*dim), entry (r, c) at c*dim + r."""
+    return {c * dim + r: v for c, col in op.items() for r, v in col.items()}
 
 
 def op_is_zero(op: ColMat) -> bool:
@@ -255,36 +264,56 @@ class LieAlgebra:
 # --------------------------------------------------------------------------
 
 class Representation:
-    """Matrices rho(e_g) (column-major sparse) of algebra on R^dim."""
+    """Matrices rho(e_g) (column-major sparse) of algebra on R^dim;
+    ``verified`` when rho is known to be a homomorphism."""
 
     def __init__(self, algebra: LieAlgebra, dim: int, mats: list[ColMat],
-                 check: bool = False):
+                 verified: bool = False):
         if len(mats) != algebra.dim:
             raise ValueError("one matrix per algebra basis element required")
         self.algebra = algebra
         self.dim = dim
         self.mats = mats
-        self.verified = False
-        if check:
-            self.verify_homomorphism()
-
-    def verify_homomorphism(self):
-        for i, j in combinations(range(self.algebra.dim), 2):
-            lhs: ColMat = {}
-            for k, c in self.algebra.structure.pair(i, j).items():
-                for col, vec in self.mats[k].items():
-                    accumulate(lhs.setdefault(col, {}), vec, c)
-            rhs = op_sub(op_compose(self.mats[i], self.mats[j]),
-                         op_compose(self.mats[j], self.mats[i]))
-            if not op_is_zero(op_sub(lhs, rhs)):
-                raise ValueError(f"not a representation at pair ({i},{j})")
-        self.verified = True
-        return True
+        self.verified = verified
 
     def exterior_power(self, k: int) -> "Representation":
         index = {S: t for t, S in enumerate(combinations(range(self.dim), k))}
         return Representation(self.algebra, len(index),
                               [derivation_op(m, index) for m in self.mats])
+
+
+def matrix_algebra(mats: list[ColMat], dim: int) -> Representation:
+    """The Lie algebra with basis e_i = mats[i] (matrices on R^dim), as a
+    verified representation (the inclusion) of its verified algebra.
+
+    Raises AssertionError unless the matrices are independent and their span
+    is closed under the commutator.  c_ij^k are the coordinates of
+    [mats[i], mats[j]] in one echelon of the span, and sum_k c_ij^k mats[k] is
+    re-checked against the commutator exactly.  e_i -> mats[i] is then a
+    faithful linear image of the matrix commutator, so Jacobi and the
+    homomorphism hold by construction and need no pass of their own.
+    """
+    flat = [flatten_op(m, dim) for m in mats]
+    span = Echelon(flat)
+    if span.rank != len(mats):
+        raise AssertionError("the matrices are linearly dependent")
+    brackets: dict[tuple[int, int], SparseVec] = {}
+    for i, j in combinations(range(len(mats)), 2):
+        comm = flatten_op(op_sub(op_compose(mats[i], mats[j]),
+                                 op_compose(mats[j], mats[i])), dim)
+        if not comm:
+            continue
+        coords = span.coordinates(comm)
+        if coords is None:
+            raise AssertionError(f"the span is not closed under the commutator at pair ({i},{j})")
+        rhs: SparseVec = {}
+        for k, c in coords.items():
+            accumulate(rhs, flat[k], c)
+        if rhs != comm:
+            raise AssertionError(f"commutator coordinates fail their certificate at pair ({i},{j})")
+        brackets[(i, j)] = dict(sorted(coords.items()))
+    return Representation(LieAlgebra(len(mats), brackets, verified=True), dim, mats,
+                          verified=True)
 
 
 def hom_constraint(repA: Representation, repB: Representation, g: int):
@@ -374,8 +403,9 @@ def semidirect(h: LieAlgebra, rho: Representation,
     Raises ValueError when the assembled algebra fails Jacobi; the result
     carries verified=True otherwise.  Only the triples with two m-indices
     are checked: the (h, h, h) triples are h's Jacobi identity and the
-    (h, h, m) ones are rho([x,y]) = [rho(x), rho(y)], so h must be verified
-    and rho checked (an AssertionError otherwise).  The (h, m, m) triples
+    (h, h, m) ones are rho([x,y]) = [rho(x), rho(y)], so h and rho must be
+    verified, as ``matrix_algebra`` and its restrictions to subalgebras
+    leave them (an AssertionError otherwise).  The (h, m, m) triples
     are the equivariance of b_m (their m-part) and of b_h (their h-part),
     so a non-equivariant bracket is rejected there.  With check=False the
     algebra comes back unverified, for a caller that runs

@@ -22,8 +22,8 @@ from functools import cache
 from itertools import combinations
 
 from .lie import (BilinearMap, ColMat, LieAlgebra, Representation,
-                  equivariant_hom, op_apply, op_compose, op_is_skew, op_is_zero,
-                  op_sub, semidirect)
+                  equivariant_hom, flatten_op, matrix_algebra, op_apply, op_compose,
+                  op_is_skew, op_is_zero, op_sub, semidirect)
 from .linalg import Echelon, SparseVec, accumulate
 from .poly import Poly
 from .quaternion import (IM_UNITS, UNITS, QMat, Quaternion, format_rat, rat, sp_basis,
@@ -67,75 +67,32 @@ def _realify(n: int, image) -> ColMat:
     return col
 
 
-_SP1_BRACKETS = {
-    (0, 1): {2: Fraction(2)},
-    (0, 2): {1: Fraction(-2)},
-    (1, 2): {0: Fraction(2)},
-}
-
-
-def _shift(brackets: dict[tuple[int, int], SparseVec], offset: int) -> dict:
-    """Structure constants with every basis index moved up by offset."""
-    return {(i + offset, j + offset): {k + offset: v for k, v in col.items()}
-            for (i, j), col in brackets.items()}
-
-
-@cache
-def _sp_block_brackets(p: int, q: int) -> dict[tuple[int, int], SparseVec]:
-    """Structure constants of sp(p,q) in the sp_basis layout.
-
-    Every basis element has one or two nonzero entries, so XY - YX is formed
-    from those alone, and pairs on disjoint slots, which commute, are skipped.
-    The commutator is read back through sp_coordinates, which checks that it
-    lies in sp(p,q).  Built once per (p, q); callers place it with _shift and
-    must not modify it.
-    """
-    basis = sp_basis(p, q)
-    slots = [{r for rc in X for r in rc} for X in basis]
-    out: dict[tuple[int, int], SparseVec] = {}
-    for i, j in combinations(range(len(basis)), 2):
-        if slots[i].isdisjoint(slots[j]):
-            continue
-        comm: QMat = {}
-        for (r, t), x in basis[i].items():
-            for (t2, c), y in basis[j].items():
-                if t2 == t:  # XY
-                    accumulate(comm, {(r, c): x * y})
-                if c == r:  # YX
-                    accumulate(comm, {(t2, t): -(y * x)})
-        if col := sp_coordinates(comm, p, q):
-            out[(i, j)] = col
-    return out
-
-
 @cache
 def _sp_pair_rep(n: int, m: int) -> tuple[LieAlgebra, Representation, tuple[int, ...]]:
     """sp(1) + sp(m) acting on H^n, its last m slots carrying sp(m).
 
     sp(1) acts by q -> -q a on every slot and, for m = n - 1, also by
     q -> a q on slot 0, so that there it acts on R + Im(H) by conjugation
-    v -> a v - v a; sp(m) acts by q -> Y q.  The solver order lists
+    v -> a v - v a; sp(m) acts by q -> Y q.  The action is faithful, so
+    matrix_algebra reads the structure constants off the real matrices and
+    certifies them and the action in one pass.  The solver order lists
     torus-like generators first (A_i and the diagonal i E_ss of sp(m)); their
     constraint operators decompose into tiny blocks, which keeps the exact
     kernel engine fast.
 
-    Built and Jacobi-checked once per (n, m): every caller shares the
-    returned algebra and matrices and must not modify them.
+    Built once per (n, m): every caller shares the returned algebra and
+    matrices and must not modify them.
     """
     off = n - m
-    dim = 3 + m * (2 * m + 1)
-    alg = LieAlgebra(dim, {**_SP1_BRACKETS, **_shift(_sp_block_brackets(m, 0), 3)})
-    if not alg.verify_jacobi():
-        raise AssertionError(f"sp(1) + sp({m}) fails Jacobi")
     mats = [_realify(n, lambda p, x, a=a: {p: a * x - x * a if p < off else -(x * a)})
             for a in IM_UNITS]
     mats += [_realify(n, lambda p, x, Y=Y: {off + r: e * x for (r, c), e in Y.items()
                                             if c == p - off})
              for Y in sp_basis(m, 0)]
-    rho = Representation(alg, 4 * n, mats, check=True)
+    rho = matrix_algebra(mats, 4 * n)
     torus = [0] + [3 + 3 * s for s in range(m)]
-    order = tuple(torus + [g for g in range(dim) if g not in torus])
-    return alg, rho, order
+    order = tuple(torus + [g for g in range(len(mats)) if g not in torus])
+    return rho.algebra, rho, order
 
 
 def isotropy_rep(n: int) -> tuple[LieAlgebra, Representation, tuple[int, ...]]:
@@ -476,11 +433,11 @@ def verify_model(model: HomogeneousModel) -> None:
             raise AssertionError("triple element does not square to -Id")
     if not op_is_zero(op_sub(op_compose(I, J), K)):
         raise AssertionError("I J != K")
-    triple_span = Echelon(_flatten_op(A, dm) for A in (I, J, K))
+    triple_span = Echelon(flatten_op(A, dm) for A in (I, J, K))
     for mat in model.rho.mats:
         for A in (I, J, K):
             comm = op_sub(op_compose(mat, A), op_compose(A, mat))
-            if triple_span.reduce(_flatten_op(comm, dm)):
+            if triple_span.reduce(flatten_op(comm, dm)):
                 raise AssertionError("triple span is not isotropy invariant")
     if not model.g.verified:
         raise AssertionError("ambient algebra not Jacobi-verified")
@@ -496,12 +453,10 @@ def verify_metric(model: HomogeneousModel) -> None:
         raise AssertionError("metric is not isotropy invariant")
 
 
-def _flatten_op(op: ColMat, dim: int) -> SparseVec:
-    return {c * dim + r: v for c, col in op.items() for r, v in col.items()}
-
-
 def _restrict_rep(rep: Representation, sub: LieAlgebra, gens: list[int]) -> Representation:
-    return Representation(sub, rep.dim, [rep.mats[g] for g in gens], check=True)
+    """rep on sub = subalgebra(gens), which raises unless gens span one; a
+    representation restricted to a subalgebra is one, so verified as rep is."""
+    return Representation(sub, rep.dim, [rep.mats[g] for g in gens], verified=rep.verified)
 
 
 def _assemble(spec: ModelSpec, h: LieAlgebra, rho: Representation,
@@ -570,17 +525,21 @@ def maximal_vertical_bracket(n: int, c_theta, c_xi) -> BilinearMap:
 
 
 def _reductive_basis(spec: ModelSpec) -> tuple[BilinearMap, list[SparseVec], int]:
-    """The bracket of sp(1) + sp(p, q) (Im(H) at 1..3, sp_basis from 4), the
-    columns of its basis adapted to h + m, and dh = dim h (h comes first).
+    """The bracket of H + sp(p, q) (R at 0, Im(H) at 1..3, sp_basis from 4),
+    the columns of its basis adapted to h + m, and dh = dim h (h comes first).
 
-    m is R*(1,0) + the anti-diagonal Im(H) + the first-row block, the block
-    coordinates conjugated so that h acts on m by the standard representation.
+    The bracket is read by matrix_algebra off the faithful action
+    (x, X): q -> X q - q x on H^n.  m is R*(1,0) + the anti-diagonal Im(H) +
+    the first-row block, the block coordinates conjugated so that h acts on m
+    by the standard representation.
     """
     n = spec.n
     pq = (n, 0) if spec.kind == "QHP" else (1, n - 1)
     spb = sp_basis(*pq)
-    dg = 4 + len(spb)
-    old = BilinearMap(dg, dg, {**_shift(_SP1_BRACKETS, 1), **_shift(_sp_block_brackets(*pq), 4)})
+    mats = [_realify(n, lambda p, x, a=a: {p: -(x * a)}) for a in UNITS]
+    mats += [_realify(n, lambda p, x, X=X: {r: e * x for (r, c), e in X.items() if c == p})
+             for X in spb]
+    old = matrix_algebra(mats, 4 * n).algebra.structure
 
     def sp_index(m: QMat) -> SparseVec:
         return {4 + t: c for t, c in sp_coordinates(m, *pq).items()}

@@ -201,7 +201,8 @@ def commutator(a, b, n):
 
 def dense_sp_brackets(p, q):
     """Structure constants of sp(p,q) from the dense commutator of every basis
-    pair: the reference for the sparse models._sp_block_brackets."""
+    pair: the reference for the sp(p,q) constants that lie.matrix_algebra
+    reads off the realified action."""
     basis = sp_basis(p, q)
     out = {}
     for i, j in combinations(range(len(basis)), 2):
@@ -210,16 +211,45 @@ def dense_sp_brackets(p, q):
     return out
 
 
+# [i, j] = 2k and cyclically, on the basis (i, j, k) of Im(H)
+SP1_BRACKETS = {(0, 1): {2: Fraction(2)}, (0, 2): {1: Fraction(-2)}, (1, 2): {0: Fraction(2)}}
+
+
+def shifted(brackets, offset):
+    """Structure constants with every basis index moved up by offset."""
+    return {(i + offset, j + offset): {k + offset: v for k, v in col.items()}
+            for (i, j), col in brackets.items()}
+
+
+def checked(rep):
+    """rep, marked verified, once rho([e_i, e_j]) = [rho(e_i), rho(e_j)] holds
+    on every basis pair; raises ValueError otherwise.  The homomorphism check
+    that lie.matrix_algebra makes redundant in the library."""
+    alg = rep.algebra
+    for i, j in combinations(range(alg.dim), 2):
+        lhs = {}
+        for k, c in alg.structure.pair(i, j).items():
+            for col, vec in rep.mats[k].items():
+                accumulate(lhs.setdefault(col, {}), vec, c)
+        rhs = op_sub(op_compose(rep.mats[i], rep.mats[j]), op_compose(rep.mats[j], rep.mats[i]))
+        if not op_is_zero(op_sub(lhs, rhs)):
+            raise ValueError(f"not a representation at pair ({i},{j})")
+    rep.verified = True
+    return rep
+
+
 def reductive_split(spec):
     """(g, h, rho, b_m, b_h) of QHP/QHH read from the whole basis-changed
-    algebra: sp(1) + sp(p,q) is Jacobi-checked, every bracket of the adapted
-    basis is read into a second algebra, which is Jacobi-checked too, and
-    that algebra is split at dim h into h, its action rho on m (checked to be
-    a representation) and the two parts of [m, m].  The reference for the
-    per-pair reading of models._build_reductive_model."""
-    old, cols, dh = _reductive_basis(spec)
+    algebra: H + sp(p,q), from the sp(1) table and the dense sp(p,q)
+    commutators (not from the library's reader), is Jacobi-checked, every
+    bracket of the adapted basis is read into a second algebra, which is
+    Jacobi-checked too, and that algebra is split at dim h into h, its action
+    rho on m (checked to be a representation) and the two parts of [m, m].
+    The reference for the per-pair reading of models._build_reductive_model."""
+    _, cols, dh = _reductive_basis(spec)
     dg = len(cols)
-    g_old = LieAlgebra(dg, old.coeffs)
+    pq = (spec.n, 0) if spec.kind == "QHP" else (1, spec.n - 1)
+    g_old = LieAlgebra(dg, {**shifted(SP1_BRACKETS, 1), **shifted(dense_sp_brackets(*pq), 4)})
     assert g_old.verify_jacobi()
     basis = Echelon(cols)
     assert basis.rank == dg
@@ -237,7 +267,7 @@ def reductive_split(spec):
             if img:
                 col[b] = {k - dh: v for k, v in img.items()}
         mats.append(col)
-    rho = Representation(h, dm, mats, check=True)
+    rho = checked(Representation(h, dm, mats))
     b_m, b_h = {}, {}
     for a, b in combinations(range(dm), 2):
         img = g.structure.pair(dh + a, dh + b)

@@ -96,6 +96,26 @@ def test_failed_assembly_jacobi_certificate_exits_3(monkeypatch, capsys):
                             "assembled algebra fails the Jacobi identity\n")
 
 
+def test_failed_reader_certificate_exits_3(monkeypatch, capsys):
+    # sp(1) + sp(1) without its last sp(1) generator is not closed under the
+    # commutator, which lie.matrix_algebra reports as a failed certificate;
+    # the shared sp(1) + sp(m) cache is cleared before and after
+    from qhlab import models
+    sp_basis = models.sp_basis
+    monkeypatch.setattr(models, "sp_basis", lambda p, q: sp_basis(p, q)[:-1])
+    models._sp_pair_rep.cache_clear()
+    try:
+        code = main(["invariant-dims", "--n", "2"])
+    finally:
+        models._sp_pair_rep.cache_clear()
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err.startswith("qhlab: internal check failed: ")
+    assert "not closed under the commutator" in captured.err
+    assert len(captured.err.splitlines()) == 1
+
+
 def test_nonstandard_reductive_basis_exits_3(monkeypatch, capsys):
     # a basis of sp(1) + sp(3) on which h does not act by the standard
     # isotropy representation fails the per-pair reading of the QHP build
@@ -179,3 +199,16 @@ def test_out_file(tmp_path, capsys):
     assert code == 0
     data = json.loads(path.read_text())
     assert data["models"][0]["canonical"]["name"] == "H1+"
+
+
+@pytest.mark.parametrize("target", ["missing/report.json", "."])
+def test_unwritable_out_path_exits_2(tmp_path, capsys, target):
+    # a missing parent directory, or a directory: one usage-error line, no report
+    path = tmp_path / target
+    code = main(["--out", str(path), "invariant-dims", "--n", "2"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith(f"qhlab: cannot write report to {path}: ")
+    assert len(captured.err.splitlines()) == 1
+    assert list(tmp_path.iterdir()) == []

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from qhlab.forms import lincomb, wedge
 from qhlab.lie import (BilinearMap, LieAlgebra, Representation, derivation,
-                       equivariant_hom, op_transpose, semidirect, sort_sign)
+                       equivariant_hom, matrix_algebra, op_transpose, semidirect, sort_sign)
 from qhlab.linalg import Echelon
 from qhlab.models import (_maxmodel_jacobiator, ambient_rep, bracket_from_params,
                           horizontal_brackets, isotropy_rep, maximal_vertical_bracket,
@@ -16,7 +16,7 @@ from qhlab.models import (_maxmodel_jacobiator, ambient_rep, bracket_from_params
 from qhlab.poly import Poly
 from qhlab.quaternion import sp_basis
 
-from oracles import (casimir, dense_sp_brackets, invariant_vectors, is_equivariant,
+from oracles import (casimir, checked, dense_sp_brackets, invariant_vectors, is_equivariant,
                      jacobiator_by_triples, rational_forms, trace_form, vertical_brackets)
 
 rng = random.Random(31)
@@ -71,7 +71,7 @@ def test_exterior_power_is_a_representation():
     _, rho, _ = isotropy_rep(2)
     lam3 = rho.exterior_power(3)
     assert lam3.dim == 56
-    Representation(lam3.algebra, lam3.dim, lam3.mats, check=True)
+    assert not lam3.verified and checked(lam3).verified
 
 
 def test_jacobiator_abelian():
@@ -136,13 +136,38 @@ def test_theta_bracket_two_step_nilpotent():
 
 def test_representation_rejects_non_homomorphism():
     alg = LieAlgebra(2, {(0, 1): {0: Fraction(1)}})  # [e0,e1] = e0
-    good = Representation(alg, 2, [
-        {0: {0: Fraction(1)}},               # rho(e0) = diag(1, 0)... adjusted below
-        {},
-    ])
+    bad = Representation(alg, 2, [{0: {0: Fraction(1)}}, {}])  # rho(e0) = diag(1, 0), rho(e1) = 0
     # rho([e0,e1]) = rho(e0) but [rho(e0), rho(e1)] = 0 -> must raise
     with pytest.raises(ValueError):
-        good.verify_homomorphism()
+        checked(bad)
+    assert not bad.verified
+
+
+def _unit(r, c):
+    return {c: {r: Fraction(1)}}
+
+
+def test_matrix_algebra_reads_gl2_and_certifies_it():
+    # E_00, E_01, E_10, E_11 of gl(2): [E_01, E_10] = E_00 - E_11, [E_00, E_01] = E_01, ...
+    rho = matrix_algebra([_unit(0, 0), _unit(0, 1), _unit(1, 0), _unit(1, 1)], 2)
+    assert rho.verified and rho.algebra.verified and rho.dim == 2
+    assert rho.algebra.brackets == {
+        (0, 1): {1: Fraction(1)}, (0, 2): {2: Fraction(-1)},
+        (1, 2): {0: Fraction(1), 3: Fraction(-1)},
+        (1, 3): {1: Fraction(1)}, (2, 3): {2: Fraction(-1)}}
+    assert not rho.algebra.structure.jacobiator()
+    assert checked(Representation(rho.algebra, 2, rho.mats)).verified
+
+
+def test_matrix_algebra_rejects_dependent_matrices():
+    with pytest.raises(AssertionError, match="linearly dependent"):
+        matrix_algebra([_unit(0, 1), _unit(1, 0), {1: {0: Fraction(2)}}], 2)
+
+
+def test_matrix_algebra_rejects_a_family_not_closed_under_the_commutator():
+    # [E_01, E_10] = E_00 - E_11 leaves the span of E_01 and E_10 in gl(2)
+    with pytest.raises(AssertionError, match=r"not closed under the commutator at pair \(0,1\)"):
+        matrix_algebra([_unit(0, 1), _unit(1, 0)], 2)
 
 
 def test_invariant_vectors_trivial_rep():
@@ -283,7 +308,7 @@ def test_semidirect_requires_a_verified_algebra_and_a_checked_representation():
     h, rho, _ = isotropy_rep(2)
     raw = LieAlgebra(h.dim, h.brackets)  # the same constants, never checked
     with pytest.raises(AssertionError, match="verified h"):
-        semidirect(raw, Representation(raw, rho.dim, rho.mats, check=True))
+        semidirect(raw, checked(Representation(raw, rho.dim, rho.mats)))
     with pytest.raises(AssertionError, match="checked representation"):
         semidirect(h, Representation(h, rho.dim, rho.mats))
     with pytest.raises(AssertionError, match="representation of it"):
@@ -295,7 +320,7 @@ def test_semidirect_checks_the_triples_through_the_first_m_index():
     # only on (h, m0, m1), whose middle index is the first of m
     h = LieAlgebra(1, {})
     assert h.verify_jacobi()
-    rho = Representation(h, 2, [{0: {0: Fraction(1)}}], check=True)
+    rho = checked(Representation(h, 2, [{0: {0: Fraction(1)}}]))
     b = BilinearMap(2, 2, {(0, 1): {1: Fraction(1)}})
     assert list(semidirect(h, rho, b, check=False).structure.jacobiator()) == [(0, 1, 2)]
     with pytest.raises(ValueError, match="assembled algebra fails the Jacobi identity"):

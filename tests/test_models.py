@@ -11,19 +11,19 @@ from qhlab.cli import main
 from qhlab.lie import op_compose, op_is_zero, op_sub
 from qhlab.linalg import Echelon
 from qhlab.models import (H_KINDS, MODEL_KINDS, ModelSpec, _maxmodel_jacobiator,
-                          _sp_block_brackets,
-                          ambient_rep, ambient_triple,
+                          _reductive_basis, _restrict_rep, ambient_rep, ambient_triple,
                           apply_scaling, bracket_space_dims, build_model, dims,
-                          horizontal_brackets, in_families, isotropy_rep,
+                          horizontal_brackets, in_families, inadmissible_hom_dim, isotropy_rep,
                           jacobi_equations, maxmodel_jacobi_holds, normalize,
                           quaternionic_triple, symbolic_model, twisted_theta,
                           violated_equations, xi_operator)
 from qhlab.poly import Poly, proportionality
 from qhlab.quaternion import IM_UNITS, UNITS, Quaternion
 
-from oracles import (dense_sp_brackets, hermitian_metric, invariant_vectors,
-                     is_equivariant, maxmodel_jacobi_by_assembly, reductive_split,
-                     rotated_triple, swapped_reductive_basis, vertical_brackets)
+from oracles import (SP1_BRACKETS, checked, dense_sp_brackets, hermitian_metric,
+                     invariant_vectors, is_equivariant, maxmodel_jacobi_by_assembly,
+                     reductive_split, rotated_triple, shifted, swapped_reductive_basis,
+                     vertical_brackets)
 
 rng = random.Random(4242)
 
@@ -327,11 +327,47 @@ def test_maxmodel_jacobi_holds_matches_a_numeric_assembly_at_n3(point):
     _holds_as_by_assembly(3, point)
 
 
+def _ordered(brackets):
+    return [(ij, list(col.items())) for ij, col in brackets.items()]
+
+
 @pytest.mark.parametrize("p, q", [(2, 0), (3, 0), (1, 2), (4, 0), (1, 3)])
 def test_sparse_sp_constants_match_dense_commutators(p, q):
-    sparse, dense = _sp_block_brackets(p, q), dense_sp_brackets(p, q)
-    assert [(ij, list(col.items())) for ij, col in sparse.items()] == \
-        [(ij, list(col.items())) for ij, col in dense.items()]
+    # the H + sp(p,q) bracket that matrix_algebra reads for QHP (q = 0, n = p)
+    # and QHH (p = 1, n = q + 1): the sp(1) table on Im(H) (the real unit is
+    # central) and the dense sp(p,q) commutators from index 4, keys and
+    # insertion order included
+    spec = ModelSpec("QHP", p) if q == 0 else ModelSpec("QHH", q + 1)
+    old, _, _ = _reductive_basis(spec)
+    expected = {**shifted(SP1_BRACKETS, 1), **shifted(dense_sp_brackets(p, q), 4)}
+    assert _ordered(old.coeffs) == _ordered(expected)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_sp_pair_reps_are_lie_algebras_and_representations(n):
+    # the reader's certificate, checked independently: the whole jacobiator
+    # vanishes, the action is a homomorphism, and the constants are the
+    # sp(1) table followed by the dense sp(m) commutators, in that order
+    for rep, m in ((isotropy_rep(n), n - 1), (ambient_rep(n), n)):
+        alg, rho, _ = rep
+        assert alg.verified and rho.verified and rho.algebra is alg
+        assert not alg.structure.jacobiator()
+        assert checked(rho) is rho
+        expected = {**SP1_BRACKETS, **shifted(dense_sp_brackets(m, 0), 3)}
+        assert _ordered(alg.brackets) == _ordered(expected)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_restricted_representations_are_representations(n):
+    # TwistedTheta's so(2) + sp(n-1) and the two tori of inadmissible_hom_dim
+    h, rho, _ = isotropy_rep(n)
+    k, rho_k, _ = ambient_rep(n)
+    for alg, rep, gens in ((h, rho, [0] + list(range(3, h.dim))),
+                           (k, rho_k, [0]),
+                           (k, rho_k, [3 + 3 * s for s in range(n)])):
+        restricted = _restrict_rep(rep, alg.subalgebra(gens), gens)
+        assert restricted.verified and checked(restricted) is restricted
+    assert inadmissible_hom_dim(n, "sp1") == inadmissible_hom_dim(n, "spn") == 0
 
 
 def test_qhp_isotropy_is_standard():
@@ -395,13 +431,12 @@ def test_symbolic_model_builds():
 
 
 def _cached_state(n):
-    # a deep copy of everything the shared sp(1) + sp(m), sp(p,q) and
-    # maxmodel jacobiator caches hand out
+    # a deep copy of everything the shared sp(1) + sp(m) and maxmodel
+    # jacobiator caches hand out
     import copy
     return [(alg.verified, rho.verified, copy.deepcopy(alg.brackets), copy.deepcopy(rho.mats),
              order)
             for alg, rho, order in (isotropy_rep(n), ambient_rep(n))] + \
-        [copy.deepcopy(_sp_block_brackets(p, q)) for p, q in ((n, 0), (1, n - 1))] + \
         [copy.deepcopy(_maxmodel_jacobiator(n))]
 
 

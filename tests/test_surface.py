@@ -59,27 +59,40 @@ def test_parameters_the_span_tracer_reads_by_name(func, params):
     assert params <= set(inspect.signature(func).parameters)
 
 
-def test_models_are_constructed_only_by_assemble():
-    # one model-assembly path: every HomogeneousModel(...) call in the package
-    # sits in models._assemble (with_metric copies one through dataclasses.replace)
+def _call_sites(callee: str) -> list[str]:
+    """Every call of callee(...) in the package, as "module:qualified function"."""
     calls = []
 
-    def visit(node, module, function):
+    def visit(node, module, scope):
         for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                visit(child, module, child.name)
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, module, f"{scope}.{child.name}" if scope else child.name)
                 continue
             if isinstance(child, ast.Call):
                 func = child.func
                 name = (func.id if isinstance(func, ast.Name)
                         else func.attr if isinstance(func, ast.Attribute) else None)
-                if name == "HomogeneousModel":
-                    calls.append(f"{module}:{function}")
-            visit(child, module, function)
+                if name == callee:
+                    calls.append(f"{module}:{scope}")
+            visit(child, module, scope)
 
     for path in sorted(SRC.glob("*.py")):
-        visit(ast.parse(path.read_text(encoding="utf-8")), path.name, None)
-    assert calls == ["models.py:_assemble"]
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.name, "")
+    return calls
+
+
+def test_models_are_constructed_only_by_assemble():
+    # one model-assembly path: every HomogeneousModel(...) call in the package
+    # sits in models._assemble (with_metric copies one through dataclasses.replace)
+    assert _call_sites("HomogeneousModel") == ["models.py:_assemble"]
+
+
+def test_structure_constants_come_only_from_the_matrix_reader():
+    # one source of Lie brackets: matrix_algebra reads them off matrices, and
+    # only subalgebra and semidirect derive new ones from a verified algebra,
+    # so no hand-written structure-constant table can enter the package
+    assert sorted(_call_sites("LieAlgebra")) == [
+        "lie.py:LieAlgebra.subalgebra", "lie.py:matrix_algebra", "lie.py:semidirect"]
 
 
 # Functions that only an error path reaches, which no command below takes.
