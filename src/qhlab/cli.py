@@ -328,6 +328,8 @@ def _parse_grid(text: str) -> list[tuple[Fraction, Fraction]]:
         if c1 <= 0 or c2 <= 0:
             _usage_error(f"--grid point is not positive: {chunk!r}")
         out.append((c1, c2))
+    if not out:
+        _usage_error("--grid has no points")
     return out
 
 
@@ -336,7 +338,7 @@ def cmd_model_report(ns) -> tuple[dict, int]:
         spec = M.ModelSpec.parse(ns.spec)
     except (ValueError, KeyError, ZeroDivisionError) as exc:
         _usage_error(f"invalid model spec: {exc}")
-    grid = _parse_grid(ns.grid) if ns.grid else [(spec.c1, spec.c2)]
+    grid = _parse_grid(ns.grid) if ns.grid is not None else [(spec.c1, spec.c2)]
     model = M.build_model(spec)
     dims = M.dims(spec.n)
     entry: dict = {

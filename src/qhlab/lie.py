@@ -18,8 +18,7 @@ from bisect import bisect_left
 from fractions import Fraction
 from itertools import combinations
 
-from .linalg import (Echelon, SparseVec, accumulate, sparse_nullspace,
-                     sv_add_scaled, sv_primitive)
+from .linalg import Echelon, SparseVec, accumulate, sparse_nullspace, sv_primitive
 
 # --------------------------------------------------------------------------
 # sparse operator helpers
@@ -58,7 +57,8 @@ def op_compose(a: ColMat, b: ColMat) -> ColMat:
 def op_sub(a: ColMat, b: ColMat) -> ColMat:
     out: ColMat = {}
     for c in set(a) | set(b):
-        col = sv_add_scaled(a.get(c, {}), b.get(c, {}), -1)
+        col = dict(a.get(c, {}))
+        accumulate(col, {r: -v for r, v in b.get(c, {}).items()})
         if col:
             out[c] = col
     return out
@@ -157,14 +157,6 @@ class BilinearMap:
         if i < j:
             return self.coeffs.get((i, j), {})
         return {k: -v for k, v in self.coeffs.get((j, i), {}).items()}
-
-    def apply(self, x: SparseVec, y: SparseVec) -> SparseVec:
-        out: SparseVec = {}
-        for i, xi in x.items():
-            for j, yj in y.items():
-                if i != j:
-                    accumulate(out, self.pair(i, j), xi * yj)
-        return out
 
     def scale(self, s) -> "BilinearMap":
         return BilinearMap(self.dim_in, self.dim_out,

@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cache
-from itertools import combinations
 
 from .lie import (BilinearMap, ColMat, LieAlgebra, Representation,
                   equivariant_hom, flatten_op, matrix_algebra, op_apply, op_compose,
@@ -67,6 +66,16 @@ def _realify(n: int, image) -> ColMat:
     return col
 
 
+def _action(n: int, x: Quaternion | None, X: QMat) -> ColMat:
+    """Real matrix of q -> X q - q x on H^n (no right factor when x is None)."""
+    def image(p: int, u: Quaternion) -> dict[int, Quaternion]:
+        out = {r: e * u for (r, c), e in X.items() if c == p}
+        if x is not None:
+            out[p] = out[p] - u * x if p in out else -(u * x)
+        return out
+    return _realify(n, image)
+
+
 @cache
 def _sp_pair_rep(n: int, m: int) -> tuple[LieAlgebra, Representation, tuple[int, ...]]:
     """sp(1) + sp(m) acting on H^n, its last m slots carrying sp(m).
@@ -84,10 +93,8 @@ def _sp_pair_rep(n: int, m: int) -> tuple[LieAlgebra, Representation, tuple[int,
     matrices and must not modify them.
     """
     off = n - m
-    mats = [_realify(n, lambda p, x, a=a: {p: a * x - x * a if p < off else -(x * a)})
-            for a in IM_UNITS]
-    mats += [_realify(n, lambda p, x, Y=Y: {off + r: e * x for (r, c), e in Y.items()
-                                            if c == p - off})
+    mats = [_action(n, a, {(s, s): a for s in range(off)}) for a in IM_UNITS]
+    mats += [_action(n, None, {(off + r, off + c): e for (r, c), e in Y.items()})
              for Y in sp_basis(m, 0)]
     rho = matrix_algebra(mats, 4 * n)
     torus = [0] + [3 + 3 * s for s in range(m)]
@@ -524,69 +531,42 @@ def maximal_vertical_bracket(n: int, c_theta, c_xi) -> BilinearMap:
     return BilinearMap(dm, dk, coeffs)
 
 
-def _reductive_basis(spec: ModelSpec) -> tuple[BilinearMap, list[SparseVec], int]:
-    """The bracket of H + sp(p, q) (R at 0, Im(H) at 1..3, sp_basis from 4),
-    the columns of its basis adapted to h + m, and dh = dim h (h comes first).
-
-    The bracket is read by matrix_algebra off the faithful action
-    (x, X): q -> X q - q x on H^n.  m is R*(1,0) + the anti-diagonal Im(H) +
-    the first-row block, the block coordinates conjugated so that h acts on m
-    by the standard representation.
-    """
+def _complement(spec: ModelSpec) -> list[ColMat]:
+    """m's 4n basis elements of H + sp(p, q) as matrices of (x, X): q -> X q - q x
+    on H^n: the real unit, the anti-diagonal Im(H) and the first-row block of
+    sp(p, q), its coordinates conjugated so that h acts on m by the standard
+    representation."""
     n = spec.n
-    pq = (n, 0) if spec.kind == "QHP" else (1, n - 1)
-    spb = sp_basis(*pq)
-    mats = [_realify(n, lambda p, x, a=a: {p: -(x * a)}) for a in UNITS]
-    mats += [_realify(n, lambda p, x, X=X: {r: e * x for (r, c), e in X.items() if c == p})
-             for X in spb]
-    old = matrix_algebra(mats, 4 * n).algebra.structure
-
-    def sp_index(m: QMat) -> SparseVec:
-        return {4 + t: c for t, c in sp_coordinates(m, *pq).items()}
-
-    cols = [{a: Fraction(1), **sp_index({(0, 0): UNITS[a]})} for a in range(1, 4)]  # a_H + a E_11
-    # sp(n-1): the sp(p,q) basis elements off slot 0 (-eta_s eta_t = -1 on this block)
-    cols.extend(sp_index(X) for X in spb if all(0 not in rc for rc in X))
-    dh = len(cols)
-    cols.append({0: Fraction(1)})  # m_0 = real quaternion unit
-    cols.extend({a: Fraction(1), **sp_index({(0, 0): -UNITS[a]})}  # anti-diagonal Im(H)
-                for a in range(1, 4))
-    for t in range(1, n):
-        for x in UNITS:  # standard coordinate (t, x), block entries conjugated
-            cols.append(sp_index({(0, t): x.conj(), (t, 0): -x if spec.kind == "QHP" else x}))
-    return old, cols, dh
+    sign = -1 if spec.kind == "QHP" else 1
+    mats = [_action(n, UNITS[0], {})]
+    mats += [_action(n, a, {(0, 0): -a}) for a in IM_UNITS]
+    mats += [_action(n, None, {(0, t): x.conj(), (t, 0): x * sign})
+             for t in range(1, n) for x in UNITS]
+    return mats
 
 
 def _build_reductive_model(spec: ModelSpec) -> HomogeneousModel:
     """g = H + sp(n) (QHP) or H + sp(1, n-1) (QHH), h embedded diagonally.
 
-    Each bracket of the adapted basis is read once: on h x h and h x m it must
-    be the standard isotropy_rep(n) one, and [m, m] is split into b_m and b_h.
-    With h and rho verified, _assemble's Jacobi check completes the certificate.
+    g = h + m is read once by matrix_algebra off its faithful action on H^n:
+    h by isotropy_rep(n)'s matrices, m by _complement's.  [m, m] is split
+    into b_m and b_h, and the table of h + m assembled from h, rho, b_m and
+    b_h must equal the read one: that one equality certifies that h x h and
+    h x m are the standard ones, and with it Jacobi, which the read table
+    satisfies by construction.
     """
     h, rho, _ = isotropy_rep(spec.n)
-    old, cols, dh = _reductive_basis(spec)
-    dg = old.dim_in
-    basis = Echelon(cols)
-    if len(cols) != dg or basis.rank != dg:
-        raise AssertionError("the adapted basis vectors are not a basis of g")
-    b_m: dict[tuple[int, int], SparseVec] = {}
-    b_h: dict[tuple[int, int], SparseVec] = {}
-    for i, j in combinations(range(dg), 2):
-        img = basis.coordinates(old.apply(cols[i], cols[j]))
-        if j < dh:
-            if img != h.structure.pair(i, j):
-                raise AssertionError("isotropy structure constants do not match the standard ones")
-        elif i < dh:
-            if img != {dh + r: v for r, v in rho.mats[i].get(j - dh, {}).items()}:
-                raise AssertionError("isotropy action on m is not the standard one")
-        else:
-            if mpart := {k - dh: v for k, v in img.items() if k >= dh}:
-                b_m[(i - dh, j - dh)] = mpart
-            if hpart := {k: v for k, v in img.items() if k < dh}:
-                b_h[(i - dh, j - dh)] = hpart
-    return _assemble(spec, h, rho, BilinearMap(rho.dim, rho.dim, b_m),
-                     BilinearMap(rho.dim, dh, b_h), quaternionic_triple(spec.n))
+    dh, dm = h.dim, rho.dim
+    read = matrix_algebra(rho.mats + _complement(spec), dm).algebra
+    mm = {(i - dh, j - dh): img for (i, j), img in read.brackets.items() if i >= dh}
+    b_m = BilinearMap(dm, dm, {ij: {k - dh: v for k, v in img.items() if k >= dh}
+                               for ij, img in mm.items()})
+    b_h = BilinearMap(dm, dh, {ij: {k: v for k, v in img.items() if k < dh}
+                               for ij, img in mm.items()})
+    # checked before _assemble, whose Jacobi pass a nonstandard action fails first
+    if semidirect(h, rho, b_m, b_h, check=False).brackets != read.brackets:
+        raise AssertionError("isotropy action on m is not the standard one")
+    return _assemble(spec, h, rho, b_m, b_h, quaternionic_triple(spec.n))
 
 
 # --------------------------------------------------------------------------

@@ -17,10 +17,10 @@ from qhlab.lie import (BilinearMap, LieAlgebra, Representation, common_kernel, d
 from qhlab.linalg import (Echelon, _dense, _sparse, accumulate, nullspace, sparse_nullspace,
                           sv_add_scaled, sv_primitive)
 from qhlab.geometry import GroupData, classify, curvature, model_groups
-from qhlab.models import (ModelSpec, _reductive_basis, ambient_rep, build_model,
+from qhlab.models import (ModelSpec, _complement, ambient_rep, build_model,
                           horizontal_brackets, isotropy_rep, maximal_vertical_bracket, xi_operator)
 from qhlab.poly import VARS, Poly
-from qhlab.quaternion import IM_UNITS, Quaternion, format_rat, sp_basis, sp_coordinates
+from qhlab.quaternion import IM_UNITS, UNITS, Quaternion, format_rat, sp_basis, sp_coordinates
 
 
 def class_at(row, c1, c2) -> str:
@@ -110,6 +110,16 @@ def rational_forms(k, dim):
         lambda form: {S: c for S, c in form.items() if c})
 
 
+def bilinear_apply(b, x, y):
+    """b(x, y) of two sparse vectors, by bilinearity from b's basis pairs."""
+    out = {}
+    for i, xi in x.items():
+        for j, yj in y.items():
+            if i != j:
+                accumulate(out, b.pair(i, j), xi * yj)
+    return out
+
+
 def jacobiator_by_triples(b):
     """The cyclic sums [[e_i,e_j],e_k] + [[e_j,e_k],e_i] + [[e_k,e_i],e_j] on
     every basis triple i < j < k, nonzero ones only: the reference that
@@ -117,9 +127,9 @@ def jacobiator_by_triples(b):
     out = {}
     one, minus_one = Fraction(1), Fraction(-1)
     for i, j, k in combinations(range(b.dim_in), 3):
-        total = b.apply(b.pair(i, j), {k: one})
-        accumulate(total, b.apply(b.pair(j, k), {i: one}))
-        accumulate(total, b.apply(b.pair(i, k), {j: minus_one}))  # [[k,i],j]
+        total = bilinear_apply(b, b.pair(i, j), {k: one})
+        accumulate(total, bilinear_apply(b, b.pair(j, k), {i: one}))
+        accumulate(total, bilinear_apply(b, b.pair(i, k), {j: minus_one}))  # [[k,i],j]
         if total:
             out[(i, j, k)] = total
     return out
@@ -176,7 +186,8 @@ def is_equivariant(b, rho, target_action) -> bool:
             for j in range(i + 1, dm):
                 ej = {j: Fraction(1)}
                 lhs = op_apply(tg, b.pair(i, j))
-                rhs = sv_add_scaled(b.apply(ri, ej), b.apply(ei, rg.get(j, {})), 1)
+                rhs = bilinear_apply(b, ri, ej)
+                accumulate(rhs, bilinear_apply(b, ei, rg.get(j, {})))
                 if sv_add_scaled(lhs, rhs, -1):
                     return False
     return True
@@ -242,19 +253,39 @@ def reductive_split(spec):
     """(g, h, rho, b_m, b_h) of QHP/QHH read from the whole basis-changed
     algebra: H + sp(p,q), from the sp(1) table and the dense sp(p,q)
     commutators (not from the library's reader), is Jacobi-checked, every
-    bracket of the adapted basis is read into a second algebra, which is
-    Jacobi-checked too, and that algebra is split at dim h into h, its action
-    rho on m (checked to be a representation) and the two parts of [m, m].
-    The reference for the per-pair reading of models._build_reductive_model."""
-    _, cols, dh = _reductive_basis(spec)
+    bracket of the adapted basis is read into a second algebra (coordinates in
+    increasing index order), which is Jacobi-checked too, and that algebra is
+    split at dim h into h, its action rho on m (checked to be a
+    representation) and the two parts of [m, m].  The reference for the single
+    read of models._build_reductive_model.
+
+    The adapted basis, as columns over the basis of H + sp(p, q) (R at 0,
+    Im(H) at 1..3, sp_basis(p, q) from 4): h first, a + a E_00 for a in
+    Im(H), then sp(n-1) off slot 0; then m: the real unit, the anti-diagonal
+    a - a E_00 and the first-row block, its coordinates conjugated so that h
+    acts on m by the standard representation."""
+    n = spec.n
+    pq = (n, 0) if spec.kind == "QHP" else (1, n - 1)
+
+    def sp_index(m):
+        return {4 + t: c for t, c in sp_coordinates(m, *pq).items()}
+
+    cols = [{a: Fraction(1), **sp_index({(0, 0): UNITS[a]})} for a in range(1, 4)]
+    cols.extend(sp_index(X) for X in sp_basis(*pq) if all(0 not in rc for rc in X))
+    dh = len(cols)
+    cols.append({0: Fraction(1)})
+    cols.extend({a: Fraction(1), **sp_index({(0, 0): -UNITS[a]})} for a in range(1, 4))
+    for t in range(1, n):
+        for x in UNITS:
+            cols.append(sp_index({(0, t): x.conj(), (t, 0): -x if spec.kind == "QHP" else x}))
     dg = len(cols)
-    pq = (spec.n, 0) if spec.kind == "QHP" else (1, spec.n - 1)
     g_old = LieAlgebra(dg, {**shifted(SP1_BRACKETS, 1), **shifted(dense_sp_brackets(*pq), 4)})
     assert g_old.verify_jacobi()
     basis = Echelon(cols)
     assert basis.rank == dg
-    g = LieAlgebra(dg, {(i, j): img for i, j in combinations(range(dg), 2)
-                        if (img := basis.coordinates(g_old.structure.apply(cols[i], cols[j])))})
+    g = LieAlgebra(dg, {(i, j): dict(sorted(img.items())) for i, j in combinations(range(dg), 2)
+                        if (img := basis.coordinates(
+                            bilinear_apply(g_old.structure, cols[i], cols[j])))})
     assert g.verify_jacobi()
     dm = dg - dh
     h = g.subalgebra(list(range(dh)))
@@ -278,15 +309,14 @@ def reductive_split(spec):
     return g, h, rho, BilinearMap(dm, dm, b_m), BilinearMap(dm, dh, b_h)
 
 
-def swapped_reductive_basis(spec):
-    """models._reductive_basis with the first two H^{n-1} columns swapped:
-    still a basis of g, but one on which h does not act by the standard
+def swapped_complement(spec):
+    """models._complement with its first two H^{n-1} matrices swapped: with
+    h, still a basis of g, but one on which h does not act by the standard
     isotropy representation."""
-    old, cols, dh = _reductive_basis(spec)
-    first = dh + 4  # after R + Im(H)
-    cols = list(cols)
-    cols[first], cols[first + 1] = cols[first + 1], cols[first]
-    return old, cols, dh
+    mats = list(_complement(spec))
+    first = 4  # after R + Im(H)
+    mats[first], mats[first + 1] = mats[first + 1], mats[first]
+    return mats
 
 
 def invert(a_rows):

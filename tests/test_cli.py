@@ -9,7 +9,7 @@ import pytest
 
 from qhlab.cli import _load_data, main
 
-from oracles import swapped_reductive_basis
+from oracles import swapped_complement
 
 
 def run(argv, capsys):
@@ -117,10 +117,10 @@ def test_failed_reader_certificate_exits_3(monkeypatch, capsys):
 
 
 def test_nonstandard_reductive_basis_exits_3(monkeypatch, capsys):
-    # a basis of sp(1) + sp(3) on which h does not act by the standard
-    # isotropy representation fails the per-pair reading of the QHP build
+    # a complement on which h does not act by the standard isotropy
+    # representation fails the bracket-table certificate of the QHP build
     from qhlab import models
-    monkeypatch.setattr(models, "_reductive_basis", swapped_reductive_basis)
+    monkeypatch.setattr(models, "_complement", swapped_complement)
     code = main(["model-report", "--spec", "QHP:n=3"])
     captured = capsys.readouterr()
     assert code == 3
@@ -170,6 +170,17 @@ def test_model_report_grid_csv(capsys):
     assert code == 0
     assert out.startswith("kind,name,ok,detail")
     assert "class-point" in out
+
+
+@pytest.mark.parametrize("grid", [";;", " ", ""])
+def test_grid_without_points_is_a_usage_error(grid, capsys):
+    # no metric point evaluated is no report, not "1 passed"
+    with pytest.raises(SystemExit) as err:
+        main(["model-report", "--spec", "H4:n=2", "--grid", grid])
+    captured = capsys.readouterr()
+    assert err.value.code == 2
+    assert captured.out == ""
+    assert captured.err == "qhlab: --grid has no points\n"
 
 
 def test_reproduce_maxmodel(capsys):

@@ -8,21 +8,20 @@ from hypothesis import strategies as st
 
 from qhlab import models
 from qhlab.cli import main
-from qhlab.lie import op_compose, op_is_zero, op_sub
-from qhlab.linalg import Echelon
-from qhlab.models import (H_KINDS, MODEL_KINDS, ModelSpec, _maxmodel_jacobiator,
-                          _reductive_basis, _restrict_rep, ambient_rep, ambient_triple,
+from qhlab.lie import matrix_algebra, op_compose, op_is_zero, op_sub
+from qhlab.models import (H_KINDS, MODEL_KINDS, ModelSpec, _action, _maxmodel_jacobiator,
+                          _restrict_rep, ambient_rep, ambient_triple,
                           apply_scaling, bracket_space_dims, build_model, dims,
                           horizontal_brackets, in_families, inadmissible_hom_dim, isotropy_rep,
                           jacobi_equations, maxmodel_jacobi_holds, normalize,
                           quaternionic_triple, symbolic_model, twisted_theta,
                           violated_equations, xi_operator)
 from qhlab.poly import Poly, proportionality
-from qhlab.quaternion import IM_UNITS, UNITS, Quaternion
+from qhlab.quaternion import IM_UNITS, UNITS, Quaternion, sp_basis
 
 from oracles import (SP1_BRACKETS, checked, dense_sp_brackets, hermitian_metric,
                      invariant_vectors, is_equivariant, maxmodel_jacobi_by_assembly,
-                     reductive_split, rotated_triple, shifted, swapped_reductive_basis,
+                     reductive_split, rotated_triple, shifted, swapped_complement,
                      vertical_brackets)
 
 rng = random.Random(4242)
@@ -333,14 +332,15 @@ def _ordered(brackets):
 
 @pytest.mark.parametrize("p, q", [(2, 0), (3, 0), (1, 2), (4, 0), (1, 3)])
 def test_sparse_sp_constants_match_dense_commutators(p, q):
-    # the H + sp(p,q) bracket that matrix_algebra reads for QHP (q = 0, n = p)
-    # and QHH (p = 1, n = q + 1): the sp(1) table on Im(H) (the real unit is
-    # central) and the dense sp(p,q) commutators from index 4, keys and
-    # insertion order included
-    spec = ModelSpec("QHP", p) if q == 0 else ModelSpec("QHH", q + 1)
-    old, _, _ = _reductive_basis(spec)
+    # the constants matrix_algebra reads off the action (x, X): q -> X q - q x
+    # of H + sp(p,q) on H^(p+q) (R at 0, Im(H) at 1..3, sp_basis from 4) are
+    # the ones oracles.reductive_split starts from for QHP (q = 0) and QHH
+    # (p = 1): the sp(1) table on Im(H) (the real unit is central) and the
+    # dense sp(p,q) commutators, keys and insertion order included
+    n = p + q
+    mats = [_action(n, u, {}) for u in UNITS] + [_action(n, None, X) for X in sp_basis(p, q)]
     expected = {**shifted(SP1_BRACKETS, 1), **shifted(dense_sp_brackets(p, q), 4)}
-    assert _ordered(old.coeffs) == _ordered(expected)
+    assert _ordered(matrix_algebra(mats, 4 * n).algebra.brackets) == _ordered(expected)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -388,17 +388,18 @@ def test_reductive_models_match_the_whole_algebra_split(kind, n):
     model = build_model(spec)
     g, _, rho, b_m, b_h = reductive_split(spec)
     assert model.g.brackets == g.brackets
-    assert model.bracket_m.coeffs == b_m.coeffs
-    assert model.bracket_h.coeffs == b_h.coeffs
+    # [m, m] keeps the read's pair order, which the oracle's increasing order matches
+    assert _ordered(model.bracket_m.coeffs) == _ordered(b_m.coeffs)
+    assert _ordered(model.bracket_h.coeffs) == _ordered(b_h.coeffs)
     assert model.rho.mats == rho.mats
     assert model.rho is isotropy_rep(n)[1]
 
 
 def test_a_basis_with_a_nonstandard_action_fails_the_reductive_build(monkeypatch):
     spec = ModelSpec("QHP", 3)
-    _, cols, _ = swapped_reductive_basis(spec)
-    assert Echelon(cols).rank == len(cols)  # still a basis of sp(1) + sp(3)
-    monkeypatch.setattr(models, "_reductive_basis", swapped_reductive_basis)
+    # with h, the swapped matrices are still a basis of H + sp(3) (or this raises)
+    matrix_algebra(isotropy_rep(3)[1].mats + swapped_complement(spec), 12)
+    monkeypatch.setattr(models, "_complement", swapped_complement)
     with pytest.raises(AssertionError, match="isotropy action on m is not the standard one"):
         build_model(spec)
 

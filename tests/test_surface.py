@@ -95,6 +95,13 @@ def test_structure_constants_come_only_from_the_matrix_reader():
         "lie.py:LieAlgebra.subalgebra", "lie.py:matrix_algebra", "lie.py:semidirect"]
 
 
+def test_brackets_are_read_only_by_the_two_model_readers():
+    # one read per algebra: sp(1) + sp(m) once per (n, m), and QHP/QHH's
+    # g = h + m once per build, off h's matrices and m's
+    assert sorted(_call_sites("matrix_algebra")) == [
+        "models.py:_build_reductive_model", "models.py:_sp_pair_rep"]
+
+
 # Functions that only an error path reaches, which no command below takes.
 _ERROR_ONLY = {"cli._usage_error", "quaternion.Quaternion.__repr__"}
 
