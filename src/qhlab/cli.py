@@ -298,9 +298,10 @@ def cmd_reproduce(ns) -> tuple[dict, int]:
     if min_n is not None and n < min_n:
         _usage_error(f"reproduce {which} needs --n >= {min_n}, got {n}")
     betas = None
-    if ns.beta:
-        betas = [_rational(chunk.strip(), "--beta value")
-                 for chunk in ns.beta.split(",") if chunk.strip()]
+    if ns.beta is not None:
+        betas = [_rational(c.strip(), "--beta value") for c in ns.beta.split(",") if c.strip()]
+        if not betas:
+            _usage_error("--beta has no values")
     if which == "table3":
         checks = _reproduce_table3()
     elif which == "table4":

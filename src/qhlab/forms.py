@@ -21,7 +21,7 @@ from types import MappingProxyType
 from .lie import ColMat, common_kernel, derivation, op_is_skew, sort_sign
 from .linalg import Echelon, accumulate, nullspace
 from .poly import Poly, proportionality
-from .models import (HomogeneousModel, ModelSpec, ambient_rep, build_model, isotropy_rep,
+from .models import (HomogeneousModel, ambient_rep, ambient_triple, isotropy_rep, metric_diag,
                      symbolic_model)
 
 
@@ -91,9 +91,13 @@ def ce_differential(model: HomogeneousModel, form: dict,
 
 def fundamental_forms(model: HomogeneousModel) -> tuple[dict, dict, dict, dict]:
     """(omega_I, omega_J, omega_K, Omega) for the model's triple and metric."""
-    G = model.metric
+    return _triple_forms(model.triple, model.metric)
+
+
+def _triple_forms(triple, G: list) -> tuple[dict, dict, dict, dict]:
+    """(omega_I, omega_J, omega_K, Omega) for a triple and a diagonal metric G."""
     omegas = []
-    for A in model.triple:
+    for A in triple:
         if not op_is_skew(A, G):
             raise AssertionError("omega_A is not antisymmetric")
         omegas.append({(i, j): G[i] * v for j, col in A.items()
@@ -183,7 +187,7 @@ def invariant_five_forms(n: int) -> tuple[dict, dict]:
     """
     if n < 3:
         raise ValueError("the 5-form analysis requires n >= 3")
-    _, _, _, omega_k = fundamental_forms(build_model(ModelSpec("FlatMax", n)))
+    _, _, _, omega_k = _triple_forms(ambient_triple(n), metric_diag(n, Fraction(1), Fraction(1)))
     if any(derivation(omega_k, mat) for mat in ambient_rep(n)[1].mats):
         raise AssertionError("Omega_k is not invariant under the ambient algebra")
     theta_eh = wedge({(0,): Fraction(1)}, omega_k)

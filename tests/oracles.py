@@ -141,7 +141,7 @@ def maxmodel_jacobi_by_assembly(n, c_theta, c_xi) -> bool:
     for the symbolic models.maxmodel_jacobi_holds."""
     k, rho_k, _ = ambient_rep(n)
     b_k = maximal_vertical_bracket(n, c_theta, c_xi)
-    return not semidirect(k, rho_k, None, b_k, check=False).structure.jacobiator()
+    return not semidirect(k, rho_k, None, b_k).structure.jacobiator()
 
 
 def materialised_common_kernel(op_makers, dim):

@@ -54,6 +54,7 @@ def test_usage_error_exit_code(capsys):
     ["reproduce", "prop12", "--n", "1"],
     ["reproduce", "table4", "--n", "2"],
     ["invariant-dims", "--n", "9"],
+    ["reproduce", "prop12", "--n", "2", "--beta=,"],
 ])
 def test_bad_input_exits_2_with_one_line_message(argv):
     import qhlab
@@ -181,6 +182,17 @@ def test_grid_without_points_is_a_usage_error(grid, capsys):
     assert err.value.code == 2
     assert captured.out == ""
     assert captured.err == "qhlab: --grid has no points\n"
+
+
+@pytest.mark.parametrize("beta", [",", " , ", ""])
+def test_beta_without_values_is_a_usage_error(beta, capsys):
+    # no beta case run is not "4 passed" over the beta-free cases alone
+    with pytest.raises(SystemExit) as err:
+        main(["reproduce", "prop12", "--n", "2", f"--beta={beta}"])
+    captured = capsys.readouterr()
+    assert err.value.code == 2
+    assert captured.out == ""
+    assert captured.err == "qhlab: --beta has no values\n"
 
 
 def test_reproduce_maxmodel(capsys):

@@ -220,6 +220,20 @@ def test_isotypic_split_labels():
     assert len(pair.theta_kh) == len(pair.theta_eh)
 
 
+def test_invariant_five_forms_build_no_model(monkeypatch):
+    # Omega_k is read off the self-certified ambient triple, with no FlatMax
+    # build (semidirect table, Jacobi pass, verify_model) behind it
+    import qhlab.forms as forms
+    from qhlab import models
+
+    def no_model(*args, **kwargs):
+        raise AssertionError("invariant_five_forms built a model")
+    for name in ("build_model", "_assemble", "verify_model", "semidirect"):
+        monkeypatch.setattr(models, name, no_model)
+    assert not hasattr(forms, "build_model")
+    assert forms.invariant_five_forms.__wrapped__(3) == invariant_five_forms(3)
+
+
 def _same_line(a, b):
     return bool(a) and Echelon([dict(a), dict(b)]).rank == 1
 
@@ -259,15 +273,10 @@ def test_non_invariant_omega_k_exits_3(monkeypatch, capsys):
     # invariance certificate: an internal check, not a paper mismatch
     import qhlab.forms as forms
 
-    def mixed_triple_model(spec):
-        model = build_model(spec)
-        model.triple = quaternionic_triple(spec.n)
-        return model
-
     caches = (invariant_five_forms, isotypic_split)
     for cached in caches:
         cached.cache_clear()
-    monkeypatch.setattr(forms, "build_model", mixed_triple_model)
+    monkeypatch.setattr(forms, "ambient_triple", quaternionic_triple)
     try:
         assert main(["reproduce", "table4", "--n", "3"]) == 3
     finally:

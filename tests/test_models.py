@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 
 from qhlab import models
 from qhlab.cli import main
-from qhlab.lie import matrix_algebra, op_compose, op_is_zero, op_sub
-from qhlab.models import (H_KINDS, MODEL_KINDS, ModelSpec, _action, _maxmodel_jacobiator,
-                          _restrict_rep, ambient_rep, ambient_triple,
+from qhlab.lie import LieAlgebra, matrix_algebra, op_compose, op_is_zero, op_sub
+from qhlab.models import (H_KINDS, MODEL_KINDS, ModelSpec, _action, _certified_triple,
+                          _maxmodel_jacobiator, _restrict_rep, ambient_rep, ambient_triple,
                           apply_scaling, bracket_space_dims, build_model, dims,
                           horizontal_brackets, in_families, inadmissible_hom_dim, isotropy_rep,
                           jacobi_equations, maxmodel_jacobi_holds, normalize,
@@ -424,6 +424,58 @@ def test_triple_relations_and_rotation():
         assert op_is_zero(op_sub(op_compose(I, J), K))
 
 
+def test_triple_certificate_failures():
+    I, J, K = quaternionic_triple(3)
+    rho = isotropy_rep(3)[1]
+    # the slotwise mixed triple is not invariant under the ambient sp(1) + sp(3)
+    with pytest.raises(AssertionError, match="triple span is not isotropy invariant"):
+        _certified_triple((I, J, K), ambient_rep(3)[1])
+    two_i = {c: {r: 2 * v for r, v in col.items()} for c, col in I.items()}
+    with pytest.raises(AssertionError, match="triple element does not square to -Id"):
+        _certified_triple((two_i, J, K), rho)
+    minus_k = {c: {r: -v for r, v in col.items()} for c, col in K.items()}
+    with pytest.raises(AssertionError, match="I J != K"):
+        _certified_triple((I, J, minus_k), rho)
+
+
+def _counted(monkeypatch, owner, name) -> list:
+    """Replace owner.name by a wrapper that appends to the returned list per call."""
+    calls, real = [], getattr(owner, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+    monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_each_build_runs_its_certificates_once(kind, monkeypatch):
+    # QHP/QHH keep the algebra matrix_algebra read, Jacobi by construction: one
+    # semidirect table (the bracket-table equality) and no Jacobi pass.  Every
+    # other kind assembles once and verify_model runs its one Jacobi pass;
+    # TwistedTheta adds the assembly over all of h that must fail Jacobi
+    semidirects = _counted(monkeypatch, models, "semidirect")
+    jacobi_passes = _counted(monkeypatch, LieAlgebra, "verify_jacobi")
+    beta = Fraction(1, 2) if kind in ("H3", "H5") else None
+    c = Fraction(1) if kind == "MaxCurved" else None
+    build_model(ModelSpec(kind, 3, beta=beta, c=c))
+    expected = {"QHP": (1, 0), "QHH": (1, 0), "TwistedTheta": (2, 2)}.get(kind, (1, 1))
+    assert (len(semidirects), len(jacobi_passes)) == expected
+
+
+def test_each_triple_is_certified_once_per_n(monkeypatch):
+    certified = _counted(monkeypatch, models, "_certified_triple")
+    quaternionic_triple.cache_clear()
+    ambient_triple.cache_clear()
+    for kind in H_KINDS + ("QHP", "QHH"):
+        build_model(ModelSpec(kind, 3, beta=Fraction(1) if kind in ("H3", "H5") else None))
+    assert [rho for _, rho in certified] == [isotropy_rep(3)[1]]
+    for c in (None, Fraction(1)):
+        build_model(ModelSpec("FlatMax" if c is None else "MaxCurved", 3, c=c))
+    assert [rho for _, rho in certified] == [isotropy_rep(3)[1], ambient_rep(3)[1]]
+
+
 def test_symbolic_model_builds():
     m = symbolic_model("H3", 3)
     assert m.g.verified
@@ -432,19 +484,22 @@ def test_symbolic_model_builds():
 
 
 def _cached_state(n):
-    # a deep copy of everything the shared sp(1) + sp(m) and maxmodel
+    # a deep copy of everything the shared sp(1) + sp(m), triple and maxmodel
     # jacobiator caches hand out
     import copy
     return [(alg.verified, rho.verified, copy.deepcopy(alg.brackets), copy.deepcopy(rho.mats),
              order)
             for alg, rho, order in (isotropy_rep(n), ambient_rep(n))] + \
-        [copy.deepcopy(_maxmodel_jacobiator(n))]
+        [copy.deepcopy(quaternionic_triple(n)), copy.deepcopy(ambient_triple(n)),
+         copy.deepcopy(_maxmodel_jacobiator(n))]
 
 
 def test_sp_pair_reps_are_built_once_and_shared():
     for n in (2, 3):
         assert isotropy_rep(n) is isotropy_rep(n)
         assert ambient_rep(n) is ambient_rep(n)
+        assert quaternionic_triple(n) is quaternionic_triple(n)
+        assert ambient_triple(n) is ambient_triple(n)
         assert isinstance(isotropy_rep(n)[2], tuple)
         assert isinstance(ambient_rep(n)[2], tuple)
 

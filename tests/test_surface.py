@@ -95,6 +95,15 @@ def test_structure_constants_come_only_from_the_matrix_reader():
         "lie.py:LieAlgebra.subalgebra", "lie.py:matrix_algebra", "lie.py:semidirect"]
 
 
+def test_jacobi_passes_run_only_in_the_model_certificates():
+    # each object is certified where it is made: an assembled model's Jacobi
+    # identity in verify_model, and the twisted bracket's failure over all of h
+    # in its builder; semidirect only assembles, and its check knob stays deleted
+    assert sorted(_call_sites("verify_jacobi")) == [
+        "models.py:_build_twisted_model", "models.py:verify_model"]
+    assert "check" not in inspect.signature(lie.semidirect).parameters
+
+
 def test_brackets_are_read_only_by_the_two_model_readers():
     # one read per algebra: sp(1) + sp(m) once per (n, m), and QHP/QHH's
     # g = h + m once per build, off h's matrices and m's
