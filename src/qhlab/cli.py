@@ -299,6 +299,8 @@ def cmd_reproduce(ns) -> tuple[dict, int]:
         _usage_error(f"reproduce {which} needs --n >= {min_n}, got {n}")
     betas = None
     if ns.beta is not None:
+        if which != "prop12":
+            _usage_error(f"--beta applies only to reproduce prop12, not {which}")
         betas = [_rational(c.strip(), "--beta value") for c in ns.beta.split(",") if c.strip()]
         if not betas:
             _usage_error("--beta has no values")
@@ -369,7 +371,7 @@ def cmd_model_report(ns) -> tuple[dict, int]:
         riem = []
         for c1, c2 in grid:
             cur = G.curvature(G.GroupData.from_model(model.with_metric(c1, c2)))
-            cls = G.classify(cur, G.model_groups(spec.n))
+            cls = G.classify(cur, M.model_groups(spec.n))
             riem.append({
                 "c1": format_rat(c1), "c2": format_rat(c2),
                 "einstein": format_rat(cls.einstein) if cls.einstein is not None else None,
@@ -496,7 +498,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("table", choices=("table3", "table4", "prop12", "maxmodel"))
     p.add_argument("--n", type=int, default=3)
     p.add_argument("--beta", default=None,
-                   help='free-parameter values for the beta families, e.g. "-1,0,1,2"')
+                   help='prop12 only: beta values for the H3/H5 families, e.g. "-1,0,1,2"')
     p.set_defaults(func=cmd_reproduce)
 
     p = sub.add_parser("model-report", help="full dossier for one model")

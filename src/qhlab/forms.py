@@ -21,8 +21,8 @@ from types import MappingProxyType
 from .lie import ColMat, common_kernel, derivation, op_is_skew, sort_sign
 from .linalg import Echelon, accumulate, nullspace
 from .poly import Poly, proportionality
-from .models import (HomogeneousModel, ambient_rep, ambient_triple, isotropy_rep, metric_diag,
-                     symbolic_model)
+from .models import (HomogeneousModel, ambient_rep, ambient_triple, basis_block, isotropy_rep,
+                     metric_diag, symbolic_model)
 
 
 def lincomb(*pairs) -> dict:
@@ -169,9 +169,9 @@ def contract_pair(gamma: dict, omega: dict, metric: list[Fraction]) -> dict:
 # --------------------------------------------------------------------------
 
 def _bidegree(S: tuple) -> tuple[int, int, int]:
-    return (sum(1 for i in S if i == 0),
-            sum(1 for i in S if 1 <= i <= 3),
-            sum(1 for i in S if i >= 4))
+    """How many indices of S lie in each block R / Im(H) / H^{n-1} of m."""
+    blocks = [basis_block(i) for i in S]
+    return (blocks.count(0), blocks.count(1), blocks.count(2))
 
 
 @cache

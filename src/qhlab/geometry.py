@@ -299,8 +299,3 @@ def classify(cur: CurvatureData, groups: list[list[int]] | None = None) -> Riema
             entry["constant_sectional"] = kb if constant(kb, inside) else None
         blocks.append(entry)
     return RiemannClass(einstein, conf_flat, loc_sym, const_k, blocks)
-
-
-def model_groups(n: int) -> list[list[int]]:
-    """The fixed basis split R / Im(H) / H^{n-1} used for product detection."""
-    return [[0], [1, 2, 3], list(range(4, 4 * n))]

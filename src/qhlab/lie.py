@@ -158,17 +158,6 @@ class BilinearMap:
             return self.coeffs.get((i, j), {})
         return {k: -v for k, v in self.coeffs.get((j, i), {}).items()}
 
-    def scale(self, s) -> "BilinearMap":
-        return BilinearMap(self.dim_in, self.dim_out,
-                           {ij: {k: s * v for k, v in col.items()}
-                            for ij, col in self.coeffs.items()})
-
-    def add(self, other: "BilinearMap") -> "BilinearMap":
-        out = {ij: dict(v) for ij, v in self.coeffs.items()}
-        for ij, col in other.coeffs.items():
-            accumulate(out.setdefault(ij, {}), col)
-        return BilinearMap(self.dim_in, self.dim_out, out)
-
     def jacobiator(self, start: int = 0) -> dict[tuple[int, int, int], SparseVec]:
         """Cyclic sums [[x,y],z] + [[y,z],x] + [[z,x],y] on the basis triples
         i < j < k with j >= start.

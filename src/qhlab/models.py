@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cache
+from itertools import combinations
 
 from .lie import (BilinearMap, ColMat, LieAlgebra, Representation,
                   equivariant_hom, flatten_op, matrix_algebra, op_apply, op_compose,
@@ -46,6 +47,22 @@ def dims(n: int) -> dict[str, int]:
 # basis bookkeeping
 # --------------------------------------------------------------------------
 
+def basis_block(i: int) -> int:
+    """The block of basis index i of m: 0 for R (index 0), 1 for Im(H)
+    (indices 1-3) and 2 for H^{n-1} (indices 4 and up)."""
+    return 0 if i == 0 else 1 if i < 4 else 2
+
+
+def model_groups(n: int) -> list[list[int]]:
+    """The basis split R / Im(H) / H^{n-1} used for product detection."""
+    return [[i for i in range(4 * n) if basis_block(i) == b] for b in range(3)]
+
+
+def metric_diag(n: int, c1, c2) -> list:
+    """The metric g_{c1,c2}: c1 on R + Im(H), c2 on H^{n-1}."""
+    return [c2 if basis_block(i) == 2 else c1 for i in range(4 * n)]
+
+
 def _quat_to_slot(p: int, q: Quaternion) -> SparseVec:
     out: SparseVec = {}
     for u, comp in enumerate(q.components()):
@@ -64,6 +81,17 @@ def _realify(n: int, image) -> ColMat:
                        for k, v in _quat_to_slot(t, q).items()}:
                 col[4 * p + u] = vec
     return col
+
+
+def _bilinear(n: int, dim_out: int, rule) -> BilinearMap:
+    """The antisymmetric bilinear map on H^n whose [e_i, e_j], i = 4p + u <
+    j = 4q + v, is rule(p, UNITS[u], q, UNITS[v]), a zero-free sparse vector."""
+    coeffs: dict[tuple[int, int], SparseVec] = {}
+    for i, j in combinations(range(4 * n), 2):
+        (p, u), (q, v) = divmod(i, 4), divmod(j, 4)
+        if vec := rule(p, UNITS[u], q, UNITS[v]):
+            coeffs[(i, j)] = vec
+    return BilinearMap(4 * n, dim_out, coeffs)
 
 
 def _action(n: int, x: Quaternion | None, X: QMat) -> ColMat:
@@ -166,69 +194,46 @@ def ambient_triple(n: int) -> tuple[ColMat, ColMat, ColMat]:
                              ambient_rep(n)[1])
 
 
-def metric_diag(n: int, c1, c2) -> list:
-    return [c1 if idx < 4 else c2 for idx in range(4 * n)]
-
-
 # --------------------------------------------------------------------------
 # the nine invariant brackets
 # --------------------------------------------------------------------------
 
+_HORIZONTAL_RULES = {  # on x in slot p, y in slot q; slot 0 is R + Im(H)
+    "Theta": lambda p, x, q, y: _quat_to_slot(0, (x.conj() * y).im()) if p == q > 0 else {},
+    "Psi1": lambda p, x, q, y: _quat_to_slot(0, y) if p == q == 0 and x.a else {},
+    "Psi2": lambda p, x, q, y: _quat_to_slot(q, y) if p == 0 < q and x.a else {},
+    "Upsilon1": lambda p, x, q, y: (_quat_to_slot(0, (x * y * 2).im())
+                                    if p == q == 0 and not x.a else {}),
+    "Upsilon2": lambda p, x, q, y: _quat_to_slot(q, y * x.conj()) if p == 0 < q and not x.a else {},
+}
+
+
 def horizontal_brackets(n: int) -> dict[str, BilinearMap]:
-    """Basis Theta, Psi1, Psi2, Upsilon1, Upsilon2 of the m-valued brackets."""
-    dm = 4 * n
-    theta: dict[tuple[int, int], SparseVec] = {}
-    for p in range(1, n):
-        for u in range(4):
-            for v in range(u + 1, 4):
-                val = (UNITS[u].conj() * UNITS[v]).im()
-                vec = _quat_to_slot(0, val)
-                if vec:
-                    theta[(4 * p + u, 4 * p + v)] = vec
-    psi1 = {(0, t): {t: Fraction(1)} for t in (1, 2, 3)}
-    psi2 = {(0, 4 * p + u): {4 * p + u: Fraction(1)}
-            for p in range(1, n) for u in range(4)}
-    ups1: dict[tuple[int, int], SparseVec] = {}
-    for a in range(1, 4):
-        for b in range(a + 1, 4):
-            val = (UNITS[a] * UNITS[b]) * 2
-            vec = _quat_to_slot(0, val.im())
-            if vec:
-                ups1[(a, b)] = vec
-    ups2: dict[tuple[int, int], SparseVec] = {}
-    for a in range(1, 4):
-        for p in range(1, n):
-            for u in range(4):
-                val = UNITS[u] * UNITS[a].conj()
-                vec = _quat_to_slot(p, val)
-                if vec:
-                    ups2[(a, 4 * p + u)] = vec
-    return {
-        "Theta": BilinearMap(dm, dm, theta),
-        "Psi1": BilinearMap(dm, dm, psi1),
-        "Psi2": BilinearMap(dm, dm, psi2),
-        "Upsilon1": BilinearMap(dm, dm, ups1),
-        "Upsilon2": BilinearMap(dm, dm, ups2),
-    }
+    """Basis Theta, Psi1, Psi2, Upsilon1, Upsilon2 of the m-valued brackets:
+    Theta(x, y) = Im(conj(x) y) on H^{n-1}, Psi1(1, v) = v, Psi2(1, y) = y,
+    Upsilon1(v, w) = 2 Im(v w) and Upsilon2(v, y) = y conj(v), v, w in Im(H)."""
+    return {name: _bilinear(n, 4 * n, rule) for name, rule in _HORIZONTAL_RULES.items()}
 
 
-def xi_operator(q1_slot: int, q1_unit: int, q2_slot: int, q2_unit: int) -> QMat:
-    """Xi(q1, q2) = q2 q1^dagger - q1 q2^dagger on unit vectors: at most two entries."""
-    u, v = UNITS[q1_unit], UNITS[q2_unit]
+def xi_operator(p: int, x: Quaternion, q: int, y: Quaternion) -> QMat:
+    """Xi(x, y) = y x^dagger - x y^dagger for x in slot p and y in slot q:
+    at most two entries."""
     out: QMat = {}
-    accumulate(out, {(q2_slot, q1_slot): v * u.conj()})
-    accumulate(out, {(q1_slot, q2_slot): -(u * v.conj())})
+    accumulate(out, {(q, p): y * x.conj()})
+    accumulate(out, {(p, q): -(x * y.conj())})
     return out
 
 
 def bracket_from_params(n: int, alpha, beta1, beta2, gamma1, gamma2) -> BilinearMap:
-    """B = alpha*Theta + beta1*Psi1 + beta2*Psi2 + gamma1*Upsilon1 + gamma2*Upsilon2."""
+    """B = alpha*Theta + beta1*Psi1 + beta2*Psi2 + gamma1*Upsilon1 + gamma2*Upsilon2,
+    summed table by table (the five have disjoint supports)."""
     hz = horizontal_brackets(n)
-    out = BilinearMap.zero(4 * n, 4 * n)
+    coeffs: dict[tuple[int, int], SparseVec] = {}
     for coeff, name in zip((alpha, beta1, beta2, gamma1, gamma2), HORIZONTAL_NAMES):
         if coeff:
-            out = out.add(hz[name].scale(coeff))
-    return out
+            for ij, col in hz[name].coeffs.items():
+                accumulate(coeffs.setdefault(ij, {}), col, coeff)
+    return BilinearMap(4 * n, 4 * n, coeffs)
 
 
 # --------------------------------------------------------------------------
@@ -400,6 +405,8 @@ class ModelSpec:
             raise ValueError("n >= 2 required")
         if not (self.c1 > 0 and self.c2 > 0):
             raise ValueError("metric parameters must be positive")
+        if self.kind in ("FlatMax", "MaxCurved") and self.c1 != self.c2:
+            raise ValueError(f"{self.kind} needs c1 = c2: sp(1) + sp(n) acts irreducibly on H^n")
 
     def to_string(self) -> str:
         parts = [self.kind]
@@ -418,18 +425,15 @@ class ModelSpec:
         kind = chunks[0].strip()
         aliases = {"H1plus": "H1+", "H1minus": "H1-", "Twisted": "TwistedTheta"}
         kind = aliases.get(kind, kind)
-        kwargs: dict = {"kind": kind, "n": 3}
+        fields: dict = {}
         for chunk in chunks[1:]:
-            key, _, val = chunk.partition("=")
-            key = key.strip()
-            val = val.strip()
-            if key == "n":
-                kwargs["n"] = int(val)
-            elif key in ("c1", "c2", "beta", "c"):
-                kwargs[key] = rat(val)
-            else:
+            key, _, val = (part.strip() for part in chunk.partition("="))
+            if key not in ("n", "c1", "c2", "beta", "c"):
                 raise ValueError(f"unknown spec field {key!r}")
-        return ModelSpec(**kwargs)
+            if key in fields:
+                raise ValueError(f"duplicate spec field {key!r}")
+            fields[key] = int(val) if key == "n" else rat(val)
+        return ModelSpec(kind, **{"n": 3, **fields})
 
 
 @dataclass
@@ -516,26 +520,14 @@ def maximal_vertical_bracket(n: int, c_theta, c_xi) -> BilinearMap:
     Im(H) is identified with the sp(1) ideal via v -> -S_v, the sign fixed so
     that the Jacobi identity closes exactly on the c_theta = 2 c_xi locus.
     """
-    dm = 4 * n
-    dk = 3 + n * (2 * n + 1)
-    coeffs: dict[tuple[int, int], SparseVec] = {}
-    for p in range(n):
-        for u in range(4):
-            for q in range(p, n):
-                for v in range(4):
-                    if q == p and v <= u:
-                        continue
-                    col: SparseVec = {}
-                    if p == q:
-                        th = (UNITS[u].conj() * UNITS[v]).im()
-                        for t, comp in enumerate((th.b, th.c, th.d)):
-                            col[t] = -c_theta * comp
-                    for t, comp in sp_coordinates(xi_operator(p, u, q, v), n, 0).items():
-                        col[3 + t] = c_xi * comp
-                    col = {k2: v2 for k2, v2 in col.items() if v2}
-                    if col:
-                        coeffs[(4 * p + u, 4 * q + v)] = col
-    return BilinearMap(dm, dk, coeffs)
+    def rule(p: int, x: Quaternion, q: int, y: Quaternion) -> SparseVec:
+        col: SparseVec = {}
+        if p == q:
+            col = {t: -c_theta * comp for t, comp in enumerate((x.conj() * y).components()[1:])}
+        for t, comp in sp_coordinates(xi_operator(p, x, q, y), n, 0).items():
+            col[3 + t] = c_xi * comp
+        return {t: v for t, v in col.items() if v}
+    return _bilinear(n, 3 + n * (2 * n + 1), rule)
 
 
 def _complement(spec: ModelSpec) -> list[ColMat]:

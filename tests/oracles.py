@@ -16,9 +16,9 @@ from qhlab.lie import (BilinearMap, LieAlgebra, Representation, common_kernel, d
                        op_apply, op_compose, op_is_zero, op_sub, op_transpose, semidirect)
 from qhlab.linalg import (Echelon, _dense, _sparse, accumulate, nullspace, sparse_nullspace,
                           sv_add_scaled, sv_primitive)
-from qhlab.geometry import GroupData, classify, curvature, model_groups
-from qhlab.models import (ModelSpec, _complement, ambient_rep, build_model,
-                          horizontal_brackets, isotropy_rep, maximal_vertical_bracket, xi_operator)
+from qhlab.geometry import GroupData, classify, curvature
+from qhlab.models import (ModelSpec, _complement, ambient_rep, build_model, horizontal_brackets,
+                          isotropy_rep, maximal_vertical_bracket, model_groups, xi_operator)
 from qhlab.poly import VARS, Poly
 from qhlab.quaternion import IM_UNITS, UNITS, Quaternion, format_rat, sp_basis, sp_coordinates
 
@@ -66,7 +66,7 @@ def vertical_brackets(n):
            for name in ("Theta", "Psi1", "Upsilon1")}
     xi = {}
     for (p, u), (q, v) in combinations([(p, u) for p in range(1, n) for u in range(4)], 2):
-        coords = sp_coordinates(xi_operator(p - 1, u, q - 1, v), n - 1, 0)
+        coords = sp_coordinates(xi_operator(p - 1, UNITS[u], q - 1, UNITS[v]), n - 1, 0)
         xi[(4 * p + u, 4 * q + v)] = {3 + t: c for t, c in coords.items()}
     out["Xi"] = BilinearMap(dm, dh, xi)
     return out

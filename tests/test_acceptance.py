@@ -305,11 +305,11 @@ def test_criterion_09_curvature_signatures_h32_h5():
     ok = True
     for c1, c2 in ((1, 1), (2, 1), (1, 3)):
         cls = G.classify(G.curvature(G.GroupData.from_model(
-            _model("H3", 3, c1, c2, beta=2))), G.model_groups(3))
+            _model("H3", 3, c1, c2, beta=2))), M.model_groups(3))
         ok = ok and cls.constant_sectional == F(-4) / c1
     for beta in (1, 2, -1):
         cls = G.classify(G.curvature(G.GroupData.from_model(
-            _model("H5", 3, 1, 2, beta=beta))), G.model_groups(3))
+            _model("H5", 3, 1, 2, beta=beta))), M.model_groups(3))
         sphere = [b for b in cls.product_blocks if b["size"] == 3]
         hyper = [b for b in cls.product_blocks if b["size"] == 9]
         ok = (ok and len(sphere) == 1 and len(hyper) == 1
@@ -342,7 +342,7 @@ def test_criterion_09_h30_stated_signature():
     stated_flat = sum(size for size, kind in stated if kind == "flat")
     c1, c2 = 1, 1
     cls = G.classify(G.curvature(G.GroupData.from_model(
-        _model("H3", 3, c1, c2, beta=0))), G.model_groups(3))
+        _model("H3", 3, c1, c2, beta=0))), M.model_groups(3))
     curved = [b for b in cls.product_blocks if not b["flat"]]
     computed_curved = sorted((b["size"], _curved_kind(b)) for b in curved)
     computed_flat = sum(b["size"] for b in cls.product_blocks if b["flat"])
@@ -367,7 +367,7 @@ def test_criterion_09_h50_stated_blocks(n):
     curved = [(size, kind) for size, kind in stated if kind != "flat"]
     expected = sorted(curved + [(4 * n - sum(size for size, _ in curved), "flat")])
     cls = G.classify(G.curvature(G.GroupData.from_model(
-        _model("H5", n, 1, 2, beta=0))), G.model_groups(n))
+        _model("H5", n, 1, 2, beta=0))), M.model_groups(n))
     computed = sorted((b["size"], "flat" if b["flat"] else _curved_kind(b))
                       for b in cls.product_blocks)
     assert _announce(f"9c (H5^0 block list at n={n})", computed == expected,
@@ -376,7 +376,7 @@ def test_criterion_09_h50_stated_blocks(n):
 
 def test_criterion_09_h30_computed_signature():
     cls = G.classify(G.curvature(G.GroupData.from_model(
-        _model("H3", 3, 2, 1, beta=0))), G.model_groups(3))
+        _model("H3", 3, 2, 1, beta=0))), M.model_groups(3))
     neg = [b for b in cls.product_blocks if not b["flat"]]
     flat = [b for b in cls.product_blocks if b["flat"]]
     assert len(neg) == 1 and neg[0]["size"] == 4

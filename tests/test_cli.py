@@ -55,6 +55,11 @@ def test_usage_error_exit_code(capsys):
     ["reproduce", "table4", "--n", "2"],
     ["invariant-dims", "--n", "9"],
     ["reproduce", "prop12", "--n", "2", "--beta=,"],
+    ["model-report", "--spec", "FlatMax:n=2:c1=2:c2=1"],
+    ["model-report", "--spec", "MaxCurved:c=1:n=2:c1=2:c2=1"],
+    ["reproduce", "table4", "--n", "3", "--beta=5"],
+    ["reproduce", "maxmodel", "--beta=1"],
+    ["model-report", "--spec", "H4:n=3:c1=1:c1=2"],
 ])
 def test_bad_input_exits_2_with_one_line_message(argv):
     import qhlab
@@ -193,6 +198,26 @@ def test_beta_without_values_is_a_usage_error(beta, capsys):
     assert err.value.code == 2
     assert captured.out == ""
     assert captured.err == "qhlab: --beta has no values\n"
+
+
+@pytest.mark.parametrize("target", ["table3", "table4", "maxmodel"])
+def test_beta_outside_prop12_is_a_usage_error(target, capsys):
+    # only prop12 has beta families; elsewhere the flag would be ignored
+    with pytest.raises(SystemExit) as err:
+        main(["reproduce", target, "--beta=1"])
+    captured = capsys.readouterr()
+    assert err.value.code == 2
+    assert captured.out == ""
+    assert captured.err == f"qhlab: --beta applies only to reproduce prop12, not {target}\n"
+
+
+def test_repeated_spec_field_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["model-report", "--spec", "H4:n=3:c1=1:c1=2"])
+    captured = capsys.readouterr()
+    assert err.value.code == 2
+    assert captured.out == ""
+    assert captured.err == "qhlab: invalid model spec: duplicate spec field 'c1'\n"
 
 
 def test_reproduce_maxmodel(capsys):

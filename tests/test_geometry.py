@@ -5,11 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qhlab.geometry import (GroupData, _kn_product, classify, curvature,
-                            model_groups, nomizu)
+from qhlab.geometry import GroupData, _kn_product, classify, curvature, nomizu
 from qhlab.lie import BilinearMap, op_is_skew, op_transpose
 from qhlab.linalg import accumulate
-from qhlab.models import H_KINDS, ModelSpec, build_model, horizontal_brackets
+from qhlab.models import H_KINDS, ModelSpec, build_model, horizontal_brackets, model_groups
 from qhlab.poly import VARS, Poly
 
 rng = random.Random(77)

@@ -291,7 +291,7 @@ def test_semidirect_rejects_non_equivariant_brackets():
     # the (h, m, m) Jacobi triples are the equivariance of b_m and of b_h
     h, rho, _ = isotropy_rep(2)
     theta = horizontal_brackets(2)["Theta"]
-    bad_m = theta.add(BilinearMap(8, 8, {(0, 1): {2: Fraction(1)}}))
+    bad_m = BilinearMap(8, 8, {**theta.coeffs, (0, 1): {2: Fraction(1)}})
     assert not is_equivariant(bad_m, rho, rho.mats)
     assert not semidirect(h, rho, bad_m, None).verify_jacobi(start=h.dim)
     bad_h = BilinearMap(8, h.dim, {(0, 1): {0: Fraction(1)}})

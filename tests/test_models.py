@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 from fractions import Fraction
@@ -11,13 +12,13 @@ from qhlab.cli import main
 from qhlab.lie import LieAlgebra, matrix_algebra, op_compose, op_is_zero, op_sub
 from qhlab.models import (H_KINDS, MODEL_KINDS, ModelSpec, _action, _certified_triple,
                           _maxmodel_jacobiator, _restrict_rep, ambient_rep, ambient_triple,
-                          apply_scaling, bracket_space_dims, build_model, dims,
-                          horizontal_brackets, in_families, inadmissible_hom_dim, isotropy_rep,
+                          apply_scaling, bracket_from_params, bracket_space_dims, build_model,
+                          dims, horizontal_brackets, in_families, inadmissible_hom_dim, isotropy_rep,
                           jacobi_equations, maxmodel_jacobi_holds, normalize,
-                          quaternionic_triple, symbolic_model, twisted_theta,
-                          violated_equations, xi_operator)
+                          maximal_vertical_bracket, quaternionic_triple, symbolic_model,
+                          twisted_theta, violated_equations, xi_operator)
 from qhlab.poly import Poly, proportionality
-from qhlab.quaternion import IM_UNITS, UNITS, Quaternion, sp_basis
+from qhlab.quaternion import IM_UNITS, Q_I, UNITS, Quaternion, sp_basis
 
 from oracles import (SP1_BRACKETS, checked, dense_sp_brackets, hermitian_metric,
                      invariant_vectors, is_equivariant, maxmodel_jacobi_by_assembly,
@@ -103,7 +104,7 @@ def test_xi_operator_oracle():
     for _ in range(40):
         p, q = rng.randrange(n1), rng.randrange(n1)
         u, v = rng.randrange(4), rng.randrange(4)
-        mat = xi_operator(p, u, q, v)
+        mat = xi_operator(p, UNITS[u], q, UNITS[v])
         assert len(mat) <= 2 and all(mat.values())
         for r in range(n1):
             for w in range(4):
@@ -122,7 +123,34 @@ def test_xi_operator_oracle():
                         expect[t] = expect[t] + (vec2[t] * a) * c1 - (vec1[t] * a) * c2
                 assert got == expect
     # antisymmetry
-    assert xi_operator(0, 1, 0, 1) == {}
+    assert xi_operator(0, Q_I, 0, Q_I) == {}
+
+
+# SHA-256 of _bracket_dump(), recorded from the hand-indexed bracket tables
+# that preceded the quaternion rules, so a change of any bracket value, value
+# type or insertion order fails here
+BRACKET_DUMP_SHA256 = "927a63fc4e81d74f7000113ea3463274f0e6f7b81c2050f38a496ab1bf6e83db"
+
+
+def _bracket_dump() -> str:
+    def rows(b):
+        return repr((b.dim_out, list(b.coeffs.items())))
+    c1, c2 = Poly.var("c1"), Poly.var("c2")
+    symbolic = [Poly.var(v) for v in ("alpha", "beta1", "beta2", "gamma1", "gamma2")]
+    out = []
+    for n in (2, 3, 4):
+        out += [name + rows(b) for name, b in horizontal_brackets(n).items()]
+        out += [rows(maximal_vertical_bracket(n, ct, cx))
+                for ct, cx in ((c1, c2), (2, 1), (Fraction(-3, 2), 5))]
+        out += [rows(bracket_from_params(n, *params))
+                for params in ((1, 2, 1, 0, 0), (Fraction(-3, 2), 0, Fraction(5, 7), 1, 1),
+                               symbolic)]
+    out.append(repr(jacobi_equations()))
+    return "\n".join(out)
+
+
+def test_bracket_tables_match_the_recorded_digest():
+    assert hashlib.sha256(_bracket_dump().encode("utf-8")).hexdigest() == BRACKET_DUMP_SHA256
 
 
 def test_vertical_brackets_target():
@@ -248,6 +276,21 @@ def test_modelspec_roundtrip_and_validation():
         ModelSpec("H4", 3, c1=Fraction(-1))
     with pytest.raises(ValueError):
         ModelSpec("nope", 3)
+
+
+@pytest.mark.parametrize("kind, c", [("FlatMax", None), ("MaxCurved", Fraction(1))])
+def test_maximal_specs_need_one_metric_scale(kind, c):
+    # sp(1) + sp(n) acts irreducibly on H^n, so c1 != c2 is no invariant metric
+    ModelSpec(kind, 2, c1=Fraction(2), c2=Fraction(2), c=c)
+    with pytest.raises(ValueError, match=f"{kind} needs c1 = c2"):
+        ModelSpec(kind, 2, c1=Fraction(2), c2=Fraction(1), c=c)
+
+
+def test_repeated_spec_field_is_rejected():
+    with pytest.raises(ValueError, match="duplicate spec field 'c1'"):
+        ModelSpec.parse("H4:n=3:c1=1:c1=2")
+    with pytest.raises(ValueError, match="duplicate spec field 'n'"):
+        ModelSpec.parse("H4:n=3:n=3")
 
 
 @pytest.mark.parametrize("n", [3, 4])

@@ -104,6 +104,17 @@ def test_jacobi_passes_run_only_in_the_model_certificates():
     assert "check" not in inspect.signature(lie.semidirect).parameters
 
 
+def test_bracket_tables_are_built_only_by_the_quaternion_realifier():
+    # every bracket on H^n is a quaternion rule turned into a table by
+    # models._bilinear; the other BilinearMap(...) calls only derive a table
+    # from existing ones (a sum, a split of a read algebra, a twist by I) or
+    # wrap structure constants, so no hand-indexed table can enter the package
+    assert sorted(set(_call_sites("BilinearMap"))) == [
+        "lie.py:BilinearMap.zero", "lie.py:LieAlgebra.__init__",
+        "models.py:_bilinear", "models.py:_build_reductive_model",
+        "models.py:bracket_from_params", "models.py:twisted_theta"]
+
+
 def test_brackets_are_read_only_by_the_two_model_readers():
     # one read per algebra: sp(1) + sp(m) once per (n, m), and QHP/QHH's
     # g = h + m once per build, off h's matrices and m's
