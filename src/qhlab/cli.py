@@ -255,8 +255,8 @@ def _reproduce_prop12(n: int, betas: list[Fraction] | None = None) -> list[tuple
         cur = G.curvature(G.GroupData.from_model(
             skeleton.with_metric(Poly.var("c1"), Poly.var("c2"))))
         bad = []
-        for c1, c2 in points:
-            einstein, conf_flat, loc_sym = G.riemann_flags(cur, {"c1": c1, "c2": c2})
+        flags = G.riemann_flags(cur, [{"c1": c1, "c2": c2} for c1, c2 in points])
+        for (c1, c2), (einstein, conf_flat, loc_sym) in zip(points, flags):
             got = (einstein is not None, conf_flat, loc_sym)
             want = _prop12_expected(kind, beta, c1, c2)
             if got != want:
@@ -341,6 +341,11 @@ def cmd_model_report(ns) -> tuple[dict, int]:
         spec = M.ModelSpec.parse(ns.spec)
     except (ValueError, KeyError, ZeroDivisionError) as exc:
         _usage_error(f"invalid model spec: {exc}")
+    # the H kinds' curvature and, at n >= 3, their and QHP/QHH's class points
+    reads_points = spec.kind in M.H_KINDS or (spec.n >= 3 and spec.kind in ("QHP", "QHH"))
+    if ns.grid is not None and not reads_points:
+        _usage_error(f"--grid: model-report of {spec.kind} at n={spec.n} reads no metric "
+                     "point (only the H kinds, and QHP/QHH at n >= 3, do)")
     grid = _parse_grid(ns.grid) if ns.grid is not None else [(spec.c1, spec.c2)]
     model = M.build_model(spec)
     dims = M.dims(spec.n)
@@ -386,7 +391,7 @@ def cmd_model_report(ns) -> tuple[dict, int]:
                            for b in cls.product_blocks],
             })
         entry["riemannian"] = riem
-    if spec.n >= 3 and spec.kind in M.H_KINDS + ("QHP", "QHH"):
+    if spec.n >= 3 and reads_points:
         symbolic = M.symbolic_model(spec.kind, spec.n)
         row = F.eh_coefficients(symbolic)
         entry["f_EH"] = _poly_json(row.f_eh)

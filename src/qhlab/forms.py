@@ -14,12 +14,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from math import gcd, isqrt
+from math import isqrt
 from types import MappingProxyType
 
 # common_kernel is unused here; bench/test_bench.py pins the forms.common_kernel binding
 from .lie import ColMat, common_kernel, derivation, op_is_skew, sort_sign
-from .linalg import Echelon, accumulate, nullspace
+from .linalg import Echelon, accumulate, nullspace, sv_primitive
 from .poly import Poly, proportionality
 from .models import (HomogeneousModel, ambient_rep, ambient_triple, basis_block, isotropy_rep,
                      metric_diag, symbolic_model)
@@ -219,9 +219,11 @@ def isotypic_split(n: int) -> IsotypicPair:
     """
     p1, p2 = invariant_five_forms(n)
     theta_eh = lincomb((1, p1), (1, p2))
-    # the unit-metric Gram row [<theta_EH, p1>, <theta_EH, p2>]
-    (a, b), = nullspace([[sum(theta_eh[S] * c for S, c in p.items()) for p in (p1, p2)]], 2)
-    theta_kh = lincomb((a, p1), (b, p2))
+    # the unit-metric Gram row {0: <theta_EH, p1>, 1: <theta_EH, p2>}: as p1
+    # and p2 have disjoint supports, both entries are squared norms, never 0
+    (v,) = nullspace([{i: sum(theta_eh[S] * c for S, c in p.items())
+                       for i, p in enumerate((p1, p2))}], 2)
+    theta_kh = lincomb((v[0], p1), (v[1], p2))
     return IsotypicPair(MappingProxyType(theta_eh), MappingProxyType(theta_kh))
 
 
@@ -433,15 +435,5 @@ def genuine_loci(model: HomogeneousModel) -> GenuineLoci:
 
 def _poly_primitive(p: Poly) -> Poly:
     """Scaled so content is 1 and the leading coefficient positive."""
-    if not p:
-        return p
-    num = 0
-    den = 1
-    for c in p.terms.values():
-        num = gcd(num, abs(c.numerator))
-        den = den * c.denominator // gcd(den, c.denominator)
-    scale = Fraction(den, num)
-    lead = p.leading()[1]
-    if lead < 0:
-        scale = -scale
-    return p * scale
+    q = Poly(sv_primitive(p.terms))
+    return -q if q and q.leading()[1] < 0 else q

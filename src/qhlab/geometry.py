@@ -249,31 +249,32 @@ def _block_partition(cur: CurvatureData, groups: list[list[int]]) -> list[list[i
     return sorted(sorted(b) for b in blocks.values())
 
 
-def riemann_flags(cur: CurvatureData, point: dict | None = None
-                  ) -> tuple[Fraction | None, bool, bool]:
-    """(Einstein constant or None, conformally flat, locally symmetric).
+def riemann_flags(cur: CurvatureData, points: list[dict]
+                  ) -> list[tuple[Fraction | None, bool, bool]]:
+    """(Einstein constant or None, conformally flat, locally symmetric) at each
+    point: the distinct nonzero entries of Ricci - lambda g, Weyl and nabla R
+    are collected once and read there ({"c1": .., "c2": ..} evaluates the Polys
+    of a symbolic curvature; {} reads the entries as they are)."""
+    dm, G = cur.data.dim, cur.data.metric
+    lam_e = cur.ricci[0][0] / G[0]
+    values = [{v for v in entries if v} for entries in (
+        (cur.ricci[i][j] - (lam_e * G[i] if i == j else 0) for i in range(dm) for j in range(dm)),
+        cur.weyl.values(), cur.nabla_r.values())]
 
-    With a point {"c1": .., "c2": ..}, every Poly entry of a symbolic
-    curvature is read there: Ricci against lambda g, and whether any Weyl or
-    nabla R entry is nonzero.
-    """
-    def at(x):
+    def at(x, point):
         return x.eval(point) if point and isinstance(x, Poly) else x
 
-    dm = cur.data.dim
-    G = [at(g) for g in cur.data.metric]
-    ricci = [[at(x) for x in row] for row in cur.ricci]
-    lam_e = ricci[0][0] / G[0]
-    einstein = lam_e if all(ricci[i][j] == (lam_e * G[i] if i == j else 0)
-                            for i in range(dm) for j in range(dm)) else None
-    return (einstein, not any(at(v) for v in cur.weyl.values()),
-            not any(at(v) for v in cur.nabla_r.values()))
+    flags = []
+    for point in points:
+        einstein, conf_flat, loc_sym = (not any(at(v, point) for v in vals) for vals in values)
+        flags.append((at(lam_e, point) if einstein else None, conf_flat, loc_sym))
+    return flags
 
 
 def classify(cur: CurvatureData, groups: list[list[int]] | None = None) -> RiemannClass:
     """Exact Einstein / conformally-flat / symmetric / constant-curvature flags."""
     dm, G = cur.data.dim, cur.data.metric
-    einstein, conf_flat, loc_sym = riemann_flags(cur)
+    (einstein, conf_flat, loc_sym), = riemann_flags(cur, [{}])
     # R4 = (k/2) g*g on the index tuples accepted by inside; both sides
     # vanish off the union of their supports
     template = _kn_product({(i, i): g for i, g in enumerate(G)}, G)

@@ -2,14 +2,14 @@
 
 One elimination engine, :class:`Echelon`: the sparse, incremental, fully
 reduced row echelon form of the span of the vectors inserted so far.  Vectors
-are dicts {key: scalar} whose keys only need an order (column ints, form
-index tuples).  Inserted vectors are Fraction-valued; vectors reduced against
-the echelon or written in its span may carry Poly entries.
+are zero-free dicts {key: scalar} whose keys only need an order (column ints,
+form index tuples, monomials).  Inserted vectors are Fraction-valued; vectors
+reduced against the echelon or written in its span may carry Poly entries.
 
-Front-ends over it: ``rref`` / ``nullspace`` on dense lists of
-Fractions, and ``sparse_nullspace`` for the large equivariance / invariance
-kernels, whose constraint rows touch only a handful of unknowns each and are
-split into connected components first.
+Its front-ends take and return such sparse vectors: ``rref`` (the RREF rows),
+``nullspace`` and ``sparse_nullspace`` (the kernel, made integer-primitive by
+the latter).  None splits a system into connected components: independent
+blocks already eliminate independently inside one RREF.
 
 Every public routine returns exact results; callers are expected to verify
 kernels post hoc (A.v == 0) where correctness matters.
@@ -183,50 +183,19 @@ class Echelon:
 # front-ends
 # --------------------------------------------------------------------------
 
-def _sparse(row) -> SparseVec:
-    return {j: Fraction(x) for j, x in enumerate(row) if x}
+def rref(rows: list[dict]) -> list[dict]:
+    """The nonzero rows of the reduced row echelon form, ordered by pivot."""
+    ech = Echelon(rows)
+    return [ech.rows[p] for p in sorted(ech.rows)]
 
 
-def _dense(vec: SparseVec, ncols: int) -> list[Fraction]:
-    return [vec.get(j, Fraction(0)) for j in range(ncols)]
-
-
-def rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form over Fraction: (nonzero rows, pivot columns)."""
-    if not rows:
-        return [], []
-    ech = Echelon(_sparse(r) for r in rows)
-    piv = sorted(ech.rows)
-    return [_dense(ech.rows[p], len(rows[0])) for p in piv], piv
-
-
-def nullspace(rows: list[list[Fraction]], ncols: int | None = None) -> list[list[Fraction]]:
-    """Exact kernel basis, one vector per free column (echelonized)."""
-    if ncols is None:
-        if not rows:
-            raise ValueError("ncols required for empty row list")
-        ncols = len(rows[0])
-    ech = Echelon(_sparse(r) for r in rows)
-    return [_dense(v, ncols) for v in ech.kernel(range(ncols))]
+def nullspace(rows: list[SparseVec], ncols: int) -> list[SparseVec]:
+    """Exact kernel basis on the columns 0..ncols-1, one vector per free column."""
+    return Echelon(rows).kernel(range(ncols))
 
 
 def sparse_nullspace(rows: list[SparseVec], ncols: int) -> list[SparseVec]:
-    """Exact kernel basis of the sparse homogeneous system rows . x = 0.
-
-    The column-interaction graph is split into connected components, each
-    eliminated on its own, sparsest rows first.  Columns untouched by any row
-    contribute unit kernel vectors.
-    """
-    rows = [r for r in rows if r]
-    roots = connected_components(rows)
-    basis: list[SparseVec] = [{c: Fraction(1)} for c in range(ncols) if c not in roots]
-    components: dict[int, list[SparseVec]] = {}
-    for row in rows:
-        components.setdefault(roots[next(iter(row))], []).append(row)
-    for _, comp_rows in sorted(components.items()):
-        cols = sorted({c for row in comp_rows for c in row})
-        ech = Echelon(sorted(comp_rows, key=lambda r: (len(r), min(r))))
-        basis.extend(ech.kernel(cols))
-    basis = [sv_primitive(v) for v in basis]
-    basis.sort(key=lambda v: min(v))
-    return basis
+    """``nullspace`` made integer-primitive and sorted by smallest key, with the
+    rows eliminated sparsest first: the large equivariance / invariance kernels."""
+    ech = Echelon(sorted((r for r in rows if r), key=lambda r: (len(r), min(r))))
+    return sorted((sv_primitive(v) for v in ech.kernel(range(ncols))), key=min)

@@ -24,7 +24,7 @@ from itertools import combinations
 from .lie import (BilinearMap, ColMat, LieAlgebra, Representation,
                   equivariant_hom, flatten_op, matrix_algebra, op_apply, op_compose,
                   op_is_skew, op_is_zero, op_sub, semidirect)
-from .linalg import Echelon, SparseVec, accumulate
+from .linalg import Echelon, SparseVec, accumulate, rref
 from .poly import Poly
 from .quaternion import (IM_UNITS, UNITS, QMat, Quaternion, format_rat, rat, sp_basis,
                          sp_coordinates)
@@ -245,28 +245,13 @@ def jacobi_equations() -> tuple[Poly, ...]:
     """Canonical generators of the Jacobi obstruction (n fixed at 3).
 
     Cyclic-Jacobi components of B(alpha..gamma2) are collected, the span of
-    the resulting quadratics is echelonized exactly over the monomial basis,
-    and the reduced generators are returned monic.  The zero set is the
-    union of the four parameter families.
+    the resulting quadratics is echelonized exactly over monomial keys, and
+    the reduced generators are returned monic.  The zero set is the union of
+    the four parameter families.
     """
     b = bracket_from_params(3, *(Poly.var(v) for v in PARAM_NAMES))
-    seen: dict = {}
-    for comp in b.jacobiator().values():
-        for val in comp.values():
-            m = val.monic()
-            seen[m] = m
-    monos = sorted({mono for p in seen.values() for mono in p.terms})
-    midx = {mono: i for i, mono in enumerate(monos)}
-    rows = []
-    for p in seen.values():
-        row = [Fraction(0)] * len(monos)
-        for mono, c in p.terms.items():
-            row[midx[mono]] = c
-        rows.append(row)
-    from .linalg import rref
-    ech, _ = rref(rows)
-    eqs = [Poly({monos[i]: c for i, c in enumerate(row) if c}).monic()
-           for row in ech]
+    seen = {val.monic(): None for comp in b.jacobiator().values() for val in comp.values()}
+    eqs = [Poly(row).monic() for row in rref([p.terms for p in seen])]
     return tuple(sorted(eqs, key=lambda p: sorted(p.terms)))
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .linalg import accumulate
+from .linalg import Echelon, accumulate
 from .quaternion import format_rat
 
 VARS = ("alpha", "beta1", "beta2", "gamma1", "gamma2", "c1", "c2")
@@ -219,17 +219,7 @@ class Poly:
 
 
 def proportionality(p: Poly, q: Poly) -> Fraction | None:
-    """lambda with p == lambda * q, or None when no such rational exists."""
+    """lambda with p == lambda * q (0 when p = 0), or None when there is none."""
     p, q = Poly.coerce(p), Poly.coerce(q)
-    if not q:
-        return None if p else Fraction(0)
-    if not p:
-        return Fraction(0)
-    if set(p.terms) != set(q.terms):
-        return None
-    m0 = next(iter(q.terms))
-    lam = p.terms[m0] / q.terms[m0]
-    for m, c in q.terms.items():
-        if p.terms[m] != lam * c:
-            return None
-    return lam
+    x = Echelon([q.terms]).coordinates(p.terms)
+    return None if x is None else x.get(0, Fraction(0))

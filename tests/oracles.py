@@ -7,6 +7,7 @@ live with the tests that check qhlab against them.
 from fractions import Fraction
 from functools import cache
 from itertools import combinations, product
+from math import gcd
 
 from hypothesis import strategies as st
 
@@ -14,8 +15,8 @@ from qhlab.cli import _GRID, _SPECIAL, _prop12_expected
 from qhlab.forms import _bidegree, _sqrt_fraction, lincomb, plane_coordinates
 from qhlab.lie import (BilinearMap, LieAlgebra, Representation, common_kernel, derivation,
                        op_apply, op_compose, op_is_zero, op_sub, op_transpose, semidirect)
-from qhlab.linalg import (Echelon, _dense, _sparse, accumulate, nullspace, sparse_nullspace,
-                          sv_add_scaled, sv_primitive)
+from qhlab.linalg import (Echelon, accumulate, nullspace, sparse_nullspace, sv_add_scaled,
+                          sv_primitive)
 from qhlab.geometry import GroupData, classify, curvature
 from qhlab.models import (ModelSpec, _complement, ambient_rep, build_model, horizontal_brackets,
                           isotropy_rep, maximal_vertical_bracket, model_groups, xi_operator)
@@ -54,6 +55,20 @@ def substitute(p: Poly, point: dict) -> Poly:
             term = term * Poly.coerce(value) ** mono[VARS.index(name)]
         total = total + term
     return total
+
+
+def primitive_by_content(p: Poly) -> Poly:
+    """p divided by its content gcd(numerators) / lcm(denominators), signed so
+    the graded-lex leading coefficient is positive: the reference for
+    forms._poly_primitive."""
+    if not p:
+        return p
+    num, den = 0, 1
+    for c in p.terms.values():
+        num = gcd(num, abs(c.numerator))
+        den = den * c.denominator // gcd(den, c.denominator)
+    scale = Fraction(den, num)
+    return p * (-scale if p.leading()[1] < 0 else scale)
 
 
 def vertical_brackets(n):
@@ -319,14 +334,24 @@ def swapped_complement(spec):
     return mats
 
 
+def sparse(row):
+    """A dense row as the zero-free dict that the linalg front-ends take."""
+    return {j: Fraction(x) for j, x in enumerate(row) if x}
+
+
+def dense(vec, ncols):
+    """A sparse vector as a dense row of ncols Fractions."""
+    return [vec.get(j, Fraction(0)) for j in range(ncols)]
+
+
 def invert(a_rows):
     """Inverse of a square Fraction matrix; row j is the combination of rows
     giving e_j."""
     n = len(a_rows)
-    ech = Echelon(_sparse(r) for r in a_rows)
+    ech = Echelon(sparse(r) for r in a_rows)
     if ech.rank != n:
         raise ValueError("matrix not invertible")
-    return [_dense(ech.coordinates({j: Fraction(1)}), n) for j in range(n)]
+    return [dense(ech.coordinates({j: Fraction(1)}), n) for j in range(n)]
 
 
 def trace_form(rep):
@@ -439,10 +464,11 @@ def pure_bidegree_by_nullspace(n):
     out = []
     for keep, drop in zip(bds, bds[::-1]):
         part1, part2 = rows[0].get(drop, {}), rows[1].get(drop, {})
-        kern = nullspace([[Fraction(part1.get(S, 0)), Fraction(part2.get(S, 0))]
+        kern = nullspace([sparse([part1.get(S, 0), part2.get(S, 0)])
                           for S in sorted(set(part1) | set(part2))], 2)
         assert len(kern) == 1, "pure bi-degree combination not unique"
-        form = lincomb((kern[0][0], v1), (kern[0][1], v2))
+        a, b = dense(kern[0], 2)
+        form = lincomb((a, v1), (b, v2))
         assert form and all(_bidegree(S) == keep for S in form)
         out.append(form)
     return tuple(out)

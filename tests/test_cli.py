@@ -60,6 +60,11 @@ def test_usage_error_exit_code(capsys):
     ["reproduce", "table4", "--n", "3", "--beta=5"],
     ["reproduce", "maxmodel", "--beta=1"],
     ["model-report", "--spec", "H4:n=3:c1=1:c1=2"],
+    # --grid where the report reads no metric point
+    ["model-report", "--spec", "FlatMax:n=2", "--grid", "2,1;3,1"],
+    ["model-report", "--spec", "TwistedTheta:n=3", "--grid", "2,1"],
+    ["model-report", "--spec", "MaxCurved:c=1:n=2", "--grid", "1,1"],
+    ["model-report", "--spec", "QHP:n=2", "--grid", "2,1;3,1"],
 ])
 def test_bad_input_exits_2_with_one_line_message(argv):
     import qhlab

@@ -13,16 +13,16 @@ from qhlab.forms import (ce_differential, codifferential, contract_pair,
                          hodge_star, invariant_five_forms, isotypic_split,
                          lincomb, one_form_differentials, pullback_all_slots,
                          table4_row, wedge,
-                         _bidegree, _calibration_scales, _split_domega)
+                         _bidegree, _calibration_scales, _poly_primitive, _split_domega)
 from qhlab.lie import derivation, derivation_op, op_apply, sort_sign
 from qhlab.linalg import Echelon
 from qhlab.models import (ModelSpec, bracket_space_dims, build_model, isotropy_rep,
                           quaternionic_triple, symbolic_model)
-from qhlab.poly import Poly
+from qhlab.poly import NVARS, Poly
 from qhlab.quaternion import Quaternion
 
 from oracles import (casimir_split, class_at, invariant_five_forms_by_kernel,
-                     materialised_common_kernel, pure_bidegree_by_nullspace,
+                     materialised_common_kernel, primitive_by_content, pure_bidegree_by_nullspace,
                      rational_forms, rotated_triple, substitute)
 
 rng = random.Random(2024)
@@ -421,6 +421,19 @@ def test_genuine_loci_regression():
         loci = genuine_loci(symbolic_model(kind, 3))
         assert loci.p_eh == Poly.parse(eh), kind
         assert loci.p_kh == Poly.parse(kh), kind
+
+
+_monomial = st.tuples(*[st.integers(0, 3)] * NVARS)
+_coefficient = st.builds(Fraction, st.integers(-40, 40), st.integers(1, 36))
+
+
+@given(st.dictionaries(_monomial, _coefficient, max_size=6))
+@settings(max_examples=150, deadline=None)
+def test_poly_primitive_is_division_by_the_content(terms):
+    # content = gcd(numerators) / lcm(denominators) for reduced fractions, so
+    # sv_primitive's rescaling is the content one, up to the grlex-lead sign
+    p = Poly(terms)
+    assert _poly_primitive(p) == primitive_by_content(p)
 
 
 _LOCUS_POINTS = [

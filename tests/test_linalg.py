@@ -6,9 +6,9 @@ from hypothesis import strategies as st
 
 from qhlab.linalg import (Echelon, connected_components, nullspace, rref,
                           sparse_nullspace, sv_add_scaled, sv_primitive)
-from qhlab.poly import Poly
+from qhlab.poly import NVARS, Poly
 
-from oracles import invert
+from oracles import dense, invert, sparse
 
 rng = random.Random(555)
 
@@ -17,10 +17,6 @@ def rand_matrix(rows, cols, density=1.0):
     return [[Fraction(rng.randint(-6, 6), rng.randint(1, 4))
              if rng.random() < density else Fraction(0)
              for _ in range(cols)] for _ in range(rows)]
-
-
-def sparse(row):
-    return {j: x for j, x in enumerate(row) if x}
 
 
 def rank(rows):
@@ -71,12 +67,12 @@ def reference_kernel(rows, ncols):
 
 def test_nullspace_examples():
     ident = [[Fraction(i == j) for j in range(3)] for i in range(3)]
-    assert nullspace(ident, 3) == []
+    assert nullspace([sparse(r) for r in ident], 3) == []
     zero = [[Fraction(0)] * 3 for _ in range(2)]
-    assert len(nullspace(zero, 3)) == 3
-    kern = nullspace([[Fraction(1), Fraction(-1)]], 2)
+    assert len(nullspace([sparse(r) for r in zero], 3)) == 3
+    kern = nullspace([sparse([Fraction(1), Fraction(-1)])], 2)
     assert len(kern) == 1
-    v = kern[0]
+    v = dense(kern[0], 2)
     assert v[0] == v[1] != 0
 
 
@@ -84,7 +80,7 @@ def test_nullspace_annihilates_and_rank_nullity():
     for _ in range(40):
         m, n = rng.randint(1, 7), rng.randint(1, 7)
         a = rand_matrix(m, n, density=0.7)
-        kern = nullspace(a, n)
+        kern = [dense(v, n) for v in nullspace([sparse(r) for r in a], n)]
         assert rank(a) + len(kern) == n
         for v in kern:
             for row in a:
@@ -118,10 +114,10 @@ def test_solve_inconsistent():
 
 def test_rref_idempotent():
     a = rand_matrix(4, 6, density=0.8)
-    ech, piv = rref(a)
-    again, piv2 = rref(ech)
-    assert ech == again and piv == piv2
-    assert (ech, piv) == reference_rref(a, 6)
+    ech = rref([sparse(r) for r in a])
+    again = rref(ech)
+    assert ech == again
+    assert ([dense(r, 6) for r in ech], [min(r) for r in ech]) == reference_rref(a, 6)
 
 
 def test_sparse_matches_dense():
@@ -183,13 +179,31 @@ def matrices(draw, max_rows=6, max_cols=7):
 def test_kernel_is_the_reference_rref_kernel(mat):
     a, n = mat
     ref = reference_kernel(a, n)
-    assert nullspace(a, n) == ref
+    assert [dense(v, n) for v in nullspace([sparse(r) for r in a], n)] == ref
     kern = sparse_nullspace([sparse(r) for r in a], n)
     for v in kern:
         for row in a:
             assert sum(row[j] * x for j, x in v.items()) == 0
     assert kern == sorted((sv_primitive(sparse(v)) for v in ref), key=min)
-    assert rref(a) == reference_rref(a, n)
+    ech = rref([sparse(r) for r in a])
+    assert ([dense(r, n) for r in ech], [min(r) for r in ech]) == reference_rref(a, n)
+
+
+@given(matrices(), st.lists(st.tuples(*[st.integers(-2, 3)] * NVARS), min_size=7, max_size=7,
+                            unique=True))
+@settings(max_examples=80, deadline=None)
+def test_rref_and_kernel_over_monomial_keys(mat, monos):
+    # column j keyed by the j-th smallest monomial: the pivot order is the
+    # column order, so the echelon is the reference one relabelled
+    a, n = mat
+    key = sorted(monos)[:n]
+    rows = [{key[j]: x for j, x in sparse(r).items()} for r in a]
+    ech, piv = reference_rref(a, n)
+    assert rref(rows) == [{key[j]: x for j, x in sparse(r).items()} for r in ech]
+    assert [min(r) for r in rref(rows)] == [key[c] for c in piv]
+    kern = Echelon(rows).kernel(key)
+    assert kern == [{key[j]: x for j, x in sparse(v).items()} for v in reference_kernel(a, n)]
+    assert nullspace([sparse(r) for r in a], n) == [sparse(v) for v in reference_kernel(a, n)]
 
 
 @given(matrices())

@@ -7,7 +7,7 @@ from qhlab.linalg import accumulate
 from qhlab.quaternion import (IM_UNITS, Q_I, Q_J, Q_K, Q_ONE, UNITS, Quaternion, rat,
                               sp_basis, sp_coordinates)
 
-from oracles import commutator, hermitian_metric, qmatmul
+from oracles import commutator, hermitian_metric, qmatmul, sparse
 
 rng = random.Random(1214)
 
@@ -154,8 +154,8 @@ def test_sp_rank_matches_dimension():
         for r in range(n):
             for c in range(n):
                 for comp in range(4):
-                    eqrows.append([d.get((r, c), Quaternion()).components()[comp]
-                                   for d in defects])
+                    eqrows.append(sparse([d.get((r, c), Quaternion()).components()[comp]
+                                          for d in defects]))
         kern = nullspace(eqrows, len(unknowns))
         assert len(kern) == n * (2 * n + 1)
 

@@ -115,6 +115,12 @@ def test_bracket_tables_are_built_only_by_the_quaternion_realifier():
         "models.py:bracket_from_params", "models.py:twisted_theta"]
 
 
+def test_no_component_split_in_the_solvers():
+    # one RREF already eliminates independent blocks independently, so the
+    # union-find serves only classify's grouping of curvature blocks
+    assert _call_sites("connected_components") == ["geometry.py:_block_partition"]
+
+
 def test_brackets_are_read_only_by_the_two_model_readers():
     # one read per algebra: sp(1) + sp(m) once per (n, m), and QHP/QHH's
     # g = h + m once per build, off h's matrices and m's
