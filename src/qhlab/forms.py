@@ -316,10 +316,7 @@ def solve_wedge_omega(target: dict, omega: dict, dim: int) -> dict | None:
     None when unsolvable."""
     span = Echelon(wedge({(x,): Fraction(1)}, omega) for x in range(dim))
     sol = span.coordinates(target)
-    if sol is None:
-        return None
-    zeta = {(x,): v for x, v in sol.items()}
-    return zeta if wedge(zeta, omega) == target else None
+    return None if sol is None else {(x,): v for x, v in sol.items()}
 
 
 @dataclass
@@ -397,10 +394,7 @@ def plane_coordinates(form: dict, p1: dict, p2: dict):
     coords = plane.coordinates(form)
     if coords is None:
         raise AssertionError("form leaves the invariant plane")
-    x, y = coords.get(0, Fraction(0)), coords.get(1, Fraction(0))
-    if lincomb((1, form), (-x, p1), (-y, p2)):
-        raise AssertionError("form leaves the invariant plane")
-    return x, y
+    return coords.get(0, Fraction(0)), coords.get(1, Fraction(0))
 
 
 @dataclass

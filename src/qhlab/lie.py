@@ -3,7 +3,9 @@ equivariant/invariant solvers.
 
 Structure constants have one source, ``matrix_algebra``, which reads them off
 the commutators of a faithful family of matrices and so certifies bracket,
-Jacobi identity and representation in one exact pass.
+Jacobi identity and representation in one exact pass: the coordinates of each
+commutator are read off the pivots of one echelon of the matrices and
+certified by recombination inside the engine (``Echelon.coordinates``).
 
 Sparse conventions: a vector is a dict {index: scalar}; an operator is
 column-major, op[col] = {row: scalar}; a form (an element of an exterior
@@ -269,30 +271,34 @@ def matrix_algebra(mats: list[ColMat], dim: int) -> Representation:
 
     Raises AssertionError unless the matrices are independent and their span
     is closed under the commutator.  c_ij^k are the coordinates of
-    [mats[i], mats[j]] in one echelon of the span, and sum_k c_ij^k mats[k] is
-    re-checked against the commutator exactly.  e_i -> mats[i] is then a
-    faithful linear image of the matrix commutator, so Jacobi and the
-    homomorphism hold by construction and need no pass of their own.
+    [mats[i], mats[j]] in one echelon of the span: read off its pivots and
+    certified by recombination inside the engine, so sum_k c_ij^k mats[k]
+    equals the commutator exactly.  e_i -> mats[i] is then a faithful linear
+    image of the matrix commutator, so Jacobi and the homomorphism hold by
+    construction and need no pass of their own.  Entries are int-coded where
+    integral, so the commutators of the integral families cost int products.
     """
-    flat = [flatten_op(m, dim) for m in mats]
-    span = Echelon(flat)
+    cols = [{c: {r: int(x) if x.denominator == 1 else x for r, x in col.items()}
+             for c, col in m.items() if col} for m in mats]
+    rows = [op_transpose(m) for m in cols]
+    span = Echelon(flatten_op(m, dim) for m in cols)
     if span.rank != len(mats):
         raise AssertionError("the matrices are linearly dependent")
     brackets: dict[tuple[int, int], SparseVec] = {}
     for i, j in combinations(range(len(mats)), 2):
-        comm = flatten_op(op_sub(op_compose(mats[i], mats[j]),
-                                 op_compose(mats[j], mats[i])), dim)
+        comm: dict = {}  # [A, B] at c * dim + r, one pass over the shared inner indices t
+        for t in (cols[i].keys() & rows[j].keys()) | (cols[j].keys() & rows[i].keys()):
+            for a, b, sign in ((i, j, 1), (j, i, -1)):
+                for r, x in cols[a].get(t, {}).items():
+                    for c, y in rows[b].get(t, {}).items():
+                        comm[c * dim + r] = comm.get(c * dim + r, 0) + sign * x * y
+        comm = {k: x for k, x in comm.items() if x}
         if not comm:
             continue
         coords = span.coordinates(comm)
         if coords is None:
             raise AssertionError(f"the span is not closed under the commutator at pair ({i},{j})")
-        rhs: SparseVec = {}
-        for k, c in coords.items():
-            accumulate(rhs, flat[k], c)
-        if rhs != comm:
-            raise AssertionError(f"commutator coordinates fail their certificate at pair ({i},{j})")
-        brackets[(i, j)] = dict(sorted(coords.items()))
+        brackets[(i, j)] = {k: Fraction(c) for k, c in sorted(coords.items())}
     return Representation(LieAlgebra(len(mats), brackets, verified=True), dim, mats,
                           verified=True)
 

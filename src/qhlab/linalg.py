@@ -3,8 +3,9 @@
 One elimination engine, :class:`Echelon`: the sparse, incremental, fully
 reduced row echelon form of the span of the vectors inserted so far.  Vectors
 are zero-free dicts {key: scalar} whose keys only need an order (column ints,
-form index tuples, monomials).  Inserted vectors are Fraction-valued; vectors
-reduced against the echelon or written in its span may carry Poly entries.
+form index tuples, monomials).  Inserted vectors are rational (int or
+Fraction entries); vectors reduced against the echelon or written in its span
+may carry Poly entries.
 
 Its front-ends take and return such sparse vectors: ``rref`` (the RREF rows),
 ``nullspace`` and ``sparse_nullspace`` (the kernel, made integer-primitive by
@@ -117,7 +118,7 @@ class Echelon:
         self.rows: dict = {}       # pivot -> row
         self.inserted: list = []   # the vectors as given (not copied), in order
         self._touching: dict = {}  # key -> pivots whose row has a nonzero there
-        self._tagged: Echelon | None = None
+        self._tagged: dict | None = None  # pivot -> tag part t_p, for coordinates
         for v in vectors:
             self.add(v)
 
@@ -160,17 +161,27 @@ class Echelon:
         when v is off the span.  Unique when the inserted vectors are
         independent; vectors that did not enlarge the span get no weight.
 
-        Read off the echelon of the inserted vectors each extended by a unit
-        tag, [B | I]: reducing (v, 0) leaves (0, -x).  Tags sort after every
-        key, later ones first, so a dependent vector's tag is a pivot.
+        Read off the pivots: x = sum of v[p] * t_p over the pivots p of v,
+        where t_p is the tag part of the pivot-p row of the echelon of the
+        inserted vectors each extended by a unit tag, [B | I].  Tags sort
+        after every key, later ones first, so a dependent vector's tag is a
+        pivot and no t_p weighs it.  The read is certified by recombining
+        the inserted vectors, which must give v exactly.
         """
         if self._tagged is None:
-            self._tagged = Echelon({**{(0, k): x for k, x in b.items()}, (1, -i): Fraction(1)}
-                                   for i, b in enumerate(self.inserted))
-        red = self._tagged.reduce({(0, k): x for k, x in v.items()})
-        if any(side == 0 for side, _ in red):
-            return None
-        return {-i: -x for (_, i), x in red.items()}
+            tagged = Echelon({**{(0, k): x for k, x in b.items()}, (1, -i): Fraction(1)}
+                             for i, b in enumerate(self.inserted))
+            self._tagged = {p: {-i: int(x) if x.denominator == 1 else x
+                                for (side, i), x in row.items() if side}
+                            for (side, p), row in tagged.rows.items() if not side}
+        x: dict = {}
+        for p, s in v.items():
+            if p in self._tagged:
+                accumulate(x, self._tagged[p], s)
+        rebuilt: dict = {}
+        for i, s in x.items():
+            accumulate(rebuilt, self.inserted[i], s)
+        return x if rebuilt == v else None
 
     def kernel(self, columns) -> list[SparseVec]:
         """Basis of {x : row . x = 0 for every row} on the given columns: one

@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 from qhlab.cli import _GRID, _SPECIAL, _prop12_expected
 from qhlab.forms import _bidegree, _sqrt_fraction, lincomb, plane_coordinates
 from qhlab.lie import (BilinearMap, LieAlgebra, Representation, common_kernel, derivation,
-                       op_apply, op_compose, op_is_zero, op_sub, op_transpose, semidirect)
+                       flatten_op, op_apply, op_compose, op_is_zero, op_sub, op_transpose,
+                       semidirect)
 from qhlab.linalg import (Echelon, accumulate, nullspace, sparse_nullspace, sv_add_scaled,
                           sv_primitive)
 from qhlab.geometry import GroupData, classify, curvature
@@ -245,6 +246,51 @@ def shifted(brackets, offset):
     """Structure constants with every basis index moved up by offset."""
     return {(i + offset, j + offset): {k + offset: v for k, v in col.items()}
             for (i, j), col in brackets.items()}
+
+
+def coordinates_by_tagged_reduce(ech):
+    """Echelon.coordinates as it was before the pivot read, as a function of
+    v: reduce (v, 0) against the echelon of ech's inserted vectors each
+    extended by a unit tag, [B | I], built once here; that leaves (0, -x)
+    exactly when v is in the span.  Tags sort after every key, later ones
+    first, so a dependent vector's tag is a pivot and gets no weight."""
+    tagged = Echelon({**{(0, k): x for k, x in b.items()}, (1, -i): Fraction(1)}
+                     for i, b in enumerate(ech.inserted))
+
+    def coordinates(v):
+        red = tagged.reduce({(0, k): x for k, x in v.items()})
+        if any(side == 0 for side, _ in red):
+            return None
+        return {-i: -x for (_, i), x in red.items()}
+    return coordinates
+
+
+def matrix_algebra_by_tagged_echelon(mats, dim):
+    """The structure-constant reader lie.matrix_algebra replaced: Fraction
+    compositions of every basis pair, coordinates by the tagged reduce, and
+    its own recombination re-check of each commutator."""
+    flat = [flatten_op(m, dim) for m in mats]
+    span = Echelon(flat)
+    if span.rank != len(mats):
+        raise AssertionError("the matrices are linearly dependent")
+    coordinates = coordinates_by_tagged_reduce(span)
+    brackets = {}
+    for i, j in combinations(range(len(mats)), 2):
+        comm = flatten_op(op_sub(op_compose(mats[i], mats[j]),
+                                 op_compose(mats[j], mats[i])), dim)
+        if not comm:
+            continue
+        coords = coordinates(comm)
+        if coords is None:
+            raise AssertionError(f"the span is not closed under the commutator at pair ({i},{j})")
+        rhs = {}
+        for k, c in coords.items():
+            accumulate(rhs, flat[k], c)
+        if rhs != comm:
+            raise AssertionError(f"commutator coordinates fail their certificate at pair ({i},{j})")
+        brackets[(i, j)] = dict(sorted(coords.items()))
+    return Representation(LieAlgebra(len(mats), brackets, verified=True), dim, mats,
+                          verified=True)
 
 
 def checked(rep):

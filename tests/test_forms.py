@@ -11,8 +11,8 @@ from qhlab.cli import main
 from qhlab.forms import (ce_differential, codifferential, contract_pair,
                          first_order_tests, fundamental_forms, genuine_loci,
                          hodge_star, invariant_five_forms, isotypic_split,
-                         lincomb, one_form_differentials, pullback_all_slots,
-                         table4_row, wedge,
+                         lincomb, one_form_differentials, plane_coordinates,
+                         pullback_all_slots, solve_wedge_omega, table4_row, wedge,
                          _bidegree, _calibration_scales, _poly_primitive, _split_domega)
 from qhlab.lie import derivation, derivation_op, op_apply, sort_sign
 from qhlab.linalg import Echelon
@@ -505,3 +505,31 @@ def test_contract_pair_and_pullback_shapes():
     assert paired and all(len(S) == 1 for S in paired)
     derived = derivation(delta, I)
     assert derived and all(len(S) == 3 for S in derived)
+
+
+def test_plane_coordinates_reject_an_off_plane_poly_form():
+    # the pivot read of each off-plane form below is a point (x, y) of the
+    # plane; only the engine's recombination certificate rejects the form
+    p1, p2 = invariant_five_forms(3)
+    x, y = Poly.var("c1"), Poly.var("c2") * 2 - 1
+    on_plane = lincomb((x, p1), (y, p2))
+    assert plane_coordinates(on_plane, p1, p2) == (x, y)
+    pivots = Echelon([p1, p2]).rows
+    inside = next(S for S in p1 if S not in pivots)
+    outside = (1, 2, 3, 4, 5)  # both parts are e^0 ^ (a 4-form)
+    assert outside not in p1 and outside not in p2
+    for key in (inside, outside):
+        off = lincomb((1, on_plane), (1, {key: Poly.var("c1")}))
+        with pytest.raises(AssertionError, match="form leaves the invariant plane"):
+            plane_coordinates(off, p1, p2)
+
+
+def test_solve_wedge_omega_returns_none_for_an_unsolvable_target():
+    # zeta ^ e01 spans e012 and e013 on R^4; e023 is zero at both pivots, so
+    # its pivot read is zeta = 0 and only the recombination rejects it
+    omega = {(0, 1): F(1)}
+    solvable = lincomb((1, wedge({(2,): F(1)}, omega)), (F(-3, 2), wedge({(3,): F(1)}, omega)))
+    zeta = solve_wedge_omega(solvable, omega, 4)
+    assert zeta == {(2,): F(1), (3,): F(-3, 2)} and wedge(zeta, omega) == solvable
+    assert solve_wedge_omega({(0, 2, 3): F(1)}, omega, 4) is None
+    assert solve_wedge_omega(lincomb((1, solvable), (1, {(0, 2, 3): F(1)})), omega, 4) is None

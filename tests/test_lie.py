@@ -10,7 +10,7 @@ from qhlab.forms import lincomb, wedge
 from qhlab.lie import (BilinearMap, LieAlgebra, Representation, derivation,
                        equivariant_hom, matrix_algebra, op_transpose, semidirect, sort_sign)
 from qhlab.linalg import Echelon
-from qhlab.models import (_maxmodel_jacobiator, ambient_rep, bracket_from_params,
+from qhlab.models import (_maxmodel_jacobiator, _sp_pair_rep, ambient_rep, bracket_from_params,
                           horizontal_brackets, isotropy_rep, maximal_vertical_bracket,
                           maxmodel_jacobi_holds, twisted_theta)
 from qhlab.poly import Poly
@@ -168,6 +168,28 @@ def test_matrix_algebra_rejects_a_family_not_closed_under_the_commutator():
     # [E_01, E_10] = E_00 - E_11 leaves the span of E_01 and E_10 in gl(2)
     with pytest.raises(AssertionError, match=r"not closed under the commutator at pair \(0,1\)"):
         matrix_algebra([_unit(0, 1), _unit(1, 0)], 2)
+
+
+nonintegral = st.builds(Fraction, st.integers(-7, 7).filter(bool), st.integers(2, 7))
+
+
+@given(st.data())
+@settings(max_examples=25, deadline=None)
+def test_matrix_algebra_reads_rescaled_matrices_exactly(data):
+    # every production family is integral; rescaling each basis matrix by a
+    # nonzero rational s_i sends the Fraction branch of the int coding
+    # through the reader: c'_ij^k = s_i s_j c_ij^k / s_k, all Fractions
+    gl2 = [_unit(0, 0), _unit(0, 1), _unit(1, 0), _unit(1, 1)]
+    for mats, dim in ((gl2, 2), (_sp_pair_rep(2, 1)[1].mats, 8)):
+        s = data.draw(st.lists(nonintegral, min_size=len(mats), max_size=len(mats)))
+        scaled = [{c: {r: s[i] * x for r, x in col.items()} for c, col in m.items()}
+                  for i, m in enumerate(mats)]
+        alg = matrix_algebra(scaled, dim).algebra
+        expected = {(i, j): {k: s[i] * s[j] * c / s[k] for k, c in col.items()}
+                    for (i, j), col in matrix_algebra(mats, dim).algebra.brackets.items()}
+        assert alg.brackets == expected
+        assert all(type(v) is Fraction for col in alg.brackets.values() for v in col.values())
+        assert not alg.structure.jacobiator()
 
 
 def test_invariant_vectors_trivial_rep():

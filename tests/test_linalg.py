@@ -8,7 +8,7 @@ from qhlab.linalg import (Echelon, connected_components, nullspace, rref,
                           sparse_nullspace, sv_add_scaled, sv_primitive)
 from qhlab.poly import NVARS, Poly
 
-from oracles import dense, invert, sparse
+from oracles import coordinates_by_tagged_reduce, dense, invert, sparse
 
 rng = random.Random(555)
 
@@ -252,3 +252,48 @@ def test_poly_target_in_a_rational_plane(p1, p2, a, b, c):
     if not target[off]:
         del target[off]
     assert plane.coordinates(target) is None
+
+
+poly_weight = st.one_of(entry, st.builds(lambda a, b: Poly.var("c1") * a + Poly.var("c2") * b,
+                                         entry, entry))
+
+
+@given(matrices(), st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5), entry, entry),
+                            max_size=3),
+       st.lists(poly_weight, min_size=9, max_size=9), st.lists(entry, min_size=7, max_size=7))
+@settings(max_examples=120, deadline=None)
+def test_coordinates_equal_the_tagged_reduce(mat, combos, weights, probe):
+    # the pivot read with its recombination certificate gives the tagged
+    # reduce's values, value types and None cases: inserted vectors that are
+    # combinations of earlier ones get no weight, targets may be Poly-valued
+    a, n = mat
+    rows = [sparse(r) for r in a]
+    for i, j, s, t in combos:
+        rows.append(sv_add_scaled(sv_add_scaled({}, rows[i % len(a)], s), rows[j % len(a)], t))
+    ech = Echelon(rows)
+    dependent = {i for i in range(len(rows))
+                 if Echelon(rows[:i + 1]).rank == Echelon(rows[:i]).rank}
+    target: dict = {}
+    for w, row in zip(weights, rows):
+        for k, x in row.items():
+            target[k] = target.get(k, Fraction(0)) + w * x
+    target = {k: x for k, x in target.items() if x}
+    reference = coordinates_by_tagged_reduce(ech)
+    for v in (target, sparse(probe[:n]), {**target, n: Fraction(1)}):
+        x, ref = ech.coordinates(v), reference(v)
+        assert x == ref
+        if x is not None:
+            assert {i: type(c) for i, c in x.items()} == {i: type(c) for i, c in ref.items()}
+            assert not dependent & x.keys()
+    assert ech.coordinates(target) is not None
+    assert ech.coordinates({**target, n: Fraction(1)}) is None
+
+
+def test_coordinates_reject_a_vector_that_is_zero_at_every_pivot():
+    # the pivot read of {1: 1} against the span of e0 + e1 is x = {}, so only
+    # the recombination tells it apart from the zero vector
+    ech = Echelon([{0: Fraction(1), 1: Fraction(1)}])
+    assert ech.coordinates({1: Fraction(1)}) is None
+    reference = coordinates_by_tagged_reduce(ech)
+    assert reference({1: Fraction(1)}) is None
+    assert ech.coordinates({}) == {} == reference({})

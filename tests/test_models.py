@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 from qhlab import models
 from qhlab.cli import main
 from qhlab.lie import LieAlgebra, matrix_algebra, op_compose, op_is_zero, op_sub
-from qhlab.models import (H_KINDS, MODEL_KINDS, ModelSpec, _action, _certified_triple,
+from qhlab import lie
+from qhlab.linalg import Echelon
+from qhlab.models import (H_KINDS, MODEL_KINDS, ModelSpec, _action, _certified_triple, _complement,
                           _maxmodel_jacobiator, _restrict_rep, ambient_rep, ambient_triple,
                           apply_scaling, bracket_from_params, bracket_space_dims, build_model,
                           dims, horizontal_brackets, in_families, inadmissible_hom_dim, isotropy_rep,
@@ -21,7 +23,8 @@ from qhlab.poly import Poly, proportionality
 from qhlab.quaternion import IM_UNITS, Q_I, UNITS, Quaternion, sp_basis
 
 from oracles import (SP1_BRACKETS, checked, dense_sp_brackets, hermitian_metric,
-                     invariant_vectors, is_equivariant, maxmodel_jacobi_by_assembly,
+                     invariant_vectors, is_equivariant, matrix_algebra_by_tagged_echelon,
+                     maxmodel_jacobi_by_assembly,
                      reductive_split, rotated_triple, shifted, swapped_complement,
                      vertical_brackets)
 
@@ -384,6 +387,45 @@ def test_sparse_sp_constants_match_dense_commutators(p, q):
     mats = [_action(n, u, {}) for u in UNITS] + [_action(n, None, X) for X in sp_basis(p, q)]
     expected = {**shifted(SP1_BRACKETS, 1), **shifted(dense_sp_brackets(p, q), 4)}
     assert _ordered(matrix_algebra(mats, 4 * n).algebra.brackets) == _ordered(expected)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_reader_tables_equal_the_tagged_echelon_reader(n):
+    # isotropy, ambient, QHP and QHH: keys, insertion order and values as the
+    # Fraction reader gives them, and every value a Fraction, so no int of the
+    # int-coded commutators leaks out (== alone would not tell 2 from Fraction(2))
+    iso = isotropy_rep(n)[1].mats
+    families = [(isotropy_rep(n)[0], iso), (ambient_rep(n)[0], ambient_rep(n)[1].mats)]
+    for kind in ("QHP", "QHH"):
+        mats = iso + _complement(ModelSpec(kind, n))
+        families.append((matrix_algebra(mats, 4 * n).algebra, mats))
+    for alg, mats in families:
+        expected = matrix_algebra_by_tagged_echelon(mats, 4 * n).algebra.brackets
+        assert _ordered(alg.brackets) == _ordered(expected)
+        assert all(type(v) is Fraction for col in alg.brackets.values() for v in col.values())
+
+
+def test_reader_echelonises_once_and_composes_nothing(monkeypatch):
+    # a count guard, not a timing test: the 40 matrices of QHH at n = 4 are
+    # inserted once into the span and once into its tagged copy; no pair is
+    # reduced on its own and no Fraction composition is formed
+    mats = isotropy_rep(4)[1].mats + _complement(ModelSpec("QHH", 4))
+    calls = {"add": 0, "reduce": 0}
+    add, reduce = Echelon.add, Echelon.reduce
+
+    def counting(name, fn):
+        def wrapped(self, v):
+            calls[name] += 1
+            return fn(self, v)
+        return wrapped
+
+    def no_compose(a, b):
+        raise AssertionError("op_compose called")
+    monkeypatch.setattr(Echelon, "add", counting("add", add))
+    monkeypatch.setattr(Echelon, "reduce", counting("reduce", reduce))
+    monkeypatch.setattr(lie, "op_compose", no_compose)
+    assert len(mats) == 40 and matrix_algebra(mats, 16).verified
+    assert calls == {"add": 80, "reduce": 80}
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
