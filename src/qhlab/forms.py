@@ -18,7 +18,7 @@ from math import isqrt
 from types import MappingProxyType
 
 # common_kernel is unused here; bench/test_bench.py pins the forms.common_kernel binding
-from .lie import ColMat, common_kernel, derivation, op_is_skew, sort_sign
+from .lie import ColMat, common_kernel, derivation, sort_sign
 from .linalg import Echelon, accumulate, nullspace, sv_primitive
 from .poly import Poly, proportionality
 from .models import (HomogeneousModel, ambient_rep, ambient_triple, basis_block, isotropy_rep,
@@ -95,13 +95,10 @@ def fundamental_forms(model: HomogeneousModel) -> tuple[dict, dict, dict, dict]:
 
 
 def _triple_forms(triple, G: list) -> tuple[dict, dict, dict, dict]:
-    """(omega_I, omega_J, omega_K, Omega) for a triple and a diagonal metric G."""
-    omegas = []
-    for A in triple:
-        if not op_is_skew(A, G):
-            raise AssertionError("omega_A is not antisymmetric")
-        omegas.append({(i, j): G[i] * v for j, col in A.items()
-                       for i, v in col.items() if i < j and v})
+    """(omega_I, omega_J, omega_K, Omega) for a triple and a diagonal metric G;
+    each A is skew for G, as models._certified_triple proves for every g_{c1,c2}."""
+    omegas = [{(i, j): G[i] * v for j, col in A.items() for i, v in col.items() if i < j and v}
+              for A in triple]
     omega = lincomb(*((1, wedge(om, om)) for om in omegas))
     return omegas[0], omegas[1], omegas[2], omega
 

@@ -26,8 +26,7 @@ from .lie import (BilinearMap, ColMat, LieAlgebra, Representation,
                   op_is_skew, op_is_zero, op_sub, semidirect)
 from .linalg import Echelon, SparseVec, accumulate, rref
 from .poly import Poly
-from .quaternion import (IM_UNITS, UNITS, QMat, Quaternion, format_rat, rat, sp_basis,
-                         sp_coordinates)
+from .quaternion import IM_UNITS, UNITS, QMat, Quaternion, format_rat, rat, sp_basis
 
 HORIZONTAL_NAMES = ("Theta", "Psi1", "Psi2", "Upsilon1", "Upsilon2")
 PARAM_NAMES = ("alpha", "beta1", "beta2", "gamma1", "gamma2")
@@ -64,11 +63,9 @@ def metric_diag(n: int, c1, c2) -> list:
 
 
 def _quat_to_slot(p: int, q: Quaternion) -> SparseVec:
-    out: SparseVec = {}
-    for u, comp in enumerate(q.components()):
-        if comp:
-            out[4 * p + u] = comp
-    return out
+    """q in slot p as a real vector: the one place a quaternion's (int or
+    Fraction) components enter a vector, always as Fractions."""
+    return {4 * p + u: Fraction(comp) for u, comp in enumerate(q.components()) if comp}
 
 
 def _realify(n: int, image) -> ColMat:
@@ -144,9 +141,13 @@ def ambient_rep(n: int) -> tuple[LieAlgebra, Representation, tuple[int, ...]]:
 
 def _certified_triple(triple: tuple[ColMat, ColMat, ColMat],
                       rho: Representation) -> tuple[ColMat, ColMat, ColMat]:
-    """triple, checked: I^2 = J^2 = K^2 = -Id, I J = K and a rho-invariant span.
-    The two cached triples below pass it once per n and must not be modified."""
+    """triple, checked: Hermitian for g_{c1,c2} at symbolic c1, c2, I^2 = J^2 =
+    K^2 = -Id, I J = K and a rho-invariant span.  The two cached triples below
+    pass it once per n and must not be modified."""
     I, J, K = triple
+    metric = metric_diag(rho.dim // 4, Poly.var("c1"), Poly.var("c2"))
+    if not all(op_is_skew(A, metric) for A in triple):
+        raise AssertionError("metric is not Hermitian for the triple")
     minus_id: ColMat = {c: {c: Fraction(-1)} for c in range(rho.dim)}
     for A in triple:
         if not op_is_zero(op_sub(op_compose(A, A), minus_id)):
@@ -303,59 +304,35 @@ def normalize(params) -> NormalForm:
     a, b1, b2, g1, g2 = p
     if not any(p):
         raise ValueError("flat bracket (all parameters zero) is excluded")
-    one = Fraction(1)
-    if a != 0:
-        if b2 != 0:
-            s = 1 / b2
-            sign = 1 if a * b2 > 0 else -1
-            t_sq = Fraction(sign) * s / a
-            name = "H1+" if sign > 0 else "H1-"
-            canon = (Fraction(sign), Fraction(2), one, Fraction(0), Fraction(0))
-            return NormalForm(name, canon, None, s, t_sq)
-        # beta's vanish, so s is free up to the alpha slot; fix t^2 = 1, s = alpha
-        return NormalForm("H2", (one, *(Fraction(0),) * 4), None, a, one)
-    if g2 != 0:
-        s = 1 / g1
-        beta = b2 / g1
-        return NormalForm("H6", (Fraction(0), Fraction(0), beta, one, one),
-                          beta, s, one)
-    if g1 != 0:
-        s = 1 / g1
-        beta = b2 / g1
-        return NormalForm("H5", (Fraction(0), Fraction(0), beta, one, Fraction(0)),
-                          beta, s, one)
-    if b1 != 0:
-        s = 2 / b1
-        beta = 2 * b2 / b1
-        return NormalForm("H3", (Fraction(0), Fraction(2), beta, Fraction(0), Fraction(0)),
-                          beta, s, one)
-    s = 1 / b2
-    return NormalForm("H4", (Fraction(0), Fraction(0), one, Fraction(0), Fraction(0)),
-                      None, s, one)
-
-
-TABLE3_PARAMS = {
-    "H1+": (1, 2, 1, 0, 0),
-    "H1-": (-1, 2, 1, 0, 0),
-    "H2": (1, 0, 0, 0, 0),
-    "H3": ("beta",),  # (0, 2, beta, 0, 0)
-    "H4": (0, 0, 1, 0, 0),
-    "H5": ("beta",),  # (0, 0, beta, 1, 0)
-}
+    beta, t_sq = None, Fraction(1)
+    if a != 0 and b2 != 0:
+        s = 1 / b2
+        sign = 1 if a * b2 > 0 else -1
+        name, t_sq = ("H1+" if sign > 0 else "H1-"), sign * s / a
+    elif a != 0:  # beta's vanish, so s is free up to the alpha slot; fix t^2 = 1, s = alpha
+        name, s = "H2", a
+    elif g1 != 0:
+        name, s, beta = ("H6" if g2 != 0 else "H5"), 1 / g1, b2 / g1
+    elif b1 != 0:
+        name, s, beta = "H3", 2 / b1, 2 * b2 / b1
+    else:
+        name, s = "H4", 1 / b2
+    return NormalForm(name, table3_tuple(name, beta), beta, s, t_sq)
 
 
 def table3_tuple(name: str, beta=None) -> tuple:
-    """Parameters of a table-3 normal form; beta is a rational or a Poly."""
-    if name in ("H1+", "H1-", "H2", "H4"):
-        return tuple(Fraction(x) for x in TABLE3_PARAMS[name])
-    if beta is None:
-        raise ValueError(f"{name} needs a beta parameter")
-    beta = beta if isinstance(beta, Poly) else Fraction(beta)
-    if name == "H3":
-        return (Fraction(0), Fraction(2), beta, Fraction(0), Fraction(0))
-    if name == "H5":
-        return (Fraction(0), Fraction(0), beta, Fraction(1), Fraction(0))
-    raise ValueError(f"unknown normal-form name {name}")
+    """Parameters (alpha, beta1, beta2, gamma1, gamma2) of a table-3 normal
+    form, as Fractions; beta, for H3, H5 and H6, is a rational or a Poly."""
+    if name in ("H3", "H5", "H6"):
+        if beta is None:
+            raise ValueError(f"{name} needs a beta parameter")
+        beta = beta if isinstance(beta, Poly) else Fraction(beta)
+    rows = {"H1+": (1, 2, 1, 0, 0), "H1-": (-1, 2, 1, 0, 0), "H2": (1, 0, 0, 0, 0),
+            "H3": (0, 2, beta, 0, 0), "H4": (0, 0, 1, 0, 0), "H5": (0, 0, beta, 1, 0),
+            "H6": (0, 0, beta, 1, 1)}
+    if name not in rows:
+        raise ValueError(f"unknown normal-form name {name}")
+    return tuple(x if isinstance(x, Poly) else Fraction(x) for x in rows[name])
 
 
 # --------------------------------------------------------------------------
@@ -435,10 +412,11 @@ class HomogeneousModel:
 
     def with_metric(self, c1, c2) -> "HomogeneousModel":
         """The same verified skeleton with the metric g_{c1,c2} (rational or
-        Poly), which is certified Hermitian and isotropy invariant."""
-        clone = replace(self, metric=metric_diag(self.n, c1, c2))
-        verify_metric(clone)
-        return clone
+        Poly), certified isotropy invariant; _certified_triple made it Hermitian."""
+        metric = metric_diag(self.n, c1, c2)
+        if not all(op_is_skew(mat, metric) for mat in self.rho.mats):
+            raise AssertionError("metric is not isotropy invariant")
+        return replace(self, metric=metric)
 
 
 def verify_model(model: HomogeneousModel) -> None:
@@ -447,16 +425,6 @@ def verify_model(model: HomogeneousModel) -> None:
     QHP/QHH's read algebra does; raises on failure."""
     if not model.g.verified and not model.g.verify_jacobi(start=model.rho.algebra.dim):
         raise AssertionError("assembled algebra fails the Jacobi identity")
-
-
-def verify_metric(model: HomogeneousModel) -> None:
-    """Exact checks that the model's metric is Hermitian for the triple and
-    isotropy invariant; raises on any failure."""
-    G = model.metric
-    if not all(op_is_skew(A, G) for A in model.triple):
-        raise AssertionError("metric is not Hermitian for the triple")
-    if not all(op_is_skew(mat, G) for mat in model.rho.mats):
-        raise AssertionError("metric is not isotropy invariant")
 
 
 def _restrict_rep(rep: Representation, sub: LieAlgebra, gens: list[int]) -> Representation:
@@ -473,11 +441,9 @@ def _assemble(spec: ModelSpec, g: LieAlgebra, rho: Representation,
     dh, dm = rho.algebra.dim, rho.dim
     b_m = b_m or BilinearMap.zero(dm, dm)
     b_h = b_h or BilinearMap.zero(dm, dh)
-    model = HomogeneousModel(spec.n, g, rho, b_m, b_h, triple,
-                             metric_diag(spec.n, spec.c1, spec.c2))
+    model = HomogeneousModel(spec.n, g, rho, b_m, b_h, triple, [])
     verify_model(model)
-    verify_metric(model)
-    return model
+    return model.with_metric(spec.c1, spec.c2)
 
 
 def build_model(spec: ModelSpec) -> HomogeneousModel:
@@ -504,15 +470,26 @@ def maximal_vertical_bracket(n: int, c_theta, c_xi) -> BilinearMap:
 
     Im(H) is identified with the sp(1) ideal via v -> -S_v, the sign fixed so
     that the Jacobi identity closes exactly on the c_theta = 2 c_xi locus.
+    Each value is read in k off its action on H^n, through one echelon of
+    ambient_rep(n)'s matrices: Theta(x, y) acts by q -> q Im(conj(x) y) and
+    Xi(x, y) by q -> Xi q.
     """
+    k, rho_k, _ = ambient_rep(n)
+    span = Echelon(flatten_op(mat, 4 * n) for mat in rho_k.mats)
+
+    def read(mat: ColMat) -> SparseVec:
+        coords = span.coordinates(flatten_op(mat, 4 * n))
+        if coords is None:
+            raise AssertionError("a maximal bracket value does not lie in sp(1) + sp(n)")
+        return {t: Fraction(v) for t, v in coords.items()}
+
     def rule(p: int, x: Quaternion, q: int, y: Quaternion) -> SparseVec:
         col: SparseVec = {}
         if p == q:
-            col = {t: -c_theta * comp for t, comp in enumerate((x.conj() * y).components()[1:])}
-        for t, comp in sp_coordinates(xi_operator(p, x, q, y), n, 0).items():
-            col[3 + t] = c_xi * comp
-        return {t: v for t, v in col.items() if v}
-    return _bilinear(n, 3 + n * (2 * n + 1), rule)
+            accumulate(col, read(_action(n, -(x.conj() * y).im(), {})), c_theta)
+        accumulate(col, read(_action(n, None, xi_operator(p, x, q, y))), c_xi)
+        return dict(sorted(col.items()))
+    return _bilinear(n, k.dim, rule)
 
 
 def _complement(spec: ModelSpec) -> list[ColMat]:
@@ -565,12 +542,14 @@ def twisted_theta(n: int) -> BilinearMap:
 
 def _build_twisted_model(spec: ModelSpec) -> HomogeneousModel:
     """The twisted bracket over the centralizer Z_h(I) = so(2) + sp(n-1) (the
-    A_i axis plus the sp(n-1) block): it must be Z-equivariant, which the
-    Jacobi certificate of its assembly checks, and must not be equivariant
-    under all of h, so that the semidirect sum over h must fail Jacobi."""
+    generators commuting with I): it must be Z-equivariant, which the Jacobi
+    certificate of its assembly checks, and must not be equivariant under all
+    of h, so that the semidirect sum over h must fail Jacobi."""
     n = spec.n
     h, rho, _ = isotropy_rep(n)
-    gens = [0] + list(range(3, h.dim))
+    I = quaternionic_triple(n)[0]
+    gens = [g for g, mat in enumerate(rho.mats)
+            if op_is_zero(op_sub(op_compose(mat, I), op_compose(I, mat)))]
     z = h.subalgebra(gens)
     rho_z = _restrict_rep(rho, z, gens)
     b = twisted_theta(n)
@@ -608,13 +587,13 @@ def inadmissible_hom_dim(n: int, which: str) -> int:
     """dim of equivariant maps Lambda^2 H^n -> H^n for a Cartan-torus isotropy.
 
     which = 'sp1' uses the Cartan direction of the sp(1) ideal, 'spn' the
-    diagonal torus of sp(n).
+    diagonal torus of sp(n): the heads of ambient_rep(n)'s solver order.
     """
-    k, rho_k, _ = ambient_rep(n)
+    k, rho_k, order = ambient_rep(n)
     if which == "sp1":
-        gens = [0]
+        gens = list(order[:1])
     elif which == "spn":
-        gens = [3 + 3 * s for s in range(n)]
+        gens = list(order[1:n + 1])
     else:
         raise ValueError("which must be 'sp1' or 'spn'")
     sub = k.subalgebra(gens)

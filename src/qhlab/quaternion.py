@@ -1,9 +1,12 @@
 """Exact quaternion arithmetic and quaternionic matrix algebra.
 
-Scalars are :class:`fractions.Fraction` throughout; nothing in this package
-touches floating point.  Quaternionic vectors are columns, matrices act on
-the left, and quaternion scalars act on the right, so that right scalar
-multiplication commutes with every matrix action.
+Components are exact: ints or :class:`fractions.Fraction`; nothing in this
+package touches floating point.  The units have int components, so products
+of units are int arithmetic; a quaternion's components enter a real vector
+only through ``models._quat_to_slot``, which stores them as Fractions.
+Quaternionic vectors are columns, matrices act on the left, and quaternion
+scalars act on the right, so that right scalar multiplication commutes with
+every matrix action.
 """
 
 from __future__ import annotations
@@ -29,16 +32,12 @@ def format_rat(x: Fraction) -> str:
 
 @dataclass(frozen=True)
 class Quaternion:
-    """A quaternion a + b*i + c*j + d*k with exact rational components."""
+    """A quaternion a + b*i + c*j + d*k with exact (int or Fraction) components."""
 
-    a: Fraction = Fraction(0)
-    b: Fraction = Fraction(0)
-    c: Fraction = Fraction(0)
-    d: Fraction = Fraction(0)
-
-    @staticmethod
-    def of(a=0, b=0, c=0, d=0) -> "Quaternion":
-        return Quaternion(Fraction(a), Fraction(b), Fraction(c), Fraction(d))
+    a: int | Fraction = 0
+    b: int | Fraction = 0
+    c: int | Fraction = 0
+    d: int | Fraction = 0
 
     def __add__(self, other: "Quaternion") -> "Quaternion":
         return Quaternion(self.a + other.a, self.b + other.b,
@@ -54,8 +53,7 @@ class Quaternion:
     def __mul__(self, other):
         """Hamilton product; also accepts a rational scalar on the right."""
         if isinstance(other, (int, Fraction)):
-            s = Fraction(other)
-            return Quaternion(self.a * s, self.b * s, self.c * s, self.d * s)
+            return Quaternion(self.a * other, self.b * other, self.c * other, self.d * other)
         a1, b1, c1, d1 = self.a, self.b, self.c, self.d
         a2, b2, c2, d2 = other.a, other.b, other.c, other.d
         return Quaternion(
@@ -69,12 +67,12 @@ class Quaternion:
         return Quaternion(self.a, -self.b, -self.c, -self.d)
 
     def im(self) -> "Quaternion":
-        return Quaternion(Fraction(0), self.b, self.c, self.d)
+        return Quaternion(0, self.b, self.c, self.d)
 
     def __bool__(self) -> bool:
         return bool(self.a or self.b or self.c or self.d)
 
-    def components(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
+    def components(self) -> tuple:
         return (self.a, self.b, self.c, self.d)
 
     def __repr__(self) -> str:
@@ -85,10 +83,10 @@ class Quaternion:
         return " + ".join(parts) if parts else "0"
 
 
-Q_ONE = Quaternion.of(1)
-Q_I = Quaternion.of(0, 1)
-Q_J = Quaternion.of(0, 0, 1)
-Q_K = Quaternion.of(0, 0, 0, 1)
+Q_ONE = Quaternion(1)
+Q_I = Quaternion(0, 1)
+Q_J = Quaternion(0, 0, 1)
+Q_K = Quaternion(0, 0, 0, 1)
 UNITS = (Q_ONE, Q_I, Q_J, Q_K)
 IM_UNITS = (Q_I, Q_J, Q_K)
 
@@ -117,30 +115,3 @@ def sp_basis(p: int, q: int) -> list[QMat]:
         for t in range(s + 1, n):
             basis.extend({(s, t): a, (t, s): _lower(a, s, t, p)} for a in UNITS)
     return basis
-
-
-def sp_coordinates(m: QMat, p: int, q: int) -> dict[int, Fraction]:
-    """Nonzero coordinates {index: coeff}, in increasing index order, of m in
-    the sp_basis(p, q) layout; raises ValueError unless m lies in sp(p,q).
-
-    Only m's entries are read: a diagonal entry gives three coordinates, an
-    upper one four, and a lower one is only checked against its upper one.
-    """
-    n = p + q
-    out: dict[int, Fraction] = {}
-    for (s, t), e in m.items():
-        if s == t:
-            if e.a:
-                raise ValueError("matrix not in sp(p,q): real diagonal part")
-            base, comps = 3 * s, (e.b, e.c, e.d)
-        elif s < t:
-            if m.get((t, s)) != _lower(e, s, t, p):
-                raise ValueError("matrix not in sp(p,q): lower block mismatch")
-            pair = s * (2 * n - s - 1) // 2 + t - s - 1  # position of (s, t) among pairs s < t
-            base, comps = 3 * n + 4 * pair, e.components()
-        elif (t, s) in m:
-            continue
-        else:
-            raise ValueError("matrix not in sp(p,q): lower entry without an upper one")
-        out.update((base + u, x) for u, x in enumerate(comps) if x)
-    return dict(sorted(out.items()))

@@ -22,7 +22,7 @@ from qhlab.geometry import GroupData, classify, curvature
 from qhlab.models import (ModelSpec, _complement, ambient_rep, build_model, horizontal_brackets,
                           isotropy_rep, maximal_vertical_bracket, model_groups, xi_operator)
 from qhlab.poly import VARS, Poly
-from qhlab.quaternion import IM_UNITS, UNITS, Quaternion, format_rat, sp_basis, sp_coordinates
+from qhlab.quaternion import IM_UNITS, UNITS, QMat, Quaternion, _lower, format_rat, sp_basis
 
 
 def class_at(row, c1, c2) -> str:
@@ -207,6 +207,38 @@ def is_equivariant(b, rho, target_action) -> bool:
                 if sv_add_scaled(lhs, rhs, -1):
                     return False
     return True
+
+
+def quaternion(a=0, b=0, c=0, d=0) -> Quaternion:
+    """The quaternion a + b i + c j + d k with Fraction components."""
+    return Quaternion(Fraction(a), Fraction(b), Fraction(c), Fraction(d))
+
+
+def sp_coordinates(m: QMat, p: int, q: int) -> dict[int, Fraction]:
+    """Nonzero coordinates {index: coeff}, in increasing index order, of m in
+    the sp_basis(p, q) layout; raises ValueError unless m lies in sp(p,q).
+
+    Only m's entries are read: a diagonal entry gives three coordinates, an
+    upper one four, and a lower one is only checked against its upper one.
+    """
+    n = p + q
+    out: dict[int, Fraction] = {}
+    for (s, t), e in m.items():
+        if s == t:
+            if e.a:
+                raise ValueError("matrix not in sp(p,q): real diagonal part")
+            base, comps = 3 * s, (e.b, e.c, e.d)
+        elif s < t:
+            if m.get((t, s)) != _lower(e, s, t, p):
+                raise ValueError("matrix not in sp(p,q): lower block mismatch")
+            pair = s * (2 * n - s - 1) // 2 + t - s - 1  # position of (s, t) among pairs s < t
+            base, comps = 3 * n + 4 * pair, e.components()
+        elif (t, s) in m:
+            continue
+        else:
+            raise ValueError("matrix not in sp(p,q): lower entry without an upper one")
+        out.update((base + u, x) for u, x in enumerate(comps) if x)
+    return dict(sorted(out.items()))
 
 
 def qmatmul(a, b, n):

@@ -19,9 +19,7 @@ from qhlab import geometry as G
 from qhlab import models as M
 from qhlab.lie import op_is_skew
 from qhlab.poly import Poly, proportionality
-from qhlab.quaternion import Quaternion
-
-from oracles import class_at, rotated_triple, substitute
+from oracles import class_at, quaternion, rotated_triple, substitute
 
 F = Fraction
 
@@ -407,8 +405,8 @@ def test_criterion_10_structural_self_tests():
     _, _, _, omega = FO.fundamental_forms(model)
     rotations = 0
     while rotations < 50:
-        q = Quaternion.of(rng.randint(-5, 5), rng.randint(-5, 5),
-                          rng.randint(-5, 5), rng.randint(-5, 5))
+        q = quaternion(rng.randint(-5, 5), rng.randint(-5, 5),
+                       rng.randint(-5, 5), rng.randint(-5, 5))
         if not q:
             continue
         clone = model.with_metric(F(2), F(1))

@@ -19,11 +19,9 @@ from qhlab.linalg import Echelon
 from qhlab.models import (ModelSpec, bracket_space_dims, build_model, isotropy_rep,
                           quaternionic_triple, symbolic_model)
 from qhlab.poly import NVARS, Poly
-from qhlab.quaternion import Quaternion
-
 from oracles import (casimir_split, class_at, invariant_five_forms_by_kernel,
                      materialised_common_kernel, primitive_by_content, pure_bidegree_by_nullspace,
-                     rational_forms, rotated_triple, substitute)
+                     quaternion, rational_forms, rotated_triple, substitute)
 
 rng = random.Random(2024)
 
@@ -317,8 +315,8 @@ def test_omega_frame_independence():
     dom = ce_differential(model, omega, d1)
     count = 0
     while count < 50:
-        q = Quaternion.of(rng.randint(-5, 5), rng.randint(-5, 5),
-                          rng.randint(-5, 5), rng.randint(-5, 5))
+        q = quaternion(rng.randint(-5, 5), rng.randint(-5, 5),
+                       rng.randint(-5, 5), rng.randint(-5, 5))
         if not q:
             continue
         rotated = model.with_metric(F(2), F(1))

@@ -24,7 +24,7 @@ from qhlab.quaternion import IM_UNITS, Q_I, UNITS, Quaternion, sp_basis
 
 from oracles import (SP1_BRACKETS, checked, dense_sp_brackets, hermitian_metric,
                      invariant_vectors, is_equivariant, matrix_algebra_by_tagged_echelon,
-                     maxmodel_jacobi_by_assembly,
+                     maxmodel_jacobi_by_assembly, quaternion,
                      reductive_split, rotated_triple, shifted, swapped_complement,
                      vertical_brackets)
 
@@ -154,6 +154,40 @@ def _bracket_dump() -> str:
 
 def test_bracket_tables_match_the_recorded_digest():
     assert hashlib.sha256(_bracket_dump().encode("utf-8")).hexdigest() == BRACKET_DUMP_SHA256
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_matrices_and_bracket_tables_hold_only_fractions(n):
+    # the units have int components, and _quat_to_slot is where they enter a
+    # vector, as Fractions; == cannot tell 2 from Fraction(2), so the type is pinned
+    mats = isotropy_rep(n)[1].mats + ambient_rep(n)[1].mats
+    mats += [*quaternionic_triple(n), *ambient_triple(n)]
+    mats += _complement(ModelSpec("QHP", n)) + _complement(ModelSpec("QHH", n))
+    assert all(type(v) is Fraction for mat in mats for col in mat.values() for v in col.values())
+    tables = list(horizontal_brackets(n).values())
+    tables += [maximal_vertical_bracket(n, ct, cx) for ct, cx in ((2, 1), (Fraction(-3, 2), 5))]
+    tables += [bracket_from_params(n, *params)
+               for params in ((1, 2, 1, 0, 0), (Fraction(-3, 2), 0, Fraction(5, 7), 1, 1))]
+    assert all(type(v) is Fraction for b in tables for col in b.coeffs.values()
+               for v in col.values())
+
+
+def test_a_maximal_bracket_value_off_the_ambient_algebra_exits_3(monkeypatch, capsys):
+    # a real diagonal entry puts Xi's value off sp(1) + sp(n): the engine's
+    # read returns None, and the CLI reports one line instead of a traceback
+    real_xi = models.xi_operator
+
+    def off_algebra(p, x, q, y):
+        out = dict(real_xi(p, x, q, y))
+        out[(p, p)] = out.get((p, p), Quaternion()) + UNITS[0]
+        return out
+    monkeypatch.setattr(models, "xi_operator", off_algebra)
+    code = main(["model-report", "--spec", "MaxCurved:c=1:n=2"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("qhlab: internal check failed: ")
 
 
 def test_vertical_brackets_target():
@@ -455,6 +489,19 @@ def test_restricted_representations_are_representations(n):
     assert inadmissible_hom_dim(n, "sp1") == inadmissible_hom_dim(n, "spn") == 0
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_centralizer_and_tori_are_the_sp_layout_index_sets(n, monkeypatch):
+    # Z_h(I), read as the isotropy generators commuting with I, and the two
+    # tori, read off ambient_rep(n)'s solver order, are the sp(1) + sp(m)
+    # layout's A_i plus sp(n-1), A_i, and the diagonal i E_ss of sp(n)
+    restricted = _counted(monkeypatch, models, "_restrict_rep")
+    build_model(ModelSpec("TwistedTheta", n))
+    inadmissible_hom_dim(n, "sp1")
+    inadmissible_hom_dim(n, "spn")
+    assert [gens for _, _, gens in restricted] == [
+        [0] + list(range(3, isotropy_rep(n)[0].dim)), [0], [3 + 3 * s for s in range(n)]]
+
+
 def test_qhp_isotropy_is_standard():
     # the reductive construction must reproduce the standard isotropy action;
     # the trivial submodule of m is exactly the real line
@@ -499,8 +546,8 @@ def test_triple_relations_and_rotation():
         assert op_is_zero(op_sub(op_compose(I, J), K))
     # rotations keep the relations
     for _ in range(10):
-        q = Quaternion.of(rng.randint(-4, 4), rng.randint(-4, 4),
-                          rng.randint(-4, 4), rng.randint(-4, 4))
+        q = quaternion(rng.randint(-4, 4), rng.randint(-4, 4),
+                       rng.randint(-4, 4), rng.randint(-4, 4))
         if not q:
             continue
         I, J, K = rotated_triple(quaternionic_triple(3), q)
@@ -521,6 +568,19 @@ def test_triple_certificate_failures():
     minus_k = {c: {r: -v for r, v in col.items()} for c, col in K.items()}
     with pytest.raises(AssertionError, match="I J != K"):
         _certified_triple((I, J, minus_k), rho)
+
+
+def test_the_triple_is_certified_hermitian_for_every_metric():
+    # I conjugated by diag(2 at index 0, 1 elsewhere) still squares to -Id,
+    # but is not skew for g_{c1,c2}: only the Hermitian check rejects it
+    I, J, K = quaternionic_triple(3)
+    scale = {0: 2}
+    bent = {c: {r: v * scale.get(r, 1) / scale.get(c, 1) for r, v in col.items()}
+            for c, col in I.items()}
+    minus_id = {c: {c: Fraction(-1)} for c in range(12)}
+    assert op_is_zero(op_sub(op_compose(bent, bent), minus_id))
+    with pytest.raises(AssertionError, match="metric is not Hermitian for the triple"):
+        _certified_triple((bent, J, K), isotropy_rep(3)[1])
 
 
 def _counted(monkeypatch, owner, name) -> list:

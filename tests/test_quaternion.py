@@ -4,17 +4,15 @@ from fractions import Fraction
 import pytest
 
 from qhlab.linalg import accumulate
-from qhlab.quaternion import (IM_UNITS, Q_I, Q_J, Q_K, Q_ONE, UNITS, Quaternion, rat,
-                              sp_basis, sp_coordinates)
+from qhlab.quaternion import IM_UNITS, Q_I, Q_J, Q_K, Q_ONE, UNITS, Quaternion, rat, sp_basis
 
-from oracles import commutator, hermitian_metric, qmatmul, sparse
+from oracles import commutator, hermitian_metric, qmatmul, quaternion, sp_coordinates, sparse
 
 rng = random.Random(1214)
 
 
 def rand_q():
-    return Quaternion.of(*(Fraction(rng.randint(-8, 8), rng.randint(1, 5))
-                           for _ in range(4)))
+    return quaternion(*(Fraction(rng.randint(-8, 8), rng.randint(1, 5)) for _ in range(4)))
 
 
 def _dagger(m):
@@ -45,7 +43,7 @@ def test_hamilton_table():
 def test_identity_and_bilinearity():
     q = rand_q()
     assert Q_ONE * q == q
-    assert (Q_ONE + Q_I) * (Q_ONE + Q_J) == Quaternion.of(1, 1, 1, 1)
+    assert (Q_ONE + Q_I) * (Q_ONE + Q_J) == quaternion(1, 1, 1, 1)
 
 
 def test_associativity_random():
@@ -125,7 +123,7 @@ def test_sp_basis_elements_read_back_as_unit_coordinates(p, q):
 
 
 @pytest.mark.parametrize("m, pq, reason", [
-    ({(0, 0): Quaternion.of(1, 1)}, (2, 0), "real diagonal part"),
+    ({(0, 0): quaternion(1, 1)}, (2, 0), "real diagonal part"),
     ({(0, 1): Q_J}, (2, 0), "lower block mismatch"),  # an upper entry without its lower one
     ({(0, 1): Q_J, (1, 0): -Q_J}, (2, 0), "lower block mismatch"),  # wants -conj(j) = j
     ({(0, 1): Q_ONE, (1, 0): Q_ONE}, (2, 0), "lower block mismatch"),  # wants -1

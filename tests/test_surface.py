@@ -128,6 +128,30 @@ def test_brackets_are_read_only_by_the_two_model_readers():
         "models.py:_build_reductive_model", "models.py:_sp_pair_rep"]
 
 
+def test_quaternion_components_enter_vectors_only_as_fractions():
+    # the units have int components; _quat_to_slot stores every component it
+    # reads as a Fraction, so no int / int division can reach a vector
+    assert sorted(_call_sites("components")) == [
+        "models.py:_quat_to_slot", "quaternion.py:Quaternion.__repr__"]
+
+
+def test_metric_skewness_is_checked_only_where_it_is_certified():
+    # the triple is proved Hermitian for every g_{c1,c2} once per n; a metric
+    # is certified isotropy invariant where it is attached; nomizu checks its output
+    assert sorted(_call_sites("op_is_skew")) == [
+        "geometry.py:nomizu", "models.py:HomogeneousModel.with_metric",
+        "models.py:_certified_triple"]
+
+
+def test_no_second_sp_coordinate_reader():
+    # sp(n) values are read by the engine off matrices; the hand-written
+    # reader lives on only as a test oracle
+    defined = {node.name for path in SRC.glob("*.py")
+               for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))}
+    assert "sp_coordinates" not in defined
+
+
 # Functions that only an error path reaches, which no command below takes.
 _ERROR_ONLY = {"cli._usage_error", "quaternion.Quaternion.__repr__"}
 
