@@ -20,7 +20,7 @@ from bisect import bisect_left
 from fractions import Fraction
 from itertools import combinations
 
-from .linalg import Echelon, SparseVec, accumulate, sparse_nullspace, sv_primitive
+from .linalg import Echelon, SparseVec, accumulate, icode, sparse_nullspace, sv_primitive
 
 # --------------------------------------------------------------------------
 # sparse operator helpers
@@ -69,6 +69,14 @@ def op_sub(a: ColMat, b: ColMat) -> ColMat:
 def flatten_op(op: ColMat, dim: int) -> SparseVec:
     """op on R^dim as a vector of R^(dim*dim), entry (r, c) at c*dim + r."""
     return {c * dim + r: v for c, col in op.items() for r, v in col.items()}
+
+
+def _icoded(op: dict) -> dict:
+    """op, a dict of sparse columns, with its Fraction entries int-coded
+    (``icode``; Poly entries are int-coded already), for the solvers' and the
+    jacobiator's working sets."""
+    return {c: {r: icode(x) if isinstance(x, Fraction) else x for r, x in col.items()}
+            for c, col in op.items() if col}
 
 
 def op_is_zero(op: ColMat) -> bool:
@@ -168,12 +176,13 @@ class BilinearMap:
         increasing order; empty dict means Jacobi holds there.  Only nonzero
         brackets are visited: with ad[x] = {y: [e_x, e_y]}, the row
         k -> J(i, j, k), k > j, of each pair i < j is summed from the three
-        cyclic terms, each a sum over the support of the inner bracket.
+        cyclic terms, each a sum over the support of the inner bracket.  ad
+        is int-coded, so integral tables cost int products.
         """
         if self.dim_in != self.dim_out:
             raise ValueError("jacobiator needs an endomorphic bracket")
         ad: dict[int, dict[int, SparseVec]] = {}
-        for (x, y), col in self.coeffs.items():
+        for (x, y), col in _icoded(self.coeffs).items():
             ad.setdefault(x, {})[y] = col
             ad.setdefault(y, {})[x] = {r: -v for r, v in col.items()}
         out = {}
@@ -278,8 +287,7 @@ def matrix_algebra(mats: list[ColMat], dim: int) -> Representation:
     construction and need no pass of their own.  Entries are int-coded where
     integral, so the commutators of the integral families cost int products.
     """
-    cols = [{c: {r: int(x) if x.denominator == 1 else x for r, x in col.items()}
-             for c, col in m.items() if col} for m in mats]
+    cols = [_icoded(m) for m in mats]
     rows = [op_transpose(m) for m in cols]
     span = Echelon(flatten_op(m, dim) for m in cols)
     if span.rank != len(mats):
@@ -306,10 +314,10 @@ def matrix_algebra(mats: list[ColMat], dim: int) -> Representation:
 def hom_constraint(repA: Representation, repB: Representation, g: int):
     """The map T -> rho_B(g) T - T rho_A(g) on Hom(A, B), flat index a*dimB + b
     (T's entry in row b of column a), applied to a sparse T without building
-    its matrix."""
+    its matrix.  rho_A(g) and rho_B(g) are int-coded once, here."""
     dimB = repB.dim
-    matB = repB.mats[g]
-    rowsA = op_transpose(repA.mats[g])
+    matB = _icoded(repB.mats[g])
+    rowsA = op_transpose(_icoded(repA.mats[g]))
 
     def apply(T: SparseVec) -> SparseVec:
         out: SparseVec = {}
@@ -331,11 +339,12 @@ def common_kernel(applies, dim: int) -> list[SparseVec]:
     Each map is a callable v -> A v on sparse vectors and is only ever
     applied to the basis of the running kernel, which starts as the dim unit
     vectors and is intersected with one map's kernel at a time; no matrix is
-    built beyond the images of those vectors.  Ordering structured
+    built beyond the images of those vectors.  The running basis is
+    integer-primitive, so it stays int-valued.  Ordering structured
     (torus-like) maps first keeps the running kernel, and so every later
     elimination, small.
     """
-    K: list[SparseVec] = [{c: Fraction(1)} for c in range(dim)]
+    K: list[SparseVec] = [{c: 1} for c in range(dim)]
     for apply in applies:
         rowsys: dict[int, SparseVec] = {}
         for i, k in enumerate(K):

@@ -7,6 +7,12 @@ form index tuples, monomials).  Inserted vectors are rational (int or
 Fraction entries); vectors reduced against the echelon or written in its span
 may carry Poly entries.
 
+Scalars are exact and int-coded where the solver can: ``icode`` is the one
+int-coder (an integral rational becomes an int), a row whose pivot is +-1 is
+normalised without forming an inverse, so int rows stay int, and every
+division goes through ``Fraction``.  Int and Fraction entries of equal value
+compare and hash equal, so the coding never changes a result.
+
 Its front-ends take and return such sparse vectors: ``rref`` (the RREF rows),
 ``nullspace`` and ``sparse_nullspace`` (the kernel, made integer-primitive by
 the latter).  None splits a system into connected components: independent
@@ -19,9 +25,15 @@ kernels post hoc (A.v == 0) where correctness matters.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 SparseVec = dict[int, Fraction]
+
+
+def icode(x):
+    """The rational x as an int when it is integral, else unchanged: the one
+    int-coder, so integral entries cost int arithmetic."""
+    return x.numerator if x.denominator == 1 else x
 
 
 # --------------------------------------------------------------------------
@@ -59,20 +71,16 @@ def accumulate(acc: dict, b: dict, s=None) -> None:
 
 
 def sv_primitive(a: SparseVec) -> SparseVec:
-    """Integer-primitive rescaling with positive leading entry (canonical)."""
+    """Integer-primitive rescaling with positive leading entry (canonical),
+    as int entries."""
     if not a:
         return {}
-    lcm = 1
-    for v in a.values():
-        d = v.denominator
-        lcm = lcm // gcd(lcm, d) * d
-    ints = {k: int(v * lcm) for k, v in a.items()}
-    g = 0
-    for v in ints.values():
-        g = gcd(g, abs(v))
-    lead = min(ints)
-    sign = -1 if ints[lead] < 0 else 1
-    return {k: Fraction(v, sign * g) for k, v in ints.items()}
+    den = lcm(*(v.denominator for v in a.values()))
+    ints = {k: v.numerator * (den // v.denominator) for k, v in a.items()}
+    g = gcd(*ints.values())
+    if ints[min(ints)] < 0:
+        g = -g
+    return {k: v // g for k, v in ints.items()}
 
 
 def connected_components(links) -> dict:
@@ -141,8 +149,14 @@ class Echelon:
         if not red:
             return False
         pivot = min(red)
-        inv = Fraction(1) / red[pivot]
-        row = {k: x * inv for k, x in red.items()}
+        lead = red[pivot]
+        if lead == 1:
+            row = red
+        elif lead == -1:
+            row = {k: -x for k, x in red.items()}
+        else:
+            inv = Fraction(1) / lead
+            row = {k: icode(x * inv) for k, x in red.items()}
         for q in list(self._touching.get(pivot, ())):  # clear the new pivot column
             other = self.rows[q]
             accumulate(other, row, -other[pivot])
@@ -169,10 +183,9 @@ class Echelon:
         the inserted vectors, which must give v exactly.
         """
         if self._tagged is None:
-            tagged = Echelon({**{(0, k): x for k, x in b.items()}, (1, -i): Fraction(1)}
+            tagged = Echelon({**{(0, k): x for k, x in b.items()}, (1, -i): 1}
                              for i, b in enumerate(self.inserted))
-            self._tagged = {p: {-i: int(x) if x.denominator == 1 else x
-                                for (side, i), x in row.items() if side}
+            self._tagged = {p: {-i: icode(x) for (side, i), x in row.items() if side}
                             for (side, p), row in tagged.rows.items() if not side}
         x: dict = {}
         for p, s in v.items():
@@ -186,7 +199,7 @@ class Echelon:
     def kernel(self, columns) -> list[SparseVec]:
         """Basis of {x : row . x = 0 for every row} on the given columns: one
         vector per free column f, 1 at f and minus the rows' entries at f."""
-        return [{f: Fraction(1), **{p: -self.rows[p][f] for p in self._touching.get(f, ())}}
+        return [{f: 1, **{p: -self.rows[p][f] for p in self._touching.get(f, ())}}
                 for f in columns if f not in self.rows]
 
 

@@ -131,7 +131,25 @@ def isotropy_rep(n: int) -> tuple[LieAlgebra, Representation, tuple[int, ...]]:
     """The algebra h = sp(1) + sp(n-1), its action on m, and a solver order."""
     if n < 2:
         raise ValueError("n >= 2 required")
-    return _sp_pair_rep(n, n - 1)
+    rep = _sp_pair_rep(n, n - 1)
+    _certify_isotropy_metric(n)
+    return rep
+
+
+# id -> matrix for the matrices certified skew for every metric g_{c1,c2},
+# which with_metric skips; holding each matrix keeps its id from being reused
+_SKEW_FOR_EVERY_METRIC: dict[int, ColMat] = {}
+
+
+@cache
+def _certify_isotropy_metric(n: int) -> None:
+    """Certify, once per n, that every isotropy matrix is skew for g_{c1,c2}
+    at symbolic c1, c2, so at every metric point; raises otherwise."""
+    rho = _sp_pair_rep(n, n - 1)[1]
+    metric = metric_diag(n, Poly.var("c1"), Poly.var("c2"))
+    if not all(op_is_skew(mat, metric) for mat in rho.mats):
+        raise AssertionError("metric is not isotropy invariant")
+    _SKEW_FOR_EVERY_METRIC.update((id(mat), mat) for mat in rho.mats)
 
 
 def ambient_rep(n: int) -> tuple[LieAlgebra, Representation, tuple[int, ...]]:
@@ -412,9 +430,12 @@ class HomogeneousModel:
 
     def with_metric(self, c1, c2) -> "HomogeneousModel":
         """The same verified skeleton with the metric g_{c1,c2} (rational or
-        Poly), certified isotropy invariant; _certified_triple made it Hermitian."""
+        Poly), certified isotropy invariant; _certified_triple made it Hermitian.
+        Matrices of isotropy_rep, certified for every metric once per n, are
+        not checked again."""
         metric = metric_diag(self.n, c1, c2)
-        if not all(op_is_skew(mat, metric) for mat in self.rho.mats):
+        if not all(op_is_skew(mat, metric) for mat in self.rho.mats
+                   if _SKEW_FOR_EVERY_METRIC.get(id(mat)) is not mat):
             raise AssertionError("metric is not isotropy invariant")
         return replace(self, metric=metric)
 

@@ -2,23 +2,28 @@
 
 The variable set is fixed: (alpha, beta1, beta2, gamma1, gamma2, c1, c2).
 Monomials are exponent tuples, negative exponents allowed (Laurent
-monomials); the canonical order is graded lexicographic.  Polynomials
-interoperate with int / Fraction scalars on either side of +, -, * and /, so
-code downstream can be written once for both rational and symbolic
-coefficients.  A Poly divides only by a single monomial.
+monomials); the canonical order is graded lexicographic.  A coefficient is an
+int when it is integral and a Fraction otherwise (``linalg.icode``); every
+coefficient division goes through Fraction, so no float can arise.
+Polynomials interoperate with int / Fraction scalars on either side of +, -,
+* and /, so code downstream can be written once for both rational and
+symbolic coefficients.  A Poly divides only by a single monomial.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .linalg import Echelon, accumulate
+from .linalg import Echelon, icode
 from .quaternion import format_rat
 
 VARS = ("alpha", "beta1", "beta2", "gamma1", "gamma2", "c1", "c2")
 NVARS = len(VARS)
 _VAR_INDEX = {name: i for i, name in enumerate(VARS)}
 _ZERO_MONO = (0,) * NVARS
+# (m1, m2) -> the exponent sum m1 + m2, memoised for Poly x Poly: the
+# computations meet few monomials (45 pairs over every CLI benchmark command).
+_MONO_SUMS: dict[tuple, tuple[int, ...]] = {}
 
 
 def _grlex_key(mono: tuple[int, ...]) -> tuple:
@@ -26,25 +31,32 @@ def _grlex_key(mono: tuple[int, ...]) -> tuple:
 
 
 class Poly:
-    """Polynomial as a sparse map monomial -> Fraction (no stored zeros)."""
+    """Polynomial as a sparse map monomial -> coefficient, an int when
+    integral and a Fraction otherwise (no stored zeros)."""
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: dict[tuple[int, ...], Fraction] | None = None):
-        self.terms = {m: c for m, c in (terms or {}).items() if c}
+    def __init__(self, terms: dict[tuple[int, ...], int | Fraction] | None = None):
+        self.terms = {m: icode(c) for m, c in (terms or {}).items() if c}
+
+    @staticmethod
+    def _of(terms: dict) -> "Poly":
+        """The Poly on terms, taken as is: terms must be zero-free and
+        int-coded, as every ring operation's result is by construction."""
+        p = object.__new__(Poly)
+        p.terms = terms
+        return p
 
     # -- constructors ---------------------------------------------------
 
     @staticmethod
     def const(c) -> "Poly":
-        c = Fraction(c)
-        return Poly({_ZERO_MONO: c}) if c else Poly()
+        return Poly({_ZERO_MONO: Fraction(c)})
 
     @staticmethod
     def var(name: str) -> "Poly":
         idx = _VAR_INDEX[name]
-        mono = tuple(1 if i == idx else 0 for i in range(NVARS))
-        return Poly({mono: Fraction(1)})
+        return Poly._of({tuple(1 if i == idx else 0 for i in range(NVARS)): 1})
 
     @staticmethod
     def coerce(x) -> "Poly":
@@ -53,35 +65,57 @@ class Poly:
         return Poly.const(x)
 
     # -- ring operations -------------------------------------------------
+    # An int or Fraction operand acts on the coefficients or the constant
+    # term directly; any other non-Poly operand, a float say, is refused.
 
     def __add__(self, other) -> "Poly":
         out = dict(self.terms)
-        accumulate(out, Poly.coerce(other).terms)
-        return Poly(out)
+        if isinstance(other, Poly):
+            for m, c in other.terms.items():
+                if m in out:
+                    t = out[m] + c
+                    if t:
+                        out[m] = icode(t)
+                    else:
+                        del out[m]
+                else:
+                    out[m] = c
+        elif isinstance(other, (int, Fraction)):
+            t = out.get(_ZERO_MONO, 0) + other
+            if t:
+                out[_ZERO_MONO] = icode(t)
+            else:
+                out.pop(_ZERO_MONO, None)
+        else:
+            return NotImplemented
+        return Poly._of(out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Poly":
-        return Poly({m: -c for m, c in self.terms.items()})
+        return Poly._of({m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other) -> "Poly":
-        return self + (-Poly.coerce(other))
+        return self + -other
 
     def __rsub__(self, other) -> "Poly":
-        return Poly.coerce(other) - self
+        return -self + other
 
     def __mul__(self, other) -> "Poly":
+        if isinstance(other, Poly):
+            out: dict = {}
+            for m1, c1 in self.terms.items():
+                for m2, c2 in other.terms.items():
+                    m = _MONO_SUMS.get((m1, m2))
+                    if m is None:
+                        m = _MONO_SUMS[(m1, m2)] = tuple(a + b for a, b in zip(m1, m2))
+                    out[m] = out.get(m, 0) + c1 * c2
+            return Poly._of({m: icode(c) for m, c in out.items() if c})
         if isinstance(other, (int, Fraction)):
-            s = Fraction(other)
-            if not s:
-                return Poly()
-            return Poly({m: c * s for m, c in self.terms.items()})
-        other = Poly.coerce(other)
-        out: dict[tuple[int, ...], Fraction] = {}
-        for m1, c1 in self.terms.items():
-            accumulate(out, {tuple(a + b for a, b in zip(m1, m2)): c2
-                             for m2, c2 in other.terms.items()}, c1)
-        return Poly(out)
+            if not other:
+                return Poly._of({})
+            return Poly._of({m: icode(c * other) for m, c in self.terms.items()})
+        return NotImplemented
 
     __rmul__ = __mul__
 
@@ -90,13 +124,16 @@ class Poly:
         a zero divisor raises ZeroDivisionError, any other ValueError."""
         if isinstance(other, (int, Fraction)):
             return self * (Fraction(1) / other)
+        if not isinstance(other, Poly):
+            return NotImplemented
         if not other:
             raise ZeroDivisionError("Poly division by zero")
         if len(other.terms) != 1:
             raise ValueError(f"cannot divide by {other}: not a single monomial")
         (m2, c2), = other.terms.items()
-        return Poly({tuple(a - b for a, b in zip(m1, m2)): c1 / c2
-                     for m1, c1 in self.terms.items()})
+        inv = Fraction(1) / c2
+        return Poly._of({tuple(a - b for a, b in zip(m1, m2)): icode(c1 * inv)
+                         for m1, c1 in self.terms.items()})
 
     def __rtruediv__(self, other) -> "Poly":
         return Poly.coerce(other) / self
@@ -104,7 +141,7 @@ class Poly:
     def __pow__(self, k: int) -> "Poly":
         if k < 0:
             raise ValueError("negative power")
-        result = Poly.const(1)
+        result = Poly._of({_ZERO_MONO: 1})
         base = self
         while k:
             if k & 1:
@@ -118,7 +155,7 @@ class Poly:
     def __bool__(self) -> bool:
         return bool(self.terms)
 
-    def leading(self) -> tuple[tuple[int, ...], Fraction]:
+    def leading(self) -> tuple[tuple[int, ...], int | Fraction]:
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")
         m = max(self.terms, key=_grlex_key)
@@ -132,9 +169,13 @@ class Poly:
         return self * (Fraction(1) / c)
 
     def __eq__(self, other) -> bool:
+        if isinstance(other, Poly):
+            return self.terms == other.terms
         if isinstance(other, (int, Fraction)):
-            other = Poly.const(other)
-        return isinstance(other, Poly) and self.terms == other.terms
+            if not other:
+                return not self.terms
+            return len(self.terms) == 1 and self.terms.get(_ZERO_MONO) == other
+        return False
 
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
@@ -219,7 +260,8 @@ class Poly:
 
 
 def proportionality(p: Poly, q: Poly) -> Fraction | None:
-    """lambda with p == lambda * q (0 when p = 0), or None when there is none."""
+    """lambda with p == lambda * q (0 when p = 0), as a Fraction, or None when
+    there is none."""
     p, q = Poly.coerce(p), Poly.coerce(q)
     x = Echelon([q.terms]).coordinates(p.terms)
-    return None if x is None else x.get(0, Fraction(0))
+    return None if x is None else Fraction(x.get(0, 0))

@@ -21,7 +21,7 @@ from qhlab.linalg import (Echelon, accumulate, nullspace, sparse_nullspace, sv_a
 from qhlab.geometry import GroupData, classify, curvature
 from qhlab.models import (ModelSpec, _complement, ambient_rep, build_model, horizontal_brackets,
                           isotropy_rep, maximal_vertical_bracket, model_groups, xi_operator)
-from qhlab.poly import VARS, Poly
+from qhlab.poly import NVARS, VARS, Poly
 from qhlab.quaternion import IM_UNITS, UNITS, QMat, Quaternion, _lower, format_rat, sp_basis
 
 
@@ -56,6 +56,69 @@ def substitute(p: Poly, point: dict) -> Poly:
             term = term * Poly.coerce(value) ** mono[VARS.index(name)]
         total = total + term
     return total
+
+
+class FractionPoly:
+    """Poly's ring operations as they were before int coding: every
+    coefficient a Fraction, every operand coerced to a polynomial, every
+    result re-filtered, the product a plain double loop and a power repeated
+    products.  Its terms are keyed like Poly's, so results compare with ==."""
+
+    def __init__(self, terms=None):
+        self.terms = {m: Fraction(c) for m, c in (terms or {}).items() if c}
+
+    @staticmethod
+    def coerce(x) -> "FractionPoly":
+        if isinstance(x, FractionPoly):
+            return x
+        return FractionPoly({(0,) * NVARS: x})
+
+    def __add__(self, other):
+        out = dict(self.terms)
+        for m, c in FractionPoly.coerce(other).terms.items():
+            out[m] = out.get(m, Fraction(0)) + c
+        return FractionPoly(out)
+
+    def __neg__(self):
+        return FractionPoly({m: -c for m, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + -FractionPoly.coerce(other)
+
+    def __mul__(self, other):
+        other = FractionPoly.coerce(other)
+        out = {}
+        for m1, c1 in self.terms.items():
+            for m2, c2 in other.terms.items():
+                m = tuple(a + b for a, b in zip(m1, m2))
+                out[m] = out.get(m, Fraction(0)) + c1 * c2
+        return FractionPoly(out)
+
+    def __truediv__(self, other):
+        """Division by a nonzero rational or by a single monomial."""
+        (m2, c2), = FractionPoly.coerce(other).terms.items()
+        return FractionPoly({tuple(a - b for a, b in zip(m1, m2)): c1 / c2
+                             for m1, c1 in self.terms.items()})
+
+    def __pow__(self, k: int):
+        result = FractionPoly({(0,) * NVARS: 1})
+        for _ in range(k):
+            result = result * self
+        return result
+
+    def eval(self, point: dict) -> Fraction:
+        total = Fraction(0)
+        for m, c in self.terms.items():
+            for name, e in zip(VARS, m):
+                c *= Fraction(point[name]) ** e
+            total += c
+        return total
+
+    def monic(self):
+        if not self.terms:
+            return self
+        lead = max(self.terms, key=lambda m: (sum(m), m))
+        return self * (1 / self.terms[lead])
 
 
 def primitive_by_content(p: Poly) -> Poly:

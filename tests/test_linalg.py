@@ -168,10 +168,10 @@ entry = st.one_of(st.just(Fraction(0)),
 
 
 @st.composite
-def matrices(draw, max_rows=6, max_cols=7):
+def matrices(draw, max_rows=6, max_cols=7, entries=entry):
     m = draw(st.integers(1, max_rows))
     n = draw(st.integers(1, max_cols))
-    return draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=m, max_size=m)), n
+    return draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=m, max_size=m)), n
 
 
 @given(matrices())
@@ -297,3 +297,22 @@ def test_coordinates_reject_a_vector_that_is_zero_at_every_pivot():
     reference = coordinates_by_tagged_reduce(ech)
     assert reference({1: Fraction(1)}) is None
     assert ech.coordinates({}) == {} == reference({})
+
+
+@given(matrices(entries=st.integers(-3, 3)), st.lists(st.integers(-3, 3), min_size=6, max_size=6),
+       st.lists(st.integers(-3, 3), min_size=7, max_size=7))
+@settings(max_examples=80, deadline=None)
+def test_int_input_gives_the_fraction_results(mat, weights, probe):
+    # small int entries make +-1 pivots common, whose rows are normalised
+    # without an inverse and stay int; every result equals the Fraction one
+    a, n = mat
+    ints = [{j: x for j, x in enumerate(r) if x} for r in a]
+    fracs = [sparse(r) for r in a]
+    assert rref(ints) == rref(fracs)
+    assert nullspace(ints, n) == nullspace(fracs, n)
+    assert sparse_nullspace(ints, n) == sparse_nullspace(fracs, n)
+    target: dict = {}
+    for w, row in zip(weights, ints):
+        target = sv_add_scaled(target, row, w)
+    for v in (target, {j: x for j, x in enumerate(probe[:n]) if x}):
+        assert Echelon(ints).coordinates(v) == Echelon(fracs).coordinates(sparse(dense(v, n)))

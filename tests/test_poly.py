@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from qhlab.poly import NVARS, VARS, Poly, proportionality
 
-from oracles import substitute
+from oracles import FractionPoly, substitute
 
 rng = random.Random(97)
 
@@ -135,3 +135,58 @@ def test_proportionality_exactness():
         got = proportionality(p, q)
         assert got == lam
         assert not (p - q * got)
+
+
+# Laurent polynomials in beta2, c1, c2 with exponents in -2..2 and mixed
+# coefficients: ints, non-integral Fractions and integral Fractions, which
+# the int-coded Poly stores as ints
+_scalar = st.one_of(st.integers(-6, 6), st.fractions(min_value=-6, max_value=6, max_denominator=4))
+_mono = st.tuples(*[st.just(0)] * 2, st.integers(-2, 2), *[st.just(0)] * 2,
+                  st.integers(-2, 2), st.integers(-2, 2))
+_terms = st.dictionaries(_mono, _scalar, max_size=4)
+_point = st.fixed_dictionaries({v: st.fractions(min_value=-3, max_value=3, max_denominator=3)
+                                .filter(bool) for v in VARS})
+
+
+def _int_coded(p: Poly) -> bool:
+    return all(type(c) is int or (type(c) is Fraction and c.denominator > 1)
+               for c in p.terms.values())
+
+
+@given(p=_terms, q=_terms, s=_scalar, mono=_mono, c=_scalar.filter(bool), k=st.integers(0, 3),
+       point=_point)
+@settings(max_examples=150, deadline=None)
+def test_int_coded_ring_matches_the_fraction_oracle(p, q, s, mono, c, k, point):
+    P, Q, M = Poly(p), Poly(q), Poly({mono: c})
+    OP, OQ, OM = FractionPoly(p), FractionPoly(q), FractionPoly({mono: c})
+    pairs = [(P + Q, OP + OQ), (P - Q, OP - OQ), (P * Q, OP * OQ), (-P, -OP),
+             (P + s, OP + s), (s + P, OP + s), (P - s, OP - s), (s - P, FractionPoly.coerce(s) - OP),
+             (P * s, OP * s), (s * P, OP * s), (P / M, OP / OM), (P ** k, OP ** k),
+             (P.monic(), OP.monic()), (P / c, OP / c)]
+    for got, want in pairs:
+        assert got.terms == want.terms
+        assert _int_coded(got)
+        # the same value with every coefficient a Fraction: == and hash
+        # cannot tell the two codings apart
+        fraction_coded = Poly._of(dict(want.terms))
+        assert got == fraction_coded and hash(got) == hash(fraction_coded)
+    value = P.eval(point)
+    assert value == OP.eval(point) and type(value) is Fraction
+    assert (P == s) == (OP.terms == FractionPoly.coerce(s).terms)
+    assert (P == Q) == (OP.terms == OQ.terms)
+
+
+def test_proportionality_is_a_fraction():
+    # it feeds 1 / s in forms.eh_coefficients, where an int would divide to a float
+    c1, c2 = Poly.var("c1"), Poly.var("c2")
+    for p, q in ((c1 * c2 * 2, c1 * c2), (Poly(), c1), (c1 * 3 + c2 * 6, c1 + c2 * 2),
+                 (c1 * Fraction(1, 2), c1)):
+        assert type(proportionality(p, q)) is Fraction
+
+
+def test_a_float_operand_is_refused():
+    c1 = Poly.var("c1")
+    for op in (lambda p: p + 0.5, lambda p: 0.5 * p, lambda p: p - 0.5, lambda p: p / 0.5):
+        with pytest.raises(TypeError):
+            op(c1)
+    assert c1 != 1.0

@@ -59,26 +59,33 @@ def test_parameters_the_span_tracer_reads_by_name(func, params):
     assert params <= set(inspect.signature(func).parameters)
 
 
-def _call_sites(callee: str) -> list[str]:
-    """Every call of callee(...) in the package, as "module:qualified function"."""
-    calls = []
+def _sites(match) -> list[str]:
+    """Every node of the package that match accepts, as "module:qualified function"."""
+    sites = []
 
     def visit(node, module, scope):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 visit(child, module, f"{scope}.{child.name}" if scope else child.name)
                 continue
-            if isinstance(child, ast.Call):
-                func = child.func
-                name = (func.id if isinstance(func, ast.Name)
-                        else func.attr if isinstance(func, ast.Attribute) else None)
-                if name == callee:
-                    calls.append(f"{module}:{scope}")
+            if match(child):
+                sites.append(f"{module}:{scope}")
             visit(child, module, scope)
 
     for path in sorted(SRC.glob("*.py")):
         visit(ast.parse(path.read_text(encoding="utf-8")), path.name, "")
-    return calls
+    return sites
+
+
+def _call_sites(callee: str) -> list[str]:
+    """Every call of callee(...) in the package, as "module:qualified function"."""
+    def is_call(node) -> bool:
+        if not isinstance(node, ast.Call):
+            return False
+        func = node.func
+        return callee == (func.id if isinstance(func, ast.Name)
+                          else func.attr if isinstance(func, ast.Attribute) else None)
+    return _sites(is_call)
 
 
 def test_models_are_constructed_only_by_assemble():
@@ -136,11 +143,23 @@ def test_quaternion_components_enter_vectors_only_as_fractions():
 
 
 def test_metric_skewness_is_checked_only_where_it_is_certified():
-    # the triple is proved Hermitian for every g_{c1,c2} once per n; a metric
-    # is certified isotropy invariant where it is attached; nomizu checks its output
+    # the triple is proved Hermitian, and the isotropy matrices skew, for every
+    # g_{c1,c2} once per n; any other matrix is certified skew where a metric
+    # is attached; nomizu checks its output
     assert sorted(_call_sites("op_is_skew")) == [
         "geometry.py:nomizu", "models.py:HomogeneousModel.with_metric",
-        "models.py:_certified_triple"]
+        "models.py:_certified_triple", "models.py:_certify_isotropy_metric"]
+
+
+def test_one_int_coder():
+    # an integral rational becomes an int only in linalg.icode (format_rat
+    # prints one as an int), so the package has one int-coder
+    def is_integral_test(node) -> bool:  # x.denominator == 1
+        return (isinstance(node, ast.Compare) and isinstance(node.left, ast.Attribute)
+                and node.left.attr == "denominator" and isinstance(node.ops[0], ast.Eq)
+                and isinstance(node.comparators[0], ast.Constant)
+                and node.comparators[0].value == 1)
+    assert sorted(_sites(is_integral_test)) == ["linalg.py:icode", "quaternion.py:format_rat"]
 
 
 def test_no_second_sp_coordinate_reader():
