@@ -2,8 +2,8 @@
 quaternion-Hermitian homogeneous spaces."""
 
 from .forms import (ClassReport, FirstOrderReport, GenuineLoci, IsotypicPair,
-                    eh_coefficients, first_order_tests, fundamental_forms,
-                    genuine_loci, isotypic_split, table4_row)
+                    first_order_tests, fundamental_forms, genuine_loci,
+                    isotypic_split, table4_row)
 from .geometry import GroupData, RiemannClass, classify, curvature, nomizu
 from .lie import (BilinearMap, LieAlgebra, Representation, equivariant_hom,
                   semidirect)
@@ -18,7 +18,7 @@ __all__ = [
     "GroupData", "HomogeneousModel", "IsotypicPair", "LieAlgebra",
     "ModelSpec", "NormalForm", "Poly", "Quaternion",
     "Representation", "RiemannClass", "build_model", "classify", "curvature",
-    "dims", "eh_coefficients", "equivariant_hom", "first_order_tests",
+    "dims", "equivariant_hom", "first_order_tests",
     "fundamental_forms", "genuine_loci", "in_families", "isotypic_split",
     "jacobi_equations", "nomizu", "normalize", "proportionality", "rat",
     "semidirect", "sp_basis", "symbolic_model", "table4_row",

@@ -293,7 +293,9 @@ def _reproduce_maxmodel() -> list[tuple[str, bool, str]]:
 
 def cmd_reproduce(ns) -> tuple[dict, int]:
     which = ns.table
-    n = ns.n
+    if ns.n is not None and which in ("table3", "maxmodel"):
+        _usage_error(f"--n does not apply to reproduce {which}, whose inputs are fixed")
+    n = 3 if ns.n is None else ns.n
     min_n = {"table4": 3, "prop12": 2}.get(which)
     if min_n is not None and n < min_n:
         _usage_error(f"reproduce {which} needs --n >= {min_n}, got {n}")
@@ -392,11 +394,10 @@ def cmd_model_report(ns) -> tuple[dict, int]:
             })
         entry["riemannian"] = riem
     if spec.n >= 3 and reads_points:
-        symbolic = M.symbolic_model(spec.kind, spec.n)
-        row = F.eh_coefficients(symbolic)
+        row = F.table4_row(spec.kind, spec.n)
         entry["f_EH"] = _poly_json(row.f_eh)
         entry["f_KH"] = _poly_json(row.f_kh)
-        loci = F.genuine_loci(symbolic)
+        loci = F.genuine_loci(spec.kind, spec.n)
         entry["genuine_EH_locus"] = _poly_json(loci.p_eh)
         entry["genuine_KH_locus"] = _poly_json(loci.p_kh)
         cps = []
@@ -501,7 +502,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reproduce", help="regenerate a reference table and diff")
     p.add_argument("table", choices=("table3", "table4", "prop12", "maxmodel"))
-    p.add_argument("--n", type=int, default=3)
+    p.add_argument("--n", type=int, default=None, help="table4 and prop12 only (default 3)")
     p.add_argument("--beta", default=None,
                    help='prop12 only: beta values for the H3/H5 families, e.g. "-1,0,1,2"')
     p.set_defaults(func=cmd_reproduce)

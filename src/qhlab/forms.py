@@ -253,24 +253,52 @@ class Calibration:
     eh_matches_nominal: bool
 
 
-def _split_domega(model: HomogeneousModel, pair: IsotypicPair):
-    """Raw coefficients (x, y) with dOmega = x theta_EH + y theta_KH, exact.
+@cache
+def _plane(n: int) -> Echelon:
+    """The one echelon of the invariant plane (p1, p2) at n; it is only read,
+    through plane_coordinates, and never added to."""
+    plane = Echelon(invariant_five_forms(n))
+    if plane.rank != 2:
+        raise AssertionError("degenerate plane basis")
+    return plane
+
+
+def plane_coordinates(n: int, form: dict):
+    """Exact (x, y) with form = x p1 + y p2 in the basis of
+    ``invariant_five_forms(n)``; the form may have Poly-valued coefficients."""
+    coords = _plane(n).coordinates(form)
+    if coords is None:
+        raise AssertionError("form leaves the invariant plane")
+    return coords.get(0, Fraction(0)), coords.get(1, Fraction(0))
+
+
+@cache
+def _domega(kind: str, n: int):
+    """The plane coordinates of dOmega and of e^0 ^ Omega on
+    symbolic_model(kind, n): its one build and one exterior derivative.
 
     plane_coordinates raises when dOmega leaves the invariant 5-form plane,
     which would contradict the two-line decomposition.
     """
+    model = symbolic_model(kind, n)
     _, _, _, omega = fundamental_forms(model)
-    dom = ce_differential(model, omega)
-    x, y = plane_coordinates(dom, pair.theta_eh, pair.theta_kh)
-    return x, y, dom
+    return (plane_coordinates(n, ce_differential(model, omega)),
+            plane_coordinates(n, wedge({(0,): Fraction(1)}, omega)))
+
+
+def _isotypic_coordinates(kind: str, n: int) -> tuple[Poly, Poly]:
+    """Raw (x, y) with dOmega = x theta_EH + y theta_KH, exact, from
+    theta_EH = p1 + p2 and theta_KH = kx p1 + ky p2."""
+    (a, b), _ = _domega(kind, n)
+    kx, ky = plane_coordinates(n, isotypic_split(n).theta_kh)
+    y = Poly.coerce(a - b) / (kx - ky)
+    return a - y * kx, y
 
 
 @cache
 def _calibration_scales(n: int) -> Calibration:
     """Theta scales fixed once per n so the H4 row matches exactly."""
-    pair = isotypic_split(n)
-    x, y, _ = _split_domega(symbolic_model("H4", n), pair)
-    x, y = Poly.coerce(x), Poly.coerce(y)
+    x, y = _isotypic_coordinates("H4", n)
     if not (x and y):
         raise AssertionError("H4 row degenerated; cannot calibrate")
     target_kh, target_eh = _poly_primitive(x), _poly_primitive(y)
@@ -286,22 +314,12 @@ class ClassReport:
     f_kh: Poly
 
 
-def eh_coefficients(model: HomogeneousModel) -> ClassReport:
-    """Exact (f_EH, f_KH) for a model with symbolic metric parameters.
-
-    The zero residual of the two-line solve is asserted inside; the theta
-    normalization is the single H4 calibration shared by all rows at this n.
-    """
-    pair = isotypic_split(model.n)
-    cal = _calibration_scales(model.n)
-    x, y, _ = _split_domega(model, pair)
-    f_kh = Poly.coerce(x) * (1 / cal.s_eh)
-    f_eh = Poly.coerce(y) * (1 / cal.s_kh)
-    return ClassReport(f_eh, f_kh)
-
-
 def table4_row(kind: str, n: int) -> ClassReport:
-    return eh_coefficients(symbolic_model(kind, n))
+    """Exact (f_EH, f_KH) of symbolic_model(kind, n); the theta normalization
+    is the single H4 calibration shared by all rows at this n."""
+    cal = _calibration_scales(n)
+    x, y = _isotypic_coordinates(kind, n)
+    return ClassReport(y * (1 / cal.s_kh), x * (1 / cal.s_eh))
 
 
 # --------------------------------------------------------------------------
@@ -382,18 +400,6 @@ def first_order_tests(model: HomogeneousModel) -> FirstOrderReport:
 # metric-adapted (moving) isotypic lines and genuine first-order loci
 # --------------------------------------------------------------------------
 
-def plane_coordinates(form: dict, p1: dict, p2: dict):
-    """Exact (x, y) with form = x p1 + y p2 for a rational plane basis (p1, p2);
-    the form may have Poly-valued coefficients."""
-    plane = Echelon([p1, p2])
-    if plane.rank != 2:
-        raise AssertionError("degenerate plane basis")
-    coords = plane.coordinates(form)
-    if coords is None:
-        raise AssertionError("form leaves the invariant plane")
-    return coords.get(0, Fraction(0)), coords.get(1, Fraction(0))
-
-
 @dataclass
 class GenuineLoci:
     """Exact polynomial conditions for the metric-adapted reductions.
@@ -407,19 +413,13 @@ class GenuineLoci:
     p_kh: Poly
 
 
-def genuine_loci(model: HomogeneousModel) -> GenuineLoci:
-    """Compute the adapted-class loci for a symbolic-metric model."""
-    p1, p2 = invariant_five_forms(model.n)
-    _, _, _, omega = fundamental_forms(model)
-    dom = ce_differential(model, omega)
-    x, y = plane_coordinates(dom, p1, p2)
-    # the moving EH line is spanned by e0 ^ Omega
-    w = wedge({(0,): Fraction(1)}, omega)
-    wx, wy = plane_coordinates(w, p1, p2)
+def genuine_loci(kind: str, n: int) -> GenuineLoci:
+    """The adapted-class loci of symbolic_model(kind, n)."""
+    (x, y), (wx, wy) = _domega(kind, n)  # the moving EH line is spanned by e0 ^ Omega
     p_eh = Poly.coerce(x * wy - y * wx)
     # the KH line moves by the same diagonal rescaling that carries the fixed
     # theta_EH = p1 + p2 direction (1 : 1) to (wx : wy)
-    kx, ky = plane_coordinates(isotypic_split(model.n).theta_kh, p1, p2)
+    kx, ky = plane_coordinates(n, isotypic_split(n).theta_kh)
     p_kh = Poly.coerce(x * (ky * wy) - y * (kx * wx))
     return GenuineLoci(_poly_primitive(p_eh), _poly_primitive(p_kh))
 

@@ -377,8 +377,8 @@ class ModelSpec:
             raise ValueError(f"{self.kind} requires beta")
         if self.kind not in ("H3", "H5") and self.beta is not None:
             raise ValueError(f"{self.kind} takes no beta")
-        if self.kind == "MaxCurved" and self.c is None:
-            raise ValueError("MaxCurved requires c")
+        if self.kind == "MaxCurved" and not self.c:
+            raise ValueError("MaxCurved requires a nonzero c (c = 0 is FlatMax)")
         if self.kind != "MaxCurved" and self.c is not None:
             raise ValueError(f"{self.kind} takes no c")
         if self.n < 2:

@@ -178,6 +178,8 @@ class Poly:
         return False
 
     def __hash__(self):
+        if self.terms.keys() <= {_ZERO_MONO}:  # a zero or constant Poly hashes as its scalar
+            return hash(self.terms.get(_ZERO_MONO, 0))
         return hash(frozenset(self.terms.items()))
 
     # -- evaluation -------------------------------------------------------

@@ -12,7 +12,8 @@ from math import gcd
 from hypothesis import strategies as st
 
 from qhlab.cli import _GRID, _SPECIAL, _prop12_expected
-from qhlab.forms import _bidegree, _sqrt_fraction, lincomb, plane_coordinates
+from qhlab import forms
+from qhlab.forms import _bidegree, _sqrt_fraction, lincomb
 from qhlab.lie import (BilinearMap, LieAlgebra, Representation, common_kernel, derivation,
                        flatten_op, op_apply, op_compose, op_is_zero, op_sub, op_transpose,
                        semidirect)
@@ -23,6 +24,14 @@ from qhlab.models import (ModelSpec, _complement, ambient_rep, build_model, hori
                           isotropy_rep, maximal_vertical_bracket, model_groups, xi_operator)
 from qhlab.poly import NVARS, VARS, Poly
 from qhlab.quaternion import IM_UNITS, UNITS, QMat, Quaternion, _lower, format_rat, sp_basis
+
+
+def clear_class_caches():
+    """Empty every cache of the class layer, so the next class command
+    rebuilds the invariant plane, its echelon, each dOmega and the calibration."""
+    for cached in (forms.invariant_five_forms, forms.isotypic_split, forms._plane,
+                   forms._domega, forms._calibration_scales):
+        cached.cache_clear()
 
 
 def class_at(row, c1, c2) -> str:
@@ -570,7 +579,10 @@ def casimir_split(n):
     for idx in range(4 * n):
         e = {(idx,): Fraction(1)}
         assert not lincomb((1, cas(e)), (-lam1, e)), "Casimir is not scalar on 1-forms"
-    (m11, m21), (m12, m22) = (plane_coordinates(cas(v), v1, v2) for v in (v1, v2))
+    plane = Echelon([v1, v2])
+    coords = [plane.coordinates(cas(v)) for v in (v1, v2)]
+    assert None not in coords, "the Casimir leaves the invariant plane"
+    (m11, m21), (m12, m22) = ((c.get(0, Fraction(0)), c.get(1, Fraction(0))) for c in coords)
     tr, det = m11 + m22, m11 * m22 - m12 * m21
     sq = _sqrt_fraction(tr * tr - 4 * det)
     eigs = ((tr + sq) / 2, (tr - sq) / 2)

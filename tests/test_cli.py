@@ -59,6 +59,11 @@ def test_usage_error_exit_code(capsys):
     ["model-report", "--spec", "MaxCurved:c=1:n=2:c1=2:c2=1"],
     ["reproduce", "table4", "--n", "3", "--beta=5"],
     ["reproduce", "maxmodel", "--beta=1"],
+    # table3 and maxmodel run fixed inputs, so an --n would only be echoed
+    ["reproduce", "table3", "--n", "3"],
+    ["--format", "json", "reproduce", "maxmodel", "--n", "-5"],
+    # c = 0 is the FlatMax bracket, not a curved one
+    ["model-report", "--spec", "MaxCurved:n=2:c=0"],
     ["model-report", "--spec", "H4:n=3:c1=1:c1=2"],
     # --grid where the report reads no metric point
     ["model-report", "--spec", "FlatMax:n=2", "--grid", "2,1;3,1"],

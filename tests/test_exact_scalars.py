@@ -13,8 +13,7 @@ from fractions import Fraction
 from qhlab.forms import _calibration_scales, genuine_loci, table4_row
 from qhlab.geometry import GroupData, curvature
 from qhlab.lie import equivariant_hom
-from qhlab.models import (H_KINDS, ModelSpec, _maxmodel_jacobiator, build_model, isotropy_rep,
-                          symbolic_model)
+from qhlab.models import H_KINDS, ModelSpec, _maxmodel_jacobiator, build_model, isotropy_rep
 from qhlab.poly import Poly
 
 TABLE4_KINDS = H_KINDS + ("QHP", "QHH")
@@ -46,7 +45,7 @@ def _floats(outputs) -> list:
 def test_class_coefficients_and_loci_hold_only_ints_and_fractions():
     outputs = [_calibration_scales(3)]
     outputs += [table4_row(kind, 3) for kind in TABLE4_KINDS]
-    outputs += [genuine_loci(symbolic_model(kind, 3)) for kind in TABLE4_KINDS]
+    outputs += [genuine_loci(kind, 3) for kind in TABLE4_KINDS]
     assert sum(1 for _ in _scalars(outputs)) > 50
     assert _floats(outputs) == []
 

@@ -170,6 +170,10 @@ def test_int_coded_ring_matches_the_fraction_oracle(p, q, s, mono, c, k, point):
         # cannot tell the two codings apart
         fraction_coded = Poly._of(dict(want.terms))
         assert got == fraction_coded and hash(got) == hash(fraction_coded)
+    # a zero or constant Poly equals its scalar, so it hashes as that scalar
+    for const, scalar in ((Poly.const(s), s), (Poly(), 0),
+                          (Poly.const(Fraction(-3, 4)), Fraction(-3, 4))):
+        assert const == scalar and hash(const) == hash(scalar) and {const: 1}.get(scalar) == 1
     value = P.eval(point)
     assert value == OP.eval(point) and type(value) is Fraction
     assert (P == s) == (OP.terms == FractionPoly.coerce(s).terms)
@@ -177,7 +181,7 @@ def test_int_coded_ring_matches_the_fraction_oracle(p, q, s, mono, c, k, point):
 
 
 def test_proportionality_is_a_fraction():
-    # it feeds 1 / s in forms.eh_coefficients, where an int would divide to a float
+    # it feeds 1 / s in forms.table4_row, where an int would divide to a float
     c1, c2 = Poly.var("c1"), Poly.var("c2")
     for p, q in ((c1 * c2 * 2, c1 * c2), (Poly(), c1), (c1 * 3 + c2 * 6, c1 + c2 * 2),
                  (c1 * Fraction(1, 2), c1)):
