@@ -98,8 +98,11 @@ def cmd_invariant_dims(ns) -> tuple[dict, int]:
 
 
 def cmd_classify_bracket(ns) -> tuple[dict, int]:
+    if ns.n is not None:
+        _usage_error("--n does not apply to classify-bracket, whose Jacobi equations "
+                     "and normal forms do not depend on n")
     params = tuple(_rational(x, "bracket parameter") for x in ns.params)
-    entry: dict = {"model": "bracket", "n": ns.n,
+    entry: dict = {"model": "bracket", "n": 3,
                    "extras": {"params": [format_rat(x) for x in params]}}
     checks = []
     violated = M.violated_equations(params)
@@ -124,7 +127,7 @@ def cmd_classify_bracket(ns) -> tuple[dict, int]:
             ok = M.apply_scaling(params, nf.s, nf.t_sq) == nf.canonical
             checks.append(("scaling witness reproduces the canonical tuple", ok,
                            f"s={format_rat(nf.s)}, t^2={format_rat(nf.t_sq)}"))
-    report = {"command": "classify-bracket", "n": ns.n, "models": [entry],
+    report = {"command": "classify-bracket", "n": 3, "models": [entry],
               "suite": _suite(checks)}
     return report, 0 if report["suite"]["failed"] == 0 else 1
 
@@ -497,7 +500,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classify-bracket", help="family membership and normal form")
     p.add_argument("params", nargs=5, help="alpha beta1 beta2 gamma1 gamma2 (rationals)")
-    p.add_argument("--n", type=int, default=3)
+    p.add_argument("--n", type=int, default=None,
+                   help="not accepted: the result does not depend on n")
     p.set_defaults(func=cmd_classify_bracket)
 
     p = sub.add_parser("reproduce", help="regenerate a reference table and diff")

@@ -18,11 +18,12 @@ from math import isqrt
 from types import MappingProxyType
 
 # common_kernel is unused here; bench/test_bench.py pins the forms.common_kernel binding
-from .lie import ColMat, common_kernel, derivation, sort_sign
+from .lie import BilinearMap, ColMat, _icoded, common_kernel, derivation, sort_sign
 from .linalg import Echelon, accumulate, nullspace, sv_primitive
 from .poly import Poly, proportionality
-from .models import (HomogeneousModel, ambient_rep, ambient_triple, basis_block, isotropy_rep,
-                     metric_diag, symbolic_model)
+from .models import (HORIZONTAL_NAMES, H_KINDS, HomogeneousModel, ambient_rep, ambient_triple,
+                     basis_block, h_kind_tuples, horizontal_brackets, isotropy_rep, metric_diag,
+                     quaternionic_triple, symbolic_model)
 
 
 def lincomb(*pairs) -> dict:
@@ -62,15 +63,21 @@ def pullback_all_slots(form: dict, op: ColMat) -> dict:
 
 def one_form_differentials(model: HomogeneousModel) -> list[dict]:
     """d(e^s) = -sum_{i<j} c_{ij}^s e^i ^ e^j from the m-part of the bracket."""
-    terms: list[dict] = [{} for _ in range(model.rho.dim)]
-    for (i, j), col in model.bracket_m.coeffs.items():
+    return _bracket_differentials(model.bracket_m)
+
+
+def _bracket_differentials(bracket: BilinearMap) -> list[dict]:
+    """The one-form differentials of an m-valued bracket table, model or not,
+    int-coded where integral."""
+    terms: list[dict] = [{} for _ in range(bracket.dim_out)]
+    for (i, j), col in _icoded(bracket.coeffs).items():
         for s, c in col.items():
             if c:
                 terms[s][(i, j)] = -c
     return terms
 
 
-def ce_differential(model: HomogeneousModel, form: dict,
+def ce_differential(model: HomogeneousModel | None, form: dict,
                     d1: list[dict] | None = None) -> dict:
     """Exterior derivative of an invariant form on the reductive model.
 
@@ -78,7 +85,8 @@ def ce_differential(model: HomogeneousModel, form: dict,
     the de Rham derivative (and d o d = 0 there), otherwise it is just the
     algebraic differential.  Slot pos of e_S contributes
     (-1)^pos d(e^{S_pos}) ^ e_{S without pos}; the 2-form commutes, so it is
-    wedged on the right of the single term.
+    wedged on the right of the single term.  The model is read only to make
+    d1 when none is given.
     """
     if d1 is None:
         d1 = one_form_differentials(model)
@@ -179,18 +187,21 @@ def invariant_five_forms(n: int) -> tuple[dict, dict]:
     Omega_k is the fundamental 4-form of the ambient triple at the unit
     metric, certified killed by every generator of the ambient
     k = sp(1) + sp(n); each part is certified killed by every isotropy
-    generator.  That the invariant 5-forms are no more than these two is
-    checked against the kernel of the derivations on Lambda^5 in the tests.
+    generator.  Both are read and certified on int-coded matrices, so the
+    forms are int-valued.  That the invariant 5-forms are no more than these
+    two is checked against the kernel of the derivations on Lambda^5 in the
+    tests.
     """
     if n < 3:
         raise ValueError("the 5-form analysis requires n >= 3")
-    _, _, _, omega_k = _triple_forms(ambient_triple(n), metric_diag(n, Fraction(1), Fraction(1)))
-    if any(derivation(omega_k, mat) for mat in ambient_rep(n)[1].mats):
+    _, _, _, omega_k = _triple_forms([_icoded(A) for A in ambient_triple(n)],
+                                     metric_diag(n, 1, 1))
+    if any(derivation(omega_k, _icoded(mat)) for mat in ambient_rep(n)[1].mats):
         raise AssertionError("Omega_k is not invariant under the ambient algebra")
-    theta_eh = wedge({(0,): Fraction(1)}, omega_k)
+    theta_eh = wedge({(0,): 1}, omega_k)
     parts = tuple({S: c for S, c in theta_eh.items() if _bidegree(S) == bd}
                   for bd in ((1, 0, 4), (1, 2, 2)))
-    if any(derivation(p, mat) for mat in isotropy_rep(n)[1].mats for p in parts):
+    if any(derivation(p, mat) for mat in map(_icoded, isotropy_rep(n)[1].mats) for p in parts):
         raise AssertionError("a bi-degree part of e0 ^ Omega_k is not invariant")
     return tuple(MappingProxyType(p) for p in parts)
 
@@ -273,17 +284,56 @@ def plane_coordinates(n: int, form: dict):
 
 
 @cache
-def _domega(kind: str, n: int):
-    """The plane coordinates of dOmega and of e^0 ^ Omega on
-    symbolic_model(kind, n): its one build and one exterior derivative.
+def _symbolic_omega(n: int) -> tuple[dict, tuple]:
+    """Omega of quaternionic_triple(n) at the symbolic metric (c1, c2), and the
+    plane coordinates of e^0 ^ Omega: every Table-4 model carries that triple
+    and metric, so all of them share the two."""
+    _, _, _, omega = _triple_forms(quaternionic_triple(n),
+                                   metric_diag(n, Poly.var("c1"), Poly.var("c2")))
+    return omega, plane_coordinates(n, wedge({(0,): 1}, omega))
 
-    plane_coordinates raises when dOmega leaves the invariant 5-form plane,
-    which would contradict the two-line decomposition.
+
+@cache
+def bracket_columns(n: int) -> MappingProxyType:
+    """name -> the plane coordinates of dOmega for each basis bracket Theta,
+    Psi1, Psi2, Upsilon1, Upsilon2 of horizontal_brackets(n), Omega shared.
+
+    ce_differential reads only the m-part of the bracket, so dOmega is
+    linear in it, and d^1 is read straight off each basis table: no model is
+    built and no Jacobi pass runs, as a basis bracket alone need not satisfy
+    Jacobi.
     """
-    model = symbolic_model(kind, n)
-    _, _, _, omega = fundamental_forms(model)
-    return (plane_coordinates(n, ce_differential(model, omega)),
-            plane_coordinates(n, wedge({(0,): Fraction(1)}, omega)))
+    omega, _ = _symbolic_omega(n)
+    return MappingProxyType({
+        name: plane_coordinates(n, ce_differential(None, omega, _bracket_differentials(b)))
+        for name, b in horizontal_brackets(n).items()})
+
+
+def column_sum(n: int, params) -> tuple[Poly, Poly]:
+    """The plane coordinates of dOmega for the bracket
+    sum_i params_i * basis_i, params (alpha, beta1, beta2, gamma1, gamma2)
+    rationals or Polys: the matching sum of bracket_columns(n)."""
+    cols = bracket_columns(n)
+    return tuple(sum((p * cols[name][k] for p, name in zip(params, HORIZONTAL_NAMES)), Poly())
+                 for k in (0, 1))
+
+
+@cache
+def _domega(kind: str, n: int):
+    """The plane coordinates of dOmega and of e^0 ^ Omega for the Table-4 model
+    of kind at n, symbolic in (c1, c2) and, for H3/H5, beta2.
+
+    An H kind is the column sum at its tuple from models.h_kind_tuples, which
+    certifies every H bracket at n once; QHP and QHH, whose brackets lie
+    outside the five-parameter family, differentiate the shared Omega on
+    their one symbolic build.  plane_coordinates raises when dOmega leaves
+    the invariant 5-form plane, which would contradict the two-line
+    decomposition.
+    """
+    omega, e0_omega = _symbolic_omega(n)
+    if kind in H_KINDS:
+        return column_sum(n, h_kind_tuples(n)[kind]), e0_omega
+    return plane_coordinates(n, ce_differential(symbolic_model(kind, n), omega)), e0_omega
 
 
 def _isotypic_coordinates(kind: str, n: int) -> tuple[Poly, Poly]:

@@ -20,8 +20,9 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cache
 from itertools import combinations
+from types import MappingProxyType
 
-from .lie import (BilinearMap, ColMat, LieAlgebra, Representation,
+from .lie import (BilinearMap, ColMat, LieAlgebra, Representation, _icoded,
                   equivariant_hom, flatten_op, matrix_algebra, op_apply, op_compose,
                   op_is_skew, op_is_zero, op_sub, semidirect)
 from .linalg import Echelon, SparseVec, accumulate, rref
@@ -160,21 +161,23 @@ def ambient_rep(n: int) -> tuple[LieAlgebra, Representation, tuple[int, ...]]:
 def _certified_triple(triple: tuple[ColMat, ColMat, ColMat],
                       rho: Representation) -> tuple[ColMat, ColMat, ColMat]:
     """triple, checked: Hermitian for g_{c1,c2} at symbolic c1, c2, I^2 = J^2 =
-    K^2 = -Id, I J = K and a rho-invariant span.  The two cached triples below
-    pass it once per n and must not be modified."""
-    I, J, K = triple
+    K^2 = -Id, I J = K and a rho-invariant span.  The checks compose int-coded
+    copies of the triple and of rho's matrices, and the triple given is
+    returned.  The two cached triples below pass it once per n and must not
+    be modified."""
+    I, J, K = coded = [_icoded(A) for A in triple]
     metric = metric_diag(rho.dim // 4, Poly.var("c1"), Poly.var("c2"))
-    if not all(op_is_skew(A, metric) for A in triple):
+    if not all(op_is_skew(A, metric) for A in coded):
         raise AssertionError("metric is not Hermitian for the triple")
-    minus_id: ColMat = {c: {c: Fraction(-1)} for c in range(rho.dim)}
-    for A in triple:
+    minus_id: ColMat = {c: {c: -1} for c in range(rho.dim)}
+    for A in coded:
         if not op_is_zero(op_sub(op_compose(A, A), minus_id)):
             raise AssertionError("triple element does not square to -Id")
     if not op_is_zero(op_sub(op_compose(I, J), K)):
         raise AssertionError("I J != K")
-    triple_span = Echelon(flatten_op(A, rho.dim) for A in triple)
-    for mat in rho.mats:
-        for A in triple:
+    triple_span = Echelon(flatten_op(A, rho.dim) for A in coded)
+    for mat in map(_icoded, rho.mats):
+        for A in coded:
             comm = op_sub(op_compose(mat, A), op_compose(A, mat))
             if triple_span.reduce(flatten_op(comm, rho.dim)):
                 raise AssertionError("triple span is not isotropy invariant")
@@ -351,6 +354,41 @@ def table3_tuple(name: str, beta=None) -> tuple:
     if name not in rows:
         raise ValueError(f"unknown normal-form name {name}")
     return tuple(x if isinstance(x, Poly) else Fraction(x) for x in rows[name])
+
+
+@cache
+def h_kind_tuples(n: int) -> MappingProxyType:
+    """kind -> table3_tuple(kind, beta2) for the six H kinds, beta2 a Poly for
+    H3 and H5, each certified a Lie bracket at n for every beta2.
+
+    The one certificate is the jacobiator of h + m with
+    bracket_from_params(n, alpha, ..., gamma2) over Poly parameters, on the
+    triples verify_model checks: every distinct component, a polynomial in the
+    five parameters, must vanish at each tuple; raises otherwise.
+    """
+    h, rho, _ = isotropy_rep(n)
+    b = bracket_from_params(n, *(Poly.var(v) for v in PARAM_NAMES))
+    components = {v for col in semidirect(h, rho, b).structure.jacobiator(h.dim).values()
+                  for v in col.values()}
+    beta2 = Poly.var("beta2")
+    tuples = {}
+    for kind in H_KINDS:
+        params = table3_tuple(kind, beta2 if kind in ("H3", "H5") else None)
+        if any(_at(p, params) for p in components):
+            raise AssertionError(f"the {kind} bracket fails the Jacobi identity at n={n}")
+        tuples[kind] = params
+    return MappingProxyType(tuples)
+
+
+def _at(p: Poly, params) -> Poly:
+    """p, a polynomial in the five bracket parameters, at params (rationals or Polys)."""
+    total = Poly()
+    for mono, c in p.terms.items():
+        term = Poly.const(c)
+        for x, e in zip(params, mono):
+            term = term * x ** e
+        total = total + term
+    return total
 
 
 # --------------------------------------------------------------------------
@@ -588,8 +626,9 @@ def _build_twisted_model(spec: ModelSpec) -> HomogeneousModel:
 def symbolic_model(kind: str, n: int) -> HomogeneousModel:
     """Model with symbolic metric (c1, c2) and, for H3/H5, symbolic beta2.
 
-    Used by the class-coefficient computation; Hodge-dependent geometry
-    requires rational points and is not available on these models.
+    The class layer builds only QHP and QHH this way, as their brackets lie
+    outside the five-parameter family; Hodge-dependent geometry requires
+    rational points and is not available on these models.
     """
     beta = Poly.var("beta2") if kind in ("H3", "H5") else None
     return build_model(ModelSpec(kind, n, beta=beta)).with_metric(Poly.var("c1"), Poly.var("c2"))

@@ -20,18 +20,50 @@ from qhlab.lie import (BilinearMap, LieAlgebra, Representation, common_kernel, d
 from qhlab.linalg import (Echelon, accumulate, nullspace, sparse_nullspace, sv_add_scaled,
                           sv_primitive)
 from qhlab.geometry import GroupData, classify, curvature
-from qhlab.models import (ModelSpec, _complement, ambient_rep, build_model, horizontal_brackets,
-                          isotropy_rep, maximal_vertical_bracket, model_groups, xi_operator)
+from qhlab.models import (ModelSpec, _assemble, _complement, ambient_rep, bracket_from_params,
+                          build_model, h_kind_tuples, horizontal_brackets, isotropy_rep,
+                          maximal_vertical_bracket, model_groups, quaternionic_triple,
+                          symbolic_model, xi_operator)
 from qhlab.poly import NVARS, VARS, Poly
 from qhlab.quaternion import IM_UNITS, UNITS, QMat, Quaternion, _lower, format_rat, sp_basis
 
 
+CLASS_CACHES = (forms.invariant_five_forms, forms.isotypic_split, forms._plane,
+                forms._symbolic_omega, forms.bracket_columns, h_kind_tuples, forms._domega,
+                forms._calibration_scales)
+
+
 def clear_class_caches():
     """Empty every cache of the class layer, so the next class command
-    rebuilds the invariant plane, its echelon, each dOmega and the calibration."""
-    for cached in (forms.invariant_five_forms, forms.isotypic_split, forms._plane,
-                   forms._domega, forms._calibration_scales):
+    rebuilds the invariant plane, its echelon, the shared Omega, the bracket
+    columns, the H-kind Lie certificate, each dOmega and the calibration."""
+    for cached in CLASS_CACHES:
         cached.cache_clear()
+
+
+def domega_by_build(kind, n):
+    """The plane coordinates of dOmega and of e^0 ^ Omega on
+    symbolic_model(kind, n), through its own fundamental_forms and
+    ce_differential: the reference for forms._domega's bracket-column sum
+    over the H kinds."""
+    return _domega_of_model(symbolic_model(kind, n))
+
+
+def domega_by_bracket(n, params):
+    """domega_by_build for the model on bracket_from_params(n, *params), a
+    Jacobi point (its assembly runs the Jacobi certificate), at the symbolic
+    metric; the H4 spec only supplies n."""
+    h, rho, _ = isotropy_rep(n)
+    b = bracket_from_params(n, *params)
+    model = _assemble(ModelSpec("H4", n), semidirect(h, rho, b), rho, b, None,
+                      quaternionic_triple(n))
+    return _domega_of_model(model.with_metric(Poly.var("c1"), Poly.var("c2")))
+
+
+def _domega_of_model(model):
+    _, _, _, omega = forms.fundamental_forms(model)
+    return (forms.plane_coordinates(model.n, forms.ce_differential(model, omega)),
+            forms.plane_coordinates(model.n, forms.wedge({(0,): Fraction(1)}, omega)))
 
 
 def class_at(row, c1, c2) -> str:

@@ -62,6 +62,9 @@ def test_usage_error_exit_code(capsys):
     # table3 and maxmodel run fixed inputs, so an --n would only be echoed
     ["reproduce", "table3", "--n", "3"],
     ["--format", "json", "reproduce", "maxmodel", "--n", "-5"],
+    # classify-bracket's equations and normal forms do not depend on n either
+    ["--format", "json", "classify-bracket", "4", "8", "4", "0", "0", "--n", "-5"],
+    ["classify-bracket", "4", "8", "4", "0", "0", "--n", "3"],
     # c = 0 is the FlatMax bracket, not a curved one
     ["model-report", "--spec", "MaxCurved:n=2:c=0"],
     ["model-report", "--spec", "H4:n=3:c1=1:c1=2"],

@@ -8,18 +8,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qhlab.cli import main
-from qhlab.forms import (ce_differential, codifferential, contract_pair,
-                         first_order_tests, fundamental_forms, genuine_loci,
+from qhlab.forms import (bracket_columns, ce_differential, codifferential, column_sum,
+                         contract_pair, first_order_tests, fundamental_forms, genuine_loci,
                          hodge_star, invariant_five_forms, isotypic_split,
                          lincomb, one_form_differentials, plane_coordinates,
                          pullback_all_slots, solve_wedge_omega, table4_row, wedge,
                          _bidegree, _calibration_scales, _domega, _poly_primitive)
 from qhlab.lie import derivation, derivation_op, op_apply, sort_sign
 from qhlab.linalg import Echelon
-from qhlab.models import (ModelSpec, bracket_space_dims, build_model, isotropy_rep,
-                          quaternionic_triple, symbolic_model)
+from qhlab.models import (H_KINDS, ModelSpec, bracket_space_dims, build_model, in_families,
+                          isotropy_rep, quaternionic_triple, symbolic_model)
 from qhlab.poly import NVARS, Poly
-from oracles import (casimir_split, class_at, clear_class_caches, invariant_five_forms_by_kernel,
+from oracles import (CLASS_CACHES, casimir_split, class_at, clear_class_caches, domega_by_bracket,
+                     domega_by_build, invariant_five_forms_by_kernel,
                      materialised_common_kernel, primitive_by_content, pure_bidegree_by_nullspace,
                      quaternion, rational_forms, rotated_triple, substitute)
 
@@ -285,18 +286,23 @@ def test_non_invariant_omega_k_exits_3(monkeypatch, capsys):
 def _class_layer_counts(monkeypatch, n, argv):
     """Run a command at n on empty class-layer caches and count what it makes:
     the symbolic models by kind, the Jacobi passes, the dOmega taken of each
-    symbolic model, and the echelons built of the invariant 5-form plane."""
+    symbolic model and of each bracket column (no model), and the echelons
+    built of the invariant 5-form plane.  Also returns the size of every
+    class-layer cache after the command; each is empty again after
+    clear_class_caches."""
     import qhlab.forms as forms
     from qhlab import lie, models
     clear_class_caches()
     plane = set().union(*invariant_five_forms(n))
-    built, differentiated, planes, jacobi = [], [], [], []
+    built, differentiated, columns, planes, jacobi = [], [], [], [], []
 
     def symbolic(kind, n):
         built.append((kind, symbolic_model(kind, n)))  # held, so no id is reused
         return built[-1][1]
 
     def differential(model, form, d1=None):
+        if model is None:
+            columns.append(d1)
         differentiated.extend(kind for kind, m in built if m is model)
         return ce_differential(model, form, d1)
 
@@ -319,26 +325,52 @@ def _class_layer_counts(monkeypatch, n, argv):
     monkeypatch.setattr(lie.LieAlgebra, "verify_jacobi", counted_jacobi)
     try:
         code = main(argv)
+        filled = [cached.cache_info().currsize for cached in CLASS_CACHES]
     finally:
         clear_class_caches()
-    return code, sorted(kind for kind, _ in built), sorted(differentiated), planes, jacobi
+    assert all(cached.cache_info().currsize == 0 for cached in CLASS_CACHES)
+    return (code, sorted(kind for kind, _ in built), sorted(differentiated), len(columns),
+            planes, jacobi, filled)
 
 
 def test_each_symbolic_model_is_built_and_differentiated_once(monkeypatch, capsys):
-    # one symbolic build, Jacobi pass and dOmega per Table-4 row, the H4 row
-    # shared with the calibration (QHP/QHH's read algebra comes verified)
-    code, built, differentiated, planes, jacobi = _class_layer_counts(
+    # the H rows are sums of the five bracket columns, each the dOmega of the
+    # one shared Omega with no model built; the per-n parameter-space
+    # jacobiator certifies every H bracket, so the class path runs no Jacobi
+    # pass (QHP/QHH's read algebra comes verified); QHP and QHH each build and
+    # differentiate once
+    code, built, differentiated, columns, planes, jacobi, filled = _class_layer_counts(
         monkeypatch, 4, ["reproduce", "table4", "--n", "4"])
     assert code == 1
-    assert built == differentiated == sorted(_TABLE4_ROWS)
-    assert len(jacobi) == 6 and planes == [2]
-    # model-report reads its row and its loci off one dOmega of the H3 model
-    code, built, differentiated, planes, _ = _class_layer_counts(
+    assert built == differentiated == ["QHH", "QHP"]
+    assert columns == 5 and jacobi == [] and planes == [2]
+    assert all(filled)
+    # model-report reads its row and its loci off the columns: no symbolic
+    # model, and its one Jacobi pass is the rational build for the curvature
+    code, built, differentiated, columns, planes, jacobi, _ = _class_layer_counts(
         monkeypatch, 3, ["model-report", "--spec", "H3:beta=1:n=3", "--grid", "1,2"])
     assert code == 0
-    assert built == differentiated == ["H3", "H4"]
-    assert planes == [2]
+    assert built == differentiated == [] and columns == 5
+    assert planes == [2] and len(jacobi) == 1
     capsys.readouterr()
+
+
+def test_a_non_jacobi_h_tuple_fails_the_lie_certificate(monkeypatch, capsys):
+    # H2 read as (1, 1, 1, 0, 0), off every Jacobi family: the per-n
+    # certificate rejects it before any row is reported, an internal check
+    from qhlab import models
+    table3_tuple = models.table3_tuple
+    monkeypatch.setattr(models, "table3_tuple", lambda name, beta=None: (
+        (F(1), F(1), F(1), F(0), F(0)) if name == "H2" else table3_tuple(name, beta)))
+    clear_class_caches()
+    try:
+        code = main(["reproduce", "table4", "--n", "3"])
+    finally:
+        clear_class_caches()
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err == ("qhlab: internal check failed: "
+                            "the H2 bracket fails the Jacobi identity at n=3\n")
 
 
 def _five_form_state(n):
@@ -421,6 +453,46 @@ def test_table4_rows_as_functions_of_n(n):
         h3 = substitute(got["H3"], {"beta2": 1})
         assert got["H1+"] - got["H2"] == h3, col
         assert got["H1+"] + got["H1-"] == h3 * 2, col
+
+
+# The plane coordinates of dOmega for each basis bracket of horizontal_brackets
+_BRACKET_COLUMNS = {
+    "Theta": (-2*c1*c2, -3*c1**2), "Psi1": (0, -2*c1*c2), "Psi2": (-4*c2**2, -2*c1*c2),
+    "Upsilon1": (0, 2*c1*c2), "Upsilon2": (0, -4*c1*c2),
+}
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
+def test_bracket_columns_are_one_matrix_for_every_n(n):
+    assert dict(bracket_columns(n)) == _BRACKET_COLUMNS
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_column_sum_equals_the_per_kind_build(n):
+    # beta2 stays symbolic for H3 and H5; __wrapped__ runs the column read
+    # even where an earlier test filled the cache
+    for kind in H_KINDS:
+        assert _domega.__wrapped__(kind, n) == domega_by_build(kind, n), kind
+
+
+_small = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+
+
+@st.composite
+def _jacobi_points(draw):
+    """A rational point of one of the Jacobi families F1-F4."""
+    family = draw(st.sampled_from(("F1", "F2", "F3", "F4")))
+    x, y = draw(_small), draw(_small)
+    zero = F(0)
+    return {"F1": (x, 2 * y, y, zero, zero), "F2": (zero, x, y, zero, zero),
+            "F3": (zero, zero, x, y, y), "F4": (zero, zero, x, y, zero)}[family]
+
+
+@given(_jacobi_points())
+@settings(max_examples=12, deadline=None)
+def test_column_sum_equals_the_build_at_random_jacobi_points(params):
+    assert in_families(params)
+    assert column_sum(3, params) == domega_by_bracket(3, params)[0]
 
 
 def test_f_eh_column_is_n_uniform():

@@ -570,6 +570,25 @@ def test_triple_certificate_failures():
         _certified_triple((I, J, minus_k), rho)
 
 
+def test_a_flipped_sign_fails_the_int_coded_triple_certificate(monkeypatch):
+    # the certificate composes int-coded copies of the triple; one entry of I
+    # with its sign flipped breaks it there, and an intact triple passes and
+    # comes back as the very matrices it was given
+    coded = _counted(monkeypatch, models, "_icoded")
+    I, J, K = triple = quaternionic_triple(3)
+    rho = isotropy_rep(3)[1]
+    flipped = {c: dict(col) for c, col in I.items()}
+    col = min(flipped)
+    row = min(flipped[col])
+    flipped[col][row] = -flipped[col][row]
+    with pytest.raises(AssertionError):
+        _certified_triple((flipped, J, K), rho)
+    assert coded[0] == (flipped,)
+    assert all(isinstance(v, int) for col in models._icoded(I).values() for v in col.values())
+    certified = _certified_triple(triple, rho)
+    assert all(a is b for a, b in zip(certified, triple))
+
+
 def test_the_triple_is_certified_hermitian_for_every_metric():
     # I conjugated by diag(2 at index 0, 1 elsewhere) still squares to -Id,
     # but is not skew for g_{c1,c2}: only the Hermitian check rejects it
