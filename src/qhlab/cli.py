@@ -21,8 +21,6 @@ import json
 import random
 import sys
 from fractions import Fraction
-from importlib import resources
-from typing import NoReturn
 
 from .poly import Poly
 from .quaternion import format_rat, rat
@@ -35,13 +33,16 @@ _DATA_CACHE: dict[str, dict] = {}
 
 
 def _load_data(name: str) -> dict:
+    # imported here: only reproduce table3 | table4 | prop12 read packaged data
+    from importlib import resources
     if name not in _DATA_CACHE:
         with resources.files("qhlab.data").joinpath(name).open("r", encoding="utf-8") as fh:
             _DATA_CACHE[name] = json.load(fh)
     return _DATA_CACHE[name]
 
 
-def _usage_error(message: str) -> NoReturn:
+def _usage_error(message: str):
+    """Print one qhlab: line to stderr and exit 2; never returns."""
     print(f"qhlab: {message}", file=sys.stderr)
     raise SystemExit(2)
 

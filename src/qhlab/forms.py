@@ -11,7 +11,7 @@ beta2; Hodge-dependent quantities require a rational metric point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import cache
 from math import isqrt
@@ -206,10 +206,8 @@ def invariant_five_forms(n: int) -> tuple[dict, dict]:
     return tuple(MappingProxyType(p) for p in parts)
 
 
-@dataclass(frozen=True)
-class IsotypicPair:
-    theta_eh: dict
-    theta_kh: dict
+class IsotypicPair(namedtuple("IsotypicPair", "theta_eh theta_kh")):
+    __slots__ = ()
 
 
 @cache
@@ -245,8 +243,14 @@ _H4_F_EH = Poly.parse("c1*c2 - 2*c2^2")
 _H4_F_KH = Poly.parse("c1*c2 + 5*c2^2")
 
 
-@dataclass(frozen=True)
-class Calibration:
+class Calibration(namedtuple("Calibration", [
+        "s_eh",                # Fraction
+        "s_kh",                # Fraction
+        "target_kh",           # Poly
+        "target_eh",           # Poly
+        "kh_matches_nominal",  # bool
+        "eh_matches_nominal",  # bool
+        ])):
     """Theta scales pinned on the H4 row, plus the targets used.
 
     The targets are the content-normalized H4 coefficients and the flags
@@ -256,12 +260,7 @@ class Calibration:
     rather than suppressed.
     """
 
-    s_eh: Fraction
-    s_kh: Fraction
-    target_kh: Poly
-    target_eh: Poly
-    kh_matches_nominal: bool
-    eh_matches_nominal: bool
+    __slots__ = ()
 
 
 @cache
@@ -356,12 +355,10 @@ def _calibration_scales(n: int) -> Calibration:
                        target_kh, target_eh, target_kh == _H4_F_KH, target_eh == _H4_F_EH)
 
 
-@dataclass
-class ClassReport:
+class ClassReport(namedtuple("ClassReport", "f_eh f_kh")):
     """Class coefficients of a model: dOmega = f_KH theta_EH + f_EH theta_KH."""
 
-    f_eh: Poly
-    f_kh: Poly
+    __slots__ = ()
 
 
 def table4_row(kind: str, n: int) -> ClassReport:
@@ -384,14 +381,15 @@ def solve_wedge_omega(target: dict, omega: dict, dim: int) -> dict | None:
     return None if sol is None else {(x,): v for x, v in sol.items()}
 
 
-@dataclass
-class FirstOrderReport:
-    d_omega_zero: bool            # QK condition
-    lcqk: bool                    # dOmega = zeta ^ Omega solvable
-    kh_identity: bool             # dOmega = (1/3) sum i_A(delta Omega) ^ omega_A
-    xi_equal: bool                # xi_I = xi_J = xi_K
-    qkt_identity: bool            # dOmega = T - xi ^ Omega solvable
-    xi_ratio: Fraction | None     # solved xi = ratio * formula xi when parallel
+class FirstOrderReport(namedtuple("FirstOrderReport", [
+        "d_omega_zero",  # bool: QK condition
+        "lcqk",          # bool: dOmega = zeta ^ Omega solvable
+        "kh_identity",   # bool: dOmega = (1/3) sum i_A(delta Omega) ^ omega_A
+        "xi_equal",      # bool: xi_I = xi_J = xi_K
+        "qkt_identity",  # bool: dOmega = T - xi ^ Omega solvable
+        "xi_ratio",      # Fraction | None: solved xi = ratio * formula xi when parallel
+        ])):
+    __slots__ = ()
 
     def satisfied_class(self) -> str:
         if self.d_omega_zero:
@@ -450,8 +448,7 @@ def first_order_tests(model: HomogeneousModel) -> FirstOrderReport:
 # metric-adapted (moving) isotypic lines and genuine first-order loci
 # --------------------------------------------------------------------------
 
-@dataclass
-class GenuineLoci:
+class GenuineLoci(namedtuple("GenuineLoci", "p_eh p_kh")):
     """Exact polynomial conditions for the metric-adapted reductions.
 
     p_eh = 0 exactly where the structure is locally conformally QK
@@ -459,8 +456,7 @@ class GenuineLoci:
     torsion sits in the KH module, both = 0 at QK points.
     """
 
-    p_eh: Poly
-    p_kh: Poly
+    __slots__ = ()
 
 
 def genuine_loci(kind: str, n: int) -> GenuineLoci:

@@ -10,7 +10,7 @@ polynomials in c1, c2 over the whole open cone for a metric of Poly monomials.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import combinations
 
@@ -22,19 +22,20 @@ from .poly import VARS, Poly
 R4 = dict[tuple[int, int, int, int], Fraction]
 
 
-@dataclass
-class GroupData:
+class GroupData(namedtuple("GroupData", [
+        "dim",        # int
+        "bracket_m",  # BilinearMap
+        "bracket_h",  # BilinearMap | None
+        "h_mats",     # list[ColMat] | None
+        "metric",     # list[Fraction]
+        ])):
     """Minimal input for the curvature pipeline.
 
     h_action maps the h-part of the bracket into endomorphisms of m; it is
     empty for simply transitive (Lie group) models.
     """
 
-    dim: int
-    bracket_m: BilinearMap
-    bracket_h: BilinearMap | None
-    h_mats: list[ColMat] | None
-    metric: list[Fraction]
+    __slots__ = ()
 
     @staticmethod
     def from_model(model) -> "GroupData":
@@ -82,15 +83,16 @@ def _positive(gx) -> bool:
         for mono, c in gx.terms.items())
 
 
-@dataclass
-class CurvatureData:
-    data: GroupData
-    lam: list[ColMat]
-    r4: R4
-    ricci: list[list[Fraction]]
-    scalar: Fraction
-    weyl: R4
-    nabla_r: dict[tuple[int, int, int, int, int], Fraction]
+class CurvatureData(namedtuple("CurvatureData", [
+        "data",       # GroupData
+        "lam",        # list[ColMat]
+        "r4",         # R4
+        "ricci",      # list[list[Fraction]]
+        "scalar",     # Fraction
+        "weyl",       # R4
+        "nabla_r",    # dict[tuple[int, int, int, int, int], Fraction]
+        ])):
+    __slots__ = ()
 
 
 def _kn_product(a: dict[tuple[int, int], Fraction], b: list[Fraction]) -> R4:
@@ -225,13 +227,14 @@ def sectional(cur: CurvatureData, i: int, j: int) -> Fraction:
     return cur.r4.get((i, j, j, i), Fraction(0)) / (G[i] * G[j])
 
 
-@dataclass
-class RiemannClass:
-    einstein: Fraction | None
-    conformally_flat: bool
-    locally_symmetric: bool
-    constant_sectional: Fraction | None
-    product_blocks: list[dict]
+class RiemannClass(namedtuple("RiemannClass", [
+        "einstein",            # Fraction | None
+        "conformally_flat",    # bool
+        "locally_symmetric",   # bool
+        "constant_sectional",  # Fraction | None
+        "product_blocks",      # list[dict]
+        ])):
+    __slots__ = ()
 
 
 def _block_partition(cur: CurvatureData, groups: list[list[int]]) -> list[list[int]]:

@@ -16,7 +16,7 @@ matching the normal-form labels.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from collections import namedtuple
 from fractions import Fraction
 from functools import cache
 from itertools import combinations
@@ -295,13 +295,14 @@ def violated_equations(params) -> list[Poly]:
     return [eq for eq in jacobi_equations() if eq.eval(point) != 0]
 
 
-@dataclass(frozen=True)
-class NormalForm:
-    name: str                      # H1+, H1-, H2, H3, H4, H5, H6
-    canonical: tuple               # normalized (alpha, beta1, beta2, gamma1, gamma2)
-    beta: Fraction | None          # free parameter for H3, H5, H6
-    s: Fraction
-    t_sq: Fraction                 # the action only involves t^2, kept rational
+class NormalForm(namedtuple("NormalForm", [
+        "name",       # str: H1+, H1-, H2, H3, H4, H5, H6
+        "canonical",  # tuple: normalized (alpha, beta1, beta2, gamma1, gamma2)
+        "beta",       # Fraction | None: free parameter for H3, H5, H6
+        "s",          # Fraction
+        "t_sq",       # Fraction: the action only involves t^2, kept rational
+        ])):
+    __slots__ = ()
 
 
 def apply_scaling(params, s: Fraction, t_sq: Fraction) -> tuple:
@@ -399,32 +400,29 @@ H_KINDS = ("H1+", "H1-", "H2", "H3", "H4", "H5")
 MODEL_KINDS = H_KINDS + ("QHP", "QHH", "FlatMax", "MaxCurved", "TwistedTheta")
 
 
-@dataclass(frozen=True)
-class ModelSpec:
-    kind: str
-    n: int
-    c1: Fraction = Fraction(1)
-    c2: Fraction = Fraction(1)
-    beta: Fraction | Poly | None = None  # a Poly beta2 gives the symbolic bracket
-    c: Fraction | None = None  # MaxCurved bracket scale
+class ModelSpec(namedtuple("ModelSpec", "kind n c1 c2 beta c")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.kind not in MODEL_KINDS:
-            raise ValueError(f"unknown model kind {self.kind!r}")
-        if self.kind in ("H3", "H5") and self.beta is None:
-            raise ValueError(f"{self.kind} requires beta")
-        if self.kind not in ("H3", "H5") and self.beta is not None:
-            raise ValueError(f"{self.kind} takes no beta")
-        if self.kind == "MaxCurved" and not self.c:
+    def __new__(cls, kind: str, n: int, c1: Fraction = Fraction(1), c2: Fraction = Fraction(1),
+                beta: Fraction | Poly | None = None,  # a Poly beta2 gives the symbolic bracket
+                c: Fraction | None = None):  # MaxCurved bracket scale
+        if kind not in MODEL_KINDS:
+            raise ValueError(f"unknown model kind {kind!r}")
+        if kind in ("H3", "H5") and beta is None:
+            raise ValueError(f"{kind} requires beta")
+        if kind not in ("H3", "H5") and beta is not None:
+            raise ValueError(f"{kind} takes no beta")
+        if kind == "MaxCurved" and not c:
             raise ValueError("MaxCurved requires a nonzero c (c = 0 is FlatMax)")
-        if self.kind != "MaxCurved" and self.c is not None:
-            raise ValueError(f"{self.kind} takes no c")
-        if self.n < 2:
+        if kind != "MaxCurved" and c is not None:
+            raise ValueError(f"{kind} takes no c")
+        if n < 2:
             raise ValueError("n >= 2 required")
-        if not (self.c1 > 0 and self.c2 > 0):
+        if not (c1 > 0 and c2 > 0):
             raise ValueError("metric parameters must be positive")
-        if self.kind in ("FlatMax", "MaxCurved") and self.c1 != self.c2:
-            raise ValueError(f"{self.kind} needs c1 = c2: sp(1) + sp(n) acts irreducibly on H^n")
+        if kind in ("FlatMax", "MaxCurved") and c1 != c2:
+            raise ValueError(f"{kind} needs c1 = c2: sp(1) + sp(n) acts irreducibly on H^n")
+        return super().__new__(cls, kind, n, c1, c2, beta, c)
 
     def to_string(self) -> str:
         parts = [self.kind]
@@ -454,17 +452,18 @@ class ModelSpec:
         return ModelSpec(kind, **{"n": 3, **fields})
 
 
-@dataclass
-class HomogeneousModel:
+class HomogeneousModel(namedtuple("HomogeneousModel", [
+        "n",          # int
+        "g",          # LieAlgebra
+        "rho",        # Representation
+        "bracket_m",  # BilinearMap
+        "bracket_h",  # BilinearMap
+        "triple",     # tuple[ColMat, ColMat, ColMat]
+        "metric",     # list
+        ])):
     """A reductive pair with chosen complement, brackets, triple and metric."""
 
-    n: int
-    g: LieAlgebra
-    rho: Representation
-    bracket_m: BilinearMap
-    bracket_h: BilinearMap
-    triple: tuple[ColMat, ColMat, ColMat]
-    metric: list
+    __slots__ = ()
 
     def with_metric(self, c1, c2) -> "HomogeneousModel":
         """The same verified skeleton with the metric g_{c1,c2} (rational or
@@ -475,7 +474,7 @@ class HomogeneousModel:
         if not all(op_is_skew(mat, metric) for mat in self.rho.mats
                    if _SKEW_FOR_EVERY_METRIC.get(id(mat)) is not mat):
             raise AssertionError("metric is not isotropy invariant")
-        return replace(self, metric=metric)
+        return self._replace(metric=metric)
 
 
 def verify_model(model: HomogeneousModel) -> None:

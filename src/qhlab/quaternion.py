@@ -11,7 +11,7 @@ every matrix action.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 
@@ -30,14 +30,15 @@ def format_rat(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-@dataclass(frozen=True)
-class Quaternion:
-    """A quaternion a + b*i + c*j + d*k with exact (int or Fraction) components."""
+class Quaternion(namedtuple("Quaternion", "a b c d", defaults=(0, 0, 0, 0))):
+    """A quaternion a + b*i + c*j + d*k with exact (int or Fraction) components.
 
-    a: int | Fraction = 0
-    b: int | Fraction = 0
-    c: int | Fraction = 0
-    d: int | Fraction = 0
+    An immutable tuple of its components: equality and hashing are the
+    tuple's.  The ring operators below replace the tuple's concatenation and
+    repetition, and bool() is False only for the zero quaternion.
+    """
+
+    __slots__ = ()
 
     def __add__(self, other: "Quaternion") -> "Quaternion":
         return Quaternion(self.a + other.a, self.b + other.b,
@@ -51,17 +52,21 @@ class Quaternion:
         return Quaternion(-self.a, -self.b, -self.c, -self.d)
 
     def __mul__(self, other):
-        """Hamilton product; also accepts a rational scalar on the right."""
+        """Hamilton product; also accepts a rational scalar, on either side."""
         if isinstance(other, (int, Fraction)):
             return Quaternion(self.a * other, self.b * other, self.c * other, self.d * other)
-        a1, b1, c1, d1 = self.a, self.b, self.c, self.d
-        a2, b2, c2, d2 = other.a, other.b, other.c, other.d
+        a1, b1, c1, d1 = self
+        a2, b2, c2, d2 = other
         return Quaternion(
             a1 * a2 - b1 * b2 - c1 * c2 - d1 * d2,
             a1 * b2 + b1 * a2 + c1 * d2 - d1 * c2,
             a1 * c2 - b1 * d2 + c1 * a2 + d1 * b2,
             a1 * d2 + b1 * c2 - c1 * b2 + d1 * a2,
         )
+
+    # rationals are central, so a scalar on the left is the same product; the
+    # alias keeps 2 * q from falling back to tuple repetition
+    __rmul__ = __mul__
 
     def conj(self) -> "Quaternion":
         return Quaternion(self.a, -self.b, -self.c, -self.d)
@@ -73,7 +78,7 @@ class Quaternion:
         return bool(self.a or self.b or self.c or self.d)
 
     def components(self) -> tuple:
-        return (self.a, self.b, self.c, self.d)
+        return tuple(self)
 
     def __repr__(self) -> str:
         parts = []

@@ -409,8 +409,7 @@ def test_criterion_10_structural_self_tests():
                        rng.randint(-5, 5), rng.randint(-5, 5))
         if not q:
             continue
-        clone = model.with_metric(F(2), F(1))
-        clone.triple = rotated_triple(model.triple, q)
+        clone = model.with_metric(F(2), F(1))._replace(triple=rotated_triple(model.triple, q))
         _, _, _, omega_rot = FO.fundamental_forms(clone)
         ok = ok and omega_rot == omega
         rotations += 1

@@ -7,7 +7,6 @@ below, every Poly coefficient included, and requires an int or a Fraction:
 """
 
 from collections.abc import Mapping
-from dataclasses import fields, is_dataclass
 from fractions import Fraction
 
 from qhlab.forms import _calibration_scales, genuine_loci, table4_row
@@ -20,9 +19,10 @@ TABLE4_KINDS = H_KINDS + ("QHP", "QHH")
 
 
 def _scalars(x):
-    """Every scalar in x: Poly coefficients, mapping values, sequence items and
-    dataclass fields, recursively.  Keys are indices or monomials, and bool
-    fields are flags, so neither is a scalar."""
+    """Every scalar in x: Poly coefficients, mapping values and sequence items,
+    recursively; qhlab's records are namedtuples, so their fields are sequence
+    items.  Keys are indices or monomials, and bool fields are flags, so
+    neither is a scalar."""
     if isinstance(x, Poly):
         yield from x.terms.values()
     elif isinstance(x, Mapping):
@@ -31,9 +31,6 @@ def _scalars(x):
     elif isinstance(x, (list, tuple)):
         for v in x:
             yield from _scalars(v)
-    elif is_dataclass(x):
-        for f in fields(x):
-            yield from _scalars(getattr(x, f.name))
     elif not isinstance(x, bool):
         yield x
 

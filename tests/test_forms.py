@@ -406,8 +406,7 @@ def test_omega_frame_independence():
                        rng.randint(-5, 5), rng.randint(-5, 5))
         if not q:
             continue
-        rotated = model.with_metric(F(2), F(1))
-        rotated.triple = rotated_triple(model.triple, q)
+        rotated = model.with_metric(F(2), F(1))._replace(triple=rotated_triple(model.triple, q))
         _, _, _, omega_rot = fundamental_forms(rotated)
         assert omega_rot == omega
         assert ce_differential(rotated, omega_rot, d1) == dom

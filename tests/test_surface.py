@@ -90,7 +90,7 @@ def _call_sites(callee: str) -> list[str]:
 
 def test_models_are_constructed_only_by_assemble():
     # one model-assembly path: every HomogeneousModel(...) call in the package
-    # sits in models._assemble (with_metric copies one through dataclasses.replace)
+    # sits in models._assemble (with_metric copies one through the record's _replace)
     assert _call_sites("HomogeneousModel") == ["models.py:_assemble"]
 
 
@@ -160,6 +160,27 @@ def test_one_int_coder():
                 and isinstance(node.comparators[0], ast.Constant)
                 and node.comparators[0].value == 1)
     assert sorted(_sites(is_integral_test)) == ["linalg.py:icode", "quaternion.py:format_rat"]
+
+
+def test_no_dataclasses_import():
+    # the records are namedtuples: nothing is generated per class at import,
+    # and dataclasses would pull in inspect, dis, ast and tokenize
+    def imports_dataclasses(node) -> bool:
+        if isinstance(node, ast.Import):
+            return any(alias.name == "dataclasses" for alias in node.names)
+        return isinstance(node, ast.ImportFrom) and node.module == "dataclasses"
+    assert _sites(imports_dataclasses) == []
+
+
+def test_cli_start_up_imports_no_heavy_stdlib_module():
+    # every command pays the import of qhlab.cli; in a clean interpreter (-S,
+    # so no site hook preloads anything) it must not load these
+    heavy = ["dataclasses", "inspect", "typing", "importlib.resources"]
+    code = (f"import sys; sys.path.insert(0, {str(SRC.parent)!r}); import qhlab.cli; "
+            f"print([m for m in {heavy!r} if m in sys.modules])")
+    child = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
+                           text=True, check=True, timeout=60)
+    assert child.stdout.strip() == "[]"
 
 
 def test_no_second_sp_coordinate_reader():
