@@ -373,12 +373,12 @@ def table4_row(kind: str, n: int) -> ClassReport:
 # first-order class tests at rational metric points
 # --------------------------------------------------------------------------
 
-def solve_wedge_omega(target: dict, omega: dict, dim: int) -> dict | None:
-    """One-form zeta with zeta ^ Omega = target on a dim-dimensional m, or
-    None when unsolvable."""
+def solve_wedge_omega(targets: list[dict], omega: dict, dim: int) -> list[dict | None]:
+    """Per target, the one-form zeta with zeta ^ Omega = target on a dim-dimensional
+    m, or None when unsolvable; one echelon of the e^x ^ Omega serves them all."""
     span = Echelon(wedge({(x,): Fraction(1)}, omega) for x in range(dim))
-    sol = span.coordinates(target)
-    return None if sol is None else {(x,): v for x, v in sol.items()}
+    sols = map(span.coordinates, targets)
+    return [None if sol is None else {(x,): v for x, v in sol.items()} for sol in sols]
 
 
 class FirstOrderReport(namedtuple("FirstOrderReport", [
@@ -432,9 +432,8 @@ def first_order_tests(model: HomogeneousModel) -> FirstOrderReport:
                         for A, omA in triple))
 
     d_omega_zero = not dom
-    zeta = solve_wedge_omega(dom, omega, dm)
+    zeta, xi_solved = solve_wedge_omega([dom, lincomb((1, torsion), (-1, dom))], omega, dm)
     kh_identity = dom == torsion
-    xi_solved = solve_wedge_omega(lincomb((1, torsion), (-1, dom)), omega, dm)
     ratio = None
     if xi_solved:
         coords = Echelon([xi]).coordinates(xi_solved)

@@ -31,8 +31,8 @@ class GroupData(namedtuple("GroupData", [
         ])):
     """Minimal input for the curvature pipeline.
 
-    h_action maps the h-part of the bracket into endomorphisms of m; it is
-    empty for simply transitive (Lie group) models.
+    h_mats are the isotropy matrices, through which the h-part of the bracket
+    acts on m; it is None for simply transitive (Lie group) models.
     """
 
     __slots__ = ()

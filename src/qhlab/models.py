@@ -262,19 +262,24 @@ def bracket_from_params(n: int, alpha, beta1, beta2, gamma1, gamma2) -> Bilinear
 # Jacobi families and normal forms
 # --------------------------------------------------------------------------
 
-@cache
-def jacobi_equations() -> tuple[Poly, ...]:
-    """Canonical generators of the Jacobi obstruction (n fixed at 3).
-
-    Cyclic-Jacobi components of B(alpha..gamma2) are collected, the span of
-    the resulting quadratics is echelonized exactly over monomial keys, and
-    the reduced generators are returned monic.  The zero set is the union of
-    the four parameter families.
-    """
-    b = bracket_from_params(3, *(Poly.var(v) for v in PARAM_NAMES))
-    seen = {val.monic(): None for comp in b.jacobiator().values() for val in comp.values()}
+def _jacobi_equations(h: LieAlgebra, rho: Representation, b_m: BilinearMap | None,
+                      b_h: BilinearMap | None = None) -> tuple[Poly, ...]:
+    """The one parameter-space Jacobi reader: sorted monic generators of the span
+    of the jacobiator components of semidirect(h, rho, b_m, b_h), brackets over
+    Poly parameters, on the triples with two m-indices (lie.semidirect says why)."""
+    jac = semidirect(h, rho, b_m, b_h).structure.jacobiator(h.dim)
+    seen = {val.monic(): None for comp in jac.values() for val in comp.values()}
     eqs = [Poly(row).monic() for row in rref([p.terms for p in seen])]
     return tuple(sorted(eqs, key=lambda p: sorted(p.terms)))
+
+
+@cache
+def jacobi_equations(n: int = 3) -> tuple[Poly, ...]:
+    """Canonical generators of the Jacobi obstruction of h + m with the bracket
+    B(alpha..gamma2) at n; their zero set is the union of the four parameter
+    families, and n = 2..5 give the same six."""
+    h, rho, _ = isotropy_rep(n)
+    return _jacobi_equations(h, rho, bracket_from_params(n, *map(Poly.var, PARAM_NAMES)))
 
 
 _FAMILY_CONDITIONS = {
@@ -292,7 +297,7 @@ def in_families(params) -> set[str]:
 
 def violated_equations(params) -> list[Poly]:
     point = dict(zip(PARAM_NAMES, (Fraction(x) for x in params)))
-    return [eq for eq in jacobi_equations() if eq.eval(point) != 0]
+    return [eq for eq in jacobi_equations(3) if eq.eval(point) != 0]
 
 
 class NormalForm(namedtuple("NormalForm", [
@@ -360,22 +365,15 @@ def table3_tuple(name: str, beta=None) -> tuple:
 @cache
 def h_kind_tuples(n: int) -> MappingProxyType:
     """kind -> table3_tuple(kind, beta2) for the six H kinds, beta2 a Poly for
-    H3 and H5, each certified a Lie bracket at n for every beta2.
-
-    The one certificate is the jacobiator of h + m with
-    bracket_from_params(n, alpha, ..., gamma2) over Poly parameters, on the
-    triples verify_model checks: every distinct component, a polynomial in the
-    five parameters, must vanish at each tuple; raises otherwise.
+    H3 and H5, each certified a Lie bracket at n for every beta2: every
+    generator of jacobi_equations(n) must vanish at each tuple; raises
+    otherwise.  This is the Jacobi certificate of every H-kind build at n.
     """
-    h, rho, _ = isotropy_rep(n)
-    b = bracket_from_params(n, *(Poly.var(v) for v in PARAM_NAMES))
-    components = {v for col in semidirect(h, rho, b).structure.jacobiator(h.dim).values()
-                  for v in col.values()}
     beta2 = Poly.var("beta2")
     tuples = {}
     for kind in H_KINDS:
         params = table3_tuple(kind, beta2 if kind in ("H3", "H5") else None)
-        if any(_at(p, params) for p in components):
+        if any(_at(p, params) for p in jacobi_equations(n)):
             raise AssertionError(f"the {kind} bracket fails the Jacobi identity at n={n}")
         tuples[kind] = params
     return MappingProxyType(tuples)
@@ -478,9 +476,9 @@ class HomogeneousModel(namedtuple("HomogeneousModel", [
 
 
 def verify_model(model: HomogeneousModel) -> None:
-    """The one Jacobi certificate of an assembled model, on the triples with two
-    m-indices (lie.semidirect says why), skipped when g comes verified, as
-    QHP/QHH's read algebra does; raises on failure."""
+    """The Jacobi pass of an assembled model, on the triples with two m-indices
+    (lie.semidirect says why), skipped when g comes verified (QHP/QHH's read
+    algebra, or an H kind's, certified by h_kind_tuples); raises on failure."""
     if not model.g.verified and not model.g.verify_jacobi(start=model.rho.algebra.dim):
         raise AssertionError("assembled algebra fails the Jacobi identity")
 
@@ -509,8 +507,11 @@ def build_model(spec: ModelSpec) -> HomogeneousModel:
     n = spec.n
     if spec.kind in H_KINDS:
         h, rho, _ = isotropy_rep(n)
+        h_kind_tuples(n)  # raises unless the bracket is Jacobi at n for every beta2
         b_m = bracket_from_params(n, *table3_tuple(spec.kind, spec.beta))
-        return _assemble(spec, semidirect(h, rho, b_m), rho, b_m, None, quaternionic_triple(n))
+        g = semidirect(h, rho, b_m)
+        g.verified = True
+        return _assemble(spec, g, rho, b_m, None, quaternionic_triple(n))
     if spec.kind in ("QHP", "QHH"):
         return _build_reductive_model(spec)
     if spec.kind in ("FlatMax", "MaxCurved"):
@@ -664,21 +665,15 @@ def inadmissible_hom_dim(n: int, which: str) -> int:
 
 
 @cache
-def _maxmodel_jacobiator(n: int) -> dict[tuple[int, int, int], SparseVec]:
-    """The nonzero components of the jacobiator of k + H^n with the vertical
-    bracket c_theta * Theta + c_xi * Xi, on the triples semidirect checks.
-
-    Poly's fixed variables c1 and c2 stand for c_theta and c_xi here.  Every
-    component is linear in them, so one symbolic build per n serves every
-    point; callers must not modify the result.
-    """
+def maxmodel_equations(n: int) -> tuple[Poly, ...]:
+    """The Jacobi obstruction of k + H^n with the vertical bracket c_theta * Theta
+    + c_xi * Xi, c1 and c2 standing for c_theta and c_xi: (c1 - 2 c2,)."""
     k, rho_k, _ = ambient_rep(n)
-    b_k = maximal_vertical_bracket(n, Poly.var("c1"), Poly.var("c2"))
-    return semidirect(k, rho_k, None, b_k).structure.jacobiator(k.dim)
+    return _jacobi_equations(k, rho_k, None,
+                             maximal_vertical_bracket(n, Poly.var("c1"), Poly.var("c2")))
 
 
 def maxmodel_jacobi_holds(n: int, c_theta: Fraction, c_xi: Fraction) -> bool:
     """Jacobi for the bracket c_theta*Theta + c_xi*Xi on m = H^n (full algebra)."""
     point = {"c1": c_theta, "c2": c_xi}
-    return all(v.eval(point) == 0 for col in _maxmodel_jacobiator(n).values()
-               for v in col.values())
+    return all(eq.eval(point) == 0 for eq in maxmodel_equations(n))

@@ -255,6 +255,15 @@ def jacobiator_by_triples(b):
     return out
 
 
+def maxmodel_jacobiator(n):
+    """The jacobiator of k + H^n with the vertical bracket c1 * Theta + c2 * Xi
+    over Poly c1, c2, on the triples with two m-indices, built afresh: what
+    models.maxmodel_equations reduces to its generators."""
+    k, rho_k, _ = ambient_rep(n)
+    b_k = maximal_vertical_bracket(n, Poly.var("c1"), Poly.var("c2"))
+    return semidirect(k, rho_k, None, b_k).structure.jacobiator(k.dim)
+
+
 def maxmodel_jacobi_by_assembly(n, c_theta, c_xi) -> bool:
     """Jacobi for the bracket c_theta*Theta + c_xi*Xi on m = H^n, from the
     whole jacobiator of a fresh rational assembly of k + H^n: the reference

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import jsonschema
@@ -105,14 +106,35 @@ def test_failed_assembly_jacobi_certificate_exits_3(monkeypatch, capsys):
     # its failure is an internal error, not a verification mismatch (exit 1)
     from qhlab.lie import LieAlgebra
     verify = LieAlgebra.verify_jacobi
-    monkeypatch.setattr(LieAlgebra, "verify_jacobi",
-                        lambda alg, **kw: alg.dim != 25 and verify(alg, **kw))  # dim g of H4 at n=3
-    code = main(["model-report", "--spec", "H4:n=3"])
+    monkeypatch.setattr(LieAlgebra, "verify_jacobi",  # dim g of FlatMax at n=3
+                        lambda alg, **kw: alg.dim != 36 and verify(alg, **kw))
+    code = main(["model-report", "--spec", "FlatMax:n=3"])
     captured = capsys.readouterr()
     assert code == 3
     assert captured.out == ""
     assert captured.err == ("qhlab: internal check failed: "
                             "assembled algebra fails the Jacobi identity\n")
+
+
+def test_a_non_jacobi_h_tuple_fails_the_build_certificate_exits_3(monkeypatch, capsys):
+    # an H-kind build takes its Jacobi certificate from models.h_kind_tuples:
+    # H4 read as (1, 1, 1, 0, 0), off every Jacobi family, fails it, an
+    # internal error; the certificate's cache is cleared before and after
+    from qhlab import models
+    table3_tuple = models.table3_tuple
+    monkeypatch.setattr(models, "table3_tuple", lambda name, beta=None: (
+        (Fraction(1), Fraction(1), Fraction(1), Fraction(0), Fraction(0)) if name == "H4"
+        else table3_tuple(name, beta)))
+    models.h_kind_tuples.cache_clear()
+    try:
+        code = main(["model-report", "--spec", "H4:n=3"])
+    finally:
+        models.h_kind_tuples.cache_clear()
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err == ("qhlab: internal check failed: "
+                            "the H4 bracket fails the Jacobi identity at n=3\n")
 
 
 def test_failed_reader_certificate_exits_3(monkeypatch, capsys):

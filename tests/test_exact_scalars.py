@@ -12,8 +12,11 @@ from fractions import Fraction
 from qhlab.forms import _calibration_scales, genuine_loci, table4_row
 from qhlab.geometry import GroupData, curvature
 from qhlab.lie import equivariant_hom
-from qhlab.models import H_KINDS, ModelSpec, _maxmodel_jacobiator, build_model, isotropy_rep
+from qhlab.models import (H_KINDS, ModelSpec, build_model, isotropy_rep, jacobi_equations,
+                          maxmodel_equations)
 from qhlab.poly import Poly
+
+from oracles import maxmodel_jacobiator
 
 TABLE4_KINDS = H_KINDS + ("QHP", "QHH")
 
@@ -56,11 +59,13 @@ def test_symbolic_curvature_holds_only_ints_and_fractions():
 
 
 def test_solver_kernels_and_jacobiator_hold_only_ints_and_fractions():
-    # the kernels behind bracket_space_dims(2), and the maxmodel jacobiator
+    # the kernels behind bracket_space_dims(2), the maxmodel jacobiator that
+    # maxmodel_equations reads, and the equations the Jacobi reader returns
     h, rho, order = isotropy_rep(2)
     lam2 = rho.exterior_power(2)
     outputs = [equivariant_hom(lam2, rho, order=order),
                equivariant_hom(lam2, h.adjoint(), order=order),
-               _maxmodel_jacobiator(2)]
+               maxmodel_jacobiator(2),
+               jacobi_equations(2), maxmodel_equations(2)]
     assert sum(1 for _ in _scalars(outputs)) > 100
     assert _floats(outputs) == []

@@ -346,12 +346,13 @@ def test_each_symbolic_model_is_built_and_differentiated_once(monkeypatch, capsy
     assert columns == 5 and jacobi == [] and planes == [2]
     assert all(filled)
     # model-report reads its row and its loci off the columns: no symbolic
-    # model, and its one Jacobi pass is the rational build for the curvature
+    # model, and the rational build for the curvature takes its Jacobi
+    # certificate from h_kind_tuples, so no Jacobi pass runs either
     code, built, differentiated, columns, planes, jacobi, _ = _class_layer_counts(
         monkeypatch, 3, ["model-report", "--spec", "H3:beta=1:n=3", "--grid", "1,2"])
     assert code == 0
     assert built == differentiated == [] and columns == 5
-    assert planes == [2] and len(jacobi) == 1
+    assert planes == [2] and jacobi == []
     capsys.readouterr()
 
 
@@ -654,7 +655,7 @@ def test_solve_wedge_omega_returns_none_for_an_unsolvable_target():
     # its pivot read is zeta = 0 and only the recombination rejects it
     omega = {(0, 1): F(1)}
     solvable = lincomb((1, wedge({(2,): F(1)}, omega)), (F(-3, 2), wedge({(3,): F(1)}, omega)))
-    zeta = solve_wedge_omega(solvable, omega, 4)
+    zeta, off, mixed = solve_wedge_omega(
+        [solvable, {(0, 2, 3): F(1)}, lincomb((1, solvable), (1, {(0, 2, 3): F(1)}))], omega, 4)
     assert zeta == {(2,): F(1), (3,): F(-3, 2)} and wedge(zeta, omega) == solvable
-    assert solve_wedge_omega({(0, 2, 3): F(1)}, omega, 4) is None
-    assert solve_wedge_omega(lincomb((1, solvable), (1, {(0, 2, 3): F(1)})), omega, 4) is None
+    assert off is None and mixed is None

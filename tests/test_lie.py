@@ -10,7 +10,7 @@ from qhlab.forms import lincomb, wedge
 from qhlab.lie import (BilinearMap, LieAlgebra, Representation, derivation,
                        equivariant_hom, matrix_algebra, op_transpose, semidirect, sort_sign)
 from qhlab.linalg import Echelon
-from qhlab.models import (_maxmodel_jacobiator, _sp_pair_rep, ambient_rep, bracket_from_params,
+from qhlab.models import (_sp_pair_rep, ambient_rep, bracket_from_params,
                           horizontal_brackets, isotropy_rep, maximal_vertical_bracket,
                           maxmodel_jacobi_holds, twisted_theta)
 from qhlab.poly import Poly
@@ -116,15 +116,16 @@ def test_jacobiator_matches_the_triple_loop(kind, data):
 
 @pytest.mark.parametrize("c_theta", [Fraction(2), Fraction(3)])
 def test_jacobiator_matches_the_triple_loop_on_the_maxmodel_algebra(c_theta):
-    # the symbolic jacobiator behind maxmodel_jacobi_holds (c1, c2 standing
-    # for c_theta, c_xi), built afresh, against the triple loop on the same
-    # assembled algebra k + H^2: it keeps the triples with two m-indices, and
-    # the (k, k, .) triples it skips vanish
+    # the symbolic jacobiator that maxmodel_equations reads (c1, c2 standing
+    # for c_theta, c_xi), on the triples with two m-indices, against the
+    # triple loop on the same assembled algebra k + H^2: the (k, k, .)
+    # triples it skips vanish
     k, rho_k, _ = ambient_rep(2)
     b_k = maximal_vertical_bracket(2, Poly.var("c1"), Poly.var("c2"))
-    oracle = jacobiator_by_triples(semidirect(k, rho_k, None, b_k).structure)
+    g = semidirect(k, rho_k, None, b_k)
+    oracle = jacobiator_by_triples(g.structure)
     assert oracle and all(j >= k.dim for _, j, _ in oracle)
-    assert _entries(_maxmodel_jacobiator.__wrapped__(2)) == _entries(oracle)
+    assert _entries(g.structure.jacobiator(k.dim)) == _entries(oracle)
     # c_theta = 2 c_xi is the Jacobi locus of the maximal model
     assert maxmodel_jacobi_holds(2, c_theta, Fraction(1)) is (c_theta == 2)
 

@@ -13,10 +13,11 @@ from qhlab.lie import LieAlgebra, matrix_algebra, op_compose, op_is_zero, op_sub
 from qhlab import lie
 from qhlab.linalg import Echelon
 from qhlab.models import (H_KINDS, MODEL_KINDS, ModelSpec, _action, _certified_triple, _complement,
-                          _maxmodel_jacobiator, _restrict_rep, ambient_rep, ambient_triple,
+                          _restrict_rep, ambient_rep, ambient_triple,
                           apply_scaling, bracket_from_params, bracket_space_dims, build_model,
-                          dims, horizontal_brackets, in_families, inadmissible_hom_dim, isotropy_rep,
-                          jacobi_equations, maxmodel_jacobi_holds, normalize,
+                          dims, h_kind_tuples, horizontal_brackets, in_families,
+                          inadmissible_hom_dim, isotropy_rep, jacobi_equations,
+                          maxmodel_equations, maxmodel_jacobi_holds, normalize,
                           maximal_vertical_bracket, quaternionic_triple, symbolic_model,
                           twisted_theta, violated_equations, xi_operator)
 from qhlab.poly import Poly, proportionality
@@ -24,7 +25,7 @@ from qhlab.quaternion import IM_UNITS, Q_I, UNITS, Quaternion, sp_basis
 
 from oracles import (SP1_BRACKETS, checked, dense_sp_brackets, hermitian_metric,
                      invariant_vectors, is_equivariant, matrix_algebra_by_tagged_echelon,
-                     maxmodel_jacobi_by_assembly, quaternion,
+                     maxmodel_jacobi_by_assembly, maxmodel_jacobiator, quaternion,
                      reductive_split, rotated_triple, shifted, swapped_complement,
                      vertical_brackets)
 
@@ -210,6 +211,20 @@ def test_jacobi_equations_match_reference():
         assert any(proportionality(ref, eq) for eq in eqs)
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_jacobi_equations_do_not_depend_on_n(n):
+    # the Table-3 Jacobi variety is the same at every n >= 2: h + m with the
+    # five-parameter bracket gives the six generators of n = 3, bytes included
+    assert jacobi_equations(n) == jacobi_equations(3)
+    assert repr(jacobi_equations(n)) == repr(jacobi_equations())
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_maxmodel_equations_are_c_theta_minus_twice_c_xi(n):
+    # "c' Theta + c Xi is Jacobi iff c' = 2c", c1 and c2 standing for c' and c
+    assert maxmodel_equations(n) == (Poly.var("c1") - 2 * Poly.var("c2"),)
+
+
 def test_family_membership_examples():
     assert in_families((0, 0, 0, 0, 0)) == {"F1", "F2", "F3", "F4"}
     assert in_families((1, 2, 1, 0, 0)) == {"F1"}
@@ -378,7 +393,7 @@ def test_maxmodel_jacobiator_is_a_multiple_of_c_theta_minus_twice_c_xi(n, count)
     # every component is a nonzero rational multiple of c' - 2c (c1, c2
     # standing for c' = c_theta and c = c_xi), so Jacobi holds iff c' = 2c
     locus = Poly.var("c1") - 2 * Poly.var("c2")
-    values = [v for col in _maxmodel_jacobiator(n).values() for v in col.values()]
+    values = [v for col in maxmodel_jacobiator(n).values() for v in col.values()]
     assert len(values) == count
     assert all(proportionality(v, locus) for v in values)
 
@@ -616,15 +631,20 @@ def _counted(monkeypatch, owner, name) -> list:
 @pytest.mark.parametrize("kind", MODEL_KINDS)
 def test_each_build_runs_its_certificates_once(kind, monkeypatch):
     # QHP/QHH keep the algebra matrix_algebra read, Jacobi by construction: one
-    # semidirect table (the bracket-table equality) and no Jacobi pass.  Every
-    # other kind assembles once and verify_model runs its one Jacobi pass;
-    # TwistedTheta adds the assembly over all of h that must fail Jacobi
+    # semidirect table (the bracket-table equality) and no Jacobi pass.  An H
+    # kind assembles once and takes its certificate from the per-n
+    # h_kind_tuples (filled first, as any earlier build at n = 3 leaves it), so
+    # it runs no Jacobi pass.  FlatMax and MaxCurved assemble once and
+    # verify_model runs their one Jacobi pass; TwistedTheta adds the assembly
+    # over all of h that must fail Jacobi
+    h_kind_tuples(3)
     semidirects = _counted(monkeypatch, models, "semidirect")
     jacobi_passes = _counted(monkeypatch, LieAlgebra, "verify_jacobi")
     beta = Fraction(1, 2) if kind in ("H3", "H5") else None
     c = Fraction(1) if kind == "MaxCurved" else None
     build_model(ModelSpec(kind, 3, beta=beta, c=c))
-    expected = {"QHP": (1, 0), "QHH": (1, 0), "TwistedTheta": (2, 2)}.get(kind, (1, 1))
+    expected = {"QHP": (1, 0), "QHH": (1, 0), "TwistedTheta": (2, 2),
+                "FlatMax": (1, 1), "MaxCurved": (1, 1)}.get(kind, (1, 0))
     assert (len(semidirects), len(jacobi_passes)) == expected
 
 
@@ -648,14 +668,15 @@ def test_symbolic_model_builds():
 
 
 def _cached_state(n):
-    # a deep copy of everything the shared sp(1) + sp(m), triple and maxmodel
-    # jacobiator caches hand out
+    # a deep copy of everything the shared sp(1) + sp(m), triple and Jacobi
+    # certificate caches hand out
     import copy
     return [(alg.verified, rho.verified, copy.deepcopy(alg.brackets), copy.deepcopy(rho.mats),
              order)
             for alg, rho, order in (isotropy_rep(n), ambient_rep(n))] + \
         [copy.deepcopy(quaternionic_triple(n)), copy.deepcopy(ambient_triple(n)),
-         copy.deepcopy(_maxmodel_jacobiator(n))]
+         copy.deepcopy(jacobi_equations(n)), copy.deepcopy(dict(h_kind_tuples(n))),
+         copy.deepcopy(maxmodel_equations(n))]
 
 
 def test_sp_pair_reps_are_built_once_and_shared():

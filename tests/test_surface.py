@@ -111,6 +111,15 @@ def test_jacobi_passes_run_only_in_the_model_certificates():
     assert "check" not in inspect.signature(lie.semidirect).parameters
 
 
+def test_jacobiators_are_taken_only_by_the_pass_and_the_one_reader():
+    # a jacobiator is either a Jacobi pass on an assembled algebra or the one
+    # parameter-space reader, through which Table 3, the H kinds and the
+    # maximal model get their Jacobi equations; semidirect only assembles
+    assert sorted(_call_sites("jacobiator")) == [
+        "lie.py:LieAlgebra.verify_jacobi", "models.py:_jacobi_equations"]
+    assert "check" not in inspect.signature(lie.semidirect).parameters
+
+
 def test_bracket_tables_are_built_only_by_the_quaternion_realifier():
     # every bracket on H^n is a quaternion rule turned into a table by
     # models._bilinear; the other BilinearMap(...) calls only derive a table
