@@ -5,8 +5,9 @@ split of d(Omega) into the two invariant 5-form lines.
 A form is the sparse dict of ``lie``, {sorted index tuple: scalar}, with no
 zero entries; every sum goes through ``linalg.accumulate``.  The cached
 invariant 5-forms and theta lines are handed out as read-only mappings.
-Coefficients are Fractions or Polys in (c1, c2) and, for the beta families,
-beta2; Hodge-dependent quantities require a rational metric point.
+Coefficients are exact rationals (an int when integral, as the tables they
+are read from) or Polys in (c1, c2) and, for the beta families, beta2;
+Hodge-dependent quantities require a rational metric point.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from math import isqrt
 from types import MappingProxyType
 
 # common_kernel is unused here; bench/test_bench.py pins the forms.common_kernel binding
-from .lie import BilinearMap, ColMat, _icoded, common_kernel, derivation, sort_sign
+from .lie import BilinearMap, ColMat, common_kernel, derivation, sort_sign
 from .linalg import Echelon, accumulate, nullspace, sv_primitive
 from .poly import Poly, proportionality
 from .models import (HORIZONTAL_NAMES, H_KINDS, HomogeneousModel, ambient_rep, ambient_triple,
@@ -67,10 +68,9 @@ def one_form_differentials(model: HomogeneousModel) -> list[dict]:
 
 
 def _bracket_differentials(bracket: BilinearMap) -> list[dict]:
-    """The one-form differentials of an m-valued bracket table, model or not,
-    int-coded where integral."""
+    """The one-form differentials of an m-valued bracket table, model or not."""
     terms: list[dict] = [{} for _ in range(bracket.dim_out)]
-    for (i, j), col in _icoded(bracket.coeffs).items():
+    for (i, j), col in bracket.coeffs.items():
         for s, c in col.items():
             if c:
                 terms[s][(i, j)] = -c
@@ -187,21 +187,20 @@ def invariant_five_forms(n: int) -> tuple[dict, dict]:
     Omega_k is the fundamental 4-form of the ambient triple at the unit
     metric, certified killed by every generator of the ambient
     k = sp(1) + sp(n); each part is certified killed by every isotropy
-    generator.  Both are read and certified on int-coded matrices, so the
-    forms are int-valued.  That the invariant 5-forms are no more than these
-    two is checked against the kernel of the derivations on Lambda^5 in the
+    generator.  The matrices and the unit metric are integral, so the forms
+    are int-valued.  That the invariant 5-forms are no more than these two
+    is checked against the kernel of the derivations on Lambda^5 in the
     tests.
     """
     if n < 3:
         raise ValueError("the 5-form analysis requires n >= 3")
-    _, _, _, omega_k = _triple_forms([_icoded(A) for A in ambient_triple(n)],
-                                     metric_diag(n, 1, 1))
-    if any(derivation(omega_k, _icoded(mat)) for mat in ambient_rep(n)[1].mats):
+    _, _, _, omega_k = _triple_forms(ambient_triple(n), metric_diag(n, 1, 1))
+    if any(derivation(omega_k, mat) for mat in ambient_rep(n)[1].mats):
         raise AssertionError("Omega_k is not invariant under the ambient algebra")
     theta_eh = wedge({(0,): 1}, omega_k)
     parts = tuple({S: c for S, c in theta_eh.items() if _bidegree(S) == bd}
                   for bd in ((1, 0, 4), (1, 2, 2)))
-    if any(derivation(p, mat) for mat in map(_icoded, isotropy_rep(n)[1].mats) for p in parts):
+    if any(derivation(p, mat) for mat in isotropy_rep(n)[1].mats for p in parts):
         raise AssertionError("a bi-degree part of e0 ^ Omega_k is not invariant")
     return tuple(MappingProxyType(p) for p in parts)
 

@@ -9,9 +9,9 @@ certified by recombination inside the engine (``Echelon.coordinates``).
 
 Sparse conventions: a vector is a dict {index: scalar}; an operator is
 column-major, op[col] = {row: scalar}; a form (an element of an exterior
-power) is a dict {sorted index tuple: scalar}.  Scalars are Fractions or
-Polys -- all routines are written against the common arithmetic surface of
-the two.
+power) is a dict {sorted index tuple: scalar}.  Scalars are rationals, an
+int when integral (``linalg.icode``; the ``BilinearMap`` constructor codes
+every table), or Polys -- all routines are written against both.
 """
 
 from __future__ import annotations
@@ -69,14 +69,6 @@ def op_sub(a: ColMat, b: ColMat) -> ColMat:
 def flatten_op(op: ColMat, dim: int) -> SparseVec:
     """op on R^dim as a vector of R^(dim*dim), entry (r, c) at c*dim + r."""
     return {c * dim + r: v for c, col in op.items() for r, v in col.items()}
-
-
-def _icoded(op: dict) -> dict:
-    """op, a dict of sparse columns, with its Fraction entries int-coded
-    (``icode``; Poly entries are int-coded already), for the solvers' and the
-    jacobiator's working sets."""
-    return {c: {r: icode(x) if isinstance(x, Fraction) else x for r, x in col.items()}
-            for c, col in op.items() if col}
 
 
 def op_is_zero(op: ColMat) -> bool:
@@ -149,13 +141,15 @@ def derivation_op(op: ColMat, index: dict[tuple, int]) -> ColMat:
 # --------------------------------------------------------------------------
 
 class BilinearMap:
-    """Antisymmetric bilinear map m x m -> target, coefficients for i < j."""
+    """Antisymmetric bilinear map m x m -> target, coefficients for i < j,
+    copied with their Fraction entries int-coded (Poly entries are already)."""
 
     def __init__(self, dim_in: int, dim_out: int,
                  coeffs: dict[tuple[int, int], SparseVec]):
         self.dim_in = dim_in
         self.dim_out = dim_out
-        self.coeffs = {ij: dict(v) for ij, v in coeffs.items() if v}
+        self.coeffs = {ij: {k: icode(x) if isinstance(x, Fraction) else x for k, x in v.items()}
+                       for ij, v in coeffs.items() if v}
 
     @staticmethod
     def zero(dim_in: int, dim_out: int) -> "BilinearMap":
@@ -176,13 +170,12 @@ class BilinearMap:
         increasing order; empty dict means Jacobi holds there.  Only nonzero
         brackets are visited: with ad[x] = {y: [e_x, e_y]}, the row
         k -> J(i, j, k), k > j, of each pair i < j is summed from the three
-        cyclic terms, each a sum over the support of the inner bracket.  ad
-        is int-coded, so integral tables cost int products.
+        cyclic terms, each a sum over the support of the inner bracket.
         """
         if self.dim_in != self.dim_out:
             raise ValueError("jacobiator needs an endomorphic bracket")
         ad: dict[int, dict[int, SparseVec]] = {}
-        for (x, y), col in _icoded(self.coeffs).items():
+        for (x, y), col in self.coeffs.items():
             ad.setdefault(x, {})[y] = col
             ad.setdefault(y, {})[x] = {r: -v for r, v in col.items()}
         out = {}
@@ -284,20 +277,18 @@ def matrix_algebra(mats: list[ColMat], dim: int) -> Representation:
     certified by recombination inside the engine, so sum_k c_ij^k mats[k]
     equals the commutator exactly.  e_i -> mats[i] is then a faithful linear
     image of the matrix commutator, so Jacobi and the homomorphism hold by
-    construction and need no pass of their own.  Entries are int-coded where
-    integral, so the commutators of the integral families cost int products.
+    construction and need no pass of their own.
     """
-    cols = [_icoded(m) for m in mats]
-    rows = [op_transpose(m) for m in cols]
-    span = Echelon(flatten_op(m, dim) for m in cols)
+    rows = [op_transpose(m) for m in mats]
+    span = Echelon(flatten_op(m, dim) for m in mats)
     if span.rank != len(mats):
         raise AssertionError("the matrices are linearly dependent")
     brackets: dict[tuple[int, int], SparseVec] = {}
     for i, j in combinations(range(len(mats)), 2):
         comm: dict = {}  # [A, B] at c * dim + r, one pass over the shared inner indices t
-        for t in (cols[i].keys() & rows[j].keys()) | (cols[j].keys() & rows[i].keys()):
+        for t in (mats[i].keys() & rows[j].keys()) | (mats[j].keys() & rows[i].keys()):
             for a, b, sign in ((i, j, 1), (j, i, -1)):
-                for r, x in cols[a].get(t, {}).items():
+                for r, x in mats[a].get(t, {}).items():
                     for c, y in rows[b].get(t, {}).items():
                         comm[c * dim + r] = comm.get(c * dim + r, 0) + sign * x * y
         comm = {k: x for k, x in comm.items() if x}
@@ -306,7 +297,7 @@ def matrix_algebra(mats: list[ColMat], dim: int) -> Representation:
         coords = span.coordinates(comm)
         if coords is None:
             raise AssertionError(f"the span is not closed under the commutator at pair ({i},{j})")
-        brackets[(i, j)] = {k: Fraction(c) for k, c in sorted(coords.items())}
+        brackets[(i, j)] = dict(sorted(coords.items()))
     return Representation(LieAlgebra(len(mats), brackets, verified=True), dim, mats,
                           verified=True)
 
@@ -314,10 +305,10 @@ def matrix_algebra(mats: list[ColMat], dim: int) -> Representation:
 def hom_constraint(repA: Representation, repB: Representation, g: int):
     """The map T -> rho_B(g) T - T rho_A(g) on Hom(A, B), flat index a*dimB + b
     (T's entry in row b of column a), applied to a sparse T without building
-    its matrix.  rho_A(g) and rho_B(g) are int-coded once, here."""
+    its matrix."""
     dimB = repB.dim
-    matB = _icoded(repB.mats[g])
-    rowsA = op_transpose(_icoded(repA.mats[g]))
+    matB = repB.mats[g]
+    rowsA = op_transpose(repA.mats[g])
 
     def apply(T: SparseVec) -> SparseVec:
         out: SparseVec = {}

@@ -7,11 +7,13 @@ form index tuples, monomials).  Inserted vectors are rational (int or
 Fraction entries); vectors reduced against the echelon or written in its span
 may carry Poly entries.
 
-Scalars are exact and int-coded where the solver can: ``icode`` is the one
-int-coder (an integral rational becomes an int), a row whose pivot is +-1 is
-normalised without forming an inverse, so int rows stay int, and every
-division goes through ``Fraction``.  Int and Fraction entries of equal value
-compare and hash equal, so the coding never changes a result.
+Scalars follow the package's one coding rule, an int when integral and a
+Fraction otherwise: ``icode``, the one int-coder, codes what the engine and
+Poly compute and every table where it is made (``models._quat_to_slot``,
+``lie.BilinearMap``).  A row whose pivot is +-1 is normalised without an
+inverse, so int rows stay int, and every division goes through
+``Fraction``.  Int and Fraction entries of equal value compare and hash
+equal, so the coding never changes a result.
 
 Its front-ends take and return such sparse vectors: ``rref`` (the RREF rows),
 ``nullspace`` and ``sparse_nullspace`` (the kernel, made integer-primitive by

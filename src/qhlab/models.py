@@ -22,10 +22,10 @@ from functools import cache
 from itertools import combinations
 from types import MappingProxyType
 
-from .lie import (BilinearMap, ColMat, LieAlgebra, Representation, _icoded,
-                  equivariant_hom, flatten_op, matrix_algebra, op_apply, op_compose,
-                  op_is_skew, op_is_zero, op_sub, semidirect)
-from .linalg import Echelon, SparseVec, accumulate, rref
+from .lie import (BilinearMap, ColMat, LieAlgebra, Representation, equivariant_hom,
+                  flatten_op, matrix_algebra, op_apply, op_compose, op_is_skew, op_is_zero,
+                  op_sub, semidirect)
+from .linalg import Echelon, SparseVec, accumulate, icode, rref
 from .poly import Poly
 from .quaternion import IM_UNITS, UNITS, QMat, Quaternion, format_rat, rat, sp_basis
 
@@ -65,8 +65,8 @@ def metric_diag(n: int, c1, c2) -> list:
 
 def _quat_to_slot(p: int, q: Quaternion) -> SparseVec:
     """q in slot p as a real vector: the one place a quaternion's (int or
-    Fraction) components enter a vector, always as Fractions."""
-    return {4 * p + u: Fraction(comp) for u, comp in enumerate(q.components()) if comp}
+    Fraction) components enter a vector, each an int when integral."""
+    return {4 * p + u: icode(Fraction(comp)) for u, comp in enumerate(q.components()) if comp}
 
 
 def _realify(n: int, image) -> ColMat:
@@ -161,23 +161,22 @@ def ambient_rep(n: int) -> tuple[LieAlgebra, Representation, tuple[int, ...]]:
 def _certified_triple(triple: tuple[ColMat, ColMat, ColMat],
                       rho: Representation) -> tuple[ColMat, ColMat, ColMat]:
     """triple, checked: Hermitian for g_{c1,c2} at symbolic c1, c2, I^2 = J^2 =
-    K^2 = -Id, I J = K and a rho-invariant span.  The checks compose int-coded
-    copies of the triple and of rho's matrices, and the triple given is
-    returned.  The two cached triples below pass it once per n and must not
-    be modified."""
-    I, J, K = coded = [_icoded(A) for A in triple]
+    K^2 = -Id, I J = K and a rho-invariant span; the triple given is returned.
+    The two cached triples below pass it once per n and must not be
+    modified."""
+    I, J, K = triple
     metric = metric_diag(rho.dim // 4, Poly.var("c1"), Poly.var("c2"))
-    if not all(op_is_skew(A, metric) for A in coded):
+    if not all(op_is_skew(A, metric) for A in triple):
         raise AssertionError("metric is not Hermitian for the triple")
     minus_id: ColMat = {c: {c: -1} for c in range(rho.dim)}
-    for A in coded:
+    for A in triple:
         if not op_is_zero(op_sub(op_compose(A, A), minus_id)):
             raise AssertionError("triple element does not square to -Id")
     if not op_is_zero(op_sub(op_compose(I, J), K)):
         raise AssertionError("I J != K")
-    triple_span = Echelon(flatten_op(A, rho.dim) for A in coded)
-    for mat in map(_icoded, rho.mats):
-        for A in coded:
+    triple_span = Echelon(flatten_op(A, rho.dim) for A in triple)
+    for mat in rho.mats:
+        for A in triple:
             comm = op_sub(op_compose(mat, A), op_compose(A, mat))
             if triple_span.reduce(flatten_op(comm, rho.dim)):
                 raise AssertionError("triple span is not isotropy invariant")
@@ -274,7 +273,7 @@ def _jacobi_equations(h: LieAlgebra, rho: Representation, b_m: BilinearMap | Non
 
 
 @cache
-def jacobi_equations(n: int = 3) -> tuple[Poly, ...]:
+def jacobi_equations(n: int) -> tuple[Poly, ...]:
     """Canonical generators of the Jacobi obstruction of h + m with the bracket
     B(alpha..gamma2) at n; their zero set is the union of the four parameter
     families, and n = 2..5 give the same six."""
@@ -373,21 +372,11 @@ def h_kind_tuples(n: int) -> MappingProxyType:
     tuples = {}
     for kind in H_KINDS:
         params = table3_tuple(kind, beta2 if kind in ("H3", "H5") else None)
-        if any(_at(p, params) for p in jacobi_equations(n)):
+        point = dict(zip(PARAM_NAMES, params))
+        if any(p.eval(point) for p in jacobi_equations(n)):
             raise AssertionError(f"the {kind} bracket fails the Jacobi identity at n={n}")
         tuples[kind] = params
     return MappingProxyType(tuples)
-
-
-def _at(p: Poly, params) -> Poly:
-    """p, a polynomial in the five bracket parameters, at params (rationals or Polys)."""
-    total = Poly()
-    for mono, c in p.terms.items():
-        term = Poly.const(c)
-        for x, e in zip(params, mono):
-            term = term * x ** e
-        total = total + term
-    return total
 
 
 # --------------------------------------------------------------------------
@@ -464,11 +453,11 @@ class HomogeneousModel(namedtuple("HomogeneousModel", [
     __slots__ = ()
 
     def with_metric(self, c1, c2) -> "HomogeneousModel":
-        """The same verified skeleton with the metric g_{c1,c2} (rational or
-        Poly), certified isotropy invariant; _certified_triple made it Hermitian.
-        Matrices of isotropy_rep, certified for every metric once per n, are
-        not checked again."""
-        metric = metric_diag(self.n, c1, c2)
+        """The same verified skeleton with the metric g_{c1,c2} (Polys, or
+        rationals taken as Fractions), certified isotropy invariant;
+        _certified_triple made it Hermitian.  Matrices of isotropy_rep,
+        certified for every metric once per n, are not checked again."""
+        metric = metric_diag(self.n, *(c if isinstance(c, Poly) else Fraction(c) for c in (c1, c2)))
         if not all(op_is_skew(mat, metric) for mat in self.rho.mats
                    if _SKEW_FOR_EVERY_METRIC.get(id(mat)) is not mat):
             raise AssertionError("metric is not isotropy invariant")
@@ -540,7 +529,7 @@ def maximal_vertical_bracket(n: int, c_theta, c_xi) -> BilinearMap:
         coords = span.coordinates(flatten_op(mat, 4 * n))
         if coords is None:
             raise AssertionError("a maximal bracket value does not lie in sp(1) + sp(n)")
-        return {t: Fraction(v) for t, v in coords.items()}
+        return coords
 
     def rule(p: int, x: Quaternion, q: int, y: Quaternion) -> SparseVec:
         col: SparseVec = {}

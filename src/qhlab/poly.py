@@ -184,11 +184,13 @@ class Poly:
 
     # -- evaluation -------------------------------------------------------
 
-    def eval(self, point: dict[str, Fraction]) -> Fraction:
-        """Full evaluation; every variable occurring must be assigned."""
+    def eval(self, point: dict) -> "Fraction | Poly":
+        """The value at point, {name: rational or Poly}, Poly values
+        substituted: a Fraction when every value is rational.  Every variable
+        occurring must be assigned."""
         vals = [None] * NVARS
         for name, v in point.items():
-            vals[_VAR_INDEX[name]] = Fraction(v)
+            vals[_VAR_INDEX[name]] = v if isinstance(v, Poly) else Fraction(v)
         total = Fraction(0)
         for m, c in self.terms.items():
             prod = c

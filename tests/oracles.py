@@ -162,6 +162,13 @@ class FractionPoly:
         return self * (1 / self.terms[lead])
 
 
+def int_coded(values) -> bool:
+    """Every value follows the coding rule of qhlab's exact tables: an int
+    when integral, a non-integral Fraction otherwise.  == cannot tell 2 from
+    Fraction(2), so the type is pinned."""
+    return all(type(v) is int or (type(v) is Fraction and v.denominator > 1) for v in values)
+
+
 def primitive_by_content(p: Poly) -> Poly:
     """p divided by its content gcd(numerators) / lcm(denominators), signed so
     the graded-lex leading coefficient is positive: the reference for

@@ -57,7 +57,7 @@ def test_criterion_02_inadmissible_isotropy():
 
 
 def test_criterion_03_jacobi_variety():
-    eqs = M.jacobi_equations()
+    eqs = M.jacobi_equations(3)
     a, b1, b2, g1, g2 = (Poly.var(v) for v in M.PARAM_NAMES)
     reference = [a * (b2 * 2 - b1), a * g1, a * g2, b1 * g1, b1 * g2,
                  g2 * (g1 - g2)]

@@ -16,8 +16,9 @@ from qhlab.models import (_sp_pair_rep, ambient_rep, bracket_from_params,
 from qhlab.poly import Poly
 from qhlab.quaternion import sp_basis
 
-from oracles import (casimir, checked, dense_sp_brackets, invariant_vectors, is_equivariant,
-                     jacobiator_by_triples, rational_forms, trace_form, vertical_brackets)
+from oracles import (casimir, checked, dense_sp_brackets, int_coded, invariant_vectors,
+                     is_equivariant, jacobiator_by_triples, rational_forms, trace_form,
+                     vertical_brackets)
 
 rng = random.Random(31)
 
@@ -178,8 +179,8 @@ nonintegral = st.builds(Fraction, st.integers(-7, 7).filter(bool), st.integers(2
 @settings(max_examples=25, deadline=None)
 def test_matrix_algebra_reads_rescaled_matrices_exactly(data):
     # every production family is integral; rescaling each basis matrix by a
-    # nonzero rational s_i sends the Fraction branch of the int coding
-    # through the reader: c'_ij^k = s_i s_j c_ij^k / s_k, all Fractions
+    # nonzero rational s_i sends Fraction entries through the reader:
+    # c'_ij^k = s_i s_j c_ij^k / s_k, coded as ints where integral
     gl2 = [_unit(0, 0), _unit(0, 1), _unit(1, 0), _unit(1, 1)]
     for mats, dim in ((gl2, 2), (_sp_pair_rep(2, 1)[1].mats, 8)):
         s = data.draw(st.lists(nonintegral, min_size=len(mats), max_size=len(mats)))
@@ -189,7 +190,7 @@ def test_matrix_algebra_reads_rescaled_matrices_exactly(data):
         expected = {(i, j): {k: s[i] * s[j] * c / s[k] for k, c in col.items()}
                     for (i, j), col in matrix_algebra(mats, dim).algebra.brackets.items()}
         assert alg.brackets == expected
-        assert all(type(v) is Fraction for col in alg.brackets.values() for v in col.values())
+        assert all(int_coded(col.values()) for col in alg.brackets.values())
         assert not alg.structure.jacobiator()
 
 

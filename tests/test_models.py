@@ -23,7 +23,7 @@ from qhlab.models import (H_KINDS, MODEL_KINDS, ModelSpec, _action, _certified_t
 from qhlab.poly import Poly, proportionality
 from qhlab.quaternion import IM_UNITS, Q_I, UNITS, Quaternion, sp_basis
 
-from oracles import (SP1_BRACKETS, checked, dense_sp_brackets, hermitian_metric,
+from oracles import (SP1_BRACKETS, checked, dense_sp_brackets, hermitian_metric, int_coded,
                      invariant_vectors, is_equivariant, matrix_algebra_by_tagged_echelon,
                      maxmodel_jacobi_by_assembly, maxmodel_jacobiator, quaternion,
                      reductive_split, rotated_triple, shifted, swapped_complement,
@@ -137,8 +137,12 @@ BRACKET_DUMP_SHA256 = "927a63fc4e81d74f7000113ea3463274f0e6f7b81c2050f38a496ab1b
 
 
 def _bracket_dump() -> str:
+    # the tables hold ints where integral; each rational is rendered as the
+    # Fraction it was recorded as, so values and insertion order stay pinned
     def rows(b):
-        return repr((b.dim_out, list(b.coeffs.items())))
+        return repr((b.dim_out, [(ij, {k: v if isinstance(v, Poly) else Fraction(v)
+                                       for k, v in col.items()})
+                                 for ij, col in b.coeffs.items()]))
     c1, c2 = Poly.var("c1"), Poly.var("c2")
     symbolic = [Poly.var(v) for v in ("alpha", "beta1", "beta2", "gamma1", "gamma2")]
     out = []
@@ -149,7 +153,7 @@ def _bracket_dump() -> str:
         out += [rows(bracket_from_params(n, *params))
                 for params in ((1, 2, 1, 0, 0), (Fraction(-3, 2), 0, Fraction(5, 7), 1, 1),
                                symbolic)]
-    out.append(repr(jacobi_equations()))
+    out.append(repr(jacobi_equations(3)))
     return "\n".join(out)
 
 
@@ -158,18 +162,19 @@ def test_bracket_tables_match_the_recorded_digest():
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
-def test_matrices_and_bracket_tables_hold_only_fractions(n):
-    # the units have int components, and _quat_to_slot is where they enter a
-    # vector, as Fractions; == cannot tell 2 from Fraction(2), so the type is pinned
+def test_matrices_and_bracket_tables_are_int_coded(n):
+    # _quat_to_slot codes the matrices as it builds them, and the BilinearMap
+    # constructor every bracket table: an int when integral, a Fraction otherwise
     mats = isotropy_rep(n)[1].mats + ambient_rep(n)[1].mats
     mats += [*quaternionic_triple(n), *ambient_triple(n)]
     mats += _complement(ModelSpec("QHP", n)) + _complement(ModelSpec("QHH", n))
-    assert all(type(v) is Fraction for mat in mats for col in mat.values() for v in col.values())
+    assert all(int_coded(col.values()) for mat in mats for col in mat.values())
     tables = list(horizontal_brackets(n).values())
     tables += [maximal_vertical_bracket(n, ct, cx) for ct, cx in ((2, 1), (Fraction(-3, 2), 5))]
     tables += [bracket_from_params(n, *params)
                for params in ((1, 2, 1, 0, 0), (Fraction(-3, 2), 0, Fraction(5, 7), 1, 1))]
-    assert all(type(v) is Fraction for b in tables for col in b.coeffs.values()
+    assert all(int_coded(col.values()) for b in tables for col in b.coeffs.values())
+    assert any(type(v) is Fraction for b in tables for col in b.coeffs.values()
                for v in col.values())
 
 
@@ -199,7 +204,7 @@ def test_vertical_brackets_target():
 
 
 def test_jacobi_equations_match_reference():
-    eqs = jacobi_equations()
+    eqs = jacobi_equations(3)
     assert len(eqs) == 6
     a, b1, b2, g1, g2 = (Poly.var(v) for v in
                          ("alpha", "beta1", "beta2", "gamma1", "gamma2"))
@@ -216,7 +221,7 @@ def test_jacobi_equations_do_not_depend_on_n(n):
     # the Table-3 Jacobi variety is the same at every n >= 2: h + m with the
     # five-parameter bracket gives the six generators of n = 3, bytes included
     assert jacobi_equations(n) == jacobi_equations(3)
-    assert repr(jacobi_equations(n)) == repr(jacobi_equations())
+    assert repr(jacobi_equations(n)) == repr(jacobi_equations(3))
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -441,8 +446,8 @@ def test_sparse_sp_constants_match_dense_commutators(p, q):
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_reader_tables_equal_the_tagged_echelon_reader(n):
     # isotropy, ambient, QHP and QHH: keys, insertion order and values as the
-    # Fraction reader gives them, and every value a Fraction, so no int of the
-    # int-coded commutators leaks out (== alone would not tell 2 from Fraction(2))
+    # Fraction reader gives them, and every value coded as the tables are, an
+    # int when integral (== alone would not tell 2 from Fraction(2))
     iso = isotropy_rep(n)[1].mats
     families = [(isotropy_rep(n)[0], iso), (ambient_rep(n)[0], ambient_rep(n)[1].mats)]
     for kind in ("QHP", "QHH"):
@@ -451,7 +456,7 @@ def test_reader_tables_equal_the_tagged_echelon_reader(n):
     for alg, mats in families:
         expected = matrix_algebra_by_tagged_echelon(mats, 4 * n).algebra.brackets
         assert _ordered(alg.brackets) == _ordered(expected)
-        assert all(type(v) is Fraction for col in alg.brackets.values() for v in col.values())
+        assert all(int_coded(col.values()) for col in alg.brackets.values())
 
 
 def test_reader_echelonises_once_and_composes_nothing(monkeypatch):
@@ -585,12 +590,12 @@ def test_triple_certificate_failures():
         _certified_triple((I, J, minus_k), rho)
 
 
-def test_a_flipped_sign_fails_the_int_coded_triple_certificate(monkeypatch):
-    # the certificate composes int-coded copies of the triple; one entry of I
-    # with its sign flipped breaks it there, and an intact triple passes and
-    # comes back as the very matrices it was given
-    coded = _counted(monkeypatch, models, "_icoded")
+def test_a_flipped_sign_fails_the_int_coded_triple_certificate():
+    # the triple is int-coded where it is built, and the certificate composes
+    # it as given; one entry of I with its sign flipped breaks it there, and
+    # an intact triple passes and comes back as the very matrices it was given
     I, J, K = triple = quaternionic_triple(3)
+    assert all(type(v) is int for A in triple for col in A.values() for v in col.values())
     rho = isotropy_rep(3)[1]
     flipped = {c: dict(col) for c, col in I.items()}
     col = min(flipped)
@@ -598,8 +603,6 @@ def test_a_flipped_sign_fails_the_int_coded_triple_certificate(monkeypatch):
     flipped[col][row] = -flipped[col][row]
     with pytest.raises(AssertionError):
         _certified_triple((flipped, J, K), rho)
-    assert coded[0] == (flipped,)
-    assert all(isinstance(v, int) for col in models._icoded(I).values() for v in col.values())
     certified = _certified_triple(triple, rho)
     assert all(a is b for a, b in zip(certified, triple))
 
@@ -609,7 +612,7 @@ def test_the_triple_is_certified_hermitian_for_every_metric():
     # but is not skew for g_{c1,c2}: only the Hermitian check rejects it
     I, J, K = quaternionic_triple(3)
     scale = {0: 2}
-    bent = {c: {r: v * scale.get(r, 1) / scale.get(c, 1) for r, v in col.items()}
+    bent = {c: {r: v * Fraction(scale.get(r, 1), scale.get(c, 1)) for r, v in col.items()}
             for c, col in I.items()}
     minus_id = {c: {c: Fraction(-1)} for c in range(12)}
     assert op_is_zero(op_sub(op_compose(bent, bent), minus_id))

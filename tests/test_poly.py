@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from qhlab.poly import NVARS, VARS, Poly, proportionality
 
-from oracles import FractionPoly, substitute
+from oracles import FractionPoly, int_coded, substitute
 
 rng = random.Random(97)
 
@@ -57,6 +57,18 @@ def test_substitute_partial():
     assert q == Poly.var("c1") * 2 + Poly.var("c2") ** 2
     r = substitute(p, {"alpha": Poly.var("beta1") + 1})
     assert r.eval({"beta1": Fraction(1), "c1": Fraction(3), "c2": Fraction(1)}) == 7
+
+
+def test_eval_at_poly_values_is_the_substitution():
+    # a Poly value is substituted, all variables at once; at a rational
+    # point the value stays a Fraction
+    c1, c2 = Poly.var("c1"), Poly.var("c2")
+    for _ in range(200):
+        p = rand_poly()
+        point = {v: rng.choice([Fraction(rng.randint(-4, 4), rng.randint(1, 3)),
+                                c1 * rng.randint(1, 3) - c2, c2 ** 2]) for v in VARS}
+        assert p.eval(point) == substitute(p, point)
+    assert type(rand_poly().eval(rand_point())) is Fraction
 
 
 def test_named_evaluations():
@@ -148,11 +160,6 @@ _point = st.fixed_dictionaries({v: st.fractions(min_value=-3, max_value=3, max_d
                                 .filter(bool) for v in VARS})
 
 
-def _int_coded(p: Poly) -> bool:
-    return all(type(c) is int or (type(c) is Fraction and c.denominator > 1)
-               for c in p.terms.values())
-
-
 @given(p=_terms, q=_terms, s=_scalar, mono=_mono, c=_scalar.filter(bool), k=st.integers(0, 3),
        point=_point)
 @settings(max_examples=150, deadline=None)
@@ -165,7 +172,7 @@ def test_int_coded_ring_matches_the_fraction_oracle(p, q, s, mono, c, k, point):
              (P.monic(), OP.monic()), (P / c, OP / c)]
     for got, want in pairs:
         assert got.terms == want.terms
-        assert _int_coded(got)
+        assert int_coded(got.terms.values())
         # the same value with every coefficient a Fraction: == and hash
         # cannot tell the two codings apart
         fraction_coded = Poly._of(dict(want.terms))

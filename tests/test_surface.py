@@ -77,6 +77,13 @@ def _sites(match) -> list[str]:
     return sites
 
 
+def _defined_functions() -> set[str]:
+    """The name of every function and method the package defines."""
+    return {node.name for path in SRC.glob("*.py")
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))}
+
+
 def _call_sites(callee: str) -> list[str]:
     """Every call of callee(...) in the package, as "module:qualified function"."""
     def is_call(node) -> bool:
@@ -145,8 +152,9 @@ def test_brackets_are_read_only_by_the_two_model_readers():
 
 
 def test_quaternion_components_enter_vectors_only_as_fractions():
-    # the units have int components; _quat_to_slot stores every component it
-    # reads as a Fraction, so no int / int division can reach a vector
+    # the units have int components; _quat_to_slot, the one reader of them,
+    # takes each through Fraction and codes it as every table is coded (an
+    # int when integral), so a component enters a vector in one place and form
     assert sorted(_call_sites("components")) == [
         "models.py:_quat_to_slot", "quaternion.py:Quaternion.__repr__"]
 
@@ -158,6 +166,16 @@ def test_metric_skewness_is_checked_only_where_it_is_certified():
     assert sorted(_call_sites("op_is_skew")) == [
         "geometry.py:nomizu", "models.py:HomogeneousModel.with_metric",
         "models.py:_certified_triple", "models.py:_certify_isotropy_metric"]
+
+
+def test_tables_are_int_coded_only_where_they_are_made():
+    # the coding rule is applied where a scalar is made: in the engine, in
+    # Poly, where a quaternion's components enter a matrix and where a bracket
+    # table is built, so no consumer keeps an int-coded copy of a table
+    outside = {site for site in _call_sites("icode")
+               if not site.startswith(("linalg.py:", "poly.py:"))}
+    assert outside == {"lie.py:BilinearMap.__init__", "models.py:_quat_to_slot"}
+    assert "_icoded" not in _defined_functions()
 
 
 def test_one_int_coder():
@@ -195,10 +213,7 @@ def test_cli_start_up_imports_no_heavy_stdlib_module():
 def test_no_second_sp_coordinate_reader():
     # sp(n) values are read by the engine off matrices; the hand-written
     # reader lives on only as a test oracle
-    defined = {node.name for path in SRC.glob("*.py")
-               for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
-               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))}
-    assert "sp_coordinates" not in defined
+    assert "sp_coordinates" not in _defined_functions()
 
 
 # Functions that only an error path reaches, which no command below takes.
