@@ -253,11 +253,10 @@ def _reproduce_prop12(n: int, betas: list[Fraction] | None = None) -> list[tuple
     cases += [("H5", b) for b in betas]
     points = _GRID + [p for p in _SPECIAL if p not in _GRID]
     for kind, beta in cases:
-        skeleton = M.build_model(M.ModelSpec(kind, n, beta=beta))
         # one curvature over the whole metric cone, its certificates holding
         # as identities in c1, c2, read at each point
-        cur = G.curvature(G.GroupData.from_model(
-            skeleton.with_metric(Poly.var("c1"), Poly.var("c2"))))
+        model = M.symbolic_model(M.ModelSpec(kind, n, beta=beta))
+        cur = G.curvature(G.GroupData.from_model(model))
         bad = []
         flags = G.riemann_flags(cur, [{"c1": c1, "c2": c2} for c1, c2 in points])
         for (c1, c2), (einstein, conf_flat, loc_sym) in zip(points, flags):
@@ -374,14 +373,25 @@ def cmd_model_report(ns) -> tuple[dict, int]:
     else:
         checks.append(("model dimension = d_n", model.g.dim == dims["d"],
                        f"dim g = {model.g.dim}, d_n = {dims['d']}"))
-    if spec.kind in M.H_KINDS:
+    riemannian, class_points = spec.kind in M.H_KINDS, spec.n >= 3 and reads_points
+    if riemannian:
         params = M.table3_tuple(spec.kind, spec.beta)
         entry["family"] = sorted(M.in_families(params))
         entry["canonical"] = {"name": spec.kind,
                               "tuple": [format_rat(x) for x in params]}
-        riem = []
-        for c1, c2 in grid:
-            cur = G.curvature(G.GroupData.from_model(model.with_metric(c1, c2)))
+        entry["riemannian"] = riem = []
+    if class_points:
+        row = F.table4_row(spec.kind, spec.n)
+        entry["f_EH"] = _poly_json(row.f_eh)
+        entry["f_KH"] = _poly_json(row.f_kh)
+        loci = F.genuine_loci(spec.kind, spec.n)
+        entry["genuine_EH_locus"] = _poly_json(loci.p_eh)
+        entry["genuine_KH_locus"] = _poly_json(loci.p_kh)
+        entry["class_points"] = cps = []
+    for c1, c2 in grid if reads_points else ():
+        point = model.with_metric(c1, c2)
+        if riemannian:
+            cur = G.curvature(G.GroupData.from_model(point))
             cls = G.classify(cur, M.model_groups(spec.n))
             riem.append({
                 "c1": format_rat(c1), "c2": format_rat(c2),
@@ -396,17 +406,8 @@ def cmd_model_report(ns) -> tuple[dict, int]:
                              if b["constant_sectional"] is not None else "mixed")]
                            for b in cls.product_blocks],
             })
-        entry["riemannian"] = riem
-    if spec.n >= 3 and reads_points:
-        row = F.table4_row(spec.kind, spec.n)
-        entry["f_EH"] = _poly_json(row.f_eh)
-        entry["f_KH"] = _poly_json(row.f_kh)
-        loci = F.genuine_loci(spec.kind, spec.n)
-        entry["genuine_EH_locus"] = _poly_json(loci.p_eh)
-        entry["genuine_KH_locus"] = _poly_json(loci.p_kh)
-        cps = []
-        for c1, c2 in grid:
-            rpt = F.first_order_tests(model.with_metric(c1, c2))
+        if class_points:
+            rpt = F.first_order_tests(point)
             cls = rpt.satisfied_class()
             cps.append({
                 "c1": format_rat(c1), "c2": format_rat(c2),
@@ -421,7 +422,6 @@ def cmd_model_report(ns) -> tuple[dict, int]:
             })
             checks.append((f"torsion identity resolved at ({format_rat(c1)},{format_rat(c2)})",
                            cls != "UNRESOLVED", f"class {cls}"))
-        entry["class_points"] = cps
     report = {"command": "model-report", "n": spec.n, "models": [entry],
               "suite": _suite(checks)}
     return report, 0 if report["suite"]["failed"] == 0 else 1

@@ -8,6 +8,9 @@ invariant 5-forms and theta lines are handed out as read-only mappings.
 Coefficients are exact rationals (an int when integral, as the tables they
 are read from) or Polys in (c1, c2) and, for the beta families, beta2;
 Hodge-dependent quantities require a rational metric point.
+
+The form operators take tables (a bracket's one-form differentials, a
+triple, a diagonal metric), not models; only first_order_tests unpacks one.
 """
 
 from __future__ import annotations
@@ -22,9 +25,10 @@ from types import MappingProxyType
 from .lie import BilinearMap, ColMat, common_kernel, derivation, sort_sign
 from .linalg import Echelon, accumulate, nullspace, sv_primitive
 from .poly import Poly, proportionality
-from .models import (HORIZONTAL_NAMES, H_KINDS, HomogeneousModel, ambient_rep, ambient_triple,
-                     basis_block, h_kind_tuples, horizontal_brackets, isotropy_rep, metric_diag,
-                     quaternionic_triple, symbolic_model)
+from .models import (HORIZONTAL_NAMES, H_KINDS, HomogeneousModel, ModelSpec, ambient_rep,
+                     ambient_triple, basis_block, build_model, h_kind_tuples,
+                     horizontal_brackets, horizontal_params, isotropy_rep, metric_diag,
+                     quaternionic_triple)
 
 
 def lincomb(*pairs) -> dict:
@@ -62,13 +66,9 @@ def pullback_all_slots(form: dict, op: ColMat) -> dict:
 # model-level forms
 # --------------------------------------------------------------------------
 
-def one_form_differentials(model: HomogeneousModel) -> list[dict]:
-    """d(e^s) = -sum_{i<j} c_{ij}^s e^i ^ e^j from the m-part of the bracket."""
-    return _bracket_differentials(model.bracket_m)
-
-
-def _bracket_differentials(bracket: BilinearMap) -> list[dict]:
-    """The one-form differentials of an m-valued bracket table, model or not."""
+def one_form_differentials(bracket: BilinearMap) -> list[dict]:
+    """d(e^s) = -sum_{i<j} c_{ij}^s e^i ^ e^j from an m-valued bracket table:
+    a model's bracket_m, or a basis table that need not satisfy Jacobi."""
     terms: list[dict] = [{} for _ in range(bracket.dim_out)]
     for (i, j), col in bracket.coeffs.items():
         for s, c in col.items():
@@ -77,19 +77,15 @@ def _bracket_differentials(bracket: BilinearMap) -> list[dict]:
     return terms
 
 
-def ce_differential(model: HomogeneousModel | None, form: dict,
-                    d1: list[dict] | None = None) -> dict:
-    """Exterior derivative of an invariant form on the reductive model.
+def ce_differential(form: dict, d1: list[dict]) -> dict:
+    """Exterior derivative of an invariant form on a reductive model, from
+    the one-form differentials d1 of its bracket's m-part.
 
-    Uses only the m-projection of the bracket; on h-invariant input this is
-    the de Rham derivative (and d o d = 0 there), otherwise it is just the
-    algebraic differential.  Slot pos of e_S contributes
-    (-1)^pos d(e^{S_pos}) ^ e_{S without pos}; the 2-form commutes, so it is
-    wedged on the right of the single term.  The model is read only to make
-    d1 when none is given.
+    On h-invariant input this is the de Rham derivative (and d o d = 0
+    there), otherwise it is just the algebraic differential.  Slot pos of
+    e_S contributes (-1)^pos d(e^{S_pos}) ^ e_{S without pos}; the 2-form
+    commutes, so it is wedged on the right of the single term.
     """
-    if d1 is None:
-        d1 = one_form_differentials(model)
     out: dict = {}
     for S, c in form.items():
         for pos, x in enumerate(S):
@@ -97,15 +93,10 @@ def ce_differential(model: HomogeneousModel | None, form: dict,
     return out
 
 
-def fundamental_forms(model: HomogeneousModel) -> tuple[dict, dict, dict, dict]:
-    """(omega_I, omega_J, omega_K, Omega) for the model's triple and metric."""
-    return _triple_forms(model.triple, model.metric)
-
-
-def _triple_forms(triple, G: list) -> tuple[dict, dict, dict, dict]:
-    """(omega_I, omega_J, omega_K, Omega) for a triple and a diagonal metric G;
-    each A is skew for G, as models._certified_triple proves for every g_{c1,c2}."""
-    omegas = [{(i, j): G[i] * v for j, col in A.items() for i, v in col.items() if i < j and v}
+def fundamental_forms(triple, metric: list) -> tuple[dict, dict, dict, dict]:
+    """(omega_I, omega_J, omega_K, Omega) for a triple and a diagonal metric;
+    each A is skew for it, as models._certified_triple proves for every g_{c1,c2}."""
+    omegas = [{(i, j): metric[i] * v for j, col in A.items() for i, v in col.items() if i < j and v}
               for A in triple]
     omega = lincomb(*((1, wedge(om, om)) for om in omegas))
     return omegas[0], omegas[1], omegas[2], omega
@@ -144,12 +135,9 @@ def hodge_star(form: dict, metric: list[Fraction]) -> dict:
     return out
 
 
-def codifferential(model: HomogeneousModel, form: dict,
-                   d1: list[dict] | None = None) -> dict:
+def codifferential(form: dict, d1: list[dict], metric: list[Fraction]) -> dict:
     """delta = -(star d star) on even-dimensional models."""
-    metric = model.metric
-    return lincomb((-1, hodge_star(ce_differential(model, hodge_star(form, metric), d1),
-                                   metric)))
+    return lincomb((-1, hodge_star(ce_differential(hodge_star(form, metric), d1), metric)))
 
 
 def contract_pair(gamma: dict, omega: dict, metric: list[Fraction]) -> dict:
@@ -194,7 +182,7 @@ def invariant_five_forms(n: int) -> tuple[dict, dict]:
     """
     if n < 3:
         raise ValueError("the 5-form analysis requires n >= 3")
-    _, _, _, omega_k = _triple_forms(ambient_triple(n), metric_diag(n, 1, 1))
+    _, _, _, omega_k = fundamental_forms(ambient_triple(n), metric_diag(n, 1, 1))
     if any(derivation(omega_k, mat) for mat in ambient_rep(n)[1].mats):
         raise AssertionError("Omega_k is not invariant under the ambient algebra")
     theta_eh = wedge({(0,): 1}, omega_k)
@@ -286,8 +274,8 @@ def _symbolic_omega(n: int) -> tuple[dict, tuple]:
     """Omega of quaternionic_triple(n) at the symbolic metric (c1, c2), and the
     plane coordinates of e^0 ^ Omega: every Table-4 model carries that triple
     and metric, so all of them share the two."""
-    _, _, _, omega = _triple_forms(quaternionic_triple(n),
-                                   metric_diag(n, Poly.var("c1"), Poly.var("c2")))
+    _, _, _, omega = fundamental_forms(quaternionic_triple(n),
+                                      metric_diag(n, Poly.var("c1"), Poly.var("c2")))
     return omega, plane_coordinates(n, wedge({(0,): 1}, omega))
 
 
@@ -303,7 +291,7 @@ def bracket_columns(n: int) -> MappingProxyType:
     """
     omega, _ = _symbolic_omega(n)
     return MappingProxyType({
-        name: plane_coordinates(n, ce_differential(None, omega, _bracket_differentials(b)))
+        name: plane_coordinates(n, ce_differential(omega, one_form_differentials(b)))
         for name, b in horizontal_brackets(n).items()})
 
 
@@ -317,27 +305,25 @@ def column_sum(n: int, params) -> tuple[Poly, Poly]:
 
 
 @cache
-def _domega(kind: str, n: int):
-    """The plane coordinates of dOmega and of e^0 ^ Omega for the Table-4 model
-    of kind at n, symbolic in (c1, c2) and, for H3/H5, beta2.
+def _domega(kind: str, n: int) -> tuple[Poly, Poly]:
+    """The plane coordinates of dOmega for the Table-4 model of kind at n,
+    symbolic in (c1, c2) and, for H3/H5, beta2: the column sum at the kind's
+    bracket parameters, as dOmega reads only the h-equivariant m-part b_m.
 
-    An H kind is the column sum at its tuple from models.h_kind_tuples, which
-    certifies every H bracket at n once; QHP and QHH, whose brackets lie
-    outside the five-parameter family, differentiate the shared Omega on
-    their one symbolic build.  plane_coordinates raises when dOmega leaves
-    the invariant 5-form plane, which would contradict the two-line
-    decomposition.
+    The H tuples come from models.h_kind_tuples, which certifies them at n
+    once; QHP and QHH read theirs off b_m of one unit-metric build, as b_m
+    does not depend on the metric (their b_h, which closes Jacobi, does not
+    enter dOmega).
     """
-    omega, e0_omega = _symbolic_omega(n)
     if kind in H_KINDS:
-        return column_sum(n, h_kind_tuples(n)[kind]), e0_omega
-    return plane_coordinates(n, ce_differential(symbolic_model(kind, n), omega)), e0_omega
+        return column_sum(n, h_kind_tuples(n)[kind])
+    return column_sum(n, horizontal_params(n, build_model(ModelSpec(kind, n)).bracket_m))
 
 
 def _isotypic_coordinates(kind: str, n: int) -> tuple[Poly, Poly]:
     """Raw (x, y) with dOmega = x theta_EH + y theta_KH, exact, from
     theta_EH = p1 + p2 and theta_KH = kx p1 + ky p2."""
-    (a, b), _ = _domega(kind, n)
+    a, b = _domega(kind, n)
     kx, ky = plane_coordinates(n, isotypic_split(n).theta_kh)
     y = Poly.coerce(a - b) / (kx - ky)
     return a - y * kx, y
@@ -361,8 +347,9 @@ class ClassReport(namedtuple("ClassReport", "f_eh f_kh")):
 
 
 def table4_row(kind: str, n: int) -> ClassReport:
-    """Exact (f_EH, f_KH) of symbolic_model(kind, n); the theta normalization
-    is the single H4 calibration shared by all rows at this n."""
+    """Exact (f_EH, f_KH) of the Table-4 model of kind at n, symbolic in (c1,
+    c2); the theta normalization is the single H4 calibration shared by all
+    rows at this n."""
     cal = _calibration_scales(n)
     x, y = _isotypic_coordinates(kind, n)
     return ClassReport(y * (1 / cal.s_kh), x * (1 / cal.s_eh))
@@ -412,12 +399,14 @@ def first_order_tests(model: HomogeneousModel) -> FirstOrderReport:
     """
     if model.n < 3:
         raise ValueError("class tests require n >= 3")
-    omI, omJ, omK, omega = fundamental_forms(model)
-    d1 = one_form_differentials(model)
-    dom = ce_differential(model, omega, d1)
-    delta_om = codifferential(model, omega, d1)
     n, dm = model.n, model.rho.dim
-    metric = model.metric
+    # Fractions, as in geometry.curvature: an int metric point divided into
+    # the int-coded tables would give floats
+    metric = [Fraction(g) for g in model.metric]
+    omI, omJ, omK, omega = fundamental_forms(model.triple, metric)
+    d1 = one_form_differentials(model.bracket_m)
+    dom = ce_differential(omega, d1)
+    delta_om = codifferential(omega, d1, metric)
     triple = list(zip(model.triple, (omI, omJ, omK)))
 
     pair_forms = [contract_pair(pullback_all_slots(delta_om, A), omA, metric)
@@ -458,8 +447,8 @@ class GenuineLoci(namedtuple("GenuineLoci", "p_eh p_kh")):
 
 
 def genuine_loci(kind: str, n: int) -> GenuineLoci:
-    """The adapted-class loci of symbolic_model(kind, n)."""
-    (x, y), (wx, wy) = _domega(kind, n)  # the moving EH line is spanned by e0 ^ Omega
+    """The adapted-class loci of the Table-4 model of kind at n."""
+    (x, y), (wx, wy) = _domega(kind, n), _symbolic_omega(n)[1]  # EH moves along e0 ^ Omega
     p_eh = Poly.coerce(x * wy - y * wx)
     # the KH line moves by the same diagonal rescaling that carries the fixed
     # theta_EH = p1 + p2 direction (1 : 1) to (wx : wy)

@@ -257,6 +257,18 @@ def bracket_from_params(n: int, alpha, beta1, beta2, gamma1, gamma2) -> Bilinear
     return BilinearMap(4 * n, 4 * n, coeffs)
 
 
+def horizontal_params(n: int, bracket: BilinearMap) -> tuple:
+    """The inverse of bracket_from_params: the (alpha, ..., gamma2) of an
+    m-valued table, read through one echelon of horizontal_brackets(n) and
+    certified by its recombination; raises when the table is off their span."""
+    def flat(b: BilinearMap) -> SparseVec:
+        return {(i, j, k): v for (i, j), col in b.coeffs.items() for k, v in col.items()}
+    coords = Echelon(map(flat, horizontal_brackets(n).values())).coordinates(flat(bracket))
+    if coords is None:
+        raise AssertionError("the bracket is off the five-parameter horizontal span")
+    return tuple(coords.get(i, 0) for i in range(len(HORIZONTAL_NAMES)))
+
+
 # --------------------------------------------------------------------------
 # Jacobi families and normal forms
 # --------------------------------------------------------------------------
@@ -513,6 +525,13 @@ def build_model(spec: ModelSpec) -> HomogeneousModel:
     raise ValueError(f"unhandled kind {spec.kind}")
 
 
+def symbolic_model(spec: ModelSpec) -> HomogeneousModel:
+    """The model of spec at the symbolic metric (c1, c2), whose one curvature
+    holds over the whole metric cone (prop12); Hodge-dependent geometry
+    requires rational points and is not available on it."""
+    return build_model(spec).with_metric(Poly.var("c1"), Poly.var("c2"))
+
+
 def maximal_vertical_bracket(n: int, c_theta, c_xi) -> BilinearMap:
     """c_theta * Theta + c_xi * Xi on all of H^n, valued in k = sp(1) + sp(n).
 
@@ -611,17 +630,6 @@ def _build_twisted_model(spec: ModelSpec) -> HomogeneousModel:
 # --------------------------------------------------------------------------
 # solvers specialised to the isotropy setting
 # --------------------------------------------------------------------------
-
-def symbolic_model(kind: str, n: int) -> HomogeneousModel:
-    """Model with symbolic metric (c1, c2) and, for H3/H5, symbolic beta2.
-
-    The class layer builds only QHP and QHH this way, as their brackets lie
-    outside the five-parameter family; Hodge-dependent geometry requires
-    rational points and is not available on these models.
-    """
-    beta = Poly.var("beta2") if kind in ("H3", "H5") else None
-    return build_model(ModelSpec(kind, n, beta=beta)).with_metric(Poly.var("c1"), Poly.var("c2"))
-
 
 def bracket_space_dims(n: int) -> tuple[int, int]:
     """(horizontal, vertical) dimensions of the invariant-bracket space."""

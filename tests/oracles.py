@@ -23,7 +23,7 @@ from qhlab.geometry import GroupData, classify, curvature
 from qhlab.models import (ModelSpec, _assemble, _complement, ambient_rep, bracket_from_params,
                           build_model, h_kind_tuples, horizontal_brackets, isotropy_rep,
                           maximal_vertical_bracket, model_groups, quaternionic_triple,
-                          symbolic_model, xi_operator)
+                          xi_operator)
 from qhlab.poly import NVARS, VARS, Poly
 from qhlab.quaternion import IM_UNITS, UNITS, QMat, Quaternion, _lower, format_rat, sp_basis
 
@@ -42,11 +42,14 @@ def clear_class_caches():
 
 
 def domega_by_build(kind, n):
-    """The plane coordinates of dOmega and of e^0 ^ Omega on
-    symbolic_model(kind, n), through its own fundamental_forms and
-    ce_differential: the reference for forms._domega's bracket-column sum
-    over the H kinds."""
-    return _domega_of_model(symbolic_model(kind, n))
+    """The plane coordinates of dOmega and of e^0 ^ Omega on the model of
+    kind at n, built with its own bracket (beta2 symbolic for H3 and H5) at
+    the symbolic metric, through its own fundamental_forms and
+    ce_differential: the reference for forms._domega's bracket-column sum,
+    which reads QHP and QHH's brackets through models.horizontal_params."""
+    beta = Poly.var("beta2") if kind in ("H3", "H5") else None
+    model = build_model(ModelSpec(kind, n, beta=beta))
+    return _domega_of_model(model.with_metric(Poly.var("c1"), Poly.var("c2")))
 
 
 def domega_by_bracket(n, params):
@@ -61,8 +64,9 @@ def domega_by_bracket(n, params):
 
 
 def _domega_of_model(model):
-    _, _, _, omega = forms.fundamental_forms(model)
-    return (forms.plane_coordinates(model.n, forms.ce_differential(model, omega)),
+    _, _, _, omega = forms.fundamental_forms(model.triple, model.metric)
+    d1 = forms.one_form_differentials(model.bracket_m)
+    return (forms.plane_coordinates(model.n, forms.ce_differential(omega, d1)),
             forms.plane_coordinates(model.n, forms.wedge({(0,): Fraction(1)}, omega)))
 
 

@@ -393,16 +393,16 @@ def test_criterion_10_structural_self_tests():
              ("H5", F(1)), ("QHP", None), ("QHH", None))
     for kind, beta in kinds:
         model = _model(kind, 3, 2, 1, beta)
-        d1 = FO.one_form_differentials(model)
-        _, _, _, omega = FO.fundamental_forms(model)
-        dom = FO.ce_differential(model, omega, d1)
-        ok = ok and FO.ce_differential(model, dom, d1) == {}
+        d1 = FO.one_form_differentials(model.bracket_m)
+        _, _, _, omega = FO.fundamental_forms(model.triple, model.metric)
+        dom = FO.ce_differential(omega, d1)
+        ok = ok and FO.ce_differential(dom, d1) == {}
         data = G.GroupData.from_model(model)
         cur = G.curvature(data)  # symmetry asserts inside
         # nabla g = 0: every Nomizu operator is metric-skew
         ok = ok and all(op_is_skew(op, data.metric) for op in cur.lam)
     model = _model("H3", 3, 2, 1, beta=2)
-    _, _, _, omega = FO.fundamental_forms(model)
+    _, _, _, omega = FO.fundamental_forms(model.triple, model.metric)
     rotations = 0
     while rotations < 50:
         q = quaternion(rng.randint(-5, 5), rng.randint(-5, 5),
@@ -410,7 +410,7 @@ def test_criterion_10_structural_self_tests():
         if not q:
             continue
         clone = model.with_metric(F(2), F(1))._replace(triple=rotated_triple(model.triple, q))
-        _, _, _, omega_rot = FO.fundamental_forms(clone)
+        _, _, _, omega_rot = FO.fundamental_forms(clone.triple, clone.metric)
         ok = ok and omega_rot == omega
         rotations += 1
     assert _announce("10 (d^2 = 0, curvature symmetries, nabla g = 0, frame "

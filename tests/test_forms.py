@@ -13,11 +13,13 @@ from qhlab.forms import (bracket_columns, ce_differential, codifferential, colum
                          hodge_star, invariant_five_forms, isotypic_split,
                          lincomb, one_form_differentials, plane_coordinates,
                          pullback_all_slots, solve_wedge_omega, table4_row, wedge,
-                         _bidegree, _calibration_scales, _domega, _poly_primitive)
+                         _bidegree, _calibration_scales, _domega, _poly_primitive,
+                         _symbolic_omega)
 from qhlab.lie import derivation, derivation_op, op_apply, sort_sign
 from qhlab.linalg import Echelon
-from qhlab.models import (H_KINDS, ModelSpec, bracket_space_dims, build_model, in_families,
-                          isotropy_rep, quaternionic_triple, symbolic_model)
+from qhlab.models import (H_KINDS, ModelSpec, bracket_space_dims, build_model,
+                          horizontal_brackets, in_families, isotropy_rep, quaternionic_triple,
+                          symbolic_model)
 from qhlab.poly import NVARS, Poly
 from oracles import (CLASS_CACHES, casimir_split, class_at, clear_class_caches, domega_by_bracket,
                      domega_by_build, invariant_five_forms_by_kernel,
@@ -69,7 +71,7 @@ def _group_model():
     """H5 at n = 2, beta = 2 (dim m = 8), a Lie group model: bracket_h = 0."""
     model = _model("H5", 2, beta=2)
     assert not model.bracket_h.coeffs
-    return model, one_form_differentials(model)
+    return model, one_form_differentials(model.bracket_m)
 
 
 @given(ka=st.integers(0, 3), kb=st.integers(0, 3), data=st.data())
@@ -79,7 +81,7 @@ def test_ce_differential_is_a_graded_derivation(ka, kb, data):
     a, b = data.draw(rational_forms(ka, 8)), data.draw(rational_forms(kb, 8))
 
     def d(form):
-        return ce_differential(model, form, d1)
+        return ce_differential(form, d1)
 
     assert d(wedge(a, b)) == lincomb((1, wedge(d(a), b)), ((-1) ** ka, wedge(a, d(b))))
 
@@ -94,7 +96,7 @@ def test_wedge_is_associative(ka, kb, kc, data):
 def test_omega_squared_against_pair_expansion():
     # omega ^ omega via the combinatorial definition on pairs, n = 2
     model = _model("FlatMax", 2)
-    om_i, _, _, _ = fundamental_forms(model)
+    om_i, _, _, _ = fundamental_forms(model.triple, model.metric)
     expect = {}
     for (s, u), (t, v) in combinations(sorted(om_i.items()), 2):
         ms = sort_sign(s + t)
@@ -108,7 +110,7 @@ def test_omega_squared_against_pair_expansion():
 
 def test_fundamental_forms_hermitian_positive():
     model = _model("H4", 3, 2, 3)
-    om_i, om_j, om_k, omega = fundamental_forms(model)
+    om_i, om_j, om_k, omega = fundamental_forms(model.triple, model.metric)
     I = model.triple[0]
     for _ in range(30):
         x = {i: F(rng.randint(-4, 4)) for i in rng.sample(range(12), 4)}
@@ -125,19 +127,19 @@ def test_d_squared_zero_on_invariant_forms():
     for kind, beta in (("H2", None), ("H3", 2), ("H5", 1), ("QHP", None),
                        ("QHH", None), ("H1-", None)):
         model = _model(kind, 3, 2, 1, beta)
-        d1 = one_form_differentials(model)
-        _, _, _, omega = fundamental_forms(model)
-        dom = ce_differential(model, omega, d1)
-        assert ce_differential(model, dom, d1) == {}
+        d1 = one_form_differentials(model.bracket_m)
+        _, _, _, omega = fundamental_forms(model.triple, model.metric)
+        dom = ce_differential(omega, d1)
+        assert ce_differential(dom, d1) == {}
 
 
 def test_d_squared_zero_on_all_forms_for_group_models():
     # simply transitive models have bracket_h = 0, so d^2 = 0 holds on all forms
     model = _model("H5", 3, 1, 1, beta=2)
-    d1 = one_form_differentials(model)
+    d1 = one_form_differentials(model.bracket_m)
     for _ in range(10):
         alpha = rand_form(12, rng.randint(1, 3))
-        dd = ce_differential(model, ce_differential(model, alpha, d1), d1)
+        dd = ce_differential(ce_differential(alpha, d1), d1)
         assert dd == {}
 
 
@@ -145,7 +147,7 @@ def test_maurer_cartan_h2_center():
     # one-forms dual to the Im(H) center of the two-step algebra have
     # nonzero differential with Theta coefficients
     model = _model("H2", 3, 1, 1)
-    d1 = one_form_differentials(model)
+    d1 = one_form_differentials(model.bracket_m)
     assert d1[1] != {}
     assert all(i >= 4 and j >= 4 for (i, j) in d1[1])
     assert d1[0] == {}  # the real direction is never a bracket value
@@ -169,16 +171,16 @@ def test_hodge_star_identities():
 
 def test_codifferential_flat_and_adjointness():
     flat = _model("FlatMax", 2)
-    _, _, _, omega = fundamental_forms(flat)
-    assert codifferential(flat, omega) == {}
+    _, _, _, omega = fundamental_forms(flat.triple, flat.metric)
+    assert codifferential(omega, one_form_differentials(flat.bracket_m), flat.metric) == {}
     # pointwise adjointness of d and delta holds on the unimodular models
     for kind, beta in (("H2", None), ("H5", 0), ("QHP", None)):
         model = _model(kind, 3, 1, 2, beta)
-        d1 = one_form_differentials(model)
-        _, _, _, om = fundamental_forms(model)
-        dom = ce_differential(model, om, d1)
+        d1 = one_form_differentials(model.bracket_m)
+        _, _, _, om = fundamental_forms(model.triple, model.metric)
+        dom = ce_differential(om, d1)
         lhs = _form_inner(dom, dom, model.metric)
-        rhs = _form_inner(om, codifferential(model, dom, d1), model.metric)
+        rhs = _form_inner(om, codifferential(dom, d1, model.metric), model.metric)
         assert lhs == rhs
 
 
@@ -209,7 +211,8 @@ def test_isotypic_split_labels():
     # theta_EH = e0 ^ Omega_k with Omega_k the unit-metric 4-form of the ambient
     # triple; its two bi-degree parts span the plane; theta_KH is orthogonal
     pair = isotypic_split(3)
-    _, _, _, omega_k = fundamental_forms(build_model(ModelSpec("FlatMax", 3)))
+    flat = build_model(ModelSpec("FlatMax", 3))
+    _, _, _, omega_k = fundamental_forms(flat.triple, flat.metric)
     assert pair.theta_eh == wedge({(0,): F(1)}, omega_k)
     p1, p2 = invariant_five_forms(3)
     assert {_bidegree(S) for S in p1} == {(1, 0, 4)}
@@ -229,7 +232,7 @@ def test_invariant_five_forms_build_no_model(monkeypatch):
         raise AssertionError("invariant_five_forms built a model")
     for name in ("build_model", "_assemble", "verify_model", "semidirect"):
         monkeypatch.setattr(models, name, no_model)
-    assert not hasattr(forms, "build_model")
+    monkeypatch.setattr(forms, "build_model", no_model)  # _domega's QHP/QHH bracket read
     assert forms.invariant_five_forms.__wrapped__(3) == invariant_five_forms(3)
 
 
@@ -285,26 +288,29 @@ def test_non_invariant_omega_k_exits_3(monkeypatch, capsys):
 
 def _class_layer_counts(monkeypatch, n, argv):
     """Run a command at n on empty class-layer caches and count what it makes:
-    the symbolic models by kind, the Jacobi passes, the dOmega taken of each
-    symbolic model and of each bracket column (no model), and the echelons
-    built of the invariant 5-form plane.  Also returns the size of every
-    class-layer cache after the command; each is empty again after
-    clear_class_caches."""
+    the symbolic models by kind, the models the class layer builds as (kind,
+    c1, c2), whether each dOmega taken is of a bracket column's one-form
+    differentials, the Jacobi passes, and the echelons built of the
+    invariant 5-form plane.  Also returns the size of every class-layer cache
+    after the command; each is empty again after clear_class_caches."""
     import qhlab.forms as forms
     from qhlab import lie, models
     clear_class_caches()
     plane = set().union(*invariant_five_forms(n))
-    built, differentiated, columns, planes, jacobi = [], [], [], [], []
+    columns = [one_form_differentials(b) for b in horizontal_brackets(n).values()]
+    symbolic, built, differentiated, planes, jacobi = [], [], [], [], []
 
-    def symbolic(kind, n):
-        built.append((kind, symbolic_model(kind, n)))  # held, so no id is reused
-        return built[-1][1]
+    def counted_symbolic(spec):
+        symbolic.append(spec.kind)
+        return symbolic_model(spec)
 
-    def differential(model, form, d1=None):
-        if model is None:
-            columns.append(d1)
-        differentiated.extend(kind for kind, m in built if m is model)
-        return ce_differential(model, form, d1)
+    def counted_build(spec):
+        built.append((spec.kind, spec.c1, spec.c2))
+        return build_model(spec)
+
+    def differential(form, d1):
+        differentiated.append(d1 in columns)
+        return ce_differential(form, d1)
 
     def echelon(vectors=()):
         vectors = list(vectors)
@@ -318,8 +324,8 @@ def _class_layer_counts(monkeypatch, n, argv):
         jacobi.append(alg.dim)
         return verify_jacobi(alg, **kw)
 
-    for module in (models, forms):
-        monkeypatch.setattr(module, "symbolic_model", symbolic)
+    monkeypatch.setattr(models, "symbolic_model", counted_symbolic)
+    monkeypatch.setattr(forms, "build_model", counted_build)
     monkeypatch.setattr(forms, "ce_differential", differential)
     monkeypatch.setattr(forms, "Echelon", echelon)
     monkeypatch.setattr(lie.LieAlgebra, "verify_jacobi", counted_jacobi)
@@ -329,31 +335,50 @@ def _class_layer_counts(monkeypatch, n, argv):
     finally:
         clear_class_caches()
     assert all(cached.cache_info().currsize == 0 for cached in CLASS_CACHES)
-    return (code, sorted(kind for kind, _ in built), sorted(differentiated), len(columns),
-            planes, jacobi, filled)
+    return code, symbolic, sorted(built), differentiated, planes, jacobi, filled
 
 
 def test_each_symbolic_model_is_built_and_differentiated_once(monkeypatch, capsys):
-    # the H rows are sums of the five bracket columns, each the dOmega of the
-    # one shared Omega with no model built; the per-n parameter-space
+    # every row is a sum of the five bracket columns, each the dOmega of the
+    # one shared Omega with no model built: dOmega is taken of the columns
+    # only, and no symbolic model is built.  The per-n parameter-space
     # jacobiator certifies every H bracket, so the class path runs no Jacobi
-    # pass (QHP/QHH's read algebra comes verified); QHP and QHH each build and
-    # differentiate once
-    code, built, differentiated, columns, planes, jacobi, filled = _class_layer_counts(
+    # pass (QHP/QHH's read algebra comes verified); QHP and QHH are each
+    # built once, at the unit metric, for their bracket parameters
+    code, symbolic, built, differentiated, planes, jacobi, filled = _class_layer_counts(
         monkeypatch, 4, ["reproduce", "table4", "--n", "4"])
     assert code == 1
-    assert built == differentiated == ["QHH", "QHP"]
-    assert columns == 5 and jacobi == [] and planes == [2]
+    assert symbolic == [] and built == [("QHH", 1, 1), ("QHP", 1, 1)]
+    assert differentiated == [True] * 5 and jacobi == [] and planes == [2]
     assert all(filled)
-    # model-report reads its row and its loci off the columns: no symbolic
-    # model, and the rational build for the curvature takes its Jacobi
-    # certificate from h_kind_tuples, so no Jacobi pass runs either
-    code, built, differentiated, columns, planes, jacobi, _ = _class_layer_counts(
+    # model-report reads its row and its loci off the columns: the class
+    # layer builds no model, and the rational build for the curvature takes
+    # its Jacobi certificate from h_kind_tuples, so no Jacobi pass runs
+    # either; the first-order tests at its one grid point then take d of
+    # Omega and of star Omega on that build
+    code, symbolic, built, differentiated, planes, jacobi, _ = _class_layer_counts(
         monkeypatch, 3, ["model-report", "--spec", "H3:beta=1:n=3", "--grid", "1,2"])
     assert code == 0
-    assert built == differentiated == [] and columns == 5
+    assert symbolic == built == [] and differentiated == [True] * 5 + [False] * 2
     assert planes == [2] and jacobi == []
     capsys.readouterr()
+
+
+def test_an_off_span_m_bracket_exits_3(monkeypatch, capsys):
+    # a QHP build whose m-bracket leaves the five-parameter span (here the
+    # twisted Theta's) fails horizontal_params' certificate: an internal check
+    import qhlab.forms as forms
+    monkeypatch.setattr(forms, "build_model",
+                        lambda spec: build_model(ModelSpec("TwistedTheta", spec.n)))
+    clear_class_caches()
+    try:
+        code = main(["reproduce", "table4", "--n", "3"])
+    finally:
+        clear_class_caches()
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err == ("qhlab: internal check failed: "
+                            "the bracket is off the five-parameter horizontal span\n")
 
 
 def test_a_non_jacobi_h_tuple_fails_the_lie_certificate(monkeypatch, capsys):
@@ -398,9 +423,9 @@ def test_model_report_leaves_the_cached_five_forms_unchanged(capsys):
 
 def test_omega_frame_independence():
     model = _model("H3", 3, 2, 1, beta=2)
-    _, _, _, omega = fundamental_forms(model)
-    d1 = one_form_differentials(model)
-    dom = ce_differential(model, omega, d1)
+    _, _, _, omega = fundamental_forms(model.triple, model.metric)
+    d1 = one_form_differentials(model.bracket_m)
+    dom = ce_differential(omega, d1)
     count = 0
     while count < 50:
         q = quaternion(rng.randint(-5, 5), rng.randint(-5, 5),
@@ -408,9 +433,9 @@ def test_omega_frame_independence():
         if not q:
             continue
         rotated = model.with_metric(F(2), F(1))._replace(triple=rotated_triple(model.triple, q))
-        _, _, _, omega_rot = fundamental_forms(rotated)
+        _, _, _, omega_rot = fundamental_forms(rotated.triple, rotated.metric)
         assert omega_rot == omega
-        assert ce_differential(rotated, omega_rot, d1) == dom
+        assert ce_differential(omega_rot, d1) == dom
         count += 1
 
 
@@ -469,10 +494,12 @@ def test_bracket_columns_are_one_matrix_for_every_n(n):
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
 def test_column_sum_equals_the_per_kind_build(n):
-    # beta2 stays symbolic for H3 and H5; __wrapped__ runs the column read
-    # even where an earlier test filled the cache
-    for kind in H_KINDS:
-        assert _domega.__wrapped__(kind, n) == domega_by_build(kind, n), kind
+    # beta2 stays symbolic for H3 and H5, and QHP/QHH's m-brackets are read
+    # into the span; every build's e0 ^ Omega is the shared one; __wrapped__
+    # runs the column read even where an earlier test filled the cache
+    for kind in H_KINDS + ("QHP", "QHH"):
+        by_columns = _domega.__wrapped__(kind, n), _symbolic_omega(n)[1]
+        assert by_columns == domega_by_build(kind, n), kind
 
 
 _small = st.fractions(min_value=-3, max_value=3, max_denominator=3)
@@ -526,7 +553,7 @@ def test_domega_in_invariant_plane_symbolically():
     # proof that every model's class sits in the two fundamental modules;
     # __wrapped__ runs the read even where an earlier test filled the cache
     for kind in ("H1+", "H2", "H3", "H5", "QHP", "QHH"):
-        (x, y), _ = _domega.__wrapped__(kind, 3)
+        x, y = _domega.__wrapped__(kind, 3)
         assert x or y, kind
 
 
@@ -617,16 +644,23 @@ def test_fixed_basis_and_adapted_class_diverge_off_conformal():
     assert rpt2.satisfied_class() == "KEH"
 
 
+def test_first_order_tests_take_an_int_metric_as_fractions():
+    # the int metric entries must not meet the int-coded tables in a division
+    model = _model("QHP", 3)
+    at_ints = first_order_tests(model._replace(metric=[2] * 4 + [1] * 8))
+    assert at_ints == first_order_tests(model.with_metric(2, 1))
+
+
 def test_contract_pair_and_pullback_shapes():
     model = _model("H4", 3, 1, 1)
-    d1 = one_form_differentials(model)
-    _, _, _, omega = fundamental_forms(model)
-    delta = codifferential(model, omega, d1)
+    d1 = one_form_differentials(model.bracket_m)
+    _, _, _, omega = fundamental_forms(model.triple, model.metric)
+    delta = codifferential(omega, d1, model.metric)
     assert delta and all(len(S) == 3 for S in delta)
     I = model.triple[0]
     pulled = pullback_all_slots(delta, I)
     assert pulled and all(len(S) == 3 for S in pulled)
-    om_i, _, _, _ = fundamental_forms(model)
+    om_i, _, _, _ = fundamental_forms(model.triple, model.metric)
     paired = contract_pair(pulled, om_i, model.metric)
     assert paired and all(len(S) == 1 for S in paired)
     derived = derivation(delta, I)

@@ -15,7 +15,8 @@ from qhlab.linalg import Echelon
 from qhlab.models import (H_KINDS, MODEL_KINDS, ModelSpec, _action, _certified_triple, _complement,
                           _restrict_rep, ambient_rep, ambient_triple,
                           apply_scaling, bracket_from_params, bracket_space_dims, build_model,
-                          dims, h_kind_tuples, horizontal_brackets, in_families,
+                          dims, h_kind_tuples, horizontal_brackets, horizontal_params,
+                          in_families,
                           inadmissible_hom_dim, isotropy_rep, jacobi_equations,
                           maxmodel_equations, maxmodel_jacobi_holds, normalize,
                           maximal_vertical_bracket, quaternionic_triple, symbolic_model,
@@ -176,6 +177,30 @@ def test_matrices_and_bracket_tables_are_int_coded(n):
     assert all(int_coded(col.values()) for b in tables for col in b.coeffs.values())
     assert any(type(v) is Fraction for b in tables for col in b.coeffs.values()
                for v in col.values())
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
+def test_reductive_m_brackets_are_horizontal_points(n):
+    # b_m of QHP is Theta - Upsilon2 and of QHH -Theta - Upsilon2 at every n:
+    # off F1-F4 (alpha*gamma2 != 0), so b_h is what closes their Jacobi identity
+    for kind, params in (("QHP", (1, 0, 0, 0, -1)), ("QHH", (-1, 0, 0, 0, -1))):
+        assert horizontal_params(n, build_model(ModelSpec(kind, n)).bracket_m) == params, kind
+        assert not in_families(params)
+
+
+_PARAM = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+
+
+@given(n=st.integers(2, 5), params=st.tuples(*[_PARAM] * 5))
+@settings(max_examples=25, deadline=None)
+def test_horizontal_params_inverts_bracket_from_params(n, params):
+    assert horizontal_params(n, bracket_from_params(n, *params)) == params
+
+
+def test_horizontal_params_rejects_an_off_span_bracket():
+    # the twisted Theta is equivariant only under the centralizer of I
+    with pytest.raises(AssertionError, match="off the five-parameter horizontal span"):
+        horizontal_params(3, twisted_theta(3))
 
 
 def test_a_maximal_bracket_value_off_the_ambient_algebra_exits_3(monkeypatch, capsys):
@@ -664,7 +689,7 @@ def test_each_triple_is_certified_once_per_n(monkeypatch):
 
 
 def test_symbolic_model_builds():
-    m = symbolic_model("H3", 3)
+    m = symbolic_model(ModelSpec("H3", 3, beta=Fraction(1)))
     assert m.g.verified
     val = m.metric[0]
     assert hasattr(val, "terms")  # symbolic scalar
@@ -700,7 +725,7 @@ def test_model_builders_leave_the_shared_caches_unchanged():
         model = build_model(ModelSpec(kind, 2, beta=beta, c=c))
         model.with_metric(Fraction(1), Fraction(1))
     for kind in H_KINDS + ("QHP", "QHH"):
-        symbolic_model(kind, 2)
+        symbolic_model(ModelSpec(kind, 2, beta=Fraction(1, 2) if kind in ("H3", "H5") else None))
     bracket_space_dims(2)
     assert maxmodel_jacobi_holds(2, Fraction(-3), Fraction(-3, 2))
     assert not maxmodel_jacobi_holds(2, Fraction(5, 2), Fraction(7, 4))

@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 
 import qhlab
-from qhlab import lie, linalg, models
+from qhlab import forms, lie, linalg, models
 
 SRC = Path(qhlab.__file__).parent
 
@@ -136,6 +136,28 @@ def test_bracket_tables_are_built_only_by_the_quaternion_realifier():
         "lie.py:BilinearMap.zero", "lie.py:LieAlgebra.__init__",
         "models.py:_bilinear", "models.py:_build_reductive_model",
         "models.py:bracket_from_params", "models.py:twisted_theta"]
+
+
+def test_symbolic_models_are_built_only_for_prop12():
+    # the class layer reads every kind's dOmega off the five bracket columns,
+    # so the one symbolic-metric build left is prop12's curvature per case
+    assert _call_sites("symbolic_model") == ["cli.py:_reproduce_prop12"]
+
+
+_FORM_OPERATORS = ("one_form_differentials", "ce_differential", "fundamental_forms",
+                   "codifferential", "hodge_star", "contract_pair", "pullback_all_slots")
+
+
+def test_form_operators_take_tables_not_models():
+    # each operator is defined once and reads a bracket table, a triple or a
+    # metric; only first_order_tests unpacks a model
+    definitions = [node.name for node in ast.walk(ast.parse((SRC / "forms.py").read_text(
+        encoding="utf-8"))) if isinstance(node, ast.FunctionDef)]
+    for name in _FORM_OPERATORS:
+        assert definitions.count(name) == 1, name
+        assert "model" not in inspect.signature(getattr(forms, name)).parameters, name
+    assert list(inspect.signature(forms.ce_differential).parameters) == ["form", "d1"]
+    assert not {"_triple_forms", "_bracket_differentials"} & _defined_functions()
 
 
 def test_no_component_split_in_the_solvers():
