@@ -188,7 +188,7 @@ def _reproduce_table4(n: int) -> list[tuple[str, bool, str]]:
     checks.append((f"theta calibration on H4 matches nominal targets (n={n})",
                    cal.kh_matches_nominal and cal.eh_matches_nominal,
                    f"targets used: f_KH ~ {cal.target_kh}, f_EH ~ {cal.target_eh}"))
-    for kind in M.H_KINDS + ("QHP", "QHH"):
+    for kind in M.TABLE4_KINDS:
         row = F.table4_row(kind, n)
         exp_eh = Poly.parse(data["rows"][kind]["f_EH"])
         exp_kh = Poly.parse(data["rows"][kind]["f_KH"])
@@ -347,7 +347,7 @@ def cmd_model_report(ns) -> tuple[dict, int]:
     except (ValueError, KeyError, ZeroDivisionError) as exc:
         _usage_error(f"invalid model spec: {exc}")
     # the H kinds' curvature and, at n >= 3, their and QHP/QHH's class points
-    reads_points = spec.kind in M.H_KINDS or (spec.n >= 3 and spec.kind in ("QHP", "QHH"))
+    reads_points = spec.kind in M.TABLE4_KINDS and (spec.n >= 3 or spec.kind in M.H_KINDS)
     if ns.grid is not None and not reads_points:
         _usage_error(f"--grid: model-report of {spec.kind} at n={spec.n} reads no metric "
                      "point (only the H kinds, and QHP/QHH at n >= 3, do)")

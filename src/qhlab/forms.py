@@ -25,10 +25,9 @@ from types import MappingProxyType
 from .lie import BilinearMap, ColMat, common_kernel, derivation, sort_sign
 from .linalg import Echelon, accumulate, nullspace, sv_primitive
 from .poly import Poly, proportionality
-from .models import (HORIZONTAL_NAMES, H_KINDS, HomogeneousModel, ModelSpec, ambient_rep,
-                     ambient_triple, basis_block, build_model, h_kind_tuples,
-                     horizontal_brackets, horizontal_params, isotropy_rep, metric_diag,
-                     quaternionic_triple)
+from .models import (HORIZONTAL_NAMES, HomogeneousModel, ambient_rep, ambient_triple,
+                     basis_block, certified_row, horizontal_brackets, isotropy_rep,
+                     metric_diag, quaternionic_triple)
 
 
 def lincomb(*pairs) -> dict:
@@ -307,17 +306,10 @@ def column_sum(n: int, params) -> tuple[Poly, Poly]:
 @cache
 def _domega(kind: str, n: int) -> tuple[Poly, Poly]:
     """The plane coordinates of dOmega for the Table-4 model of kind at n,
-    symbolic in (c1, c2) and, for H3/H5, beta2: the column sum at the kind's
-    bracket parameters, as dOmega reads only the h-equivariant m-part b_m.
-
-    The H tuples come from models.h_kind_tuples, which certifies them at n
-    once; QHP and QHH read theirs off b_m of one unit-metric build, as b_m
-    does not depend on the metric (their b_h, which closes Jacobi, does not
-    enter dOmega).
+    symbolic in (c1, c2) and, for H3/H5, beta2: the column sum at the
+    horizontal part of the kind's certified row (dOmega reads only b_m).
     """
-    if kind in H_KINDS:
-        return column_sum(n, h_kind_tuples(n)[kind])
-    return column_sum(n, horizontal_params(n, build_model(ModelSpec(kind, n)).bracket_m))
+    return column_sum(n, certified_row(kind, n)[0])
 
 
 def _isotypic_coordinates(kind: str, n: int) -> tuple[Poly, Poly]:

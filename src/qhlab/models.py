@@ -8,10 +8,9 @@ u in {0,1,2,3} enumerates (1, i, j, k).  Slot 0 carries R + Im(H); slots
     sp(1):   v -> a v - v a   on Im(H),    q -> -q a   on H^{n-1},
     sp(n-1): q -> Y q         on H^{n-1},
 
-The quaternionic triple acts by right multiplication (R_i, R_j, -R_k)
-on H^{n-1} and by the conjugated left realization (-L_i, -L_j, L_k) on the
-H-slot; see quaternionic_triple for why that orientation is the one
-matching the normal-form labels.
+and every h-invariant bracket on h + m is a point of one nine-parameter
+table, five m-valued and four h-valued basis brackets; the eight Table-4
+kinds are rows of it.
 """
 
 from __future__ import annotations
@@ -104,19 +103,13 @@ def _action(n: int, x: Quaternion | None, X: QMat) -> ColMat:
 
 @cache
 def _sp_pair_rep(n: int, m: int) -> tuple[LieAlgebra, Representation, tuple[int, ...]]:
-    """sp(1) + sp(m) acting on H^n, its last m slots carrying sp(m).
-
-    sp(1) acts by q -> -q a on every slot and, for m = n - 1, also by
-    q -> a q on slot 0, so that there it acts on R + Im(H) by conjugation
-    v -> a v - v a; sp(m) acts by q -> Y q.  The action is faithful, so
-    matrix_algebra reads the structure constants off the real matrices and
-    certifies them and the action in one pass.  The solver order lists
-    torus-like generators first (A_i and the diagonal i E_ss of sp(m)); their
-    constraint operators decompose into tiny blocks, which keeps the exact
-    kernel engine fast.
-
-    Built once per (n, m): every caller shares the returned algebra and
-    matrices and must not modify them.
+    """sp(1) + sp(m) acting on H^n, its last m slots carrying sp(m): sp(1) by
+    q -> -q a, and also by q -> a q on slot 0 when m = n - 1, and sp(m) by
+    q -> Y q.  The action is faithful, so matrix_algebra, its one reader,
+    certifies the structure constants and the action in one pass.  The
+    solver order lists torus-like generators first (A_i and the diagonal
+    i E_ss of sp(m)), whose constraint operators split into tiny blocks.
+    Built once per (n, m): callers share the result and must not modify it.
     """
     off = n - m
     mats = [_action(n, a, {(s, s): a for s in range(off)}) for a in IM_UNITS]
@@ -156,6 +149,18 @@ def _certify_isotropy_metric(n: int) -> None:
 def ambient_rep(n: int) -> tuple[LieAlgebra, Representation, tuple[int, ...]]:
     """k = sp(1) + sp(n) acting on H^n: q -> -q a and q -> X q."""
     return _sp_pair_rep(n, n)
+
+
+def _algebra_reader(rho: Representation, name: str):
+    """read(mat): the sorted coordinates of a matrix in rho's algebra (named
+    name), off one echelon of rho's matrices; raises when mat is off it."""
+    span = Echelon(flatten_op(mat, rho.dim) for mat in rho.mats)
+
+    def read(mat: ColMat) -> SparseVec:
+        if (coords := span.coordinates(flatten_op(mat, rho.dim))) is None:
+            raise AssertionError(f"a bracket value does not lie in {name}")
+        return dict(sorted(coords.items()))
+    return read
 
 
 def _certified_triple(triple: tuple[ColMat, ColMat, ColMat],
@@ -245,28 +250,54 @@ def xi_operator(p: int, x: Quaternion, q: int, y: Quaternion) -> QMat:
     return out
 
 
-def bracket_from_params(n: int, alpha, beta1, beta2, gamma1, gamma2) -> BilinearMap:
-    """B = alpha*Theta + beta1*Psi1 + beta2*Psi2 + gamma1*Upsilon1 + gamma2*Upsilon2,
-    summed table by table (the five have disjoint supports)."""
-    hz = horizontal_brackets(n)
+def _sp1(v: Quaternion) -> tuple[Quaternion, QMat]:
+    """v in the isotropy sp(1), as the (x, X) of _action that _sp_pair_rep uses."""
+    return v, {(0, 0): v}
+
+
+_VERTICAL_RULES = {  # h-valued, as the (x, X) of q -> X q - q x; x in slot p <= q
+    "ThetaV": lambda p, x, q, y: _sp1((x.conj() * y).im()) if p == q > 0 else None,
+    "Psi1V": lambda p, x, q, y: _sp1(y) if p == q == 0 and x.a else None,
+    "Upsilon1V": lambda p, x, q, y: _sp1((x * y * 2).im()) if p == q == 0 and not x.a else None,
+    "Xi": lambda p, x, q, y: (None, xi_operator(p, x, q, y)) if p > 0 else None,
+}
+
+
+@cache
+def vertical_brackets(n: int) -> MappingProxyType:
+    """Basis ThetaV, Psi1V, Upsilon1V, Xi of the h-valued brackets: ThetaV(x, y) =
+    Im(conj(x) y) on H^{n-1}, Psi1V(1, v) = v, Upsilon1V(v, w) = 2 Im(v w), v, w
+    in Im(H), in sp(1), and Xi(x, y) = y x^dagger - x y^dagger on H^{n-1}, in
+    sp(n-1).  Each value is read in h off its action on H^n, by one echelon of
+    isotropy_rep(n)'s matrices; built once per n, shared, not to be modified."""
+    h, rho, _ = isotropy_rep(n)
+    read = _algebra_reader(rho, "sp(1) + sp(n-1)")
+
+    def table(rule) -> BilinearMap:
+        return _bilinear(n, h.dim, lambda p, x, q, y: read(_action(n, *elt))
+                         if (elt := rule(p, x, q, y)) else {})
+    return MappingProxyType({name: table(rule) for name, rule in _VERTICAL_RULES.items()})
+
+
+def _table_sum(tables, params) -> BilinearMap:
+    """sum_i params_i * tables_i, summed table by table (tables a nonempty mapping)."""
     coeffs: dict[tuple[int, int], SparseVec] = {}
-    for coeff, name in zip((alpha, beta1, beta2, gamma1, gamma2), HORIZONTAL_NAMES):
+    for coeff, table in zip(params, tables.values()):
         if coeff:
-            for ij, col in hz[name].coeffs.items():
+            for ij, col in table.coeffs.items():
                 accumulate(coeffs.setdefault(ij, {}), col, coeff)
-    return BilinearMap(4 * n, 4 * n, coeffs)
+    return BilinearMap(table.dim_in, table.dim_out, coeffs)
 
 
-def horizontal_params(n: int, bracket: BilinearMap) -> tuple:
-    """The inverse of bracket_from_params: the (alpha, ..., gamma2) of an
-    m-valued table, read through one echelon of horizontal_brackets(n) and
-    certified by its recombination; raises when the table is off their span."""
-    def flat(b: BilinearMap) -> SparseVec:
-        return {(i, j, k): v for (i, j), col in b.coeffs.items() for k, v in col.items()}
-    coords = Echelon(map(flat, horizontal_brackets(n).values())).coordinates(flat(bracket))
-    if coords is None:
-        raise AssertionError("the bracket is off the five-parameter horizontal span")
-    return tuple(coords.get(i, 0) for i in range(len(HORIZONTAL_NAMES)))
+def bracket_from_params(n: int, alpha, beta1, beta2, gamma1, gamma2) -> BilinearMap:
+    """B = alpha*Theta + beta1*Psi1 + beta2*Psi2 + gamma1*Upsilon1 + gamma2*Upsilon2
+    (the five have disjoint supports)."""
+    return _table_sum(horizontal_brackets(n), (alpha, beta1, beta2, gamma1, gamma2))
+
+
+def vertical_from_params(n: int, theta_v, psi1_v, upsilon1_v, xi) -> BilinearMap:
+    """The h-valued theta_v*ThetaV + psi1_v*Psi1V + upsilon1_v*Upsilon1V + xi*Xi."""
+    return _table_sum(vertical_brackets(n), (theta_v, psi1_v, upsilon1_v, xi))
 
 
 # --------------------------------------------------------------------------
@@ -373,22 +404,33 @@ def table3_tuple(name: str, beta=None) -> tuple:
     return tuple(x if isinstance(x, Poly) else Fraction(x) for x in rows[name])
 
 
+# (Theta, Psi1, Psi2, Upsilon1, Upsilon2 | ThetaV, Psi1V, Upsilon1V, Xi) of the
+# bundle models over HP^n and HH^n: the points eps = 1 and eps = -1 of the line
+# (eps, 0, 0, 0, -1 | -eps, 0, 1, eps), on which Jacobi holds for every eps
+_QH_ROWS = {"QHP": ((1, 0, 0, 0, -1), (-1, 0, 1, 1)),
+            "QHH": ((-1, 0, 0, 0, -1), (1, 0, 1, -1))}
+
+
 @cache
-def h_kind_tuples(n: int) -> MappingProxyType:
-    """kind -> table3_tuple(kind, beta2) for the six H kinds, beta2 a Poly for
-    H3 and H5, each certified a Lie bracket at n for every beta2: every
-    generator of jacobi_equations(n) must vanish at each tuple; raises
-    otherwise.  This is the Jacobi certificate of every H-kind build at n.
-    """
-    beta2 = Poly.var("beta2")
-    tuples = {}
-    for kind in H_KINDS:
-        params = table3_tuple(kind, beta2 if kind in ("H3", "H5") else None)
-        point = dict(zip(PARAM_NAMES, params))
-        if any(p.eval(point) for p in jacobi_equations(n)):
-            raise AssertionError(f"the {kind} bracket fails the Jacobi identity at n={n}")
-        tuples[kind] = params
-    return MappingProxyType(tuples)
+def certified_row(kind: str, n: int) -> tuple[tuple, tuple | None]:
+    """(horizontal, vertical) row of the Table-4 kind's bracket, certified a
+    Lie bracket at n: an H kind's table3_tuple (beta2 a Poly for H3 and H5)
+    with no vertical part, by the vanishing of jacobi_equations(n) for every
+    beta2, and QHP or QHH's row by one Jacobi pass of its semidirect(h, rho,
+    b_m, b_h); raises otherwise.  The Jacobi certificate of every build of
+    kind at n."""
+    if kind in H_KINDS:
+        row = (table3_tuple(kind, Poly.var("beta2") if kind in ("H3", "H5") else None), None)
+        point = dict(zip(PARAM_NAMES, row[0]))
+        ok = not any(p.eval(point) for p in jacobi_equations(n))
+    else:
+        row = _QH_ROWS[kind]
+        h, rho, _ = isotropy_rep(n)
+        b_m, b_h = bracket_from_params(n, *row[0]), vertical_from_params(n, *row[1])
+        ok = semidirect(h, rho, b_m, b_h).verify_jacobi(start=h.dim)
+    if not ok:
+        raise AssertionError(f"the {kind} bracket fails the Jacobi identity at n={n}")
+    return row
 
 
 # --------------------------------------------------------------------------
@@ -396,7 +438,8 @@ def h_kind_tuples(n: int) -> MappingProxyType:
 # --------------------------------------------------------------------------
 
 H_KINDS = ("H1+", "H1-", "H2", "H3", "H4", "H5")
-MODEL_KINDS = H_KINDS + ("QHP", "QHH", "FlatMax", "MaxCurved", "TwistedTheta")
+TABLE4_KINDS = H_KINDS + ("QHP", "QHH")
+MODEL_KINDS = TABLE4_KINDS + ("FlatMax", "MaxCurved", "TwistedTheta")
 
 
 class ModelSpec(namedtuple("ModelSpec", "kind n c1 c2 beta c")):
@@ -477,9 +520,8 @@ class HomogeneousModel(namedtuple("HomogeneousModel", [
 
 
 def verify_model(model: HomogeneousModel) -> None:
-    """The Jacobi pass of an assembled model, on the triples with two m-indices
-    (lie.semidirect says why), skipped when g comes verified (QHP/QHH's read
-    algebra, or an H kind's, certified by h_kind_tuples); raises on failure."""
+    """The Jacobi pass of an assembled model (lie.semidirect says which triples),
+    skipped when g comes verified, as a Table-4 kind's does; raises on failure."""
     if not model.g.verified and not model.g.verify_jacobi(start=model.rho.algebra.dim):
         raise AssertionError("assembled algebra fails the Jacobi identity")
 
@@ -504,17 +546,18 @@ def _assemble(spec: ModelSpec, g: LieAlgebra, rho: Representation,
 
 
 def build_model(spec: ModelSpec) -> HomogeneousModel:
-    """The verified model of spec; a Poly beta gives the symbolic H3/H5 bracket."""
+    """The verified model of spec; a Poly beta gives the symbolic H3/H5 bracket.
+    A Table-4 kind is its row of the bracket table, certified once per n."""
     n = spec.n
-    if spec.kind in H_KINDS:
+    if spec.kind in TABLE4_KINDS:
         h, rho, _ = isotropy_rep(n)
-        h_kind_tuples(n)  # raises unless the bracket is Jacobi at n for every beta2
-        b_m = bracket_from_params(n, *table3_tuple(spec.kind, spec.beta))
-        g = semidirect(h, rho, b_m)
+        hz, vt = certified_row(spec.kind, n)  # raises unless the row is Jacobi at n
+        if spec.kind in H_KINDS:  # the row at the spec's beta2
+            hz = table3_tuple(spec.kind, spec.beta)
+        b_m, b_h = bracket_from_params(n, *hz), vt and vertical_from_params(n, *vt)
+        g = semidirect(h, rho, b_m, b_h)
         g.verified = True
-        return _assemble(spec, g, rho, b_m, None, quaternionic_triple(n))
-    if spec.kind in ("QHP", "QHH"):
-        return _build_reductive_model(spec)
+        return _assemble(spec, g, rho, b_m, b_h, quaternionic_triple(n))
     if spec.kind in ("FlatMax", "MaxCurved"):
         k, rho_k, _ = ambient_rep(n)
         b_k = maximal_vertical_bracket(n, 2 * spec.c, spec.c) if spec.c is not None else None
@@ -537,18 +580,11 @@ def maximal_vertical_bracket(n: int, c_theta, c_xi) -> BilinearMap:
 
     Im(H) is identified with the sp(1) ideal via v -> -S_v, the sign fixed so
     that the Jacobi identity closes exactly on the c_theta = 2 c_xi locus.
-    Each value is read in k off its action on H^n, through one echelon of
-    ambient_rep(n)'s matrices: Theta(x, y) acts by q -> q Im(conj(x) y) and
-    Xi(x, y) by q -> Xi q.
+    Each value is read in k off its action on H^n: Theta(x, y) acts by
+    q -> q Im(conj(x) y) and Xi(x, y) by q -> Xi q.
     """
     k, rho_k, _ = ambient_rep(n)
-    span = Echelon(flatten_op(mat, 4 * n) for mat in rho_k.mats)
-
-    def read(mat: ColMat) -> SparseVec:
-        coords = span.coordinates(flatten_op(mat, 4 * n))
-        if coords is None:
-            raise AssertionError("a maximal bracket value does not lie in sp(1) + sp(n)")
-        return coords
+    read = _algebra_reader(rho_k, "sp(1) + sp(n)")
 
     def rule(p: int, x: Quaternion, q: int, y: Quaternion) -> SparseVec:
         col: SparseVec = {}
@@ -557,43 +593,6 @@ def maximal_vertical_bracket(n: int, c_theta, c_xi) -> BilinearMap:
         accumulate(col, read(_action(n, None, xi_operator(p, x, q, y))), c_xi)
         return dict(sorted(col.items()))
     return _bilinear(n, k.dim, rule)
-
-
-def _complement(spec: ModelSpec) -> list[ColMat]:
-    """m's 4n basis elements of H + sp(p, q) as matrices of (x, X): q -> X q - q x
-    on H^n: the real unit, the anti-diagonal Im(H) and the first-row block of
-    sp(p, q), its coordinates conjugated so that h acts on m by the standard
-    representation."""
-    n = spec.n
-    sign = -1 if spec.kind == "QHP" else 1
-    mats = [_action(n, UNITS[0], {})]
-    mats += [_action(n, a, {(0, 0): -a}) for a in IM_UNITS]
-    mats += [_action(n, None, {(0, t): x.conj(), (t, 0): x * sign})
-             for t in range(1, n) for x in UNITS]
-    return mats
-
-
-def _build_reductive_model(spec: ModelSpec) -> HomogeneousModel:
-    """g = H + sp(n) (QHP) or H + sp(1, n-1) (QHH), h embedded diagonally.
-
-    g = h + m is read once by matrix_algebra off its faithful action on H^n:
-    h by isotropy_rep(n)'s matrices, m by _complement's.  [m, m] is split
-    into b_m and b_h, and the table of h + m assembled from h, rho, b_m and
-    b_h must equal the read one: that one equality certifies that h x h and
-    h x m are the standard ones.  The model keeps the read algebra, which
-    satisfies Jacobi by construction, so no Jacobi pass runs.
-    """
-    h, rho, _ = isotropy_rep(spec.n)
-    dh, dm = h.dim, rho.dim
-    read = matrix_algebra(rho.mats + _complement(spec), dm).algebra
-    mm = {(i - dh, j - dh): img for (i, j), img in read.brackets.items() if i >= dh}
-    b_m = BilinearMap(dm, dm, {ij: {k - dh: v for k, v in img.items() if k >= dh}
-                               for ij, img in mm.items()})
-    b_h = BilinearMap(dm, dh, {ij: {k: v for k, v in img.items() if k < dh}
-                               for ij, img in mm.items()})
-    if semidirect(h, rho, b_m, b_h).brackets != read.brackets:
-        raise AssertionError("isotropy action on m is not the standard one")
-    return _assemble(spec, read, rho, b_m, b_h, quaternionic_triple(spec.n))
 
 
 # --------------------------------------------------------------------------

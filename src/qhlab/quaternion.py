@@ -3,7 +3,8 @@
 Components are exact: ints or :class:`fractions.Fraction`; nothing in this
 package touches floating point.  The units have int components, so products
 of units are int arithmetic; a quaternion's components enter a real vector
-only through ``models._quat_to_slot``, which stores them as Fractions.
+only through ``models._quat_to_slot``, which codes each as every exact table
+is coded: an int when integral, a Fraction otherwise.
 Quaternionic vectors are columns, matrices act on the left, and quaternion
 scalars act on the right, so that right scalar multiplication commutes with
 every matrix action.

@@ -15,28 +15,29 @@ from qhlab.cli import _GRID, _SPECIAL, _prop12_expected
 from qhlab import forms
 from qhlab.forms import _bidegree, _sqrt_fraction, lincomb
 from qhlab.lie import (BilinearMap, LieAlgebra, Representation, common_kernel, derivation,
-                       flatten_op, op_apply, op_compose, op_is_zero, op_sub, op_transpose,
-                       semidirect)
+                       flatten_op, matrix_algebra, op_apply, op_compose, op_is_zero, op_sub,
+                       op_transpose, semidirect)
 from qhlab.linalg import (Echelon, accumulate, nullspace, sparse_nullspace, sv_add_scaled,
                           sv_primitive)
 from qhlab.geometry import GroupData, classify, curvature
-from qhlab.models import (ModelSpec, _assemble, _complement, ambient_rep, bracket_from_params,
-                          build_model, h_kind_tuples, horizontal_brackets, isotropy_rep,
-                          maximal_vertical_bracket, model_groups, quaternionic_triple,
-                          xi_operator)
+from qhlab.models import (HORIZONTAL_NAMES, ModelSpec, _action, _assemble, ambient_rep,
+                          bracket_from_params, build_model, certified_row, horizontal_brackets,
+                          isotropy_rep, maximal_vertical_bracket, model_groups,
+                          quaternionic_triple, xi_operator)
 from qhlab.poly import NVARS, VARS, Poly
 from qhlab.quaternion import IM_UNITS, UNITS, QMat, Quaternion, _lower, format_rat, sp_basis
 
 
 CLASS_CACHES = (forms.invariant_five_forms, forms.isotypic_split, forms._plane,
-                forms._symbolic_omega, forms.bracket_columns, h_kind_tuples, forms._domega,
+                forms._symbolic_omega, forms.bracket_columns, certified_row, forms._domega,
                 forms._calibration_scales)
 
 
 def clear_class_caches():
     """Empty every cache of the class layer, so the next class command
     rebuilds the invariant plane, its echelon, the shared Omega, the bracket
-    columns, the H-kind Lie certificate, each dOmega and the calibration."""
+    columns, each Table-4 kind's Lie certificate, each dOmega and the
+    calibration."""
     for cached in CLASS_CACHES:
         cached.cache_clear()
 
@@ -46,7 +47,7 @@ def domega_by_build(kind, n):
     kind at n, built with its own bracket (beta2 symbolic for H3 and H5) at
     the symbolic metric, through its own fundamental_forms and
     ce_differential: the reference for forms._domega's bracket-column sum,
-    which reads QHP and QHH's brackets through models.horizontal_params."""
+    which reads every kind's horizontal parameters off its row."""
     beta = Poly.var("beta2") if kind in ("H3", "H5") else None
     model = build_model(ModelSpec(kind, n, beta=beta))
     return _domega_of_model(model.with_metric(Poly.var("c1"), Poly.var("c2")))
@@ -189,7 +190,9 @@ def primitive_by_content(p: Poly) -> Poly:
 
 def vertical_brackets(n):
     """ThetaV, Psi1V, Upsilon1V (the horizontal Theta, Psi1, Upsilon1 with
-    their Im(H) values read in sp(1)) and Xi (sp(n-1)-valued)."""
+    their Im(H) values read in sp(1)) and Xi (sp(n-1)-valued, read by
+    sp_coordinates): the reference for models.vertical_brackets, which reads
+    every value off the isotropy matrices."""
     dm, dh = 4 * n, 3 + (n - 1) * (2 * n - 1)
     hz = horizontal_brackets(n)
     out = {name + "V": BilinearMap(dm, dh, {ij: {k - 1: v for k, v in col.items()}
@@ -473,8 +476,8 @@ def reductive_split(spec):
     bracket of the adapted basis is read into a second algebra (coordinates in
     increasing index order), which is Jacobi-checked too, and that algebra is
     split at dim h into h, its action rho on m (checked to be a
-    representation) and the two parts of [m, m].  The reference for the single
-    read of models._build_reductive_model.
+    representation) and the two parts of [m, m].  The reference for
+    reductive_read and for the QHP/QHH rows of the bracket table.
 
     The adapted basis, as columns over the basis of H + sp(p, q) (R at 0,
     Im(H) at 1..3, sp_basis(p, q) from 4): h first, a + a E_00 for a in
@@ -526,14 +529,50 @@ def reductive_split(spec):
     return g, h, rho, BilinearMap(dm, dm, b_m), BilinearMap(dm, dh, b_h)
 
 
-def swapped_complement(spec):
-    """models._complement with its first two H^{n-1} matrices swapped: with
-    h, still a basis of g, but one on which h does not act by the standard
-    isotropy representation."""
-    mats = list(_complement(spec))
-    first = 4  # after R + Im(H)
-    mats[first], mats[first + 1] = mats[first + 1], mats[first]
+def complement(spec):
+    """m's 4n basis elements of H + sp(p, q) as matrices of (x, X): q -> X q - q x
+    on H^n: the real unit, the anti-diagonal Im(H) and the first-row block of
+    sp(p, q), its coordinates conjugated so that h acts on m by the standard
+    representation."""
+    n = spec.n
+    sign = -1 if spec.kind == "QHP" else 1
+    mats = [_action(n, UNITS[0], {})]
+    mats += [_action(n, a, {(0, 0): -a}) for a in IM_UNITS]
+    mats += [_action(n, None, {(0, t): x.conj(), (t, 0): x * sign})
+             for t in range(1, n) for x in UNITS]
     return mats
+
+
+def reductive_read(spec):
+    """(g, b_m, b_h) of QHP = H + sp(n) or QHH = H + sp(1, n-1), h embedded
+    diagonally: g = h + m read once by lie.matrix_algebra off its faithful
+    action on H^n, h by isotropy_rep(n)'s matrices and m by complement's,
+    and [m, m] split at dim h into its m- and h-parts.  Certified by one
+    bracket-table equality: semidirect of h, rho, b_m and b_h must give the
+    read table, so h x h and h x m are the standard ones.  The reference for
+    the QHP/QHH rows of models' bracket table."""
+    h, rho, _ = isotropy_rep(spec.n)
+    dh, dm = h.dim, rho.dim
+    g = matrix_algebra(rho.mats + complement(spec), dm).algebra
+    mm = {(i - dh, j - dh): img for (i, j), img in g.brackets.items() if i >= dh}
+    b_m = BilinearMap(dm, dm, {ij: {k - dh: v for k, v in img.items() if k >= dh}
+                               for ij, img in mm.items()})
+    b_h = BilinearMap(dm, dh, {ij: {k: v for k, v in img.items() if k < dh}
+                               for ij, img in mm.items()})
+    assert semidirect(h, rho, b_m, b_h).brackets == g.brackets, "isotropy action is not standard"
+    return g, b_m, b_h
+
+
+def horizontal_params(n, bracket):
+    """The inverse of models.bracket_from_params: the (alpha, ..., gamma2) of
+    an m-valued table, read through one echelon of horizontal_brackets(n) and
+    certified by its recombination; raises when the table is off their span."""
+    def flat(b):
+        return {(i, j, k): v for (i, j), col in b.coeffs.items() for k, v in col.items()}
+    coords = Echelon(map(flat, horizontal_brackets(n).values())).coordinates(flat(bracket))
+    if coords is None:
+        raise AssertionError("the bracket is off the five-parameter horizontal span")
+    return tuple(coords.get(i, 0) for i in range(len(HORIZONTAL_NAMES)))
 
 
 def sparse(row):

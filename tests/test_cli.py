@@ -10,8 +10,6 @@ import pytest
 
 from qhlab.cli import _load_data, main
 
-from oracles import swapped_complement
-
 
 def run(argv, capsys):
     code = main(argv)
@@ -117,7 +115,7 @@ def test_failed_assembly_jacobi_certificate_exits_3(monkeypatch, capsys):
 
 
 def test_a_non_jacobi_h_tuple_fails_the_build_certificate_exits_3(monkeypatch, capsys):
-    # an H-kind build takes its Jacobi certificate from models.h_kind_tuples:
+    # an H-kind build takes its Jacobi certificate from models.certified_row:
     # H4 read as (1, 1, 1, 0, 0), off every Jacobi family, fails it, an
     # internal error; the certificate's cache is cleared before and after
     from qhlab import models
@@ -125,11 +123,11 @@ def test_a_non_jacobi_h_tuple_fails_the_build_certificate_exits_3(monkeypatch, c
     monkeypatch.setattr(models, "table3_tuple", lambda name, beta=None: (
         (Fraction(1), Fraction(1), Fraction(1), Fraction(0), Fraction(0)) if name == "H4"
         else table3_tuple(name, beta)))
-    models.h_kind_tuples.cache_clear()
+    models.certified_row.cache_clear()
     try:
         code = main(["model-report", "--spec", "H4:n=3"])
     finally:
-        models.h_kind_tuples.cache_clear()
+        models.certified_row.cache_clear()
     captured = capsys.readouterr()
     assert code == 3
     assert captured.out == ""
@@ -157,17 +155,22 @@ def test_failed_reader_certificate_exits_3(monkeypatch, capsys):
     assert len(captured.err.splitlines()) == 1
 
 
-def test_nonstandard_reductive_basis_exits_3(monkeypatch, capsys):
-    # a complement on which h does not act by the standard isotropy
-    # representation fails the bracket-table certificate of the QHP build
+def test_an_off_variety_qh_row_exits_3(monkeypatch, capsys):
+    # QHP's row with the sign of Xi flipped fails its Jacobi pass in
+    # certified_row, the certificate of the QHP build: an internal check
     from qhlab import models
-    monkeypatch.setattr(models, "_complement", swapped_complement)
-    code = main(["model-report", "--spec", "QHP:n=3"])
+    (hz, (tv, p1v, u1v, xi)) = models._QH_ROWS["QHP"]
+    monkeypatch.setitem(models._QH_ROWS, "QHP", (hz, (tv, p1v, u1v, -xi)))
+    models.certified_row.cache_clear()
+    try:
+        code = main(["model-report", "--spec", "QHP:n=3"])
+    finally:
+        models.certified_row.cache_clear()
     captured = capsys.readouterr()
     assert code == 3
     assert captured.out == ""
     assert captured.err == ("qhlab: internal check failed: "
-                            "isotropy action on m is not the standard one\n")
+                            "the QHP bracket fails the Jacobi identity at n=3\n")
 
 
 def test_json_report_schema_and_determinism(capsys):

@@ -232,7 +232,6 @@ def test_invariant_five_forms_build_no_model(monkeypatch):
         raise AssertionError("invariant_five_forms built a model")
     for name in ("build_model", "_assemble", "verify_model", "semidirect"):
         monkeypatch.setattr(models, name, no_model)
-    monkeypatch.setattr(forms, "build_model", no_model)  # _domega's QHP/QHH bracket read
     assert forms.invariant_five_forms.__wrapped__(3) == invariant_five_forms(3)
 
 
@@ -288,10 +287,10 @@ def test_non_invariant_omega_k_exits_3(monkeypatch, capsys):
 
 def _class_layer_counts(monkeypatch, n, argv):
     """Run a command at n on empty class-layer caches and count what it makes:
-    the symbolic models by kind, the models the class layer builds as (kind,
-    c1, c2), whether each dOmega taken is of a bracket column's one-form
-    differentials, the Jacobi passes, and the echelons built of the
-    invariant 5-form plane.  Also returns the size of every class-layer cache
+    the symbolic models by kind, the models assembled as (kind, c1, c2),
+    whether each dOmega taken is of a bracket column's one-form
+    differentials, the Jacobi passes (by algebra dimension), and the
+    echelons built of the invariant 5-form plane.  Also returns the size of every class-layer cache
     after the command; each is empty again after clear_class_caches."""
     import qhlab.forms as forms
     from qhlab import lie, models
@@ -299,14 +298,15 @@ def _class_layer_counts(monkeypatch, n, argv):
     plane = set().union(*invariant_five_forms(n))
     columns = [one_form_differentials(b) for b in horizontal_brackets(n).values()]
     symbolic, built, differentiated, planes, jacobi = [], [], [], [], []
+    assemble = models._assemble
 
     def counted_symbolic(spec):
         symbolic.append(spec.kind)
         return symbolic_model(spec)
 
-    def counted_build(spec):
+    def counted_assemble(spec, *args):
         built.append((spec.kind, spec.c1, spec.c2))
-        return build_model(spec)
+        return assemble(spec, *args)
 
     def differential(form, d1):
         differentiated.append(d1 in columns)
@@ -325,7 +325,7 @@ def _class_layer_counts(monkeypatch, n, argv):
         return verify_jacobi(alg, **kw)
 
     monkeypatch.setattr(models, "symbolic_model", counted_symbolic)
-    monkeypatch.setattr(forms, "build_model", counted_build)
+    monkeypatch.setattr(models, "_assemble", counted_assemble)
     monkeypatch.setattr(forms, "ce_differential", differential)
     monkeypatch.setattr(forms, "Echelon", echelon)
     monkeypatch.setattr(lie.LieAlgebra, "verify_jacobi", counted_jacobi)
@@ -341,35 +341,36 @@ def _class_layer_counts(monkeypatch, n, argv):
 def test_each_symbolic_model_is_built_and_differentiated_once(monkeypatch, capsys):
     # every row is a sum of the five bracket columns, each the dOmega of the
     # one shared Omega with no model built: dOmega is taken of the columns
-    # only, and no symbolic model is built.  The per-n parameter-space
-    # jacobiator certifies every H bracket, so the class path runs no Jacobi
-    # pass (QHP/QHH's read algebra comes verified); QHP and QHH are each
-    # built once, at the unit metric, for their bracket parameters
+    # only, and no model is built.  The per-n parameter-space jacobiator
+    # certifies every H bracket; QHP and QHH's rows are read off the table,
+    # and the only Jacobi passes are their two certificates in certified_row,
+    # on h + m of dimension 24 + 16
     code, symbolic, built, differentiated, planes, jacobi, filled = _class_layer_counts(
         monkeypatch, 4, ["reproduce", "table4", "--n", "4"])
     assert code == 1
-    assert symbolic == [] and built == [("QHH", 1, 1), ("QHP", 1, 1)]
-    assert differentiated == [True] * 5 and jacobi == [] and planes == [2]
+    assert symbolic == built == []
+    assert differentiated == [True] * 5 and jacobi == [40, 40] and planes == [2]
     assert all(filled)
-    # model-report reads its row and its loci off the columns: the class
-    # layer builds no model, and the rational build for the curvature takes
-    # its Jacobi certificate from h_kind_tuples, so no Jacobi pass runs
-    # either; the first-order tests at its one grid point then take d of
-    # Omega and of star Omega on that build
+    # model-report reads its row and its loci off the columns: the one model
+    # built is the rational one for the curvature, which takes its Jacobi
+    # certificate from certified_row, so no Jacobi pass runs; the first-order
+    # tests at its one grid point then take d of Omega and of star Omega on it
     code, symbolic, built, differentiated, planes, jacobi, _ = _class_layer_counts(
         monkeypatch, 3, ["model-report", "--spec", "H3:beta=1:n=3", "--grid", "1,2"])
     assert code == 0
-    assert symbolic == built == [] and differentiated == [True] * 5 + [False] * 2
+    assert symbolic == [] and built == [("H3", 1, 1)]
+    assert differentiated == [True] * 5 + [False] * 2
     assert planes == [2] and jacobi == []
     capsys.readouterr()
 
 
-def test_an_off_span_m_bracket_exits_3(monkeypatch, capsys):
-    # a QHP build whose m-bracket leaves the five-parameter span (here the
-    # twisted Theta's) fails horizontal_params' certificate: an internal check
-    import qhlab.forms as forms
-    monkeypatch.setattr(forms, "build_model",
-                        lambda spec: build_model(ModelSpec("TwistedTheta", spec.n)))
+def test_an_off_variety_qh_row_fails_table4_with_exit_3(monkeypatch, capsys):
+    # QHP's row with the sign of Xi flipped fails its Jacobi pass in
+    # certified_row, where the class layer reads QHP's horizontal parameters:
+    # an internal check, not a paper mismatch
+    from qhlab import models
+    (hz, (tv, p1v, u1v, xi)) = models._QH_ROWS["QHP"]
+    monkeypatch.setitem(models._QH_ROWS, "QHP", (hz, (tv, p1v, u1v, -xi)))
     clear_class_caches()
     try:
         code = main(["reproduce", "table4", "--n", "3"])
@@ -378,11 +379,11 @@ def test_an_off_span_m_bracket_exits_3(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert code == 3 and captured.out == ""
     assert captured.err == ("qhlab: internal check failed: "
-                            "the bracket is off the five-parameter horizontal span\n")
+                            "the QHP bracket fails the Jacobi identity at n=3\n")
 
 
 def test_a_non_jacobi_h_tuple_fails_the_lie_certificate(monkeypatch, capsys):
-    # H2 read as (1, 1, 1, 0, 0), off every Jacobi family: the per-n
+    # H2 read as (1, 1, 1, 0, 0), off every Jacobi family: its per-n
     # certificate rejects it before any row is reported, an internal check
     from qhlab import models
     table3_tuple = models.table3_tuple

@@ -2,6 +2,7 @@ import hashlib
 import json
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -9,26 +10,25 @@ from hypothesis import strategies as st
 
 from qhlab import models
 from qhlab.cli import main
-from qhlab.lie import LieAlgebra, matrix_algebra, op_compose, op_is_zero, op_sub
+from qhlab.lie import LieAlgebra, equivariant_hom, matrix_algebra, op_compose, op_is_zero, op_sub
 from qhlab import lie
 from qhlab.linalg import Echelon
-from qhlab.models import (H_KINDS, MODEL_KINDS, ModelSpec, _action, _certified_triple, _complement,
-                          _restrict_rep, ambient_rep, ambient_triple,
+from qhlab.models import (H_KINDS, MODEL_KINDS, TABLE4_KINDS, ModelSpec, _action, _certified_triple,
+                          _jacobi_equations, _restrict_rep, ambient_rep, ambient_triple,
                           apply_scaling, bracket_from_params, bracket_space_dims, build_model,
-                          dims, h_kind_tuples, horizontal_brackets, horizontal_params,
-                          in_families,
+                          certified_row, dims, horizontal_brackets, in_families,
                           inadmissible_hom_dim, isotropy_rep, jacobi_equations,
                           maxmodel_equations, maxmodel_jacobi_holds, normalize,
                           maximal_vertical_bracket, quaternionic_triple, symbolic_model,
-                          twisted_theta, violated_equations, xi_operator)
+                          twisted_theta, vertical_from_params, violated_equations, xi_operator)
 from qhlab.poly import Poly, proportionality
 from qhlab.quaternion import IM_UNITS, Q_I, UNITS, Quaternion, sp_basis
 
-from oracles import (SP1_BRACKETS, checked, dense_sp_brackets, hermitian_metric, int_coded,
-                     invariant_vectors, is_equivariant, matrix_algebra_by_tagged_echelon,
-                     maxmodel_jacobi_by_assembly, maxmodel_jacobiator, quaternion,
-                     reductive_split, rotated_triple, shifted, swapped_complement,
-                     vertical_brackets)
+from oracles import (SP1_BRACKETS, checked, complement, dense_sp_brackets, hermitian_metric,
+                     horizontal_params, int_coded, invariant_vectors, is_equivariant,
+                     matrix_algebra_by_tagged_echelon, maxmodel_jacobi_by_assembly,
+                     maxmodel_jacobiator, quaternion, reductive_read, reductive_split,
+                     rotated_triple, shifted, vertical_brackets)
 
 rng = random.Random(4242)
 
@@ -168,9 +168,9 @@ def test_matrices_and_bracket_tables_are_int_coded(n):
     # constructor every bracket table: an int when integral, a Fraction otherwise
     mats = isotropy_rep(n)[1].mats + ambient_rep(n)[1].mats
     mats += [*quaternionic_triple(n), *ambient_triple(n)]
-    mats += _complement(ModelSpec("QHP", n)) + _complement(ModelSpec("QHH", n))
+    mats += complement(ModelSpec("QHP", n)) + complement(ModelSpec("QHH", n))
     assert all(int_coded(col.values()) for mat in mats for col in mat.values())
-    tables = list(horizontal_brackets(n).values())
+    tables = list(horizontal_brackets(n).values()) + list(models.vertical_brackets(n).values())
     tables += [maximal_vertical_bracket(n, ct, cx) for ct, cx in ((2, 1), (Fraction(-3, 2), 5))]
     tables += [bracket_from_params(n, *params)
                for params in ((1, 2, 1, 0, 0), (Fraction(-3, 2), 0, Fraction(5, 7), 1, 1))]
@@ -181,10 +181,12 @@ def test_matrices_and_bracket_tables_are_int_coded(n):
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
 def test_reductive_m_brackets_are_horizontal_points(n):
-    # b_m of QHP is Theta - Upsilon2 and of QHH -Theta - Upsilon2 at every n:
-    # off F1-F4 (alpha*gamma2 != 0), so b_h is what closes their Jacobi identity
+    # b_m of QHP is Theta - Upsilon2 and of QHH -Theta - Upsilon2 at every n,
+    # read off H + sp(p, q), as the table rows state: off F1-F4
+    # (alpha*gamma2 != 0), so b_h is what closes their Jacobi identity
     for kind, params in (("QHP", (1, 0, 0, 0, -1)), ("QHH", (-1, 0, 0, 0, -1))):
-        assert horizontal_params(n, build_model(ModelSpec(kind, n)).bracket_m) == params, kind
+        _, b_m, _ = reductive_read(ModelSpec(kind, n))
+        assert horizontal_params(n, b_m) == params == models._QH_ROWS[kind][0], kind
         assert not in_families(params)
 
 
@@ -222,10 +224,64 @@ def test_a_maximal_bracket_value_off_the_ambient_algebra_exits_3(monkeypatch, ca
 
 
 def test_vertical_brackets_target():
-    vb = vertical_brackets(3)
-    assert vb["Xi"].dim_out == 13
-    assert all(k >= 3 for col in vb["Xi"].coeffs.values() for k in col)
-    assert all(k < 3 for col in vb["ThetaV"].coeffs.values() for k in col)
+    for vb in (vertical_brackets(3), models.vertical_brackets(3)):
+        assert vb["Xi"].dim_out == 13
+        assert all(k >= 3 for col in vb["Xi"].coeffs.values() for k in col)
+        assert all(k < 3 for col in vb["ThetaV"].coeffs.values() for k in col)
+
+
+def _flat(b):
+    """b as a vector of Hom(Lambda^2 m, target), flat-indexed as by equivariant_hom."""
+    pair = {ij: t for t, ij in enumerate(combinations(range(b.dim_in), 2))}
+    return {pair[ij] * b.dim_out + k: v for ij, col in b.coeffs.items() for k, v in col.items()}
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_vertical_rules_span_the_vertical_solution_space(n):
+    # each rule's table is h-equivariant, and the four are a basis of the
+    # h-valued equivariant brackets that bracket_space_dims counts
+    h, rho, order = isotropy_rep(n)
+    tables = models.vertical_brackets(n)
+    assert all(is_equivariant(b, rho, h.adjoint().mats) for b in tables.values())
+    solutions = Echelon(equivariant_hom(rho.exterior_power(2), h.adjoint(), order=order))
+    assert solutions.rank == bracket_space_dims(n)[1] == 4
+    span = Echelon(_flat(b) for b in tables.values())
+    assert span.rank == 4 and not any(solutions.reduce(v) for v in span.inserted)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_vertical_rules_equal_the_sp_coordinate_oracle(n):
+    # values read off the isotropy matrices equal those of the hand-written
+    # sp(n-1) coordinate reader, dict for dict
+    lib, ref = models.vertical_brackets(n), vertical_brackets(n)
+    assert list(lib) == list(ref)
+    for name, b in lib.items():
+        assert (b.dim_in, b.dim_out, b.coeffs) == (ref[name].dim_in, ref[name].dim_out,
+                                                   ref[name].coeffs), name
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_the_qh_line_is_jacobi_for_every_t(n):
+    # (t, 0, 0, 0, -1 | -t, 0, 1, t), t standing in the alpha slot: QHP and
+    # QHH are its points t = 1 and t = -1
+    h, rho, _ = isotropy_rep(n)
+    t = Poly.var("alpha")
+    assert _jacobi_equations(h, rho, bracket_from_params(n, t, 0, 0, 0, -1),
+                             vertical_from_params(n, -t, 0, 1, t)) == ()
+    for kind, eps in (("QHP", 1), ("QHH", -1)):
+        assert models._QH_ROWS[kind] == ((eps, 0, 0, 0, -1), (-eps, 0, 1, eps))
+
+
+@pytest.mark.parametrize("kind", ["QHP", "QHH"])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_table_models_equal_the_read_of_h_plus_sp(kind, n):
+    # the row of the bracket table gives the algebra, b_m and b_h that
+    # matrix_algebra reads off H + sp(n) (QHP) or H + sp(1, n-1) (QHH)
+    model = build_model(ModelSpec(kind, n))
+    g, b_m, b_h = reductive_read(ModelSpec(kind, n))
+    assert model.g.brackets == g.brackets
+    assert model.bracket_m.coeffs == b_m.coeffs and model.bracket_h.coeffs == b_h.coeffs
+    assert model.g.verified and model.rho is isotropy_rep(n)[1]
 
 
 def test_jacobi_equations_match_reference():
@@ -476,7 +532,7 @@ def test_reader_tables_equal_the_tagged_echelon_reader(n):
     iso = isotropy_rep(n)[1].mats
     families = [(isotropy_rep(n)[0], iso), (ambient_rep(n)[0], ambient_rep(n)[1].mats)]
     for kind in ("QHP", "QHH"):
-        mats = iso + _complement(ModelSpec(kind, n))
+        mats = iso + complement(ModelSpec(kind, n))
         families.append((matrix_algebra(mats, 4 * n).algebra, mats))
     for alg, mats in families:
         expected = matrix_algebra_by_tagged_echelon(mats, 4 * n).algebra.brackets
@@ -488,7 +544,7 @@ def test_reader_echelonises_once_and_composes_nothing(monkeypatch):
     # a count guard, not a timing test: the 40 matrices of QHH at n = 4 are
     # inserted once into the span and once into its tagged copy; no pair is
     # reduced on its own and no Fraction composition is formed
-    mats = isotropy_rep(4)[1].mats + _complement(ModelSpec("QHH", 4))
+    mats = isotropy_rep(4)[1].mats + complement(ModelSpec("QHH", 4))
     calls = {"add": 0, "reduce": 0}
     add, reduce = Echelon.add, Echelon.reduce
 
@@ -559,26 +615,32 @@ def test_qhp_isotropy_is_standard():
 @pytest.mark.parametrize("kind", ["QHP", "QHH"])
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_reductive_models_match_the_whole_algebra_split(kind, n):
-    # one reading per bracket gives the algebra, the action and both parts of
-    # [m, m] that the Jacobi-checked basis-changed algebra gives, split at dim h
+    # the table row gives the algebra, the action and both parts of [m, m]
+    # that the Jacobi-checked basis-changed algebra gives, split at dim h;
+    # [m, m] is summed table by table, so its pairs are compared as dicts,
+    # not in the oracle's increasing order
     spec = ModelSpec(kind, n)
     model = build_model(spec)
     g, _, rho, b_m, b_h = reductive_split(spec)
     assert model.g.brackets == g.brackets
-    # [m, m] keeps the read's pair order, which the oracle's increasing order matches
-    assert _ordered(model.bracket_m.coeffs) == _ordered(b_m.coeffs)
-    assert _ordered(model.bracket_h.coeffs) == _ordered(b_h.coeffs)
+    assert model.bracket_m.coeffs == b_m.coeffs
+    assert model.bracket_h.coeffs == b_h.coeffs
     assert model.rho.mats == rho.mats
     assert model.rho is isotropy_rep(n)[1]
 
 
-def test_a_basis_with_a_nonstandard_action_fails_the_reductive_build(monkeypatch):
-    spec = ModelSpec("QHP", 3)
-    # with h, the swapped matrices are still a basis of H + sp(3) (or this raises)
-    matrix_algebra(isotropy_rep(3)[1].mats + swapped_complement(spec), 12)
-    monkeypatch.setattr(models, "_complement", swapped_complement)
-    with pytest.raises(AssertionError, match="isotropy action on m is not the standard one"):
-        build_model(spec)
+def test_a_qh_row_off_the_jacobi_variety_fails_its_certificate(monkeypatch):
+    # QHP with the sign of Xi flipped leaves the line (t, 0, 0, 0, -1 | -t, 0, 1, t):
+    # its one Jacobi pass in certified_row fails, and no model is built
+    (hz, (tv, p1v, u1v, xi)) = models._QH_ROWS["QHP"]
+    monkeypatch.setitem(models._QH_ROWS, "QHP", (hz, (tv, p1v, u1v, -xi)))
+    certified_row.cache_clear()
+    try:
+        with pytest.raises(AssertionError,
+                           match="the QHP bracket fails the Jacobi identity at n=3"):
+            build_model(ModelSpec("QHP", 3))
+    finally:
+        certified_row.cache_clear()
 
 
 def test_triple_relations_and_rotation():
@@ -658,21 +720,19 @@ def _counted(monkeypatch, owner, name) -> list:
 
 @pytest.mark.parametrize("kind", MODEL_KINDS)
 def test_each_build_runs_its_certificates_once(kind, monkeypatch):
-    # QHP/QHH keep the algebra matrix_algebra read, Jacobi by construction: one
-    # semidirect table (the bracket-table equality) and no Jacobi pass.  An H
-    # kind assembles once and takes its certificate from the per-n
-    # h_kind_tuples (filled first, as any earlier build at n = 3 leaves it), so
-    # it runs no Jacobi pass.  FlatMax and MaxCurved assemble once and
+    # A Table-4 kind assembles once and takes its certificate from the per-n
+    # certified_row (filled first, as any earlier build at n = 3 leaves it),
+    # so it runs no Jacobi pass.  FlatMax and MaxCurved assemble once and
     # verify_model runs their one Jacobi pass; TwistedTheta adds the assembly
     # over all of h that must fail Jacobi
-    h_kind_tuples(3)
+    for table4_kind in TABLE4_KINDS:
+        certified_row(table4_kind, 3)
     semidirects = _counted(monkeypatch, models, "semidirect")
     jacobi_passes = _counted(monkeypatch, LieAlgebra, "verify_jacobi")
     beta = Fraction(1, 2) if kind in ("H3", "H5") else None
     c = Fraction(1) if kind == "MaxCurved" else None
     build_model(ModelSpec(kind, 3, beta=beta, c=c))
-    expected = {"QHP": (1, 0), "QHH": (1, 0), "TwistedTheta": (2, 2),
-                "FlatMax": (1, 1), "MaxCurved": (1, 1)}.get(kind, (1, 0))
+    expected = {"TwistedTheta": (2, 2), "FlatMax": (1, 1), "MaxCurved": (1, 1)}.get(kind, (1, 0))
     assert (len(semidirects), len(jacobi_passes)) == expected
 
 
@@ -703,8 +763,10 @@ def _cached_state(n):
              order)
             for alg, rho, order in (isotropy_rep(n), ambient_rep(n))] + \
         [copy.deepcopy(quaternionic_triple(n)), copy.deepcopy(ambient_triple(n)),
-         copy.deepcopy(jacobi_equations(n)), copy.deepcopy(dict(h_kind_tuples(n))),
-         copy.deepcopy(maxmodel_equations(n))]
+         copy.deepcopy(jacobi_equations(n)),
+         copy.deepcopy([certified_row(kind, n) for kind in TABLE4_KINDS]),
+         copy.deepcopy(maxmodel_equations(n)),
+         {name: copy.deepcopy(b.coeffs) for name, b in models.vertical_brackets(n).items()}]
 
 
 def test_sp_pair_reps_are_built_once_and_shared():

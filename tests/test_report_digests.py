@@ -1,7 +1,7 @@
 """Report bytes of ten benchmark commands, run in-process, against the
 SHA-256 digests that the benchmark's correctness gate compares
-(``bench/digests.json``, only read here), and of two QHP/QHH model reports
-and five class-layer commands against digests recorded in this module.  A
+(``bench/digests.json``, only read here), and of QHP/QHH model reports and
+five class-layer commands against digests recorded in this module.  A
 change that alters a single report byte of these commands fails here, before
 the benchmark runs."""
 
@@ -74,3 +74,47 @@ def test_class_report_bytes_match_the_recorded_digest(command, capsys):
     code = main(command.split(" "))
     out = capsys.readouterr().out
     assert (code, hashlib.sha256(out.encode("utf-8")).hexdigest()) == CLASS_REPORT_DIGESTS[command]
+
+
+# SHA-256 and exit code of the text and CSV QHP/QHH model reports: n = 2 (exit
+# 1, the open d_2 question), n = 3 and n = 5, and a QHP grid on its EH ray
+# c1 = 4 c2, its KH ray c2 = 2 c1 and the generic unit point.  Recorded from
+# the build that read g = h + m off H + sp(p, q), before the two models became
+# fixed points of the bracket table.
+QH_REPORT_DIGESTS = {
+    "--format text model-report --spec QHP:n=2":
+        (1, "5d5f0110dd22d151ef16582aa0487f7525952a02073510b54471965c55fd1e62"),
+    "--format csv model-report --spec QHP:n=2":
+        (1, "a870c9a52039064c02cfc366f78f73b7118abadfe9ec7d57112339faf54d88fe"),
+    "--format text model-report --spec QHP:n=3":
+        (0, "6d7bcf61f619a58ceeda43be7d39cfe120c667d613e3a3d7bf233cd53b0335e2"),
+    "--format csv model-report --spec QHP:n=3":
+        (0, "d014379ec154fa27efe55a0278129e4d5075d3fd306df0f1e31dfdb7d8ad1c4e"),
+    "--format text model-report --spec QHP:n=5":
+        (0, "bbc7c09aa71dd769c8632be02094d5556b53c6a3b20cc3c10861a31b26d918d4"),
+    "--format csv model-report --spec QHP:n=5":
+        (0, "e98b1e8d200e5d93de5d702fe2cf2637d2286b19a94bcbd84c82330157b4d3dc"),
+    "--format text model-report --spec QHH:n=2":
+        (1, "54bf9e7a7920319e0898bb95ec6d04d46da2828aa73fd20ac2170b3b14fadfec"),
+    "--format csv model-report --spec QHH:n=2":
+        (1, "a870c9a52039064c02cfc366f78f73b7118abadfe9ec7d57112339faf54d88fe"),
+    "--format text model-report --spec QHH:n=3":
+        (0, "2c427d9d0e3d897c57751890d8e3714d8ae1abae1353cc4e174def779e4c3682"),
+    "--format csv model-report --spec QHH:n=3":
+        (0, "de3ec9e2bcffdd5d75fe3ae4df85951adca4d12905250f777e36e22ca594c7ef"),
+    "--format text model-report --spec QHH:n=5":
+        (0, "ce8c057d02efa81b38cff5e32164024d203f74ded6391ddcf1a41a2f49504102"),
+    "--format csv model-report --spec QHH:n=5":
+        (0, "00a953de74389c4842b4f88d09a87ea91dbe92875983c73c0b7bb0d44f770c5e"),
+    "--format text model-report --spec QHP:n=3 --grid 4,1;1,2;1,1":
+        (0, "f23c5c1bdb908d8cd3520e2436e82c07dd5b0c77e80cb3f2a21b183d9d589c78"),
+    "--format csv model-report --spec QHP:n=3 --grid 4,1;1,2;1,1":
+        (0, "928002e4b46128b95fd16e2a4e705b90be3d3b4ef64cf0b97b183463e8b713d5"),
+}
+
+
+@pytest.mark.parametrize("command", QH_REPORT_DIGESTS)
+def test_qh_model_report_bytes_match_the_recorded_digest(command, capsys):
+    code = main(command.split(" "))
+    out = capsys.readouterr().out
+    assert (code, hashlib.sha256(out.encode("utf-8")).hexdigest()) == QH_REPORT_DIGESTS[command]

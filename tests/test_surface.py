@@ -111,10 +111,11 @@ def test_structure_constants_come_only_from_the_matrix_reader():
 
 def test_jacobi_passes_run_only_in_the_model_certificates():
     # each object is certified where it is made: an assembled model's Jacobi
-    # identity in verify_model, and the twisted bracket's failure over all of h
-    # in its builder; semidirect only assembles, and its check knob stays deleted
+    # identity in verify_model, QHP and QHH's rows once per n in certified_row,
+    # and the twisted bracket's failure over all of h in its builder;
+    # semidirect only assembles, and its check knob stays deleted
     assert sorted(_call_sites("verify_jacobi")) == [
-        "models.py:_build_twisted_model", "models.py:verify_model"]
+        "models.py:_build_twisted_model", "models.py:certified_row", "models.py:verify_model"]
     assert "check" not in inspect.signature(lie.semidirect).parameters
 
 
@@ -130,12 +131,11 @@ def test_jacobiators_are_taken_only_by_the_pass_and_the_one_reader():
 def test_bracket_tables_are_built_only_by_the_quaternion_realifier():
     # every bracket on H^n is a quaternion rule turned into a table by
     # models._bilinear; the other BilinearMap(...) calls only derive a table
-    # from existing ones (a sum, a split of a read algebra, a twist by I) or
-    # wrap structure constants, so no hand-indexed table can enter the package
+    # from existing ones (a sum of basis tables, a twist by I) or wrap
+    # structure constants, so no hand-indexed table can enter the package
     assert sorted(set(_call_sites("BilinearMap"))) == [
         "lie.py:BilinearMap.zero", "lie.py:LieAlgebra.__init__",
-        "models.py:_bilinear", "models.py:_build_reductive_model",
-        "models.py:bracket_from_params", "models.py:twisted_theta"]
+        "models.py:_bilinear", "models.py:_table_sum", "models.py:twisted_theta"]
 
 
 def test_symbolic_models_are_built_only_for_prop12():
@@ -167,10 +167,27 @@ def test_no_component_split_in_the_solvers():
 
 
 def test_brackets_are_read_only_by_the_two_model_readers():
-    # one read per algebra: sp(1) + sp(m) once per (n, m), and QHP/QHH's
-    # g = h + m once per build, off h's matrices and m's
-    assert sorted(_call_sites("matrix_algebra")) == [
-        "models.py:_build_reductive_model", "models.py:_sp_pair_rep"]
+    # one read per algebra, of the isotropy and the ambient sp(1) + sp(m),
+    # once per (n, m); QHP and QHH are rows of the bracket table on h + m,
+    # and the read of H + sp(p, q) lives on only as a test oracle
+    assert _call_sites("matrix_algebra") == ["models.py:_sp_pair_rep"]
+    assert not {"_complement", "_build_reductive_model", "horizontal_params"} & _defined_functions()
+
+
+def test_the_form_layer_builds_no_model():
+    # forms reads every Table-4 kind's parameters off its certified row, so it
+    # binds no model builder; bench/test_bench.py pins the bindings it keeps
+    assert not {"build_model", "ModelSpec"} & set(vars(forms))
+    assert forms.isotropy_rep is models.isotropy_rep
+    assert forms.ambient_rep is models.ambient_rep
+    assert forms.common_kernel is lie.common_kernel
+
+
+def test_one_reader_of_matrices_in_an_algebra():
+    # the vertical rules and the maximal bracket read their values in h and in
+    # k through the same function
+    assert sorted(_call_sites("_algebra_reader")) == [
+        "models.py:maximal_vertical_bracket", "models.py:vertical_brackets"]
 
 
 def test_quaternion_components_enter_vectors_only_as_fractions():
